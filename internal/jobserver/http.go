@@ -102,6 +102,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "missing tenant parameter")
 		return
 	}
+	// The body buffer grows with the bytes that arrive, never with the
+	// length the client declares.
 	cap, err := rig.ReadCapture(http.MaxBytesReader(w, r.Body, maxCaptureBytes))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("reading capture: %v", err))

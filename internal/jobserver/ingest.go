@@ -241,6 +241,7 @@ func (ss *streamSession) Close(complete bool) {
 
 	j.mu.Lock()
 	j.capture = rig.Capture{Car: j.Car, Frames: frames}
+	j.frames = len(frames)
 	j.state = Queued
 	j.notifyLocked()
 	j.mu.Unlock()

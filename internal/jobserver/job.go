@@ -133,8 +133,11 @@ type Job struct {
 	// claims the job.
 	runLog *telemetry.Logger
 
-	state   JobState
+	state JobState
+	// capture is the job's input until the job ends; frames is its frame
+	// count, kept after the capture is dropped.
 	capture rig.Capture
+	frames  int
 	result  *reverser.Result
 	errMsg  string
 	events  []ProgressRecord
@@ -169,17 +172,6 @@ func (j *Job) setRunLogger(l *telemetry.Logger) {
 	j.mu.Lock()
 	j.runLog = l
 	j.mu.Unlock()
-}
-
-// runLogger returns the span-correlated run logger, falling back to the
-// admission logger for jobs that never reached a worker.
-func (j *Job) runLogger() *telemetry.Logger {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.runLog != nil {
-		return j.runLog
-	}
-	return j.log
 }
 
 // State reads the current state.
@@ -221,7 +213,7 @@ func (j *Job) Snapshot() Snapshot {
 		ID: j.ID, Tenant: j.Tenant, Car: j.Car, Stream: j.StreamName,
 		State: j.state.String(), Shard: j.shard,
 		Error: j.errMsg, Events: len(j.events),
-		Frames: len(j.capture.Frames),
+		Frames: j.frames,
 	}
 	if j.started > 0 && j.started >= j.submitted {
 		s.QueueWaitMS = float64((j.started - j.submitted).Microseconds()) / 1e3

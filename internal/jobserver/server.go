@@ -183,6 +183,8 @@ type Server struct {
 	shards []*shard
 	wg     sync.WaitGroup
 
+	// mu guards the fields below. It may be taken while holding a Job's
+	// mu (finalize), never the other way round.
 	mu       sync.Mutex
 	seq      int
 	rejSeq   int // rejection correlation counter
@@ -340,6 +342,7 @@ func (s *Server) Submit(tenant string, cap rig.Capture, streamName string) (*Job
 		return nil, err
 	}
 	j.capture = cap
+	j.frames = len(cap.Frames)
 	s.mu.Unlock()
 	j.log.Info("job-admitted", telemetry.Int("frames", len(cap.Frames)))
 	s.enqueue(j)
@@ -512,23 +515,29 @@ func (s *Server) runJob(j *Job) {
 }
 
 // finalize moves a job into a terminal state and settles the accounting.
+// Only the first call for a job has any effect.
 func (s *Server) finalize(j *Job, final JobState, res *reverser.Result, errMsg string) {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	if j.state.Terminal() {
-		j.mu.Unlock()
 		return
 	}
+	// Everything is settled — the tenant's quota slot, the metrics, the
+	// job-finished record — before the terminal state becomes visible, so
+	// a client acting the moment it sees the job end finds the slot free
+	// and the flight record complete. Lock order: j.mu, then s.mu.
+	s.mu.Lock()
+	s.tenants[j.Tenant]--
+	if s.tenants[j.Tenant] <= 0 {
+		delete(s.tenants, j.Tenant)
+	}
+	s.mu.Unlock()
 	prev := j.state
-	j.state = final
-	j.result = res
-	j.errMsg = errMsg
-	j.finished = s.clock.Now()
+	finished := s.clock.Now()
 	var runTime time.Duration
 	if j.started > 0 {
-		runTime = j.finished - j.started
+		runTime = finished - j.started
 	}
-	j.notifyLocked()
-	j.mu.Unlock()
 
 	s.met.JobsByState.With(prev.String()).Add(-1)
 	s.met.JobsByState.With(final.String()).Add(1)
@@ -538,12 +547,6 @@ func (s *Server) finalize(j *Job, final JobState, res *reverser.Result, errMsg s
 		s.met.TenantRunDuration.With(j.Tenant).ObserveDuration(runTime)
 		s.sloRun.Observe(runTime)
 	}
-	s.mu.Lock()
-	s.tenants[j.Tenant]--
-	if s.tenants[j.Tenant] <= 0 {
-		delete(s.tenants, j.Tenant)
-	}
-	s.mu.Unlock()
 
 	attrs := []telemetry.Attr{
 		telemetry.String("state", final.String()),
@@ -552,11 +555,24 @@ func (s *Server) finalize(j *Job, final JobState, res *reverser.Result, errMsg s
 	if errMsg != "" {
 		attrs = append(attrs, telemetry.String("error", errMsg))
 	}
-	if final == Failed {
-		j.runLogger().Error("job-finished", attrs...)
-	} else {
-		j.runLogger().Info("job-finished", attrs...)
+	log := j.runLog
+	if log == nil {
+		log = j.log // the job never reached a worker
 	}
+	if final == Failed {
+		log.Error("job-finished", attrs...)
+	} else {
+		log.Info("job-finished", attrs...)
+	}
+
+	j.state = final
+	j.result = res
+	j.errMsg = errMsg
+	// The run is over (or never happens): drop the capture, which is most
+	// of a job's memory. Snapshot keeps the frame count.
+	j.capture = rig.Capture{}
+	j.finished = finished
+	j.notifyLocked()
 }
 
 // Job looks a job up by ID.

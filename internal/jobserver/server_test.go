@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -187,6 +190,68 @@ func TestTenantQuota(t *testing.T) {
 	}
 }
 
+// TestQuotaSlotFreeOnceTerminal pins the order in finalize: a tenant at
+// its quota that resubmits the moment it sees its job end is admitted.
+func TestQuotaSlotFreeOnceTerminal(t *testing.T) {
+	srv := New(Config{TenantMaxActive: 1, Reverser: quickOpts()}, nil)
+	defer srv.Close()
+	// An empty capture fails fast in the pipeline: the rounds exercise
+	// admission and finalize, not GP.
+	for round := 0; round < 50; round++ {
+		j, err := srv.Submit("acme", rig.Capture{Car: "Car M"}, "")
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		waitState(t, j, JobState.Terminal)
+	}
+}
+
+func TestDoneJobDropsCapture(t *testing.T) {
+	cap := carMCapture(t)
+	srv := New(Config{Reverser: quickOpts()}, nil)
+	defer srv.Close()
+	j, err := srv.Submit("acme", cap, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitState(t, j, JobState.Terminal); st != Done {
+		t.Fatalf("job finished %s", st)
+	}
+	j.mu.Lock()
+	kept := j.capture
+	j.mu.Unlock()
+	if kept.Frames != nil || kept.UIFrames != nil || kept.Clicks != nil {
+		t.Fatalf("done job still holds %d frames, %d UI frames, %d clicks",
+			len(kept.Frames), len(kept.UIFrames), len(kept.Clicks))
+	}
+	if snap := j.Snapshot(); snap.Frames != len(cap.Frames) {
+		t.Fatalf("snapshot frames = %d, want %d", snap.Frames, len(cap.Frames))
+	}
+}
+
+// TestSubmitIgnoresDeclaredLength pins that an upload's buffer grows with
+// the bytes that arrive: a request declaring the largest allowed body but
+// carrying a few bytes must not make the server reserve that much memory.
+func TestSubmitIgnoresDeclaredLength(t *testing.T) {
+	srv := New(Config{Reverser: quickOpts()}, nil)
+	defer srv.Close()
+	h := srv.Handler()
+	req := httptest.NewRequest("POST", "/api/v1/jobs?tenant=acme", strings.NewReader(`{"version":1,"capture":`))
+	req.ContentLength = maxCaptureBytes
+	rec := httptest.NewRecorder()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	h.ServeHTTP(rec, req)
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("truncated upload = %d, want 400: %s", rec.Code, rec.Body)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 16<<20 {
+		t.Fatalf("a truncated body declared as %d bytes allocated %d bytes", maxCaptureBytes, alloc)
+	}
+}
+
 func TestQueueBackpressure(t *testing.T) {
 	srv := New(Config{Shards: 1, QueueDepth: 2, TenantMaxActive: 8, Reverser: quickOpts()}, nil)
 	defer srv.Close()
@@ -298,25 +363,50 @@ func TestIngestSessionFeedsJob(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Hold the job's shard so the queued job cannot start (and drop its
+	// capture) before the ingested frames are checked.
+	sh := srv.shards[reg.Job.Snapshot().Shard]
+	sh.mu.Lock()
+	held := true
+	release := func() {
+		if held {
+			held = false
+			sh.mu.Unlock()
+		}
+	}
+	defer release()
 	if err := conn.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	waitState(t, reg.Job, JobState.Terminal)
-	if st := reg.Job.State(); st != Done {
-		t.Fatalf("streamed job finished %s: %s", st, reg.Job.Snapshot().Error)
-	}
+	waitState(t, reg.Job, func(s JobState) bool { return s != Streaming })
 	reg.Job.mu.Lock()
 	got := reg.Job.capture
 	reg.Job.mu.Unlock()
+	release()
 	if len(got.Frames) != n || got.Car != cap.Car {
 		t.Fatalf("ingested capture: %d frames, car %q", len(got.Frames), got.Car)
 	}
 	for i, f := range got.Frames {
 		want := cap.Frames[i]
 		if f.ID != want.ID || f.Timestamp != want.Timestamp || f.Data != want.Data {
-			t.Fatalf("frame %d: got %v@%v, want %v@%v", i, f.ID, f.Timestamp, want.ID, want.Timestamp)
+			t.Fatalf("frame %d: got %+v, want %+v", i, f, want)
 		}
+	}
+
+	waitState(t, reg.Job, JobState.Terminal)
+	if st := reg.Job.State(); st != Done {
+		t.Fatalf("streamed job finished %s: %s", st, reg.Job.Snapshot().Error)
+	}
+	// The finished job no longer holds the capture; its snapshot keeps the
+	// ingested frame count.
+	if snap := reg.Job.Snapshot(); snap.Frames != n {
+		t.Fatalf("done streamed job reports %d frames, want %d", snap.Frames, n)
+	}
+	reg.Job.mu.Lock()
+	kept := len(reg.Job.capture.Frames)
+	reg.Job.mu.Unlock()
+	if kept != 0 {
+		t.Fatalf("done streamed job still holds %d frames", kept)
 	}
 
 	// A second HELLO with the same token must be refused: tokens bind once.

@@ -1,6 +1,7 @@
 package rig
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -28,11 +29,20 @@ func (c Capture) Save(w io.Writer) error {
 	return nil
 }
 
-// ReadCapture deserialises a capture written by Save.
+// ReadCapture deserialises a capture written by Save. The body is read
+// whole, then decoded in one pass (capture_decode.go). Bytes after the
+// envelope are read and ignored, and a read error after a complete
+// envelope does not fail the decode.
 func ReadCapture(r io.Reader) (Capture, error) {
-	var env captureEnvelope
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&env); err != nil {
+	// bytes.Buffer doubles as it reads; io.ReadAll's append growth would
+	// allocate several times the body on the way up.
+	var body bytes.Buffer
+	_, readErr := body.ReadFrom(r)
+	env, err := decodeEnvelope(body.Bytes())
+	switch {
+	case err != nil && readErr != nil:
+		return Capture{}, fmt.Errorf("rig: reading capture: %w", readErr)
+	case err != nil:
 		return Capture{}, fmt.Errorf("rig: decoding capture: %w", err)
 	}
 	if env.Version != captureFormatVersion {
