@@ -154,7 +154,7 @@ func runLoadtest(cfg jobserver.Config, opt loadtestOptions) error {
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := telemetry.NewHTTPServer(srv.Handler())
 	serveDone := make(chan struct{})
 	go func() {
 		defer close(serveDone)

@@ -32,7 +32,6 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -145,7 +144,7 @@ func serve(cfg jobserver.Config, addr, ingest string, drainTimeout time.Duration
 		fmt.Fprintf(os.Stderr, "dpreversed: canbridge ingest on %s\n", bound)
 	}
 
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := telemetry.NewHTTPServer(srv.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 

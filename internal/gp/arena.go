@@ -13,7 +13,9 @@ package gp
 // heap-cloned out when it improves.
 //
 // Allocation discipline: every alloc site fully assigns the node
-// (*n = Node{...}), so reset() can recycle blocks without zeroing them.
+// (*n = Node{...}), so reset() can recycle blocks without zeroing them —
+// across generations, and across runs too, since an island keeps its
+// arenas in islandPool between runs.
 
 // arenaBlockNodes is the node count per arena block. Blocks are recycled
 // across generations, so the size only bounds slack, not churn.

@@ -269,11 +269,21 @@ type Batch struct {
 	n    int
 	cols [][]float64
 	y    []float64
+	// flat backs cols; reset reuses it for the next dataset.
+	flat []float64
 }
 
 // NewBatch builds the column view of d. The Y slice is referenced, not
 // copied.
 func NewBatch(d *Dataset) *Batch {
+	b := &Batch{}
+	b.reset(d)
+	return b
+}
+
+// reset rebuilds b as the column view of d, reusing b's buffers when they
+// are large enough.
+func (b *Batch) reset(d *Dataset) {
 	n := len(d.X)
 	width := 0
 	for _, row := range d.X {
@@ -281,18 +291,25 @@ func NewBatch(d *Dataset) *Batch {
 			width = len(row)
 		}
 	}
-	cols := make([][]float64, width)
-	flat := make([]float64, n*width)
+	if cap(b.flat) < n*width {
+		b.flat = make([]float64, n*width)
+	}
+	if cap(b.cols) < width {
+		b.cols = make([][]float64, width)
+	}
+	cols := b.cols[:width]
 	for v := range cols {
-		col := flat[v*n : (v+1)*n]
+		col := b.flat[v*n : (v+1)*n]
 		for i, row := range d.X {
 			if v < len(row) {
 				col[i] = row[v]
+			} else {
+				col[i] = 0
 			}
 		}
 		cols[v] = col
 	}
-	return &Batch{n: n, cols: cols, y: d.Y}
+	b.n, b.cols, b.y = n, cols, d.Y
 }
 
 // N reports the sample count.

@@ -492,22 +492,40 @@ type cacheEntry struct {
 	raw, a, b float64
 }
 
-func newEvaluator(d *Dataset, cfg Config, workers int) *evaluator {
+// reset readies e to score on d, keeping its buffers, machines and map
+// storage from earlier runs.
+func (e *evaluator) reset(d *Dataset, cfg Config, workers int) {
 	if workers < 1 {
 		workers = 1
 	}
-	e := &evaluator{
-		d: d, batch: NewBatch(d), cfg: cfg,
-		workers:  workers,
-		machines: make([]*Machine, workers),
-		comp:     NewCompiler(),
-		cache:    make(map[string]cacheEntry),
-		pending:  make(map[string]int),
+	e.d, e.cfg, e.workers = d, cfg, workers
+	if e.batch == nil {
+		e.batch = NewBatch(d)
+	} else {
+		e.batch.reset(d)
 	}
-	for i := range e.machines {
-		e.machines[i] = NewMachine()
+	for len(e.machines) < workers {
+		e.machines = append(e.machines, NewMachine())
 	}
-	return e
+	if e.comp == nil {
+		e.comp = NewCompiler()
+	}
+	if e.cache == nil {
+		e.cache = make(map[string]cacheEntry)
+		e.pending = make(map[string]int)
+	}
+	e.evals, e.hits, e.misses = 0, 0, 0
+}
+
+// release ends e's run. It clears the fitness cache, whose keys are
+// program structures that score differently on another dataset (clear
+// keeps the map's buckets for the next run), and drops e's references to
+// the run's dataset and configuration, so a pooled evaluator keeps
+// neither alive.
+func (e *evaluator) release() {
+	clear(e.cache)
+	e.d, e.cfg = nil, Config{}
+	e.batch.y = nil
 }
 
 // fromCache rebuilds an individual for tree t (of the given node count)
@@ -675,8 +693,13 @@ func RunContext(ctx context.Context, d *Dataset, cfg Config) (Result, error) {
 		if k > 1 {
 			seed = islandSeed(cfg.Seed, i)
 		}
-		islands[i] = newIsland(d, cfg, funcs, size, seed, workers)
+		islands[i] = acquireIsland(d, cfg, funcs, size, seed, workers)
 	}
+	defer func() {
+		for _, isl := range islands {
+			isl.release()
+		}
+	}()
 	stepAll(islands, (*island).init)
 	best := globalBest(islands)
 	observe(cfg.Observer, 0, best, islands)
@@ -772,32 +795,66 @@ func islandSeed(seed int64, i int) int64 {
 	return seed ^ int64(h&0x7FFFFFFFFFFFFFFF)
 }
 
-func newIsland(d *Dataset, cfg Config, funcs []Op, popSize int, seed int64, workers int) *island {
-	rng := rand.New(rand.NewSource(seed))
-	return &island{
-		cfg: cfg,
-		rng: rng,
-		gen: &generator{
-			rng: rng, numVars: d.NumVars(), funcs: funcs,
-			constMin: cfg.ConstMin, constMax: cfg.ConstMax,
-		},
-		ev: newEvaluator(d, cfg, workers),
+// islandPool keeps islands, with their arenas, populations, evaluator
+// and RNG, from one run for the next: a pipeline runs GP once per stream,
+// and rebuilding that scratch for every run cost more allocation than
+// the evolution itself. Every buffer is either reset by acquireIsland or
+// fully written before it is read, and the champion is heap-cloned out
+// of the arenas, so nothing of a run survives into the next.
+var islandPool = sync.Pool{New: func() any { return new(island) }}
+
+// acquireIsland takes an island from the pool and readies it for a run
+// of popSize programs on d.
+func acquireIsland(d *Dataset, cfg Config, funcs []Op, popSize int, seed int64, workers int) *island {
+	isl := islandPool.Get().(*island)
+	isl.cfg = cfg
+	// Reseeding restores exactly the state rand.NewSource(seed) starts in.
+	if isl.rng == nil {
+		isl.rng = rand.New(rand.NewSource(seed))
+		isl.gen = new(generator)
+		isl.ev = new(evaluator)
 		// Trees live one generation: children of generation g+1 reference
 		// only fresh nodes and copies of generation-g subtrees, so breeding
 		// bump-allocates into one of two ping-ponging arenas and the
 		// previous generation's arena is recycled wholesale.
-		arenas: [2]*nodeArena{newNodeArena(), newNodeArena()},
-		// Populations ping-pong alongside the arenas: generation g+1 is
-		// scored into the slice generation g-1 occupied, so the steady-state
-		// loop allocates no per-generation slices either.
-		pops: [2][]individual{
-			make([]individual, popSize),
-			make([]individual, popSize),
-		},
-		// fits mirrors pop's fitness column densely for the tournament loop.
-		fits:     make([]float64, popSize),
-		children: make([]*Node, popSize-1),
+		isl.arenas = [2]*nodeArena{newNodeArena(), newNodeArena()}
+	} else {
+		isl.rng.Seed(seed)
+		isl.arenas[0].reset()
+		isl.arenas[1].reset()
 	}
+	*isl.gen = generator{
+		rng: isl.rng, numVars: d.NumVars(), funcs: funcs,
+		constMin: cfg.ConstMin, constMax: cfg.ConstMax,
+	}
+	isl.ev.reset(d, cfg, workers)
+	isl.cur = 0
+	// Populations ping-pong alongside the arenas: generation g+1 is
+	// scored into the slice generation g-1 occupied, so the steady-state
+	// loop allocates no per-generation slices either.
+	isl.pops[0] = resize(isl.pops[0], popSize)
+	isl.pops[1] = resize(isl.pops[1], popSize)
+	// fits mirrors pop's fitness column densely for the tournament loop.
+	isl.fits = resize(isl.fits, popSize)
+	isl.children = resize(isl.children, popSize-1)
+	return isl
+}
+
+// release returns the island to the pool once its run has finished.
+func (isl *island) release() {
+	isl.ev.release()
+	isl.cfg, *isl.gen = Config{}, generator{}
+	isl.pop, isl.best = nil, individual{}
+	islandPool.Put(isl)
+}
+
+// resize returns s with length n, reallocating only to grow. Callers
+// write every element before reading it.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // init scores the initial random population and seeds the champion.

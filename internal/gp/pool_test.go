@@ -1,0 +1,147 @@
+package gp
+
+import (
+	"context"
+	"errors"
+	"reflect"
+	"runtime"
+	"sync"
+	"testing"
+)
+
+// poolCase is one run configuration. The two cases differ in dataset
+// width and length, population size, island count and parallelism, so a
+// run that reuses the other's scratch has to resize every buffer.
+type poolCase struct {
+	name string
+	d    *Dataset
+	cfg  Config
+}
+
+func poolCases() (a, b poolCase) {
+	a = poolCase{name: "A", d: islandTestDataset(), cfg: islandConfig(3, 4)}
+	bd := &Dataset{}
+	for x := 0.0; x < 200; x++ {
+		bd.X = append(bd.X, []float64{x})
+		bd.Y = append(bd.Y, 0.5*x-40)
+	}
+	bcfg := DefaultConfig()
+	bcfg.PopulationSize = 90
+	bcfg.Generations = 6
+	bcfg.StopFitness = -1
+	bcfg.Seed = 3
+	b = poolCase{name: "B", d: bd, cfg: bcfg}
+	return a, b
+}
+
+func runCase(t *testing.T, c poolCase) Result {
+	t.Helper()
+	res, err := Run(c.d, c.cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", c.name, err)
+	}
+	return res
+}
+
+// drainIslandPool empties the island pool, so the next run builds its
+// scratch afresh: a garbage collection moves pooled items to the victim
+// cache, and the next one drops them.
+func drainIslandPool(t *testing.T) {
+	t.Helper()
+	runtime.GC()
+	runtime.GC()
+	if isl := islandPool.Get().(*island); isl.rng != nil {
+		t.Fatal("island pool still holds a used island after two collections")
+	}
+}
+
+// freshResult runs c on freshly built scratch.
+func freshResult(t *testing.T, c poolCase) Result {
+	t.Helper()
+	drainIslandPool(t)
+	return runCase(t, c)
+}
+
+func checkSameResult(t *testing.T, what string, got, want Result) {
+	t.Helper()
+	if resultJSON(t, got) != resultJSON(t, want) || !reflect.DeepEqual(got.Best, want.Best) {
+		t.Fatalf("%s: %s, fresh scratch gives %s", what, resultJSON(t, got), resultJSON(t, want))
+	}
+}
+
+// Running A then B through pooled scratch must give exactly the results
+// of runs on fresh scratch: nothing of one run, the fitness cache least
+// of all, may leak into the next.
+func TestPooledScratchMatchesFreshRuns(t *testing.T) {
+	a, b := poolCases()
+	wantA := freshResult(t, a)
+	wantB := freshResult(t, b)
+	for i := 0; i < 3; i++ {
+		checkSameResult(t, "A after B", runCase(t, a), wantA)
+		checkSameResult(t, "B after A", runCase(t, b), wantB)
+	}
+}
+
+// Concurrent runs share the pool but never an island (run under -race).
+func TestPooledScratchConcurrentRuns(t *testing.T) {
+	a, b := poolCases()
+	wantA := freshResult(t, a)
+	wantB := freshResult(t, b)
+	var wg sync.WaitGroup
+	results := make([][]Result, 8)
+	for g := range results {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 4; i++ {
+				c := a
+				if (g+i)%2 == 1 {
+					c = b
+				}
+				res, err := Run(c.d, c.cfg)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				results[g] = append(results[g], res)
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g, rs := range results {
+		for i, res := range rs {
+			want := wantA
+			if (g+i)%2 == 1 {
+				want = wantB
+			}
+			checkSameResult(t, "concurrent run", res, want)
+		}
+	}
+}
+
+type cancelAtGeneration struct {
+	gen    int
+	cancel context.CancelFunc
+}
+
+func (c cancelAtGeneration) Generation(s GenerationStats) {
+	if s.Generation == c.gen {
+		c.cancel()
+	}
+}
+
+// A run cancelled mid-evolution returns its scratch to the pool in
+// whatever state it reached; the next run must not notice.
+func TestPooledScratchAfterCancelledRun(t *testing.T) {
+	a, b := poolCases()
+	wantA := freshResult(t, a)
+	drainIslandPool(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cfg := b.cfg
+	cfg.Observer = cancelAtGeneration{gen: 3, cancel: cancel}
+	if _, err := RunContext(ctx, b.d, cfg); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	checkSameResult(t, "A after a cancelled B", runCase(t, a), wantA)
+}

@@ -325,7 +325,21 @@ func (s *Server) Config() Config { return s.cfg }
 func (s *Server) shardFor(tenant, car, stream string) int {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s\x00%s\x00%s", tenant, car, stream)
-	return int(h.Sum64() % uint64(len(s.shards)))
+	return int(fmix64(h.Sum64()) % uint64(len(s.shards)))
+}
+
+// fmix64 is murmur3's 64-bit finaliser, which makes every output bit
+// depend on every input bit. FNV-1a alone does not mix downwards: its
+// multiplier is odd, so its lowest bit is just the parity of the key's
+// odd bytes, and modulo a power of two keys that differ in step (tenant-0
+// with car A, tenant-1 with car B) land on one shard.
+func fmix64(h uint64) uint64 {
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return h
 }
 
 // Submit admits one complete capture as a queued job. The returned error

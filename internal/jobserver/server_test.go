@@ -464,6 +464,42 @@ func TestUnknownStreamToken(t *testing.T) {
 	}
 }
 
+// Two tenants taking consecutive fleet cars from a shared cursor, as
+// closed-loop clients do, must spread over the shards: no shard may hold
+// most of the keys, and the two jobs in flight at once (one tenant on car
+// i, the other on car i+1) must not keep landing on one shard. Unmixed
+// FNV-1a put every such pair on one shard of two.
+func TestShardPlacementSpreadsFleet(t *testing.T) {
+	fleet := vehicle.Fleet()
+	tenants := []string{"tenant-0", "tenant-1"}
+	for _, shards := range []int{2, 4} {
+		srv := New(Config{Shards: shards}, nil)
+		counts := make([]int, shards)
+		collide, pairs := 0, 0
+		for ti, tenant := range tenants {
+			other := tenants[1-ti]
+			for i, p := range fleet {
+				shard := srv.shardFor(tenant, p.Car, "")
+				counts[shard]++
+				if srv.shardFor(other, fleet[(i+1)%len(fleet)].Car, "") == shard {
+					collide++
+				}
+				pairs++
+			}
+		}
+		srv.Close()
+		for i, n := range counts {
+			if float64(n) > 0.65*float64(pairs) {
+				t.Errorf("%d shards: shard %d holds %d of %d keys (%v)", shards, i, n, pairs, counts)
+			}
+		}
+		if float64(collide) > 0.65*float64(pairs) {
+			t.Errorf("%d shards: %d of %d concurrent pairs share a shard", shards, collide, pairs)
+		}
+		t.Logf("%d shards: keys per shard %v, %d of %d concurrent pairs share a shard", shards, counts, collide, pairs)
+	}
+}
+
 func TestShardAssignmentIsStable(t *testing.T) {
 	srv := New(Config{Shards: 4}, nil)
 	defer srv.Close()

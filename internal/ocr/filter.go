@@ -37,15 +37,19 @@ func FilterOutliers(samples []Sample) []Sample {
 		return append([]Sample(nil), samples...)
 	}
 	// Series-wide dispersion: jumps comparable to how much the quantity
-	// moves anyway are not OCR errors.
+	// moves anyway are not OCR errors. The medians only feed comparisons,
+	// so sorting the scratch in place changes no decision.
 	all := make([]float64, len(samples))
 	for i, s := range samples {
 		all[i] = s.Value
 	}
-	globalMed := median(all)
-	globalMAD := medianAbsDev(all, globalMed)
+	globalMed := medianInPlace(all)
+	globalMAD := medianAbsDevInPlace(all, globalMed)
 
 	const window = 3 // neighbours on each side
+	// The neighbourhood never exceeds 2*window values, so its scratch
+	// lives on the stack instead of costing allocations per sample.
+	var neighBuf [2 * window]float64
 	out := make([]Sample, 0, len(samples))
 	for i, s := range samples {
 		lo, hi := i-window, i+window+1
@@ -55,15 +59,15 @@ func FilterOutliers(samples []Sample) []Sample {
 		if hi > len(samples) {
 			hi = len(samples)
 		}
-		var neigh []float64
+		neigh := neighBuf[:0]
 		for j := lo; j < hi; j++ {
 			if j == i {
 				continue
 			}
 			neigh = append(neigh, samples[j].Value)
 		}
-		med := median(neigh)
-		mad := medianAbsDev(neigh, med)
+		med := medianInPlace(neigh)
+		mad := medianAbsDevInPlace(neigh, med)
 		tol := math.Max(5*mad, 0.15*math.Abs(med)+0.5)
 		tol = math.Max(tol, 4*globalMAD)
 		if math.Abs(s.Value-med) <= tol {
@@ -78,26 +82,24 @@ func Filter(samples []Sample, min, max float64) []Sample {
 	return FilterOutliers(FilterRange(samples, min, max))
 }
 
-func median(vals []float64) float64 {
-	if len(vals) == 0 {
+// medianInPlace sorts vals and returns their median (0 when empty).
+func medianInPlace(vals []float64) float64 {
+	n := len(vals)
+	if n == 0 {
 		return 0
 	}
-	s := append([]float64(nil), vals...)
-	sort.Float64s(s)
-	n := len(s)
+	sort.Float64s(vals)
 	if n%2 == 1 {
-		return s[n/2]
+		return vals[n/2]
 	}
-	return (s[n/2-1] + s[n/2]) / 2
+	return (vals[n/2-1] + vals[n/2]) / 2
 }
 
-func medianAbsDev(vals []float64, med float64) float64 {
-	if len(vals) == 0 {
-		return 0
-	}
-	devs := make([]float64, len(vals))
+// medianAbsDevInPlace overwrites vals with their absolute deviations from
+// med and returns the median of those.
+func medianAbsDevInPlace(vals []float64, med float64) float64 {
 	for i, v := range vals {
-		devs[i] = math.Abs(v - med)
+		vals[i] = math.Abs(v - med)
 	}
-	return median(devs)
+	return medianInPlace(vals)
 }

@@ -215,19 +215,19 @@ func TestFilterChained(t *testing.T) {
 }
 
 func TestMedianHelpers(t *testing.T) {
-	if median(nil) != 0 {
-		t.Fatal("median(nil)")
+	if medianInPlace(nil) != 0 {
+		t.Fatal("medianInPlace(nil)")
 	}
-	if median([]float64{3, 1, 2}) != 2 {
+	if medianInPlace([]float64{3, 1, 2}) != 2 {
 		t.Fatal("odd median")
 	}
-	if median([]float64{1, 2, 3, 4}) != 2.5 {
+	if medianInPlace([]float64{1, 2, 3, 4}) != 2.5 {
 		t.Fatal("even median")
 	}
-	if medianAbsDev([]float64{1, 2, 3}, 2) != 1 {
+	if medianAbsDevInPlace([]float64{1, 2, 3}, 2) != 1 {
 		t.Fatal("MAD")
 	}
-	if medianAbsDev(nil, 0) != 0 {
+	if medianAbsDevInPlace(nil, 0) != 0 {
 		t.Fatal("MAD(nil)")
 	}
 }

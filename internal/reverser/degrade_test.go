@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -42,6 +43,25 @@ func TestAssembleContextCancelled(t *testing.T) {
 	}
 }
 
+// screenXY runs screenPairs over xs and ys, grouping rows by their
+// printed value.
+func screenXY(xs [][]float64, ys []float64) ([][]float64, []float64, int) {
+	ps := pairSet{xs: xs, ys: ys}
+	ids := map[string]int32{}
+	for _, x := range xs {
+		k := fmt.Sprint(x)
+		g, ok := ids[k]
+		if !ok {
+			g = int32(len(ids))
+			ids[k] = g
+		}
+		ps.gid = append(ps.gid, g)
+	}
+	ps.groups = len(ids)
+	out, rejected := new(streamPrep).screenPairs(ps)
+	return out.xs, out.ys, rejected
+}
+
 func TestScreenPairsRejectsInconsistentY(t *testing.T) {
 	// Ten observations of X=[16]: nine agree, one lost its decimal point.
 	var xs [][]float64
@@ -52,7 +72,7 @@ func TestScreenPairsRejectsInconsistentY(t *testing.T) {
 	}
 	xs = append(xs, []float64{16})
 	ys = append(ys, 1250) // "12.50" read as "1250"
-	keptX, keptY, rejected := screenPairs(xs, ys)
+	keptX, keptY, rejected := screenXY(xs, ys)
 	if rejected != 1 || len(keptY) != 9 || len(keptX) != 9 {
 		t.Fatalf("rejected %d, kept %d", rejected, len(keptY))
 	}
@@ -72,7 +92,7 @@ func TestScreenPairsKeepsCleanData(t *testing.T) {
 		xs = append(xs, []float64{float64(i)}, []float64{float64(i)})
 		ys = append(ys, float64(i*400), float64(i*400))
 	}
-	_, keptY, rejected := screenPairs(xs, ys)
+	_, keptY, rejected := screenXY(xs, ys)
 	if rejected != 0 || len(keptY) != len(ys) {
 		t.Fatalf("clean data screened: rejected %d", rejected)
 	}
@@ -87,7 +107,7 @@ func TestScreenPairsBacksOffWhenEverythingLooksWrong(t *testing.T) {
 		xs = append(xs, []float64{float64(i)}, []float64{float64(i)})
 		ys = append(ys, 0, float64(1000+i*1000))
 	}
-	_, keptY, rejected := screenPairs(xs, ys)
+	_, keptY, rejected := screenXY(xs, ys)
 	if rejected != 0 || len(keptY) != len(ys) {
 		t.Fatalf("screen did not back off: rejected %d of %d", rejected, len(ys))
 	}

@@ -284,26 +284,36 @@ func (x *Extraction) appendKWP(ftype, x0, x1 byte) []byte {
 // formula); OBD data keeps one variable per byte, matching Table 5's
 // two-variable ground-truth formulas.
 func (o ESVObservation) Variables() []float64 {
+	vars, ok := o.appendVariables(make([]float64, 0, len(o.Bytes)))
+	if !ok {
+		return nil
+	}
+	return vars
+}
+
+// appendVariables appends o's variables to dst, never more than
+// len(o.Bytes) of them. ok is false, and dst unchanged, when the field is
+// malformed.
+func (o ESVObservation) appendVariables(dst []float64) (_ []float64, ok bool) {
 	switch o.Key.Proto {
 	case "KWP":
 		if len(o.Bytes) != kwp.ESVSize {
-			return nil
+			return dst, false
 		}
-		return []float64{float64(o.Bytes[1]), float64(o.Bytes[2])}
+		return append(dst, float64(o.Bytes[1]), float64(o.Bytes[2])), true
 	case "UDS":
 		if len(o.Bytes) == 0 || len(o.Bytes) > 4 {
-			return nil
+			return dst, false
 		}
 		raw := 0.0
 		for _, b := range o.Bytes {
 			raw = raw*256 + float64(b)
 		}
-		return []float64{raw}
+		return append(dst, raw), true
 	default:
-		vars := make([]float64, len(o.Bytes))
-		for i, b := range o.Bytes {
-			vars[i] = float64(b)
+		for _, b := range o.Bytes {
+			dst = append(dst, float64(b))
 		}
-		return vars
+		return dst, true
 	}
 }

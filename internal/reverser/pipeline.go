@@ -2,7 +2,6 @@ package reverser
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -161,70 +160,6 @@ func splitSessions(frames []ocr.Frame) []session {
 		cur.end = f.At
 	}
 	return out
-}
-
-// aggregateByX collapses repeated observations of the same X vector to one
-// (X, median Y) point.
-func aggregateByX(xs [][]float64, ys []float64) *gp.Dataset {
-	groups := map[string][]float64{}
-	reprs := map[string][]float64{}
-	var order []string
-	for i, x := range xs {
-		key := fmt.Sprintf("%v", x)
-		if _, ok := groups[key]; !ok {
-			order = append(order, key)
-			reprs[key] = x
-		}
-		groups[key] = append(groups[key], ys[i])
-	}
-	d := &gp.Dataset{}
-	for _, key := range order {
-		vals := groups[key]
-		sort.Float64s(vals)
-		med := vals[len(vals)/2]
-		if len(vals)%2 == 0 {
-			med = (vals[len(vals)/2-1] + vals[len(vals)/2]) / 2
-		}
-		d.X = append(d.X, reprs[key])
-		d.Y = append(d.Y, med)
-	}
-	return d
-}
-
-// typicalSpacing estimates the video sampling period as the median gap
-// between successive samples.
-func typicalSpacing(samples []ocr.Sample) time.Duration {
-	if len(samples) < 3 {
-		return 0
-	}
-	gaps := make([]time.Duration, 0, len(samples)-1)
-	for i := 1; i < len(samples); i++ {
-		if g := samples[i].At - samples[i-1].At; g > 0 {
-			gaps = append(gaps, g)
-		}
-	}
-	if len(gaps) == 0 {
-		return 0
-	}
-	sort.Slice(gaps, func(i, j int) bool { return gaps[i] < gaps[j] })
-	return gaps[len(gaps)/2]
-}
-
-// nearestSample finds the Y value displayed closest to t.
-func nearestSample(samples []ocr.Sample, t time.Duration, maxGap time.Duration) (float64, bool) {
-	best := maxGap + 1
-	var y float64
-	found := false
-	for _, s := range samples {
-		gap := s.At - t
-		if gap < 0 {
-			gap = -gap
-		}
-		if gap <= maxGap && gap < best {
-			best, y, found = gap, s.Value, true
-		}
-	}
-	return y, found
 }
 
 func majority(votes map[string]int) string {

@@ -1,8 +1,11 @@
 package reverser
 
 import (
+	"cmp"
 	"context"
-	"fmt"
+	"encoding/binary"
+	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -73,18 +76,127 @@ func alignUI(fr *colstore.Frames, uiFrames []ocr.Frame) (time.Duration, []ocr.Fr
 // extracted capture — the back half of ExtractStreams, reused by the
 // pipeline so the capture is assembled exactly once.
 func streamsFromExtraction(ext *Extraction, uiFrames []ocr.Frame, cfg Config) []StreamData {
+	p := newStreamPrep(ext.ESVs)
 	var out []StreamData
 	for _, sess := range splitSessions(uiFrames) {
-		keys, inSession := sessionStreams(ext.ESVs, sess)
-		for rowIdx, key := range keys {
-			out = append(out, buildStreamData(key, rowIdx, inSession[key], sess, cfg))
+		keys := p.sessionStreams(sess)
+		p.bucketRows(sess, len(keys))
+		for rowIdx, k := range keys {
+			out = append(out, p.buildStreamData(k, rowIdx, cfg))
 		}
 	}
 	return out
 }
 
+// streamPrep holds one capture's stream-preparation state. Every stream
+// key is indexed once, so per-key bookkeeping lives in slices indexed by
+// key id rather than in maps keyed by the string-bearing StreamKey, and
+// the per-session and per-stream buffers are reused from one session and
+// stream to the next. Apart from the sorts behind its medians, the work
+// is linear in the observations and OCR rows.
+type streamPrep struct {
+	obs []ESVObservation
+	// keys lists the distinct stream keys in capture order; kid[i] is
+	// obs[i]'s index into keys, and obd[k] marks keys[k] as an OBD stream.
+	keys []StreamKey
+	kid  []int32
+	obd  []bool
+	// byTime lists the observations in time order (capture order among
+	// equal times), so a session finds its window by binary search
+	// rather than by scanning the capture; timeSorted marks a capture
+	// already in time order, where byTime is the identity.
+	byTime     []int32
+	timeSorted bool
+
+	// Session state, indexed by key id. members[k] lists keys[k]'s
+	// observations in the session; live[k] marks a key in the session and
+	// not dropped as a phantom; local[k] is its first-seen rank; cycle[k]
+	// stamps the poll cycle that last saw it.
+	members [][]int32
+	live    []bool
+	local   []int32
+	cycle   []int
+	stamp   int
+	touched []int32 // keys with members this session, first-seen order
+	order   []int32 // the session's streams in display-row order
+	sessObs []int32 // the session's observations in capture order
+	window  []int32
+	kept    []int32
+	votes   []uint64
+	rank    []int
+	// rows[r] holds the session's OCR rows shown on display row r.
+	rows [][]rowRef
+
+	// Stream scratch.
+	samples []ocr.Sample
+	gaps    []time.Duration
+	vars    [][]float64 // vars[j]: members[j]'s X row, nil when malformed
+	gid     []int32     // gid[j]: the exact-X group of vars[j]
+	groups  map[string]int32
+	keyBuf  []byte
+	pairs   pairSet
+	f64     []float64
+	absRes  []float64
+	start   []int32
+	fill    []int32
+	vals    []float64
+	slot    []int32
+}
+
+// rowRef is one OCR row and the time of the frame showing it.
+type rowRef struct {
+	at  time.Duration
+	row *ocr.Row
+}
+
+// pairSet is one stream's paired samples in pairing order. gid[i] names
+// xs[i]'s exact-X group: equal ids mean bit-identical rows, so grouping
+// needs no formatted keys. Group ids are below groups.
+type pairSet struct {
+	xs     [][]float64
+	ys     []float64
+	gid    []int32
+	groups int
+}
+
+// newStreamPrep indexes the stream key and time order of every
+// observation.
+//
+//dplint:hotpath streams-prepare
+func newStreamPrep(obs []ESVObservation) *streamPrep {
+	p := &streamPrep{
+		obs: obs, kid: make([]int32, len(obs)),
+		byTime: make([]int32, len(obs)), timeSorted: true,
+		groups: make(map[string]int32),
+	}
+	ids := make(map[StreamKey]int32)
+	for i := range obs {
+		p.byTime[i] = int32(i)
+		if i > 0 && obs[i].At < obs[i-1].At {
+			p.timeSorted = false
+		}
+		k, ok := ids[obs[i].Key]
+		if !ok {
+			k = int32(len(p.keys))
+			ids[obs[i].Key] = k
+			p.keys = append(p.keys, obs[i].Key)
+			p.obd = append(p.obd, obs[i].Key.Proto == "OBD")
+		}
+		p.kid[i] = k
+	}
+	if !p.timeSorted {
+		slices.SortStableFunc(p.byTime, func(a, b int32) int { return cmp.Compare(obs[a].At, obs[b].At) })
+	}
+	n := len(p.keys)
+	p.members = make([][]int32, n)
+	p.live = make([]bool, n)
+	p.local = make([]int32, n)
+	p.cycle = make([]int, n)
+	return p
+}
+
 // sessionStreams lists the streams active in a session in display-row
-// order, recovered robustly from damaged traffic in two steps:
+// order, as key ids, recovered robustly from damaged traffic in two steps:
 //
 //  1. Streams with far fewer observations than the session's typical
 //     stream are dropped as phantoms — a bit-flipped identifier field
@@ -97,140 +209,207 @@ func streamsFromExtraction(ext *Extraction, uiFrames []ocr.Frame, cfg Config) []
 //     is outvoted by the intact cycles that follow.
 //
 // On a clean capture every cycle agrees with first-seen order and both
-// steps are no-ops.
-func sessionStreams(obs []ESVObservation, sess session) ([]StreamKey, map[StreamKey][]ESVObservation) {
-	var keys []StreamKey
-	var sessObs []ESVObservation
-	seen := map[StreamKey]bool{}
-	inSession := map[StreamKey][]ESVObservation{}
-	for _, o := range obs {
-		if o.At < sess.start-time.Second || o.At > sess.end+time.Second {
-			continue
-		}
-		if (o.Key.Proto == "OBD") != (sess.screenName == "obd-live") {
-			continue
-		}
-		if !seen[o.Key] {
-			seen[o.Key] = true
-			keys = append(keys, o.Key)
-		}
-		sessObs = append(sessObs, o)
-		inSession[o.Key] = append(inSession[o.Key], o)
+// steps are no-ops. members[k] holds each returned key's observations.
+//
+//dplint:hotpath streams-prepare
+func (p *streamPrep) sessionStreams(sess session) []int32 {
+	for _, k := range p.touched {
+		p.members[k] = p.members[k][:0]
+		p.live[k] = false
 	}
-	if len(keys) > 1 {
-		counts := make([]float64, len(keys))
-		for i, k := range keys {
-			counts[i] = float64(len(inSession[k]))
+	p.touched, p.sessObs = p.touched[:0], p.sessObs[:0]
+	window := p.sessionWindow(sess.start-time.Second, sess.end+time.Second)
+	wantOBD := sess.screenName == "obd-live"
+	for _, i := range window {
+		k := p.kid[i]
+		if p.obd[k] != wantOBD {
+			continue
 		}
-		med := medianOf(counts)
-		kept := keys[:0]
-		for _, k := range keys {
-			if float64(len(inSession[k]))*5 < med {
-				delete(inSession, k)
+		if !p.live[k] {
+			p.live[k] = true
+			p.touched = append(p.touched, k)
+		}
+		p.members[k] = append(p.members[k], i)
+		p.sessObs = append(p.sessObs, i)
+	}
+	p.order = append(p.order[:0], p.touched...)
+	if len(p.order) > 1 {
+		counts := p.f64[:0]
+		for _, k := range p.order {
+			counts = append(counts, float64(len(p.members[k])))
+		}
+		p.f64 = counts
+		med := medianInPlace(counts)
+		kept := p.order[:0]
+		for _, k := range p.order {
+			if float64(len(p.members[k]))*5 < med {
+				p.live[k] = false
 				continue
 			}
 			kept = append(kept, k)
 		}
-		keys = kept
-		keys = voteRowOrder(keys, sessObs, inSession)
+		p.order = kept
+		p.voteRowOrder()
 	}
-	return keys, inSession
+	return p.order
 }
 
-// voteRowOrder reorders keys into the display-row order the poll cycles
+// sessionWindow returns the observations timed within [lo, hi], in
+// capture order.
+//
+//dplint:hotpath streams-prepare
+func (p *streamPrep) sessionWindow(lo, hi time.Duration) []int32 {
+	first := p.firstInTime(lo, false)
+	window := p.byTime[first:max(first, p.firstInTime(hi, true))]
+	if p.timeSorted {
+		return window
+	}
+	p.window = append(p.window[:0], window...)
+	slices.Sort(p.window)
+	return p.window
+}
+
+// firstInTime returns the first position in byTime whose observation is
+// at or after t, or strictly after t when after is set.
+func (p *streamPrep) firstInTime(t time.Duration, after bool) int {
+	lo, hi := 0, len(p.byTime)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if at := p.obs[p.byTime[m]].At; at < t || (after && at == t) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// voteRowOrder reorders p.order into the display-row order the poll cycles
 // agree on. Cycle boundaries are temporal: the tool answers a whole
 // screenful back-to-back, then idles until its next refresh, so a gap
 // well above the typical inter-observation spacing separates cycles. (A
 // key repeating within a cycle also cuts, as a fallback for degenerate
 // spacing.) Each cycle votes for the position of every key it contains,
-// and keys are ranked by their modal position, first-seen order breaking
-// ties. Cutting on time rather than on first-seen repetition matters:
-// responses missing from the capture at the session head would rotate
-// every repeat-cut cycle in unison, and the vote would ratify the
-// rotation instead of repairing it.
-func voteRowOrder(keys []StreamKey, sessObs []ESVObservation, inSession map[StreamKey][]ESVObservation) []StreamKey {
-	firstSeen := make(map[StreamKey]int, len(keys))
-	for i, k := range keys {
-		firstSeen[k] = i
+// and keys are ranked by their modal position, the lowest position
+// winning ties and first-seen order breaking ties between keys. Cutting
+// on time rather than on first-seen repetition matters: responses missing
+// from the capture at the session head would rotate every repeat-cut
+// cycle in unison, and the vote would ratify the rotation instead of
+// repairing it.
+//
+//dplint:hotpath streams-prepare
+func (p *streamPrep) voteRowOrder() {
+	for i, k := range p.order {
+		p.local[k] = int32(i)
 	}
-	var kept []ESVObservation
-	for _, o := range sessObs {
-		if _, ok := inSession[o.Key]; ok { // drop phantoms
-			kept = append(kept, o)
+	kept := p.kept[:0]
+	for _, i := range p.sessObs {
+		if p.live[p.kid[i]] { // drop phantoms
+			kept = append(kept, i)
 		}
 	}
-	var gaps []float64
+	p.kept = kept
+	gaps := p.f64[:0]
 	for i := 1; i < len(kept); i++ {
-		gaps = append(gaps, float64(kept[i].At-kept[i-1].At))
+		gaps = append(gaps, float64(p.obs[kept[i]].At-p.obs[kept[i-1]].At))
 	}
+	p.f64 = gaps
 	// A whole screenful shares (nearly) one poll-tick timestamp, so the
 	// median gap is (close to) zero and any clearly larger gap is a
 	// refresh boundary. When spacing is uniform instead (one identifier
 	// per tick), no gap qualifies and the repeat-cut below decides.
-	cycleGap := time.Duration(3 * medianOf(gaps))
-	votes := make(map[StreamKey]map[int]int, len(keys))
+	cycleGap := time.Duration(3 * medianInPlace(gaps))
+	// Each vote packs (first-seen rank, position); sorting them groups a
+	// key's votes by position, so the modal position is one run scan.
+	votes := p.votes[:0]
 	pos := 0
-	cycleSeen := map[StreamKey]bool{}
-	for i, o := range kept {
-		tempCut := i > 0 && o.At-kept[i-1].At > cycleGap
-		if tempCut || cycleSeen[o.Key] {
+	p.stamp++
+	for i, oi := range kept {
+		k := p.kid[oi]
+		tempCut := i > 0 && p.obs[oi].At-p.obs[kept[i-1]].At > cycleGap
+		if tempCut || p.cycle[k] == p.stamp {
 			pos = 0
-			cycleSeen = map[StreamKey]bool{}
+			p.stamp++
 		}
-		cycleSeen[o.Key] = true
-		if votes[o.Key] == nil {
-			votes[o.Key] = map[int]int{}
-		}
-		votes[o.Key][pos]++
+		p.cycle[k] = p.stamp
+		votes = append(votes, uint64(p.local[k])<<32|uint64(pos))
 		pos++
 	}
-	rank := make(map[StreamKey]int, len(keys))
-	for _, k := range keys {
-		best, bestN := firstSeen[k], 0
-		for p, n := range votes[k] {
-			if n > bestN || (n == bestN && p < best) {
-				best, bestN = p, n
+	p.votes = votes
+	slices.Sort(votes)
+	// A key without votes would keep its first-seen rank; every kept key
+	// has at least one, since its observations are all in kept.
+	rank := p.rank[:0]
+	for i := range p.order {
+		rank = append(rank, i)
+	}
+	for i := 0; i < len(votes); {
+		key := votes[i] >> 32
+		best, bestN := 0, 0
+		for i < len(votes) && votes[i]>>32 == key {
+			v, n := votes[i], 0
+			for i < len(votes) && votes[i] == v {
+				n++
+				i++
+			}
+			if n > bestN {
+				best, bestN = int(uint32(v)), n
 			}
 		}
-		rank[k] = best
+		rank[key] = best
 	}
-	ordered := append([]StreamKey(nil), keys...)
-	sort.SliceStable(ordered, func(i, j int) bool {
-		if rank[ordered[i]] != rank[ordered[j]] {
-			return rank[ordered[i]] < rank[ordered[j]]
-		}
-		return firstSeen[ordered[i]] < firstSeen[ordered[j]]
+	p.rank = rank
+	slices.SortStableFunc(p.order, func(a, b int32) int {
+		return cmp.Compare(rank[p.local[a]], rank[p.local[b]])
 	})
-	return ordered
 }
 
-// buildStreamData performs §3.3/§3.4 and §3.5 Step 1 for one stream.
-func buildStreamData(key StreamKey, rowIdx int, obs []ESVObservation, sess session, cfg Config) StreamData {
-	sd := StreamData{Key: key}
+// bucketRows files the session's OCR rows under their display row, for
+// the rows that pair with one of the session's n streams.
+//
+//dplint:hotpath streams-prepare
+func (p *streamPrep) bucketRows(sess session, n int) {
+	for len(p.rows) < n {
+		p.rows = append(p.rows, nil)
+	}
+	for r := range p.rows[:n] {
+		p.rows[r] = p.rows[r][:0]
+	}
+	for fi := range sess.frames {
+		f := &sess.frames[fi]
+		for ri := range f.Rows {
+			if idx := f.Rows[ri].Index; idx >= 0 && idx < n {
+				p.rows[idx] = append(p.rows[idx], rowRef{at: f.At, row: &f.Rows[ri]})
+			}
+		}
+	}
+}
+
+// buildStreamData performs §3.3/§3.4 and §3.5 Step 1 for stream k, shown
+// on display row rowIdx.
+func (p *streamPrep) buildStreamData(k int32, rowIdx int, cfg Config) StreamData {
+	sd := StreamData{Key: p.keys[k]}
 
 	labelVotes := map[string]int{}
 	unitVotes := map[string]int{}
-	var ySamples []ocr.Sample
+	ySamples := p.samples[:0]
 	numericRows, textRows := 0, 0
-	for _, f := range sess.frames {
-		for _, row := range f.Rows {
-			if row.Index != rowIdx {
-				continue
-			}
-			if row.Label != "" {
-				labelVotes[row.Label]++
-			}
-			if row.Unit != "" {
-				unitVotes[row.Unit]++
-			}
-			if row.ParseOK {
-				numericRows++
-				ySamples = append(ySamples, ocr.Sample{At: f.At, Value: row.Parsed})
-			} else if row.Value != "" {
-				textRows++
-			}
+	for _, r := range p.rows[rowIdx] {
+		row := r.row
+		if row.Label != "" {
+			labelVotes[row.Label]++
+		}
+		if row.Unit != "" {
+			unitVotes[row.Unit]++
+		}
+		if row.ParseOK {
+			numericRows++
+			ySamples = append(ySamples, ocr.Sample{At: r.at, Value: row.Parsed})
+		} else if row.Value != "" {
+			textRows++
 		}
 	}
+	p.samples = ySamples
 	sd.Label = majority(labelVotes)
 	sd.Unit = majority(unitVotes)
 
@@ -239,48 +418,97 @@ func buildStreamData(key StreamKey, rowIdx int, obs []ESVObservation, sess sessi
 		return sd
 	}
 
-	rawSamples := ySamples
 	min, max := rangeForLabel(sd.Label)
-	ySamples = ocr.Filter(ySamples, min, max)
+	filtered := ocr.Filter(ySamples, min, max)
 
-	pair := func(samples []ocr.Sample) ([][]float64, []float64) {
-		maxGap := cfg.PairMaxGap
-		if spacing := typicalSpacing(samples); spacing > 0 && spacing*3/5 < maxGap {
-			maxGap = spacing * 3 / 5
-		}
-		var xs [][]float64
-		var ys []float64
-		for _, o := range obs {
-			vars := o.Variables()
-			if vars == nil {
-				continue
-			}
-			y, ok := nearestSample(samples, o.At, maxGap)
-			if !ok {
-				continue
-			}
-			xs = append(xs, vars)
-			ys = append(ys, y)
-		}
-		return xs, ys
-	}
-
-	pairsX, pairsY := pair(ySamples)
-	pairsX, pairsY, sd.RejectedPairs = screenPairs(pairsX, pairsY)
-	sd.RawPairs = len(pairsY)
+	members := p.members[k]
+	p.groupX(members)
+	p.pairs = p.pair(members, filtered, cfg.PairMaxGap, p.pairs)
+	screened, rejected := p.screenPairs(p.pairs)
+	sd.RawPairs, sd.RejectedPairs = len(screened.ys), rejected
 	if sd.RawPairs < cfg.MinPairs {
 		return sd
 	}
 	// Even a single distinct X is inferable: the constant formula is
 	// exactly right over the observed domain (the paper's collapsed-
 	// variable cases are the same phenomenon).
-	sd.Dataset = aggregateByX(pairsX, pairsY)
+	sd.Dataset = p.aggregateByX(screened)
 
-	rawX, rawY := pair(rawSamples)
-	if len(rawY) > 0 {
-		sd.RawDataset = &gp.Dataset{X: rawX, Y: rawY}
+	// The raw pairs become the stream's RawDataset, so they get fresh
+	// slices.
+	raw := p.pair(members, ySamples, cfg.PairMaxGap, pairSet{})
+	if len(raw.ys) > 0 {
+		sd.RawDataset = &gp.Dataset{X: raw.xs, Y: raw.ys}
 	}
 	return sd
+}
+
+// groupX builds the X row of each of a stream's observations in one slab,
+// and files each row under an exact-X group: rows with bit-identical
+// values (math.Float64bits) share a group id, which screenPairs and
+// aggregateByX use in place of formatted keys.
+//
+//dplint:hotpath streams-prepare
+func (p *streamPrep) groupX(members []int32) {
+	width := 0
+	for _, i := range members {
+		width += len(p.obs[i].Bytes)
+	}
+	// Every stream's rows are at most as wide as its raw fields, so the
+	// slab never grows and each row keeps its own backing.
+	slab := make([]float64, 0, width)
+	clear(p.groups)
+	p.vars, p.gid = p.vars[:0], p.gid[:0]
+	for _, i := range members {
+		at := len(slab)
+		var ok bool
+		slab, ok = p.obs[i].appendVariables(slab)
+		if !ok {
+			p.vars = append(p.vars, nil)
+			p.gid = append(p.gid, -1)
+			continue
+		}
+		row := slab[at:len(slab):len(slab)]
+		key := p.keyBuf[:0]
+		for _, v := range row {
+			key = binary.LittleEndian.AppendUint64(key, math.Float64bits(v))
+		}
+		p.keyBuf = key
+		g, seen := p.groups[string(key)]
+		if !seen {
+			g = int32(len(p.groups))
+			p.groups[string(key)] = g
+		}
+		p.vars = append(p.vars, row)
+		p.gid = append(p.gid, g)
+	}
+}
+
+// pair matches each of a stream's observations (whose X rows groupX
+// built) with the Y value displayed closest in time, appending the pairs
+// to into's (truncated) slices.
+//
+//dplint:hotpath streams-prepare
+func (p *streamPrep) pair(members []int32, samples []ocr.Sample, maxGap time.Duration, into pairSet) pairSet {
+	if spacing := p.typicalSpacing(samples); spacing > 0 && spacing*3/5 < maxGap {
+		maxGap = spacing * 3 / 5
+	}
+	sorted := samplesSorted(samples)
+	out := pairSet{xs: into.xs[:0], ys: into.ys[:0], gid: into.gid[:0], groups: len(p.groups)}
+	for j, i := range members {
+		vars := p.vars[j]
+		if vars == nil {
+			continue
+		}
+		y, ok := nearestSample(samples, sorted, p.obs[i].At, maxGap)
+		if !ok {
+			continue
+		}
+		out.xs = append(out.xs, vars)
+		out.ys = append(out.ys, y)
+		out.gid = append(out.gid, p.gid[j])
+	}
+	return out
 }
 
 // screenPairs rejects paired samples whose Y is wildly inconsistent with
@@ -294,73 +522,233 @@ func buildStreamData(key StreamKey, rowIdx int, obs []ESVObservation, sess sessi
 // order-preserving and deterministic, and backs off entirely when it would
 // reject more than half the data — at that point the residuals, not the
 // pairs, are untrustworthy.
-func screenPairs(xs [][]float64, ys []float64) ([][]float64, []float64, int) {
-	if len(ys) < 4 {
-		return xs, ys, 0
+//
+//dplint:hotpath streams-prepare
+func (p *streamPrep) screenPairs(ps pairSet) (pairSet, int) {
+	n := len(ps.ys)
+	if n < 4 {
+		return ps, 0
 	}
-	groupMed := map[string]float64{}
-	keys := make([]string, len(xs))
-	{
-		groups := map[string][]float64{}
-		for i, x := range xs {
-			keys[i] = fmt.Sprintf("%v", x)
-			groups[keys[i]] = append(groups[keys[i]], ys[i])
-		}
-		for k, vals := range groups {
-			groupMed[k] = medianOf(vals)
-		}
+	vals, start := p.groupYs(ps)
+	groupMed := growF64(&p.f64, ps.groups)
+	for g := range groupMed {
+		groupMed[g] = medianInPlace(vals[start[g]:start[g+1]])
 	}
-	residuals := make([]float64, len(ys))
-	absRes := make([]float64, len(ys))
-	var absYs []float64
-	for i, y := range ys {
-		residuals[i] = y - groupMed[keys[i]]
-		absRes[i] = abs(residuals[i])
-		absYs = append(absYs, abs(y))
+	absRes := growF64(&p.absRes, n)
+	absYs := growF64(&p.vals, n) // groupYs' values are spent
+	for i, y := range ps.ys {
+		absRes[i] = abs(y - groupMed[ps.gid[i]])
+		absYs[i] = abs(y)
 	}
-	mad := medianOf(absRes)
-	scale := medianOf(absYs)
+	scale := medianInPlace(absYs)
+	mad := medianInPlace(append(absYs[:0], absRes...))
 	tol := 8 * mad
 	if floor := 0.05*scale + 1; tol < floor {
 		tol = floor
 	}
 	rejected := 0
-	for i := range ys {
-		if absRes[i] > tol {
+	for _, r := range absRes {
+		if r > tol {
 			rejected++
 		}
 	}
 	if rejected == 0 {
-		return xs, ys, 0
+		return ps, 0
 	}
-	if rejected*2 > len(residuals) {
+	if rejected*2 > n {
 		// Residuals this wide mean the groups themselves are noise; let
 		// aggregation's per-group medians do what they can instead.
-		return xs, ys, 0
+		return ps, 0
 	}
-	keptX := make([][]float64, 0, len(xs)-rejected)
-	keptY := make([]float64, 0, len(ys)-rejected)
-	for i := range ys {
-		if absRes[i] > tol {
+	kept := n - rejected
+	out := pairSet{xs: make([][]float64, 0, kept), ys: make([]float64, 0, kept), gid: make([]int32, 0, kept), groups: ps.groups}
+	for i, r := range absRes {
+		if r > tol {
 			continue
 		}
-		keptX = append(keptX, xs[i])
-		keptY = append(keptY, ys[i])
+		out.xs = append(out.xs, ps.xs[i])
+		out.ys = append(out.ys, ps.ys[i])
+		out.gid = append(out.gid, ps.gid[i])
 	}
-	return keptX, keptY, rejected
+	return out, rejected
 }
 
-// medianOf returns the median of vals without modifying the input.
-func medianOf(vals []float64) float64 {
-	if len(vals) == 0 {
+// aggregateByX collapses repeated observations of the same X vector to one
+// (X, median Y) point, in first-seen order.
+//
+//dplint:hotpath streams-prepare
+func (p *streamPrep) aggregateByX(ps pairSet) *gp.Dataset {
+	slot := p.slot[:0]
+	for g := 0; g < ps.groups; g++ {
+		slot = append(slot, -1)
+	}
+	p.slot = slot
+	d := &gp.Dataset{}
+	for i, g := range ps.gid {
+		if slot[g] < 0 {
+			slot[g] = int32(len(d.X))
+			d.X = append(d.X, ps.xs[i])
+		}
+	}
+	if len(d.X) == 0 {
+		return d
+	}
+	vals, start := p.groupYs(ps)
+	d.Y = make([]float64, len(d.X))
+	for g, s := range slot {
+		if s < 0 {
+			continue
+		}
+		// Each group's values sit in pairing order, so the sort (and the
+		// median it yields) is the one a per-group slice would get.
+		d.Y[s] = medianInPlace(vals[start[g]:start[g+1]])
+	}
+	return d
+}
+
+// groupYs lays ps's Y values out group by group, each group's values in
+// pairing order: group g's values are vals[start[g]:start[g+1]].
+//
+//dplint:hotpath streams-prepare
+func (p *streamPrep) groupYs(ps pairSet) (vals []float64, start []int32) {
+	start = p.start[:0]
+	for g := 0; g <= ps.groups; g++ {
+		start = append(start, 0)
+	}
+	for _, g := range ps.gid {
+		start[g+1]++
+	}
+	for g := 1; g <= ps.groups; g++ {
+		start[g] += start[g-1]
+	}
+	fill := append(p.fill[:0], start[:ps.groups]...)
+	vals = growF64(&p.vals, len(ps.ys))
+	for i, g := range ps.gid {
+		vals[fill[g]] = ps.ys[i]
+		fill[g]++
+	}
+	p.start, p.fill = start, fill
+	return vals, start
+}
+
+// growF64 resizes *buf to n values, reallocating only to grow.
+func growF64(buf *[]float64, n int) []float64 {
+	if cap(*buf) < n {
+		*buf = make([]float64, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
+}
+
+// typicalSpacing estimates the video sampling period as the median gap
+// between successive samples.
+//
+//dplint:hotpath streams-prepare
+func (p *streamPrep) typicalSpacing(samples []ocr.Sample) time.Duration {
+	if len(samples) < 3 {
 		return 0
 	}
-	s := append([]float64(nil), vals...)
-	sort.Float64s(s)
-	if len(s)%2 == 1 {
-		return s[len(s)/2]
+	gaps := p.gaps[:0]
+	for i := 1; i < len(samples); i++ {
+		if g := samples[i].At - samples[i-1].At; g > 0 {
+			gaps = append(gaps, g)
+		}
 	}
-	return (s[len(s)/2-1] + s[len(s)/2]) / 2
+	p.gaps = gaps
+	if len(gaps) == 0 {
+		return 0
+	}
+	slices.Sort(gaps)
+	return gaps[len(gaps)/2]
+}
+
+// samplesSorted reports whether samples are in nondecreasing time order.
+func samplesSorted(samples []ocr.Sample) bool {
+	for i := 1; i < len(samples); i++ {
+		if samples[i].At < samples[i-1].At {
+			return false
+		}
+	}
+	return true
+}
+
+// nearestSample finds the Y value displayed closest to t, at most maxGap
+// away; of equally close samples the earliest in the slice wins. Samples
+// in nondecreasing time order (sorted) are binary-searched; others are
+// scanned.
+//
+//dplint:hotpath streams-prepare
+func nearestSample(samples []ocr.Sample, sorted bool, t, maxGap time.Duration) (float64, bool) {
+	if !sorted {
+		// The scan's sentinel is maxGap+1, so the search below applies
+		// the same two bounds.
+		best := maxGap + 1
+		var y float64
+		found := false
+		for _, s := range samples {
+			gap := s.At - t
+			if gap < 0 {
+				gap = -gap
+			}
+			if gap <= maxGap && gap < best {
+				best, y, found = gap, s.Value, true
+			}
+		}
+		return y, found
+	}
+	// i is the first sample at or after t: the earliest of its timestamp.
+	i := firstAtOrAfter(samples, len(samples), t)
+	best := -1
+	if i < len(samples) {
+		best = i
+	}
+	if i > 0 {
+		// The closest sample before t ties with its timestamp's earliest,
+		// which precedes i and so wins ties with it.
+		before := samples[i-1].At
+		if best < 0 || t-before <= samples[best].At-t {
+			best = firstAtOrAfter(samples, i-1, before)
+		}
+	}
+	if best < 0 {
+		return 0, false
+	}
+	gap := samples[best].At - t
+	if gap < 0 {
+		gap = -gap
+	}
+	if gap > maxGap || gap >= maxGap+1 {
+		return 0, false
+	}
+	return samples[best].Value, true
+}
+
+// firstAtOrAfter returns the first index below n whose sample is at or
+// after t, or n, in time-sorted samples.
+func firstAtOrAfter(samples []ocr.Sample, n int, t time.Duration) int {
+	lo, hi := 0, n
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if samples[m].At < t {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// medianInPlace sorts vals and returns their median (0 when empty).
+func medianInPlace(vals []float64) float64 {
+	n := len(vals)
+	if n == 0 {
+		return 0
+	}
+	sort.Float64s(vals)
+	if n%2 == 1 {
+		return vals[n/2]
+	}
+	return (vals[n/2-1] + vals[n/2]) / 2
 }
 
 func abs(v float64) float64 {

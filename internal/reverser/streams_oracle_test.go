@@ -1,0 +1,204 @@
+package reverser
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"testing"
+	"time"
+
+	"dpreverser/internal/diagtool"
+	"dpreverser/internal/faults"
+	"dpreverser/internal/ocr"
+	"dpreverser/internal/rig"
+	"dpreverser/internal/sim"
+	"dpreverser/internal/vehicle"
+)
+
+// collectSeeded runs a full rig session on a car with the rig's default
+// read durations and the given rig seed.
+func collectSeeded(t *testing.T, car string, seed int64) rig.Capture {
+	t.Helper()
+	p, ok := vehicle.ProfileByCar(car)
+	if !ok {
+		t.Fatalf("unknown car %q", car)
+	}
+	tool, veh, err := diagtool.ForProfile(p, sim.NewClock(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { tool.Close(); veh.Close() }()
+	cfg := rig.DefaultConfig()
+	cfg.Seed = seed
+	r := rig.New(tool, veh, cfg)
+	defer r.Close()
+	cap, err := r.RunFull()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cap
+}
+
+// checkStreamsMatchReference prepares cap's streams with the production
+// code and with the reference in streams_ref_test.go and requires deeply
+// equal results.
+func checkStreamsMatchReference(t *testing.T, name string, cap rig.Capture) {
+	t.Helper()
+	fr := FramesColumnar(cap.Frames)
+	ms, _, err := AssembleColumnar(context.Background(), fr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ext := ExtractFieldsColumnar(ms)
+	_, uiFrames := alignUI(fr, cap.UIFrames)
+	checkExtractionMatchesReference(t, name, ext, uiFrames)
+}
+
+func checkExtractionMatchesReference(t *testing.T, name string, ext *Extraction, uiFrames []ocr.Frame) {
+	t.Helper()
+	cfg := DefaultConfig()
+	got := streamsFromExtraction(ext, uiFrames, cfg)
+	want := refStreamsFromExtraction(ext, uiFrames, cfg)
+	if len(want) == 0 {
+		t.Fatalf("%s: reference prepared no streams", name)
+	}
+	if !reflect.DeepEqual(got, want) {
+		for i := range want {
+			if i >= len(got) || !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("%s: stream %d differs from the reference (%d vs %d streams)", name, i, len(got), len(want))
+			}
+		}
+		t.Fatalf("%s: %d streams, reference has %d", name, len(got), len(want))
+	}
+}
+
+func TestStreamsMatchReferenceFleet(t *testing.T) {
+	if testing.Short() {
+		t.Skip("54 full captures")
+	}
+	for _, p := range vehicle.Fleet() {
+		for seed := int64(1); seed <= 3; seed++ {
+			cap := collectSeeded(t, p.Car, seed)
+			checkStreamsMatchReference(t, fmt.Sprintf("%s seed %d", p.Car, seed), cap)
+		}
+	}
+}
+
+func TestStreamsMatchReferenceUnderFaults(t *testing.T) {
+	clean := collectSeeded(t, "Car M", 1)
+	for _, preset := range []string{"default", "heavy", "adversarial"} {
+		spec, err := faults.ParseSpec(preset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seed := int64(1); seed <= 3; seed++ {
+			inj := faults.New(spec, seed)
+			cap := clean
+			cap.Frames = inj.Frames(clean.Frames)
+			cap.UIFrames = inj.UIFrames(clean.UIFrames)
+			checkStreamsMatchReference(t, fmt.Sprintf("Car M %s seed %d", preset, seed), cap)
+		}
+	}
+}
+
+// Captures keep observations and video frames in time order, so the
+// fleet captures never reach the fast path's unsorted fallbacks, and they
+// rarely put an observation exactly on a session's window edge.
+// Shuffling the observations, swapping neighbouring video frames and
+// snapping every timestamp to a one-second grid do.
+func TestStreamsMatchReferenceShuffledAndSnapped(t *testing.T) {
+	snap := func(at time.Duration) time.Duration { return at - at%time.Second }
+	for _, car := range []string{"Car A", "Car K", "Car M"} {
+		cap := collectSeeded(t, car, 1)
+		fr := FramesColumnar(cap.Frames)
+		ms, _, err := AssembleColumnar(context.Background(), fr, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ext := ExtractFieldsColumnar(ms)
+		_, uiFrames := alignUI(fr, cap.UIFrames)
+
+		shuffled := *ext
+		shuffled.ESVs = append([]ESVObservation(nil), ext.ESVs...)
+		rand.New(rand.NewSource(1)).Shuffle(len(shuffled.ESVs), func(i, j int) {
+			shuffled.ESVs[i], shuffled.ESVs[j] = shuffled.ESVs[j], shuffled.ESVs[i]
+		})
+		checkExtractionMatchesReference(t, car+" shuffled", &shuffled, uiFrames)
+
+		swapped := append([]ocr.Frame(nil), uiFrames...)
+		for i := 0; i+1 < len(swapped); i += 2 {
+			swapped[i], swapped[i+1] = swapped[i+1], swapped[i]
+		}
+		checkExtractionMatchesReference(t, car+" swapped frames", ext, swapped)
+
+		snapped := *ext
+		snapped.ESVs = append([]ESVObservation(nil), ext.ESVs...)
+		for i := range snapped.ESVs {
+			snapped.ESVs[i].At = snap(snapped.ESVs[i].At)
+		}
+		snappedUI := append([]ocr.Frame(nil), uiFrames...)
+		for i := range snappedUI {
+			snappedUI[i].At = snap(snappedUI[i].At)
+		}
+		checkExtractionMatchesReference(t, car+" snapped", &snapped, snappedUI)
+	}
+}
+
+// sessionWindow must select exactly what the scan it replaces selected:
+// every observation timed within [lo, hi], edges included, in capture
+// order, whether or not the capture is in time order.
+func TestSessionWindowMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 500; trial++ {
+		times := make([]time.Duration, rng.Intn(12))
+		for i := range times {
+			times[i] = time.Duration(rng.Intn(6))
+		}
+		if trial%2 == 0 {
+			slices.Sort(times)
+		}
+		obs := make([]ESVObservation, len(times))
+		for i, at := range times {
+			obs[i].At = at
+		}
+		p := newStreamPrep(obs)
+		lo := time.Duration(rng.Intn(7)) - 1
+		hi := lo + time.Duration(rng.Intn(4))
+		var want []int32
+		for i, o := range obs {
+			if o.At >= lo && o.At <= hi {
+				want = append(want, int32(i))
+			}
+		}
+		if got := p.sessionWindow(lo, hi); !slices.Equal(got, want) {
+			t.Fatalf("times %v, window [%d, %d]: got %v, scan %v", times, lo, hi, got, want)
+		}
+	}
+}
+
+// FuzzNearestSample checks the binary search against the linear scan it
+// replaces: unsorted input (which falls back to the scan), duplicate
+// timestamps, ties either side of t and gaps at exactly maxGap.
+func FuzzNearestSample(f *testing.F) {
+	f.Add([]byte{0, 10, 10, 20, 30}, int16(15), int16(5))
+	f.Add([]byte{10, 10, 10, 20}, int16(14), int16(4))
+	f.Add([]byte{30, 10, 20}, int16(20), int16(10))
+	f.Add([]byte{5, 5, 5}, int16(5), int16(0))
+	f.Add([]byte{}, int16(0), int16(1))
+	f.Add([]byte{0, 255}, int16(300), int16(-1))
+	f.Fuzz(func(t *testing.T, ats []byte, at, maxGap int16) {
+		samples := make([]ocr.Sample, len(ats))
+		for i, a := range ats {
+			samples[i] = ocr.Sample{At: time.Duration(a), Value: float64(i)}
+		}
+		sorted := samplesSorted(samples)
+		gotY, gotOK := nearestSample(samples, sorted, time.Duration(at), time.Duration(maxGap))
+		wantY, wantOK := refNearestSample(samples, time.Duration(at), time.Duration(maxGap))
+		if gotY != wantY || gotOK != wantOK {
+			t.Fatalf("samples %v sorted %v t %d maxGap %d: got (%v, %v), scan (%v, %v)",
+				ats, sorted, at, maxGap, gotY, gotOK, wantY, wantOK)
+		}
+	})
+}

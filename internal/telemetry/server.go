@@ -7,6 +7,7 @@ import (
 	"net/http/pprof"
 	"net/url"
 	"strings"
+	"time"
 )
 
 // NameFilter builds a keep predicate from ?family= (exact match,
@@ -96,6 +97,19 @@ type Server struct {
 // Close or Shutdown.
 func (s *Server) Wait() { <-s.done }
 
+// ReadHeaderTimeout bounds how long a connection may take to deliver a
+// request line and its headers. Without it a client that opens a
+// connection and trickles bytes holds it, and its goroutine, forever.
+// Bodies are not covered: capture uploads are large and may be slow.
+const ReadHeaderTimeout = 10 * time.Second
+
+// NewHTTPServer returns an http.Server for h with the repository's read
+// limits. The job server, its load test and the telemetry listener all
+// serve through it.
+func NewHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: ReadHeaderTimeout}
+}
+
 // Serve starts the telemetry listener on addr (e.g. "localhost:9090";
 // ":0" picks a free port) and returns the running server plus the bound
 // address. The caller owns shutdown: Close (or Shutdown), then Wait to
@@ -106,7 +120,7 @@ func Serve(addr string, reg *Registry, tr *Tracer) (*Server, string, error) {
 		return nil, "", fmt.Errorf("telemetry: listen %s: %w", addr, err)
 	}
 	srv := &Server{
-		Server: &http.Server{Handler: NewMux(reg, tr)},
+		Server: NewHTTPServer(NewMux(reg, tr)),
 		done:   make(chan struct{}),
 	}
 	go func() {

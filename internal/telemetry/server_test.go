@@ -2,7 +2,9 @@ package telemetry
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -109,5 +111,42 @@ func TestServeBindsAndCloses(t *testing.T) {
 	case <-waited:
 	case <-time.After(5 * time.Second):
 		t.Fatal("srv.Wait did not return after Close; serve goroutine leaked")
+	}
+}
+
+// A client that sends part of a request line and stalls is disconnected
+// once the header read timeout passes, instead of holding the connection.
+func TestHTTPServerDropsPartialRequestLine(t *testing.T) {
+	hs := NewHTTPServer(http.NotFoundHandler())
+	if hs.ReadHeaderTimeout != ReadHeaderTimeout {
+		t.Fatalf("ReadHeaderTimeout = %v, want %v", hs.ReadHeaderTimeout, ReadHeaderTimeout)
+	}
+	// The same limit, scaled down so the test does not wait 10 s.
+	hs.ReadHeaderTimeout = 100 * time.Millisecond
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = hs.Serve(ln) // http.ErrServerClosed after Close below
+	}()
+	defer func() { <-done }()
+	defer hs.Close()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET /metr")); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	_, err = io.Copy(io.Discard, conn)
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatal("connection still open 5 s after a partial request line")
 	}
 }
