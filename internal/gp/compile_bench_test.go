@@ -111,3 +111,27 @@ func BenchmarkGPFitnessCache(b *testing.B) {
 		b.ReportMetric(float64(hits)/float64(total), "hit-rate")
 	}
 }
+
+// BenchmarkGPRunConverging runs the engine on a stream it solves at
+// generation 0, as most pipeline streams are, at the server's quick
+// budget and the paper's: the cost is the initial population's scoring,
+// of which the parsimony bound defers most.
+func BenchmarkGPRunConverging(b *testing.B) {
+	d := udsLikeDataset()
+	for _, budget := range []struct {
+		name      string
+		pop, gens int
+	}{{"quick", 150, 10}, {"paper", 1000, 30}} {
+		b.Run(budget.name, func(b *testing.B) {
+			cfg := DefaultConfig()
+			cfg.PopulationSize, cfg.Generations = budget.pop, budget.gens
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				cfg.Seed = int64(i + 1)
+				if _, err := Run(d, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

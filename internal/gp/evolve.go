@@ -172,7 +172,11 @@ type Result struct {
 	// cache: structurally identical trees (which crossover and elitism
 	// re-create constantly) share one compiled program and one score.
 	CacheHits int
-	// CacheMisses counts evaluations that actually ran the compiled VM.
+	// CacheMisses counts evaluations the cache could not serve: the first
+	// occurrence in a generation of a structure new to the run. A miss
+	// runs the compiled VM unless the parsimony bound rules it out of its
+	// generation's best and the run stops before anything reads the rest
+	// of that generation.
 	CacheMisses int
 }
 
@@ -436,6 +440,11 @@ func trimmedMeanScaled(preds, y []float64, a, b float64, h []float64) float64 {
 // changing any result: compilation, cache lookups and cache insertion
 // all happen sequentially, and workers touch disjoint output indices
 // with worker-owned scratch machines.
+//
+// A miss whose parsimony term alone exceeds the batch's best fitness so
+// far cannot be the generation's best, so scoreAll defers it (see
+// scoreClasses) and complete scores it once something reads the whole
+// population.
 type evaluator struct {
 	d     *Dataset
 	batch *Batch
@@ -459,9 +468,20 @@ type evaluator struct {
 	pending map[string]int
 	missq   []missRef
 	dupq    []dupRef
+	// order and classEnd are the size-class counting sort's scratch:
+	// order lists missq indices in ascending bound size.
+	order    []int32
+	classEnd []int32
+	// dout is the batch's output while misses wait for complete (nil
+	// otherwise): order[deferFrom:] are the deferred misses. Their
+	// programs stay out of the cache until complete scores them, which
+	// is how their in-batch duplicates know to wait too.
+	dout      []individual
+	deferFrom int
 	// progs/codeSlab are the per-batch program arena: compiled miss
-	// programs and their bytecode live only until the batch's scores are
-	// published, so both buffers are truncated and reused every call —
+	// programs and their bytecode live only until the next batch (by
+	// then complete has scored any deferred ones), so both buffers are
+	// truncated and reused every call —
 	// steady-state compilation of a miss allocates nothing but the
 	// interned key.
 	progs    []Program
@@ -471,11 +491,14 @@ type evaluator struct {
 	evals, hits, misses int
 }
 
-// missRef is one cache miss awaiting scoring: trees[i], of size nodes,
-// compiled to p.
+// missRef is one cache miss awaiting scoring: the batch's tree i, of
+// size nodes, compiled to p. bound is the fewest nodes among the batch's trees that
+// compile to p (the miss and its in-batch duplicates), so
+// ParsimonyCoeff*bound is a lower bound on the fitness of every one of
+// them.
 type missRef struct {
-	i, size int
-	p       *Program
+	i, size, bound int
+	p              *Program
 }
 
 // dupRef marks trees[i] (of size nodes) as structurally identical to
@@ -526,6 +549,8 @@ func (e *evaluator) release() {
 	clear(e.cache)
 	e.d, e.cfg = nil, Config{}
 	e.batch.y = nil
+	e.dout = nil
+	e.missq, e.dupq = e.missq[:0], e.dupq[:0]
 }
 
 // fromCache rebuilds an individual for tree t (of the given node count)
@@ -561,18 +586,21 @@ func (e *evaluator) scoreOne(p *Program, t *Node, m *Machine, size int) individu
 	return ind
 }
 
-// scoreAll evaluates a batch of trees into out[off:]. Trees whose
-// structure was scored before — in this batch or any earlier generation —
-// are served from the cache; the rest are compiled once and chunked
-// across the workers. out is written by index, so the resulting
-// population order is independent of scheduling.
-func (e *evaluator) scoreAll(trees []*Node, out []individual, off int) {
+// scoreAll evaluates a batch of trees into out (trees[i] into out[i]).
+// Trees whose structure was scored before — in this batch or any earlier
+// generation — are served from the cache; the rest are compiled once and
+// scored by scoreClasses, which may defer some of them until complete.
+// bestFit is the best fitness already in the population out belongs to
+// (+Inf if none). out is written by index, so the resulting population
+// order is independent of scheduling.
+func (e *evaluator) scoreAll(trees []*Node, out []individual, bestFit float64) {
 	e.evals += len(trees)
 	// Sequential phase: compile into the evaluator's scratch, consult the
 	// cache, and dedupe repeat structures within the batch (dups wait for
 	// the first occurrence). The map lookups convert the scratch key
 	// without allocating; only a genuine miss interns the key and
-	// materialises a persistent Program.
+	// materialises a persistent Program. Every slot not served by the
+	// cache holds its tree under a +Inf placeholder until it is scored.
 	e.missq = e.missq[:0]
 	e.dupq = e.dupq[:0]
 	e.progs = e.progs[:0]
@@ -583,12 +611,17 @@ func (e *evaluator) scoreAll(trees []*Node, out []individual, off int) {
 		size := e.comp.nodes
 		if ent, ok := e.cache[string(e.comp.key)]; ok {
 			e.hits++
-			out[off+i] = e.fromCache(t, ent, size)
+			out[i] = e.fromCache(t, ent, size)
+			bestFit = math.Min(bestFit, out[i].fit)
 			continue
 		}
+		out[i] = individual{tree: t, size: size, raw: math.Inf(1), fit: math.Inf(1)}
 		if mi, ok := e.pending[string(e.comp.key)]; ok {
 			e.hits++
 			e.dupq = append(e.dupq, dupRef{i: i, m: mi, size: size})
+			if size < e.missq[mi].bound {
+				e.missq[mi].bound = size
+			}
 			continue
 		}
 		key := string(e.comp.key)
@@ -601,44 +634,132 @@ func (e *evaluator) scoreAll(trees []*Node, out []individual, off int) {
 			depth: depth, key: key, hash: hash,
 		})
 		e.pending[key] = len(e.missq)
-		e.missq = append(e.missq, missRef{i: i, size: size, p: &e.progs[len(e.progs)-1]})
+		e.missq = append(e.missq, missRef{i: i, size: size, bound: size, p: &e.progs[len(e.progs)-1]})
 	}
 	e.misses += len(e.missq)
-	misses := e.missq
+	e.scoreClasses(out, bestFit)
+	e.resolveDups(out)
+}
 
-	// Parallel phase: score the misses on worker-owned machines.
-	if e.workers <= 1 || len(misses) < 2*e.workers {
+// scoreClasses scores the batch's misses in ascending bound size, one
+// size class at a time, and publishes their scores to the cache. A
+// program's raw error is never negative, so ParsimonyCoeff*bound bounds
+// the fitness of every tree sharing it from below: once that bound
+// exceeds the best fitness in the population so far, this class and
+// every larger one can hold neither the generation's best nor a tie for
+// it (bestOf keeps the first of equal fits, hence the strict test), and
+// they are deferred to complete, uncached, with their +Inf placeholders.
+// The classes scored early depend only on the fitness values, not on
+// the worker count, and each class is chunked across the workers.
+//
+//dplint:hotpath gp-score
+func (e *evaluator) scoreClasses(out []individual, bestFit float64) {
+	e.dout = nil
+	order := e.sortMisses()
+	coeff := e.cfg.ParsimonyCoeff
+	for lo := 0; lo < len(order); {
+		size := e.missq[order[lo]].bound
+		if coeff > 0 && coeff*float64(size) > bestFit {
+			e.dout, e.deferFrom = out, lo
+			return
+		}
+		hi := lo + 1
+		for hi < len(order) && e.missq[order[hi]].bound == size {
+			hi++
+		}
+		e.scoreMisses(order[lo:hi], out)
+		for _, k := range order[lo:hi] {
+			ms := e.missq[k]
+			bestFit = math.Min(bestFit, out[ms.i].fit)
+		}
+		lo = hi
+	}
+}
+
+// sortMisses lists missq's indices in ascending bound size, batch order
+// within a size, with a counting sort into reused buffers.
+func (e *evaluator) sortMisses() []int32 {
+	maxBound := 0
+	for _, ms := range e.missq {
+		maxBound = max(maxBound, ms.bound)
+	}
+	end := resize(e.classEnd, maxBound+1)
+	clear(end)
+	for _, ms := range e.missq {
+		end[ms.bound]++
+	}
+	for s := 1; s < len(end); s++ {
+		end[s] += end[s-1]
+	}
+	order := resize(e.order, len(e.missq))
+	for k := len(e.missq) - 1; k >= 0; k-- {
+		b := e.missq[k].bound
+		end[b]--
+		order[end[b]] = int32(k)
+	}
+	e.order, e.classEnd = order, end
+	return order
+}
+
+// scoreMisses scores the misses missq[k], k in idx, into out, chunked
+// across the workers, and publishes their scores to the cache.
+func (e *evaluator) scoreMisses(idx []int32, out []individual) {
+	if e.workers <= 1 || len(idx) < 2*e.workers {
 		m := e.machines[0]
-		for _, ms := range misses {
-			out[off+ms.i] = e.scoreOne(ms.p, trees[ms.i], m, ms.size)
+		for _, k := range idx {
+			ms := e.missq[k]
+			out[ms.i] = e.scoreOne(ms.p, out[ms.i].tree, m, ms.size)
 		}
 	} else {
-		chunk := (len(misses) + e.workers - 1) / e.workers
+		chunk := (len(idx) + e.workers - 1) / e.workers
 		var wg sync.WaitGroup
-		for w := 0; w*chunk < len(misses); w++ {
+		for w := 0; w*chunk < len(idx); w++ {
 			lo, hi := w*chunk, (w+1)*chunk
-			if hi > len(misses) {
-				hi = len(misses)
+			if hi > len(idx) {
+				hi = len(idx)
 			}
 			wg.Add(1)
-			go func(lo, hi int, m *Machine) {
+			go func(idx []int32, m *Machine) {
 				defer wg.Done()
-				for _, ms := range misses[lo:hi] {
-					out[off+ms.i] = e.scoreOne(ms.p, trees[ms.i], m, ms.size)
+				for _, k := range idx {
+					ms := e.missq[k]
+					out[ms.i] = e.scoreOne(ms.p, out[ms.i].tree, m, ms.size)
 				}
-			}(lo, hi, e.machines[w])
+			}(idx[lo:hi], e.machines[w])
 		}
 		wg.Wait()
 	}
-
-	// Sequential phase: publish the new scores and resolve the dups.
-	for _, ms := range misses {
-		ind := out[off+ms.i]
+	for _, k := range idx {
+		ms := e.missq[k]
+		ind := out[ms.i]
 		e.cache[ms.p.key] = cacheEntry{raw: ind.raw, a: ind.a, b: ind.b}
 	}
+}
+
+// resolveDups fills in the in-batch duplicates whose first occurrence
+// has been scored, that is, published to the cache.
+func (e *evaluator) resolveDups(out []individual) {
 	for _, d := range e.dupq {
-		out[off+d.i] = e.fromCache(trees[d.i], e.cache[misses[d.m].p.key], d.size)
+		if ent, ok := e.cache[e.missq[d.m].p.key]; ok {
+			out[d.i] = e.fromCache(out[d.i].tree, ent, d.size)
+		}
 	}
+}
+
+// complete scores the misses the last scoreAll deferred, publishes them
+// to the cache and resolves their duplicates, so the batch's output
+// equals a fully scored one. It reports whether anything was deferred.
+// The batch's trees and programs stay valid until the next scoreAll, and
+// the engine completes before anything reads the whole population.
+func (e *evaluator) complete() bool {
+	out := e.dout
+	if out == nil {
+		return false
+	}
+	e.scoreMisses(e.order[e.deferFrom:], out)
+	e.resolveDups(out)
+	e.dout = nil
+	return true
 }
 
 // Run evolves a formula for the dataset.
@@ -861,7 +982,7 @@ func resize[T any](s []T, n int) []T {
 func (isl *island) init() {
 	isl.gen.arena = isl.arenas[isl.cur]
 	pop := isl.pops[isl.cur]
-	isl.ev.scoreAll(isl.gen.rampedHalfAndHalf(len(pop), max(isl.cfg.MaxDepth/2, 3)), pop, 0)
+	isl.ev.scoreAll(isl.gen.rampedHalfAndHalf(len(pop), max(isl.cfg.MaxDepth/2, 3)), pop, math.Inf(1))
 	isl.pop = pop
 	for i := range pop {
 		isl.fits[i] = pop[i].fit
@@ -870,10 +991,24 @@ func (isl *island) init() {
 	isl.best.tree = isl.best.tree.Clone()
 }
 
+// complete scores whatever the island's last scoring deferred and
+// refreshes fits, so the population is exactly a fully scored one. It
+// must run before anything reads the whole population: breeding's
+// tournaments and migration.
+func (isl *island) complete() {
+	if !isl.ev.complete() {
+		return
+	}
+	for i := range isl.pop {
+		isl.fits[i] = isl.pop[i].fit
+	}
+}
+
 // step breeds and scores one generation. All of the island's RNG draws
 // happen here, in one goroutine, in a fixed order; only miss scoring
 // fans out (and it is a pure function of the tree).
 func (isl *island) step() {
+	isl.complete()
 	cfg := isl.cfg
 	build := isl.arenas[1-isl.cur]
 	build.reset()
@@ -890,7 +1025,7 @@ func (isl *island) step() {
 	next := isl.pops[1-isl.cur]
 	// Elitism: carry the champion over unchanged.
 	next[0] = individual{tree: cloneInto(build, isl.best.tree), size: isl.best.size, raw: isl.best.raw, fit: isl.best.fit}
-	isl.ev.scoreAll(isl.children, next, 1)
+	isl.ev.scoreAll(isl.children, next[1:], isl.best.fit)
 	isl.pop = next
 	isl.cur = 1 - isl.cur
 	for i := range next {
@@ -926,8 +1061,10 @@ func stepAll(islands []*island, f func(*island)) {
 // (i+1)%k. All islands are quiescent at the call and replacements apply
 // sequentially in island order with no RNG draws, so migration is a pure
 // function of the islands' states — goroutine scheduling during the
-// preceding step cannot influence it.
+// preceding step cannot influence it. The worst slot is read from whole
+// populations, so every island completes its deferred scoring first.
 func migrate(islands []*island) {
+	stepAll(islands, (*island).complete)
 	k := len(islands)
 	migrants := make([]individual, k)
 	for i, isl := range islands {

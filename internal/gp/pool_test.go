@@ -9,15 +9,16 @@ import (
 	"testing"
 )
 
-// poolCase is one run configuration. The two cases differ in dataset
-// width and length, population size, island count and parallelism, so a
-// run that reuses the other's scratch has to resize every buffer.
+// poolCase is one named run: a dataset and a configuration.
 type poolCase struct {
 	name string
 	d    *Dataset
 	cfg  Config
 }
 
+// poolCases returns two runs that differ in dataset width and length,
+// population size, island count and parallelism, so a run that reuses
+// the other's scratch has to resize every buffer.
 func poolCases() (a, b poolCase) {
 	a = poolCase{name: "A", d: islandTestDataset(), cfg: islandConfig(3, 4)}
 	bd := &Dataset{}
@@ -131,17 +132,27 @@ func (c cancelAtGeneration) Generation(s GenerationStats) {
 }
 
 // A run cancelled mid-evolution returns its scratch to the pool in
-// whatever state it reached; the next run must not notice.
+// whatever state it reached; the next run must not notice. The second
+// cancelled run stops while misses are deferred: on a linear codec with
+// StopFitness 0 every generation defers most of its scoring.
 func TestPooledScratchAfterCancelledRun(t *testing.T) {
 	a, b := poolCases()
+	c := poolCase{name: "C", d: udsLikeDataset(), cfg: DefaultConfig()}
+	c.cfg.PopulationSize = 200
+	c.cfg.Generations = 6
+	c.cfg.StopFitness = 0
 	wantA := freshResult(t, a)
-	drainIslandPool(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	cfg := b.cfg
-	cfg.Observer = cancelAtGeneration{gen: 3, cancel: cancel}
-	if _, err := RunContext(ctx, b.d, cfg); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	wantC := freshResult(t, c)
+	for _, cancelled := range []poolCase{b, c} {
+		drainIslandPool(t)
+		ctx, cancel := context.WithCancel(context.Background())
+		cfg := cancelled.cfg
+		cfg.Observer = cancelAtGeneration{gen: 3, cancel: cancel}
+		if _, err := RunContext(ctx, cancelled.d, cfg); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: err = %v, want context.Canceled", cancelled.name, err)
+		}
+		cancel()
+		checkSameResult(t, "A after a cancelled "+cancelled.name, runCase(t, a), wantA)
+		checkSameResult(t, "C after a cancelled "+cancelled.name, runCase(t, c), wantC)
 	}
-	checkSameResult(t, "A after a cancelled B", runCase(t, a), wantA)
 }

@@ -51,8 +51,9 @@ type ReversedESV struct {
 	Generations int
 	// Evaluations counts the GP fitness evaluations requested for this
 	// stream; CacheHits of them were served by the engine's
-	// cross-generation fitness cache and CacheMisses ran the compiled VM
-	// (Evaluations = CacheHits + CacheMisses).
+	// cross-generation fitness cache and CacheMisses were not
+	// (Evaluations = CacheHits + CacheMisses; see gp.Result for when a
+	// miss runs the compiled VM).
 	Evaluations int
 	CacheHits   int
 	CacheMisses int

@@ -106,7 +106,7 @@ func NewPipelineMetrics(reg *Registry) *PipelineMetrics {
 	m.ECRsRecovered = reg.Counter(MetricECRsRecovered, "recovered ECU control records")
 	m.GPEvaluations = reg.Counter(MetricGPEvaluations, "GP fitness evaluations requested")
 	m.GPCacheHits = reg.Counter(MetricGPCacheHits, "GP fitness evaluations served by the cross-generation cache")
-	m.GPCacheMisses = reg.Counter(MetricGPCacheMisses, "GP fitness evaluations run on the compiled VM")
+	m.GPCacheMisses = reg.Counter(MetricGPCacheMisses, "GP fitness evaluations not served by the cross-generation cache")
 	m.GPGenerations = reg.Counter(MetricGPGenerations, "GP generations evolved across all streams")
 	m.StageDuration = reg.HistogramVec(MetricStageDuration,
 		"pipeline stage wall time in seconds (injected clock)", nil, "stage")
