@@ -1,16 +1,15 @@
 package gp
 
 // This file implements the per-generation node arena the evolution engine
-// breeds into. Variation (clone, crossover grafts, mutation regrowth)
-// dominated the engine's allocation profile: every child tree used to be
-// built from individually heap-allocated Nodes that died one generation
-// later. Trees bred for generation g+1 only ever reference (a) fresh nodes
-// and (b) copies of subtrees from generation g's population, so their
-// lifetime is exactly one generation — the textbook arena case. The engine
-// keeps two arenas and ping-pongs: children are bump-allocated into the
-// idle arena, the previous generation's arena is reset wholesale, and the
-// only tree that outlives a generation — the run's champion — is
-// heap-cloned out when it improves.
+// breeds into, and spliceCopy, the one copy each bred child costs. Every
+// child tree used to be built from heap-allocated Nodes that died one
+// generation later. Trees bred for generation g+1 only ever reference (a)
+// fresh nodes and (b) copies of subtrees from generation g's population,
+// so their lifetime is exactly one generation — the textbook arena case.
+// The engine keeps two arenas and ping-pongs: children are bump-allocated
+// into the idle arena, the previous generation's arena is reset
+// wholesale, and the only tree that outlives a generation — the run's
+// champion — is heap-cloned out when it improves.
 //
 // Allocation discipline: every alloc site fully assigns the node
 // (*n = Node{...}), so reset() can recycle blocks without zeroing them —
@@ -25,52 +24,77 @@ const arenaBlockNodes = 4096
 // safe for concurrent use; each breeding loop owns its arenas.
 type nodeArena struct {
 	blocks [][]Node
-	bi     int // index of the block currently allocated from
-	used   int // nodes handed out from blocks[bi]
+	next   int    // index of the block to allocate from once free runs out
+	free   []Node // the unallocated tail of the current block
 }
 
 func newNodeArena() *nodeArena { return &nodeArena{} }
 
 // alloc returns a node whose previous contents are undefined; callers
 // must assign every field.
-func (a *nodeArena) alloc() *Node {
-	for {
-		if a.bi < len(a.blocks) {
-			if blk := a.blocks[a.bi]; a.used < len(blk) {
-				n := &blk[a.used]
-				a.used++
-				return n
-			}
-			a.bi++
-			a.used = 0
-			continue
-		}
+func (a *nodeArena) alloc() (n *Node) {
+	if len(a.free) == 0 {
+		a.nextBlock()
+	}
+	n, a.free = &a.free[0], a.free[1:]
+	return n
+}
+
+// nextBlock moves to the next block, adding one if all are in use. It
+// stays out of line, so inlining alloc inlines no allocation.
+//
+//go:noinline
+func (a *nodeArena) nextBlock() {
+	if a.next == len(a.blocks) {
 		a.blocks = append(a.blocks, make([]Node, arenaBlockNodes))
 	}
+	a.free = a.blocks[a.next]
+	a.next++
 }
 
 // reset recycles every block. Trees previously allocated from the arena
 // become invalid; the engine resets only after the generation that
 // referenced them has been scored and replaced.
 func (a *nodeArena) reset() {
-	a.bi, a.used = 0, 0
+	a.next, a.free = 0, nil
 }
 
-// cloneInto deep-copies tree n into arena a. A nil arena falls back to
-// heap cloning, which keeps the variation operators usable standalone
-// (tests construct them without an engine around).
-func cloneInto(a *nodeArena, n *Node) *Node {
-	if n == nil {
-		return nil
+// splicer is one spliceCopy pass: next is the next source node's preorder
+// index, at the one still to replace (-1 once done).
+type splicer struct {
+	ar         *nodeArena
+	next, at   int
+	graft      *Node
+	graftDepth int
+}
+
+// copyInto copies tree n into ar, returning the copy and its depth.
+func copyInto(ar *nodeArena, n *Node) (*Node, int) { return spliceCopy(ar, n, -1, nil, 0) }
+
+// spliceCopy copies src into ar in one preorder pass and returns the copy
+// and its depth. The subtree at preorder index at (none if at < 0) is not
+// copied: graft, already in ar and graftDepth deep, takes its place.
+func spliceCopy(ar *nodeArena, src *Node, at int, graft *Node, graftDepth int) (*Node, int) {
+	s := splicer{ar: ar, at: at, graft: graft, graftDepth: graftDepth}
+	return s.copy(src)
+}
+
+//dplint:hotpath gp-breed
+func (s *splicer) copy(n *Node) (*Node, int) {
+	if s.next == s.at {
+		s.at = -1
+		return s.graft, s.graftDepth
 	}
-	if a == nil {
-		return n.Clone()
+	s.next++
+	nn := s.ar.alloc()
+	var l, r *Node
+	var dl, dr int
+	if n.L != nil {
+		l, dl = s.copy(n.L)
 	}
-	nn := a.alloc()
-	if n.L == nil && n.R == nil { // leaf fast-path: skip two nil-recursions
-		*nn = Node{Op: n.Op, Const: n.Const, Var: n.Var}
-		return nn
+	if n.R != nil {
+		r, dr = s.copy(n.R)
 	}
-	*nn = Node{Op: n.Op, Const: n.Const, Var: n.Var, L: cloneInto(a, n.L), R: cloneInto(a, n.R)}
-	return nn
+	*nn = Node{Op: n.Op, Const: n.Const, Var: n.Var, L: l, R: r}
+	return nn, 1 + max(dl, dr)
 }

@@ -40,7 +40,6 @@ type Program struct {
 	depth int // maximum stack depth at any point of the execution
 	keyb  []byte
 	key   string // interned copy of keyb; empty for compiler-owned programs
-	hash  uint64
 }
 
 // Compiler holds reusable compilation scratch: the postfix emit buffer
@@ -80,12 +79,11 @@ var compilerPool = sync.Pool{New: func() any { return NewCompiler() }}
 // instead of allocating per call.
 func Compile(root *Node) *Program {
 	c := compilerPool.Get().(*Compiler)
-	depth, hash := c.compile(root)
+	c.compile(root)
 	p := &Program{
 		code:  append([]instr(nil), c.code...),
-		depth: depth,
+		depth: stackDepth(c.code),
 		key:   string(c.key),
-		hash:  hash,
 	}
 	compilerPool.Put(c)
 	return p
@@ -96,19 +94,18 @@ func Compile(root *Node) *Program {
 // on the same Compiler, and it is 100% allocation-free once the buffers
 // have grown to the working tree size.
 func (c *Compiler) Compile(root *Node) *Program {
-	depth, hash := c.compile(root)
-	c.prog = Program{code: c.code, depth: depth, keyb: c.key, hash: hash}
+	c.compile(root)
+	c.prog = Program{code: c.code, depth: stackDepth(c.code), keyb: c.key}
 	return &c.prog
 }
 
-// compile emits root into c.code/c.key and returns the stack depth and
-// key hash.
-func (c *Compiler) compile(root *Node) (depth int, hash uint64) {
+// compile emits root into c.code and c.key: all a fitness-cache lookup
+// needs. Only a miss goes on to size its stack with stackDepth.
+func (c *Compiler) compile(root *Node) {
 	c.code = c.code[:0]
 	c.key = c.key[:0]
 	c.nodes = 0
 	c.emit(root)
-	return c.finish()
 }
 
 // keyConst appends one folded-constant entry to the canonical key.
@@ -208,11 +205,10 @@ func (c *Compiler) emit(n *Node) bool {
 	}
 }
 
-// finish derives the stack depth from the emitted code and hashes the
-// canonical key emit built.
-func (c *Compiler) finish() (depth int, hash uint64) {
+// stackDepth returns the most VM stack slots code holds at once.
+func stackDepth(code []instr) (depth int) {
 	cur := 0
-	for _, ins := range c.code {
+	for _, ins := range code {
 		switch ins.op {
 		case OpConst, OpVar:
 			cur++
@@ -225,12 +221,7 @@ func (c *Compiler) finish() (depth int, hash uint64) {
 			depth = cur
 		}
 	}
-	h := uint64(14695981039346656037) // FNV-1a 64
-	for _, b := range c.key {
-		h ^= uint64(b)
-		h *= 1099511628211
-	}
-	return depth, h
+	return depth
 }
 
 // Key is the canonical structural encoding of the compiled program. Two
@@ -249,16 +240,9 @@ func (p *Program) Key() string {
 	return p.key
 }
 
-// Hash is the 64-bit FNV-1a digest of Key, for callers that want a fixed
-// size summary of the structure.
-func (p *Program) Hash() uint64 { return p.hash }
-
 // Len reports the instruction count (≤ the source tree's node count,
 // thanks to folding).
 func (p *Program) Len() int { return len(p.code) }
-
-// StackDepth reports the VM stack slots the program needs.
-func (p *Program) StackDepth() int { return p.depth }
 
 // Batch is the structure-of-arrays view of a Dataset: one contiguous
 // column per variable, so the VM streams each instruction over memory
@@ -311,9 +295,6 @@ func (b *Batch) reset(d *Dataset) {
 	}
 	b.n, b.cols, b.y = n, cols, d.Y
 }
-
-// N reports the sample count.
-func (b *Batch) N() int { return b.n }
 
 // slot is one VM stack entry: either a scalar (constants, and results of
 // const-only subexpressions the folder could not see, e.g. out-of-width

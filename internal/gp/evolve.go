@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"strconv"
@@ -566,11 +567,15 @@ func (e *evaluator) scoreOne(p *Program, t *Node, m *Machine, size int) individu
 	d, cfg := e.d, e.cfg
 	ind := individual{tree: t, size: size, a: 1, b: 0}
 	preds := p.Eval(e.batch, m)
+	// v*0 is NaN exactly when v is NaN or ±Inf, and a sum of zeros never
+	// overflows: one branch-free pass screens every prediction.
+	screen := 0.0
 	for _, v := range preds {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			ind.raw, ind.fit = math.Inf(1), math.Inf(1)
-			return ind
-		}
+		screen += v * 0
+	}
+	if math.IsNaN(screen) {
+		ind.raw, ind.fit = math.Inf(1), math.Inf(1)
+		return ind
 	}
 	if !cfg.DisableLinearScaling {
 		ind.a, ind.b = linearScale(preds, d.Y, m.selbuf(len(preds)), m.selidx(len(preds)))
@@ -607,7 +612,7 @@ func (e *evaluator) scoreAll(trees []*Node, out []individual, bestFit float64) {
 	e.codeSlab = e.codeSlab[:0]
 	clear(e.pending)
 	for i, t := range trees {
-		depth, hash := e.comp.compile(t)
+		e.comp.compile(t)
 		size := e.comp.nodes
 		if ent, ok := e.cache[string(e.comp.key)]; ok {
 			e.hits++
@@ -631,7 +636,7 @@ func (e *evaluator) scoreAll(trees []*Node, out []individual, bestFit float64) {
 		e.codeSlab = append(e.codeSlab, e.comp.code...)
 		e.progs = append(e.progs, Program{
 			code:  e.codeSlab[co:len(e.codeSlab):len(e.codeSlab)],
-			depth: depth, key: key, hash: hash,
+			depth: stackDepth(e.comp.code), key: key,
 		})
 		e.pending[key] = len(e.missq)
 		e.missq = append(e.missq, missRef{i: i, size: size, bound: size, p: &e.progs[len(e.progs)-1]})
@@ -841,13 +846,6 @@ func RunContext(ctx context.Context, d *Dataset, cfg Config) (Result, error) {
 		best = globalBest(islands)
 		observe(cfg.Observer, gens, best, islands)
 	}
-	var evals, hits, misses int
-	for _, isl := range islands {
-		evals += isl.ev.evals
-		hits += isl.ev.hits
-		misses += isl.ev.misses
-	}
-
 	// Materialise the fitted linear scaling into the returned program:
 	// best = a*g + b, with near-identity coefficients snapped so they
 	// simplify away.
@@ -873,9 +871,10 @@ func RunContext(ctx context.Context, d *Dataset, cfg Config) (Result, error) {
 	if _, exceeded := RobustMAEBounded(simplified, d, best.raw+1e-9); !exceeded {
 		final = simplified
 	}
+	n := tally(islands)
 	return Result{
-		Best: final, Fitness: best.raw, Generations: gens, Evaluations: evals,
-		CacheHits: hits, CacheMisses: misses,
+		Best: final, Fitness: best.raw, Generations: gens, Evaluations: n.Evaluations,
+		CacheHits: n.CacheHits, CacheMisses: n.CacheMisses,
 	}, nil
 }
 
@@ -895,6 +894,8 @@ type island struct {
 	pop      []individual
 	fits     []float64
 	children []*Node
+	// pick draws tournament entrants from the population's index range.
+	pick intn
 	// best is the island's champion; its tree is heap-cloned out of the
 	// arenas whenever it improves, so it stays valid across resets (and
 	// across islands during migration).
@@ -921,19 +922,28 @@ func islandSeed(seed int64, i int) int64 {
 // and rebuilding that scratch for every run cost more allocation than
 // the evolution itself. Every buffer is either reset by acquireIsland or
 // fully written before it is read, and the champion is heap-cloned out
-// of the arenas, so nothing of a run survives into the next.
-var islandPool = sync.Pool{New: func() any { return new(island) }}
+// of the arenas, so nothing of a run survives into the next. Unlike a
+// sync.Pool, whose items are private to a scheduler P, the free list
+// serves every run, and it never holds more islands than were in use at
+// once: acquireIsland builds one only when the list is empty.
+var islandPool struct {
+	sync.Mutex
+	free []*island
+}
 
 // acquireIsland takes an island from the pool and readies it for a run
 // of popSize programs on d.
 func acquireIsland(d *Dataset, cfg Config, funcs []Op, popSize int, seed int64, workers int) *island {
-	isl := islandPool.Get().(*island)
-	isl.cfg = cfg
+	var isl *island
+	islandPool.Lock()
+	if n := len(islandPool.free); n > 0 {
+		isl = islandPool.free[n-1]
+		islandPool.free = islandPool.free[:n-1]
+	}
+	islandPool.Unlock()
 	// Reseeding restores exactly the state rand.NewSource(seed) starts in.
-	if isl.rng == nil {
-		isl.rng = rand.New(rand.NewSource(seed))
-		isl.gen = new(generator)
-		isl.ev = new(evaluator)
+	if isl == nil {
+		isl = &island{rng: rand.New(rand.NewSource(seed)), gen: new(generator), ev: new(evaluator)}
 		// Trees live one generation: children of generation g+1 reference
 		// only fresh nodes and copies of generation-g subtrees, so breeding
 		// bump-allocates into one of two ping-ponging arenas and the
@@ -944,6 +954,7 @@ func acquireIsland(d *Dataset, cfg Config, funcs []Op, popSize int, seed int64, 
 		isl.arenas[0].reset()
 		isl.arenas[1].reset()
 	}
+	isl.cfg = cfg
 	*isl.gen = generator{
 		rng: isl.rng, numVars: d.NumVars(), funcs: funcs,
 		constMin: cfg.ConstMin, constMax: cfg.ConstMax,
@@ -958,6 +969,7 @@ func acquireIsland(d *Dataset, cfg Config, funcs []Op, popSize int, seed int64, 
 	// fits mirrors pop's fitness column densely for the tournament loop.
 	isl.fits = resize(isl.fits, popSize)
 	isl.children = resize(isl.children, popSize-1)
+	isl.pick = newIntn(popSize)
 	return isl
 }
 
@@ -966,7 +978,9 @@ func (isl *island) release() {
 	isl.ev.release()
 	isl.cfg, *isl.gen = Config{}, generator{}
 	isl.pop, isl.best = nil, individual{}
-	islandPool.Put(isl)
+	islandPool.Lock()
+	islandPool.free = append(islandPool.free, isl)
+	islandPool.Unlock()
 }
 
 // resize returns s with length n, reallocating only to grow. Callers
@@ -1009,27 +1023,21 @@ func (isl *island) complete() {
 // fans out (and it is a pure function of the tree).
 func (isl *island) step() {
 	isl.complete()
-	cfg := isl.cfg
 	build := isl.arenas[1-isl.cur]
 	build.reset()
 	isl.gen.arena = build
-	pop, fits, rng := isl.pop, isl.fits, isl.rng
 	for i := range isl.children {
-		parent := pop[tournament(fits, cfg.TournamentSize, rng)]
-		child := vary(parent, pop, fits, cfg, isl.gen, rng)
-		if child.Depth() > cfg.MaxDepth {
-			child = hoistToDepth(child, cfg.MaxDepth, rng, build)
-		}
-		isl.children[i] = child
+		isl.children[i] = isl.breed()
 	}
 	next := isl.pops[1-isl.cur]
 	// Elitism: carry the champion over unchanged.
-	next[0] = individual{tree: cloneInto(build, isl.best.tree), size: isl.best.size, raw: isl.best.raw, fit: isl.best.fit}
+	elite, _ := copyInto(build, isl.best.tree)
+	next[0] = individual{tree: elite, size: isl.best.size, raw: isl.best.raw, fit: isl.best.fit}
 	isl.ev.scoreAll(isl.children, next[1:], isl.best.fit)
 	isl.pop = next
 	isl.cur = 1 - isl.cur
 	for i := range next {
-		fits[i] = next[i].fit
+		isl.fits[i] = next[i].fit
 	}
 	if b := bestOf(next); b.fit < isl.best.fit {
 		isl.best = b
@@ -1083,7 +1091,7 @@ func migrate(islands []*island) {
 		// the generation bred from it has been scored, which is exactly the
 		// migrant's useful lifetime (the champion itself stays heap-cloned
 		// on the source island).
-		m.tree = cloneInto(dst.arenas[dst.cur], m.tree)
+		m.tree, _ = copyInto(dst.arenas[dst.cur], m.tree)
 		dst.pop[w] = m
 		dst.fits[w] = m.fit
 	}
@@ -1101,22 +1109,23 @@ func globalBest(islands []*island) individual {
 	return best
 }
 
-// observe reports one scored generation to a configured observer, with
-// counters summed across islands in island order.
+// observe reports one scored generation to a configured observer.
 func observe(o Observer, gen int, best individual, islands []*island) {
-	if o == nil {
-		return
+	if o != nil {
+		s := tally(islands)
+		s.Generation, s.BestFitness = gen, best.raw
+		o.Generation(s)
 	}
-	var evals, hits, misses int
+}
+
+// tally sums the islands' scoring counters in island order.
+func tally(islands []*island) (s GenerationStats) {
 	for _, isl := range islands {
-		evals += isl.ev.evals
-		hits += isl.ev.hits
-		misses += isl.ev.misses
+		s.Evaluations += isl.ev.evals
+		s.CacheHits += isl.ev.hits
+		s.CacheMisses += isl.ev.misses
 	}
-	o.Generation(GenerationStats{
-		Generation: gen, BestFitness: best.raw,
-		Evaluations: evals, CacheHits: hits, CacheMisses: misses,
-	})
+	return s
 }
 
 func bestOf(pop []individual) individual {
@@ -1129,67 +1138,96 @@ func bestOf(pop []individual) individual {
 	return best
 }
 
-// tournament draws k population indices and returns the fittest (ties
-// keep the first drawn). It scans the dense fitness slice, not the
-// population itself: k random accesses into an 8-byte-per-entry array
-// stay in cache where the 64-byte individual structs would not.
-func tournament(fits []float64, k int, rng *rand.Rand) int {
-	if k < 1 {
-		k = 1
-	}
-	best := rng.Intn(len(fits))
+// tournament draws k population indices through pick and returns the
+// fittest (ties keep the first drawn). It scans the dense fitness slice,
+// not the population itself: k random accesses into an 8-byte-per-entry
+// array stay in cache where the 64-byte individual structs would not.
+//
+//dplint:hotpath gp-breed
+func tournament(fits []float64, k int, pick *intn, rng *rand.Rand) int {
+	best := pick.draw(rng)
 	for i := 1; i < k; i++ {
-		if c := rng.Intn(len(fits)); fits[c] < fits[best] {
+		if c := pick.draw(rng); fits[c] < fits[best] {
 			best = c
 		}
 	}
 	return best
 }
 
-// vary applies one variation operator to a copy of parent built in the
-// generator's arena. Subtree indices are drawn against the parent's
-// cached size — identical draws to walking the clone, without the walk.
-func vary(parent individual, pop []individual, fits []float64, cfg Config, gen *generator, rng *rand.Rand) *Node {
-	child := cloneInto(gen.arena, parent.tree)
-	p := rng.Float64()
-	switch {
-	case p < cfg.CrossoverProb:
-		donor := pop[tournament(fits, cfg.TournamentSize, rng)]
-		return crossover(child, donor.tree, parent.size, donor.size, rng, gen.arena)
-	case p < cfg.CrossoverProb+cfg.SubtreeMutProb:
-		return subtreeMutate(child, parent.size, gen, rng)
-	case p < cfg.CrossoverProb+cfg.SubtreeMutProb+cfg.PointMutProb:
-		pointMutate(child, parent.size, gen, rng)
-		return child
-	case p < cfg.CrossoverProb+cfg.SubtreeMutProb+cfg.PointMutProb+cfg.HoistMutProb:
-		return hoistMutate(child, parent.size, rng, gen.arena)
-	default:
-		return child
+// intn draws from [0, n), n in [1, 2^31-1], exactly as (*rand.Rand).Intn
+// does, leaving the RNG in the same state, without its two divisions per
+// draw: Int31n's rejection bound is computed once, and v % n is Lemire's
+// fastmod, (m*v mod 2^64)*n >> 64 with m = ceil(2^64/n), exact for 32 bits.
+type intn struct {
+	n, m  uint64
+	bound int32
+}
+
+func newIntn(n int) intn {
+	if n < 1 || n > math.MaxInt32 {
+		panic("gp: draw range out of [1, 2^31-1]")
 	}
+	return intn{n: uint64(n), m: ^uint64(0)/uint64(n) + 1, bound: int32(1<<31 - 1 - (1<<31)%uint32(n))}
 }
 
-// crossover replaces a random subtree of child with a random subtree of
-// donor, copying the graft into ar (donor may belong to the previous
-// generation's arena). childSize/donorSize must equal the trees' node
-// counts.
-func crossover(child, donor *Node, childSize, donorSize int, rng *rand.Rand, ar *nodeArena) *Node {
-	ci := rng.Intn(childSize)
-	di := rng.Intn(donorSize)
-	graft := cloneInto(ar, nodeAt(donor, di))
-	return replaceNodeAt(child, ci, graft)
+// draw is Int31n's rejection loop. For a power of two the bound admits
+// every value and fastmod equals Int31n's mask.
+//
+//dplint:hotpath gp-breed
+func (d *intn) draw(rng *rand.Rand) int {
+	v := rng.Int31()
+	for v > d.bound {
+		v = rng.Int31()
+	}
+	hi, _ := bits.Mul64(d.m*uint64(v), d.n)
+	return int(hi)
 }
 
-// subtreeMutate replaces a random subtree with a freshly grown one.
-func subtreeMutate(child *Node, size int, gen *generator, rng *rand.Rand) *Node {
-	i := rng.Intn(size)
-	return replaceNodeAt(child, i, gen.grow(3))
+// breed builds one child in the generator's arena: a tournament winner
+// copied once, with the variation operator applied during the copy, then
+// cut to the depth budget. It makes the draws, in order, of cloning the
+// parent and then operating on the clone.
+//
+//dplint:hotpath gp-breed
+func (isl *island) breed() *Node {
+	cfg, gen, rng, pop := &isl.cfg, isl.gen, isl.rng, isl.pop
+	parent := pop[tournament(isl.fits, cfg.TournamentSize, &isl.pick, rng)]
+	child, depth := parent.tree, 0
+	switch p := rng.Float64(); {
+	case p < cfg.CrossoverProb:
+		// The donor's subtree is copied in from the previous arena.
+		donor := pop[tournament(isl.fits, cfg.TournamentSize, &isl.pick, rng)]
+		at := rng.Intn(parent.size)
+		graft, gd := copyInto(gen.arena, nodeAt(donor.tree, rng.Intn(donor.size)))
+		child, depth = spliceCopy(gen.arena, parent.tree, at, graft, gd)
+	case p < cfg.CrossoverProb+cfg.SubtreeMutProb:
+		at := rng.Intn(parent.size)
+		graft := gen.grow(3)
+		child, depth = spliceCopy(gen.arena, parent.tree, at, graft, graft.Depth())
+	case p < cfg.CrossoverProb+cfg.SubtreeMutProb+cfg.PointMutProb:
+		child, depth = copyInto(gen.arena, parent.tree)
+		pointMutate(child, parent.size, gen, rng)
+	case p < cfg.CrossoverProb+cfg.SubtreeMutProb+cfg.PointMutProb+cfg.HoistMutProb:
+		// Hoist mutation lifts a random subtree to the root (gplearn's
+		// anti-bloat operator): only that subtree is copied.
+		child = nodeAt(parent.tree, rng.Intn(parent.size))
+		fallthrough
+	default:
+		child, depth = copyInto(gen.arena, child)
+	}
+	// Over the depth budget, hoist repeatedly. The child is fresh and
+	// owned by no one else, so its subtrees are taken in place.
+	for depth > cfg.MaxDepth {
+		child = nodeAt(child, rng.Intn(child.Size()))
+		depth = child.Depth()
+	}
+	return child
 }
 
 // pointMutate perturbs one node in place: constants jitter, variables
 // reselect, functions swap within the same arity.
 func pointMutate(child *Node, size int, gen *generator, rng *rand.Rand) {
-	i := rng.Intn(size)
-	n := nodeAt(child, i)
+	n := nodeAt(child, rng.Intn(size))
 	switch n.Op {
 	case OpConst:
 		n.Const += rng.NormFloat64() * math.Max(math.Abs(n.Const)*0.1, 0.1)
@@ -1207,26 +1245,4 @@ func pointMutate(child *Node, size int, gen *generator, rng *rand.Rand) {
 			}
 		}
 	}
-}
-
-// hoistMutate lifts a random subtree to the root — gplearn's anti-bloat
-// operator. size must equal child's node count.
-func hoistMutate(child *Node, size int, rng *rand.Rand, ar *nodeArena) *Node {
-	i := rng.Intn(size)
-	return cloneInto(ar, nodeAt(child, i))
-}
-
-// hoistToDepth repeatedly hoists until the tree fits the depth budget.
-func hoistToDepth(t *Node, maxDepth int, rng *rand.Rand, ar *nodeArena) *Node {
-	for t.Depth() > maxDepth {
-		t = hoistMutate(t, t.Size(), rng, ar)
-	}
-	return t
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

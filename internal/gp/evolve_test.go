@@ -232,9 +232,10 @@ func TestRunDepthBounded(t *testing.T) {
 func TestTournamentPicksFitter(t *testing.T) {
 	fits := []float64{10, 1, 5}
 	rng := newTestRNG(1)
+	pick := newIntn(len(fits))
 	wins := 0
 	for i := 0; i < 200; i++ {
-		if fits[tournament(fits, 3, rng)] == 1 {
+		if fits[tournament(fits, 3, &pick, rng)] == 1 {
 			wins++
 		}
 	}
@@ -339,5 +340,52 @@ func TestRunObserverDoesNotAffectEvolution(t *testing.T) {
 		plain.CacheHits != observed.CacheHits {
 		t.Fatalf("observer changed the run: %v/%v vs %v/%v",
 			plain.Best, plain.Evaluations, observed.Best, observed.Evaluations)
+	}
+}
+
+// intn must reproduce rand.Intn draw for draw and leave the RNG in the
+// same state. 1<<30+1 rejects about half its raw draws, exercising the
+// rejection loop; the powers of two check fastmod against Int31n's mask.
+func TestIntnMatchesRandIntn(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 7, 150, 999, 1000, 1 << 20, 1<<30 + 1, 1<<31 - 1} {
+		want, got := newTestRNG(int64(n)), newTestRNG(int64(n))
+		pick := newIntn(n)
+		for i := 0; i < 50000; i++ {
+			if w, g := want.Intn(n), pick.draw(got); w != g {
+				t.Fatalf("n=%d draw %d: got %d, rand.Intn gives %d", n, i, g, w)
+			}
+		}
+		if want.Int63() != got.Int63() {
+			t.Fatalf("n=%d: RNG state differs from rand.Intn's after the draws", n)
+		}
+	}
+}
+
+// A warmed-up generation step allocates nothing: breeding bump-allocates
+// into recycled arenas, and scoring compiles into reused scratch. Each
+// measured step starts from one restored state with the RNG reseeded, so
+// after the first replays every child it breeds is a cache hit.
+func TestStepAllocatesNothing(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.PopulationSize = 200
+	isl := acquireIsland(udsLikeDataset(), cfg, FunctionSet, cfg.PopulationSize, cfg.Seed, 1)
+	defer isl.release()
+	isl.init()
+	for g := 0; g < 3; g++ {
+		isl.step()
+	}
+	isl.complete()
+	cur, best := isl.cur, isl.best
+	fits := append([]float64(nil), isl.fits...)
+	replay := func() {
+		isl.rng.Seed(99)
+		isl.cur, isl.pop, isl.best = cur, isl.pops[cur], best
+		copy(isl.fits, fits)
+		isl.step()
+	}
+	replay()
+	replay()
+	if allocs := testing.AllocsPerRun(20, replay); allocs != 0 {
+		t.Fatalf("warmed-up step allocates %v times", allocs)
 	}
 }

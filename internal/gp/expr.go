@@ -255,70 +255,25 @@ func formatConst(v float64) string {
 	return strconv.FormatFloat(v, 'g', 4, 64)
 }
 
-// walk visits every node with its parent and which-side link, enabling
-// in-place subtree surgery during crossover/mutation. fn returns false to
-// stop the walk early.
-func walk(n *Node, fn func(node *Node) bool) bool {
-	if n == nil {
-		return true
-	}
-	if !fn(n) {
-		return false
-	}
-	if !walk(n.L, fn) {
-		return false
-	}
-	return walk(n.R, fn)
-}
-
 // nodeAt returns the i-th node in preorder (0-based), or nil if out of
 // range.
 func nodeAt(root *Node, i int) *Node {
-	var found *Node
-	idx := 0
-	walk(root, func(n *Node) bool {
-		if idx == i {
-			found = n
-			return false
-		}
-		idx++
-		return true
-	})
-	return found
+	n, _ := seek(root, i)
+	return n
 }
 
-// replaceNodeAt swaps the subtree at preorder index i with repl, returning
-// the (possibly new) root. Out-of-range indices leave the tree unchanged.
-func replaceNodeAt(root *Node, i int, repl *Node) *Node {
+// seek finds the i-th node of n's subtree in preorder, or returns nil and
+// the index left to seek in the nodes after the subtree.
+func seek(n *Node, i int) (*Node, int) {
+	if n == nil {
+		return nil, i
+	}
 	if i == 0 {
-		return repl
+		return n, 0
 	}
-	idx := 0
-	var parent *Node
-	var left bool
-	var visit func(n, p *Node, isLeft bool) bool
-	visit = func(n, p *Node, isLeft bool) bool {
-		if n == nil {
-			return true
-		}
-		if idx == i {
-			parent, left = p, isLeft
-			return false
-		}
-		idx++
-		if !visit(n.L, n, true) {
-			return false
-		}
-		return visit(n.R, n, false)
+	found, i := seek(n.L, i-1)
+	if found != nil {
+		return found, 0
 	}
-	visit(root, nil, false)
-	if parent == nil {
-		return root
-	}
-	if left {
-		parent.L = repl
-	} else {
-		parent.R = repl
-	}
-	return root
+	return seek(n.R, i)
 }

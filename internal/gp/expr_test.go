@@ -124,20 +124,6 @@ func TestNodeAtPreorder(t *testing.T) {
 	}
 }
 
-func TestReplaceNodeAt(t *testing.T) {
-	tree := NewBinary(OpDiv, NewBinary(OpMul, NewVar(0), NewVar(1)), NewConst(5))
-	// Replace index 3 (X1) with constant 7 → (X0*7)/5.
-	got := replaceNodeAt(tree, 3, NewConst(7))
-	if v := got.Eval([]float64{10, 0}); math.Abs(v-14) > 1e-12 {
-		t.Fatalf("after replace Eval = %v, want 14", v)
-	}
-	// Replace root.
-	got = replaceNodeAt(tree, 0, NewConst(3))
-	if got.Op != OpConst || got.Const != 3 {
-		t.Fatal("root replace failed")
-	}
-}
-
 // Property: Eval is total (finite) for every tree built from protected ops
 // over finite inputs.
 func TestEvalTotalProperty(t *testing.T) {

@@ -2,6 +2,7 @@ package gp
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -22,26 +23,46 @@ func validTree(n *Node) bool {
 	return false
 }
 
+// breedingIsland returns an island whose population is trees (fitness
+// rising with the index), ready to breed children with cfg.
+func breedingIsland(t *testing.T, cfg Config, trees ...*Node) *island {
+	t.Helper()
+	isl := acquireIsland(islandTestDataset(), cfg, FunctionSet, len(trees), cfg.Seed, 1)
+	t.Cleanup(isl.release)
+	for i, tree := range trees {
+		isl.pops[0][i] = individual{tree: tree, size: tree.Size(), fit: float64(i)}
+		isl.fits[i] = float64(i)
+	}
+	isl.pop = isl.pops[0]
+	isl.gen.arena = isl.arenas[1]
+	return isl
+}
+
+// operatorConfig selects one variation operator with certainty (all
+// probabilities zero: plain reproduction).
+func operatorConfig(crossover, subtree, point, hoist float64) Config {
+	cfg := DefaultConfig()
+	cfg.CrossoverProb, cfg.SubtreeMutProb, cfg.PointMutProb, cfg.HoistMutProb = crossover, subtree, point, hoist
+	cfg.Seed = 41
+	return cfg
+}
+
 func TestCrossoverProducesValidTrees(t *testing.T) {
-	rng := newTestRNG(41)
-	gen := &generator{rng: rng, numVars: 2, funcs: FunctionSet, constMin: -5, constMax: 5}
+	gen := &generator{rng: newTestRNG(41), numVars: 2, funcs: FunctionSet, constMin: -5, constMax: 5}
+	isl := breedingIsland(t, operatorConfig(1, 0, 0, 0), gen.grow(5), gen.grow(5), gen.full(4))
 	for i := 0; i < 200; i++ {
-		a, b := gen.grow(5), gen.grow(5)
-		child := crossover(a.Clone(), b, a.Size(), b.Size(), rng, nil)
-		if !validTree(child) {
+		if child := isl.breed(); !validTree(child) || child.Depth() > isl.cfg.MaxDepth {
 			t.Fatalf("crossover produced invalid tree: %v", child)
 		}
 	}
 }
 
 func TestSubtreeMutateProducesValidTrees(t *testing.T) {
-	rng := newTestRNG(43)
-	gen := &generator{rng: rng, numVars: 2, funcs: FunctionSet, constMin: -5, constMax: 5}
+	gen := &generator{rng: newTestRNG(43), numVars: 2, funcs: FunctionSet, constMin: -5, constMax: 5}
+	isl := breedingIsland(t, operatorConfig(0, 1, 0, 0), gen.grow(5), gen.grow(5))
 	for i := 0; i < 200; i++ {
-		tree := gen.grow(5)
-		child := subtreeMutate(tree, tree.Size(), gen, rng)
-		if !validTree(child) {
-			t.Fatal("subtree mutation produced invalid tree")
+		if child := isl.breed(); !validTree(child) || child.Depth() > isl.cfg.MaxDepth {
+			t.Fatalf("subtree mutation produced invalid tree: %v", child)
 		}
 	}
 }
@@ -64,11 +85,11 @@ func TestPointMutatePreservesShape(t *testing.T) {
 }
 
 func TestHoistMutateShrinksOrKeeps(t *testing.T) {
-	rng := newTestRNG(53)
-	gen := &generator{rng: rng, numVars: 2, funcs: FunctionSet, constMin: -5, constMax: 5}
+	gen := &generator{rng: newTestRNG(53), numVars: 2, funcs: FunctionSet, constMin: -5, constMax: 5}
+	tree := gen.full(5)
+	isl := breedingIsland(t, operatorConfig(0, 0, 0, 1), tree)
 	for i := 0; i < 200; i++ {
-		tree := gen.full(5)
-		hoisted := hoistMutate(tree, tree.Size(), rng, nil)
+		hoisted := isl.breed()
 		if !validTree(hoisted) {
 			t.Fatal("hoist produced invalid tree")
 		}
@@ -79,14 +100,96 @@ func TestHoistMutateShrinksOrKeeps(t *testing.T) {
 }
 
 func TestHoistToDepthTerminates(t *testing.T) {
-	rng := newTestRNG(59)
-	gen := &generator{rng: rng, numVars: 2, funcs: FunctionSet, constMin: -5, constMax: 5}
+	gen := &generator{rng: newTestRNG(59), numVars: 2, funcs: FunctionSet, constMin: -5, constMax: 5}
+	cfg := operatorConfig(0, 0, 0, 0)
+	cfg.MaxDepth = 4
+	isl := breedingIsland(t, cfg, gen.full(9))
 	for i := 0; i < 50; i++ {
-		tree := gen.full(9)
-		bounded := hoistToDepth(tree, 4, rng, nil)
-		if bounded.Depth() > 4 {
-			t.Fatalf("depth %d after hoistToDepth(4)", bounded.Depth())
+		if d := isl.breed().Depth(); d > 4 {
+			t.Fatalf("depth %d over a budget of 4", d)
 		}
+	}
+}
+
+// preorder lists tree's nodes in preorder.
+func preorder(tree *Node) []*Node {
+	if tree == nil {
+		return nil
+	}
+	return append(append([]*Node{tree}, preorder(tree.L)...), preorder(tree.R)...)
+}
+
+// cloneReplaced is the two-pass form spliceCopy folds into one: clone
+// root, then swap the clone's subtree at preorder index i for repl.
+func cloneReplaced(root *Node, i int, repl *Node) *Node {
+	if i == 0 {
+		return repl
+	}
+	c := root.Clone()
+	pre := preorder(c)
+	for _, n := range pre {
+		if n.L == pre[i] {
+			n.L = repl
+		} else if n.R == pre[i] {
+			n.R = repl
+		}
+	}
+	return c
+}
+
+// spliceCopy must build exactly the tree that cloning and then splicing
+// builds, report its depth, link the graft as is and copy every other
+// node, leaving the source untouched.
+func TestSpliceCopyMatchesCloneThenSplice(t *testing.T) {
+	rng := newTestRNG(67)
+	gen := &generator{rng: rng, numVars: 3, funcs: FunctionSet, constMin: -5, constMax: 5}
+	for i := 0; i < 300; i++ {
+		src, graft := gen.grow(6), gen.grow(4)
+		before := src.String()
+		at := rng.Intn(src.Size())
+		if i%5 == 0 {
+			at = -1
+		}
+		got, depth := spliceCopy(newNodeArena(), src, at, graft, graft.Depth())
+		want := src
+		if at >= 0 {
+			want = cloneReplaced(src, at, graft)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("splice of %v at %d with %v: got %v, want %v", src, at, graft, got, want)
+		}
+		if depth != want.Depth() {
+			t.Fatalf("splice depth %d, tree depth %d", depth, want.Depth())
+		}
+		if src.String() != before {
+			t.Fatal("spliceCopy modified its source")
+		}
+		if at >= 0 && nodeAt(got, at) != graft {
+			t.Fatal("the graft must be linked, not copied")
+		}
+		copied := map[*Node]bool{}
+		for _, n := range preorder(got) {
+			copied[n] = true
+		}
+		for _, n := range preorder(src) {
+			if copied[n] {
+				t.Fatalf("copy shares node %v with its source", n)
+			}
+		}
+	}
+}
+
+func TestSpliceCopyReplacesAtPreorderIndex(t *testing.T) {
+	tree := NewBinary(OpDiv, NewBinary(OpMul, NewVar(0), NewVar(1)), NewConst(5))
+	// Replace index 3 (X1) with constant 7 → (X0*7)/5.
+	got, depth := spliceCopy(newNodeArena(), tree, 3, NewConst(7), 1)
+	if v := got.Eval([]float64{10, 0}); math.Abs(v-14) > 1e-12 || depth != 3 {
+		t.Fatalf("after replace Eval = %v, depth %d; want 14, 3", v, depth)
+	}
+	// Replace root.
+	got, depth = spliceCopy(newNodeArena(), tree, 0, NewConst(3), 1)
+	if got.Op != OpConst || got.Const != 3 || depth != 1 {
+		t.Fatal("root replace failed")
 	}
 }
 

@@ -32,10 +32,28 @@ func pLog(a float64) float64 {
 	return math.Log(v)
 }
 
-func pAbs(a float64) float64    { return math.Abs(a) }
-func pNeg(a float64) float64    { return -a }
-func pMax(a, b float64) float64 { return math.Max(a, b) }
-func pMin(a, b float64) float64 { return math.Min(a, b) }
+func pAbs(a float64) float64 { return math.Abs(a) }
+func pNeg(a float64) float64 { return -a }
+
+// pMax and pMin compare first and leave to math.Max/math.Min only what a
+// comparison cannot decide, ties (signed zeros) and NaN: bit-identical.
+func pMax(a, b float64) float64 {
+	if a > b {
+		return a
+	} else if b > a {
+		return b
+	}
+	return math.Max(a, b)
+}
+
+func pMin(a, b float64) float64 {
+	if a < b {
+		return a
+	} else if b < a {
+		return b
+	}
+	return math.Min(a, b)
+}
 
 // pInv is protected inverse: near-zero inputs yield 1.
 func pInv(a float64) float64 {
@@ -49,13 +67,18 @@ func pSin(a float64) float64 { return math.Sin(a) }
 func pCos(a float64) float64 { return math.Cos(a) }
 
 // pTan is protected tangent: NaN becomes 0 and the poles are clamped to a
-// large finite magnitude.
+// large finite magnitude. The clamp compares first; it is bit-identical
+// to math.Max(-1e6, math.Min(1e6, v)).
 func pTan(a float64) float64 {
 	v := math.Tan(a)
 	if math.IsNaN(v) {
 		return 0
+	} else if v > 1e6 {
+		return 1e6
+	} else if v < -1e6 {
+		return -1e6
 	}
-	return math.Max(-1e6, math.Min(1e6, v))
+	return v
 }
 
 // apply1 dispatches a unary op to its kernel.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"reflect"
-	"runtime"
 	"sync"
 	"testing"
 )
@@ -45,21 +44,24 @@ func runCase(t *testing.T, c poolCase) Result {
 }
 
 // drainIslandPool empties the island pool, so the next run builds its
-// scratch afresh: a garbage collection moves pooled items to the victim
-// cache, and the next one drops them.
-func drainIslandPool(t *testing.T) {
-	t.Helper()
-	runtime.GC()
-	runtime.GC()
-	if isl := islandPool.Get().(*island); isl.rng != nil {
-		t.Fatal("island pool still holds a used island after two collections")
-	}
+// scratch afresh.
+func drainIslandPool() {
+	islandPool.Lock()
+	islandPool.free = nil
+	islandPool.Unlock()
+}
+
+// pooledIslands reports how many islands the pool holds.
+func pooledIslands() int {
+	islandPool.Lock()
+	defer islandPool.Unlock()
+	return len(islandPool.free)
 }
 
 // freshResult runs c on freshly built scratch.
 func freshResult(t *testing.T, c poolCase) Result {
 	t.Helper()
-	drainIslandPool(t)
+	drainIslandPool()
 	return runCase(t, c)
 }
 
@@ -144,7 +146,7 @@ func TestPooledScratchAfterCancelledRun(t *testing.T) {
 	wantA := freshResult(t, a)
 	wantC := freshResult(t, c)
 	for _, cancelled := range []poolCase{b, c} {
-		drainIslandPool(t)
+		drainIslandPool()
 		ctx, cancel := context.WithCancel(context.Background())
 		cfg := cancelled.cfg
 		cfg.Observer = cancelAtGeneration{gen: 3, cancel: cancel}
@@ -154,5 +156,45 @@ func TestPooledScratchAfterCancelledRun(t *testing.T) {
 		cancel()
 		checkSameResult(t, "A after a cancelled "+cancelled.name, runCase(t, a), wantA)
 		checkSameResult(t, "C after a cancelled "+cancelled.name, runCase(t, c), wantC)
+	}
+}
+
+// Runs reuse pooled islands whichever goroutine (and so whichever
+// scheduler P) they run on, and the pool holds no more islands than were
+// in use at once: the 3 of island case A, or 8 runs' worth when 8 run
+// concurrently.
+func TestIslandPoolReusedAcrossGoroutines(t *testing.T) {
+	a, b := poolCases()
+	drainIslandPool()
+	for i := 0; i < 6; i++ {
+		c := a
+		if i%2 == 1 {
+			c = b
+		}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			if _, err := Run(c.d, c.cfg); err != nil {
+				t.Error(err)
+			}
+		}()
+		<-done
+		if n := pooledIslands(); n != a.cfg.Islands {
+			t.Fatalf("after run %d the pool holds %d islands, want %d", i, n, a.cfg.Islands)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := Run(a.d, a.cfg); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := pooledIslands(); n > 8*a.cfg.Islands {
+		t.Fatalf("pool holds %d islands, more than the %d ever in use at once", n, 8*a.cfg.Islands)
 	}
 }

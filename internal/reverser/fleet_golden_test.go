@@ -15,16 +15,18 @@ import (
 )
 
 // fleetGoldenPath records the SHA-256 of real pipeline output: each
-// fleet car's schema-v1 result document at the quick GP budget, and two
-// light cars' at the paper budget, all on rig seed 1. TestResultSchemaGolden
+// fleet car's schema-v1 result document at the quick GP budget, and three
+// cars' at the paper budget, all on rig seed 1. TestResultSchemaGolden
 // pins the document's shape on a hand-built result; this pins what the
 // GP engine actually finds, so an engine change that claims identical
 // output has to prove it.
 const fleetGoldenPath = "testdata/fleet_results_sha256.golden"
 
-// paperGoldenCars are the cars also pinned at the paper budget: light
-// enough that the whole test stays within a few seconds.
-var paperGoldenCars = []string{"Car A", "Car M"}
+// paperGoldenCars are the cars also pinned at the paper budget: Cars A
+// and M are light, and Car K's formula streams breed for the whole
+// budget, so its digest pins the breeding loop. The test stays within a
+// few seconds.
+var paperGoldenCars = []string{"Car A", "Car M", "Car K"}
 
 // goldenBudget returns the pipeline configuration of a named GP budget:
 // "quick" is dpreversed -quick's (population 150, 10 generations),
