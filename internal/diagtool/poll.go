@@ -2,6 +2,7 @@ package diagtool
 
 import (
 	"fmt"
+	"math"
 
 	"dpreverser/internal/vehicle"
 
@@ -297,16 +298,30 @@ func (t *Tool) TestRunning() bool { return t.testRunning }
 // names for enums ("Off"/"On"/"State 3"), numbers with magnitude-dependent
 // precision otherwise.
 func formatValue(v float64, enum bool) string {
-	switch {
-	case enum:
+	if enum {
 		return stateText(v)
-	case v >= 1000 || v <= -1000:
-		return fmt.Sprintf("%.0f", v)
-	case v >= 100 || v <= -100:
-		return fmt.Sprintf("%.1f", v)
-	default:
-		return fmt.Sprintf("%.2f", v)
 	}
+	return fmt.Sprintf("%.*f", displayDecimals(v), v)
+}
+
+// displayDecimals is how many decimals the tool shows for the numeric
+// value v: 2 below 100, 1 below 1000, none from 1000 up (in magnitude).
+func displayDecimals(v float64) int {
+	switch {
+	case v >= 1000 || v <= -1000:
+		return 0
+	case v >= 100 || v <= -100:
+		return 1
+	default:
+		return 2
+	}
+}
+
+// DisplayStep is the resolution the tool renders the numeric value v
+// with: 0.01 below 100, 0.1 below 1000 and 1 from 1000 up (in
+// magnitude). A value read off the screen is v rounded to this step.
+func DisplayStep(v float64) float64 {
+	return math.Pow10(-displayDecimals(v))
 }
 
 // stateText names a state value the way tools render stateful ESVs.

@@ -20,6 +20,7 @@ import (
 	"dpreverser/internal/gp"
 	"dpreverser/internal/kwp"
 	"dpreverser/internal/obd"
+	"dpreverser/internal/oracle"
 	"dpreverser/internal/reverser"
 	"dpreverser/internal/rig"
 	"dpreverser/internal/sim"
@@ -343,23 +344,11 @@ func TruthFor(veh *vehicle.Vehicle, key reverser.StreamKey) (Truth, bool) {
 }
 
 // FormulaCorrect scores an inferred formula against ground truth over the
-// stream's observed (aggregated) domain — the paper's acceptance criterion:
-// outputs "almost the same" over the values seen in traffic.
+// stream's observed (aggregated) domain — the paper's acceptance criterion,
+// outputs "almost the same" over the values seen in traffic, as the
+// oracle package states it.
 func FormulaCorrect(f *gp.Node, truth Truth, domain [][]float64) bool {
-	if f == nil || len(domain) == 0 {
-		return false
-	}
-	for _, row := range domain {
-		want := truth.Decode(row)
-		if math.IsNaN(want) {
-			return false
-		}
-		got := f.Eval(row)
-		if math.Abs(got-want) > 1.0+0.03*math.Abs(want) {
-			return false
-		}
-	}
-	return true
+	return oracle.Correct(f, truth.Decode, domain)
 }
 
 // markdownTable renders a pipe table.

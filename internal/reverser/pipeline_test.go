@@ -3,14 +3,13 @@ package reverser
 import (
 	"bytes"
 	"context"
-	"math"
 	"testing"
 	"time"
 
 	"dpreverser/internal/diagtool"
 	"dpreverser/internal/ecu"
-	"dpreverser/internal/gp"
 	"dpreverser/internal/ocr"
+	"dpreverser/internal/oracle"
 	"dpreverser/internal/rig"
 	"dpreverser/internal/sim"
 	"dpreverser/internal/vehicle"
@@ -111,7 +110,8 @@ func TestReverseCarMEndToEnd(t *testing.T) {
 		// The inferred formula must agree with the proprietary decode over
 		// the byte values actually observed in traffic — the paper's
 		// functional-equivalence criterion.
-		if !formulaMatchesDecode(cap, e.Key, e.Formula, spec.Codec) {
+		decode := func(vars []float64) float64 { return spec.Codec.Decode(uint64(vars[0])) }
+		if !oracle.Correct(e.Formula, decode, observedVars(cap, e.Key)) {
 			t.Errorf("stream %v (%s): formula %q diverges from truth %q over observed domain",
 				e.Key, e.Label, e.Formula, spec.Codec.Expr)
 		}
@@ -122,34 +122,21 @@ func TestReverseCarMEndToEnd(t *testing.T) {
 	}
 }
 
-// formulaMatchesDecode re-extracts the capture's observations for one
-// stream and checks the inferred formula against the proprietary decode on
-// every observed value — the domain over which the paper scores formula
+// observedVars re-extracts the capture's observations for one stream and
+// returns their variables: the domain over which the paper scores formula
 // equivalence.
-func formulaMatchesDecode(cap rig.Capture, key StreamKey, f *gp.Node, codec ecu.Codec) bool {
+func observedVars(cap rig.Capture, key StreamKey) [][]float64 {
 	messages, _ := Assemble(cap.Frames)
-	ext := ExtractFields(messages)
-	checked := 0
-	for _, o := range ext.ESVs {
+	var domain [][]float64
+	for _, o := range ExtractFields(messages).ESVs {
 		if o.Key != key {
 			continue
 		}
-		vars := o.Variables()
-		if vars == nil {
-			continue
+		if vars := o.Variables(); vars != nil {
+			domain = append(domain, vars)
 		}
-		raw := uint64(0)
-		for _, b := range o.Bytes {
-			raw = raw<<8 | uint64(b)
-		}
-		want := codec.Decode(raw)
-		got := f.Eval(vars)
-		if math.Abs(got-want) > 1.0+0.03*math.Abs(want) {
-			return false
-		}
-		checked++
 	}
-	return checked > 0
+	return domain
 }
 
 func TestReverseRecoversECRsWithSemantics(t *testing.T) {
