@@ -316,6 +316,7 @@ type Machine struct {
 	rbuf  []float64
 	sbuf  []float64
 	ibuf  []int
+	fit   fitScratch
 }
 
 // NewMachine returns an empty machine; buffers grow on first use.

@@ -30,9 +30,8 @@ func checkNoDeferredCached(t *testing.T, what string, e *evaluator) {
 }
 
 // checkFullyScored compares pop with each tree scored on its own, without
-// the cache or deferral. With elite set, pop[0] is the carried champion,
-// whose linear-scaling coefficients the engine does not carry over.
-func checkFullyScored(t *testing.T, what string, isl *island, elite bool) {
+// the cache or deferral.
+func checkFullyScored(t *testing.T, what string, isl *island) {
 	t.Helper()
 	ref := new(evaluator)
 	ref.reset(isl.ev.d, isl.cfg, 1)
@@ -40,9 +39,6 @@ func checkFullyScored(t *testing.T, what string, isl *island, elite bool) {
 	for i, got := range isl.pop {
 		want := ref.scoreOne(Compile(got.tree), got.tree, m, got.tree.Size())
 		same := got.size == want.size && sameBits(got.raw, want.raw) && sameBits(got.fit, want.fit)
-		if !(elite && i == 0) {
-			same = same && sameBits(got.a, want.a) && sameBits(got.b, want.b)
-		}
 		if !same {
 			t.Fatalf("%s: pop[%d] = %+v, scored alone %+v", what, i, got, want)
 		}
@@ -103,7 +99,7 @@ func TestDeferralPreservesBestAndPopulation(t *testing.T) {
 					t.Fatalf("%s: best was pop[%d] (fit %v) before complete, pop[%d] (fit %v) after",
 						what, before, beforeFit, after, afterFit)
 				}
-				checkFullyScored(t, what, isl, gen > 0)
+				checkFullyScored(t, what, isl)
 			}
 			isl.release()
 		}
@@ -221,7 +217,7 @@ func TestMigrateCompletesDeferredScoring(t *testing.T) {
 		if isl.ev.dout != nil {
 			t.Fatalf("%s: scoring still deferred", what)
 		}
-		checkFullyScored(t, what, isl, true)
+		checkFullyScored(t, what, isl)
 		m := migrants[(i+len(islands)-1)%len(islands)]
 		found := false
 		for _, ind := range isl.pop {

@@ -103,9 +103,10 @@ func TestIslandMigrationBoundaryDeterministic(t *testing.T) {
 
 // TestIslandsDiffer confirms islands actually change the search: the
 // island model is a different (decorrelated-seed) trajectory, not a
-// cosmetic wrapper around the panmictic engine.
+// cosmetic wrapper around the panmictic engine. The dataset is one no
+// initial population fits, so both runs have to breed.
 func TestIslandsDiffer(t *testing.T) {
-	d := islandTestDataset()
+	d := noisyDataset()
 	r1, err := Run(d, islandConfig(1, 1))
 	if err != nil {
 		t.Fatal(err)

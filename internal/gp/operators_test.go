@@ -251,7 +251,7 @@ func TestRunRecoversSqrt(t *testing.T) {
 func TestLinearScaleFitsExactly(t *testing.T) {
 	g := []float64{1, 2, 3, 4, 5}
 	y := []float64{12, 14, 16, 18, 20} // y = 2g + 10
-	a, b := linearScale(g, y, make([]float64, len(g)), make([]int, len(g)))
+	a, b := scaleOne(g, y)
 	if math.Abs(a-2) > 1e-9 || math.Abs(b-10) > 1e-9 {
 		t.Fatalf("fit = %v, %v", a, b)
 	}
@@ -260,7 +260,7 @@ func TestLinearScaleFitsExactly(t *testing.T) {
 func TestLinearScaleConstantG(t *testing.T) {
 	g := []float64{3, 3, 3, 3}
 	y := []float64{5, 7, 9, 11}
-	a, b := linearScale(g, y, make([]float64, len(g)), make([]int, len(g)))
+	a, b := scaleOne(g, y)
 	if a != 0 || math.Abs(b-8) > 1e-9 {
 		t.Fatalf("degenerate fit = %v, %v (want 0, mean)", a, b)
 	}
@@ -274,7 +274,7 @@ func TestLinearScaleTrimsOutliers(t *testing.T) {
 	}
 	y[10] = 5000 // decimal-loss style outlier
 	y[30] = 4000
-	a, b := linearScale(g, y, make([]float64, len(g)), make([]int, len(g)))
+	a, b := scaleOne(g, y)
 	if math.Abs(a-2) > 0.05 || math.Abs(b) > 2 {
 		t.Fatalf("trimmed fit = %v, %v (outliers dragged it)", a, b)
 	}
