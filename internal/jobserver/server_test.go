@@ -253,12 +253,25 @@ func TestSubmitIgnoresDeclaredLength(t *testing.T) {
 }
 
 func TestQueueBackpressure(t *testing.T) {
-	srv := New(Config{Shards: 1, QueueDepth: 2, TenantMaxActive: 8, Reverser: quickOpts()}, nil)
+	// The shard's only worker is held on a job that runs until it is
+	// cancelled (a GP that never stops early), so nothing drains the
+	// queue while the test fills it.
+	cfg := reverser.DefaultConfig()
+	cfg.GP.PopulationSize = 150
+	cfg.GP.Generations = 1 << 30
+	cfg.GP.StopFitness = -1
+	srv := New(Config{Shards: 1, QueueDepth: 2, TenantMaxActive: 8,
+		Reverser: []reverser.Option{reverser.WithConfig(cfg)}}, nil)
 	defer srv.Close()
+	gate, err := srv.Submit("acme", carMCapture(t), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, gate, func(s JobState) bool { return s == Running })
+	defer srv.Cancel(gate.ID) // runs before Close, which waits for the worker
 
-	// Fill the single shard directly, without waking the worker (push
-	// would Signal): the queue stays at depth 2 deterministically. The
-	// stuffed jobs are already terminal so the worker skips them at drain.
+	// Fill the shard directly. The stuffed jobs are already terminal, so
+	// the worker skips them once the gate job is cancelled.
 	sh := srv.shards[0]
 	sh.mu.Lock()
 	for i := 0; i < 2; i++ {
@@ -266,7 +279,7 @@ func TestQueueBackpressure(t *testing.T) {
 	}
 	sh.mu.Unlock()
 
-	_, err := srv.Submit("acme", rig.Capture{Car: "Car M"}, "")
+	_, err = srv.Submit("acme", rig.Capture{Car: "Car M"}, "")
 	rej, ok := err.(*RejectionError)
 	if !ok || rej.Reason != "queue-full" {
 		t.Fatalf("submit into a full shard = %v, want queue-full rejection", err)
