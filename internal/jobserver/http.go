@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -15,6 +16,11 @@ import (
 
 // maxCaptureBytes bounds one uploaded capture body.
 const maxCaptureBytes = 256 << 20
+
+// uploadTimeout bounds how long an upload's body may take to arrive, so a
+// stalled client cannot hold a handler and the bytes it has sent. It is a
+// variable only so tests can shorten it.
+var uploadTimeout = 2 * time.Minute
 
 // maxEventWait caps the events endpoint's long-poll hold time.
 const maxEventWait = 30 * time.Second
@@ -37,7 +43,11 @@ const maxEventWait = 30 * time.Second
 // from the server's provider; each scrape first refreshes the runtime
 // and SLO-burn gauges. Rejected submissions return 429 (quota,
 // backpressure) or 503 (draining), both with a Retry-After header and a
-// correlation ID in the body.
+// correlation ID in the body. A submit is checked against the drain and
+// its tenant's quota before its body is read, so those refusals cost no
+// decode and take precedence over a malformed body's 400; the refused
+// body is then discarded to keep the connection. The queue-depth check
+// needs the capture's car and runs after the decode.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /api/v1/jobs", s.handleSubmit)
@@ -102,9 +112,25 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "missing tenant parameter")
 		return
 	}
+	// Neither a reader nor a drain may wait on the body for longer than
+	// uploadTimeout. A recorder has no connection to set it on, and a dead
+	// connection fails the read anyway, so the error is not checked.
+	//dplint:allow determinism a socket deadline is wall time
+	http.NewResponseController(w).SetReadDeadline(time.Now().Add(uploadTimeout)) //nolint:errcheck
+	body := http.MaxBytesReader(w, r.Body, maxCaptureBytes)
+	if rej := s.refuse(tenant); rej != nil {
+		writeRejection(w, rej)
+		// Discarding the body keeps the keep-alive connection. A client
+		// waiting on 100-continue has sent none, and the server closes
+		// its connection instead.
+		if r.Header.Get("Expect") == "" {
+			io.Copy(io.Discard, body) //nolint:errcheck // the refusal is written
+		}
+		return
+	}
 	// The body buffer grows with the bytes that arrive, never with the
 	// length the client declares.
-	cap, err := rig.ReadCapture(http.MaxBytesReader(w, r.Body, maxCaptureBytes))
+	cap, err := rig.ReadCapture(body)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("reading capture: %v", err))
 		return

@@ -376,36 +376,67 @@ func (s *Server) logRejection(tenant string, err error) {
 		telemetry.String("correlation", rej.Correlation))
 }
 
+// refuse runs the admission checks that need no capture, so an upload
+// can be turned away before its body is read. It returns nil or the
+// recorded *RejectionError.
+func (s *Server) refuse(tenant string) *RejectionError {
+	s.mu.Lock()
+	rej := s.refuseLocked(tenant, -1)
+	s.mu.Unlock()
+	if rej != nil {
+		s.logRejection(tenant, rej)
+	}
+	return rej
+}
+
+// refuseLocked is admission's one rule: a draining server, a tenant at
+// its quota, or (for shardIdx >= 0) a full shard refuses. The refusal is
+// booked in the rejection metric and the tenant ledger under a fresh
+// correlation ID. It returns nil when the submission may proceed.
+// Callers hold s.mu.
+func (s *Server) refuseLocked(tenant string, shardIdx int) *RejectionError {
+	var reason string
+	switch {
+	case s.draining:
+		reason = "draining"
+	case s.tenants[tenant] >= s.cfg.TenantMaxActive:
+		reason = "tenant-quota"
+	case shardIdx >= 0 && s.shards[shardIdx].depth() >= s.cfg.QueueDepth:
+		reason = "queue-full"
+	default:
+		return nil
+	}
+	s.met.TenantRejections.With(tenant, reason).Inc()
+	s.rejSeq++
+	s.tstat(tenant).rejected[reason]++
+	return &RejectionError{
+		Reason:      reason,
+		RetryAfter:  s.cfg.RetryAfter,
+		Correlation: fmt.Sprintf("r%d", s.rejSeq),
+	}
+}
+
+// tstat returns the tenant's ledger, creating it. Callers hold s.mu.
+func (s *Server) tstat(tenant string) *tenantStat {
+	st := s.tstats[tenant]
+	if st == nil {
+		st = &tenantStat{rejected: map[string]int{}}
+		s.tstats[tenant] = st
+	}
+	return st
+}
+
 // admitLocked runs admission control and creates the job in its initial
-// state. Callers hold s.mu.
+// state. The queue-depth check applies only to a job queued now, which
+// needs its car for the shard. Callers hold s.mu.
 func (s *Server) admitLocked(tenant, car, streamName string, initial JobState) (*Job, error) {
-	reject := func(reason string) error {
-		s.met.TenantRejections.With(tenant, reason).Inc()
-		s.rejSeq++
-		st := s.tstats[tenant]
-		if st == nil {
-			st = &tenantStat{}
-			s.tstats[tenant] = st
-		}
-		if st.rejected == nil {
-			st.rejected = map[string]int{}
-		}
-		st.rejected[reason]++
-		return &RejectionError{
-			Reason:      reason,
-			RetryAfter:  s.cfg.RetryAfter,
-			Correlation: fmt.Sprintf("r%d", s.rejSeq),
-		}
-	}
-	if s.draining {
-		return nil, reject("draining")
-	}
-	if s.tenants[tenant] >= s.cfg.TenantMaxActive {
-		return nil, reject("tenant-quota")
-	}
 	shardIdx := s.shardFor(tenant, car, streamName)
-	if initial == Queued && s.shards[shardIdx].depth() >= s.cfg.QueueDepth {
-		return nil, reject("queue-full")
+	queued := -1
+	if initial == Queued {
+		queued = shardIdx
+	}
+	if rej := s.refuseLocked(tenant, queued); rej != nil {
+		return nil, rej
 	}
 	s.seq++
 	j := newJob(fmt.Sprintf("j%d", s.seq), tenant, car, streamName, initial, s.clock.Now())
@@ -429,12 +460,7 @@ func (s *Server) admitLocked(tenant, car, streamName string, initial JobState) (
 	s.jobs[j.ID] = j
 	s.order = append(s.order, j.ID)
 	s.tenants[tenant]++
-	st := s.tstats[tenant]
-	if st == nil {
-		st = &tenantStat{}
-		s.tstats[tenant] = st
-	}
-	st.admitted++
+	s.tstat(tenant).admitted++
 	s.met.TenantAdmissions.With(tenant).Inc()
 	s.met.JobsByState.With(initial.String()).Add(1)
 	return j, nil
