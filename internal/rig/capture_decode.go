@@ -119,7 +119,8 @@ func foldRune(r rune) rune {
 	}
 }
 
-// decoder is one decode's cursor over the body.
+// decoder is one decode's cursor over the body. ReadCapture reuses its
+// buffers from decode to decode (capture_io.go).
 type decoder struct {
 	data  []byte
 	pos   int
@@ -136,9 +137,23 @@ type decoder struct {
 	strs map[string]string
 }
 
-// decodeEnvelope decodes the envelope at the start of data.
-func decodeEnvelope(data []byte) (captureEnvelope, error) {
-	d := decoder{data: data, strs: make(map[string]string, 256)}
+// newDecoder returns a decoder with an empty intern table.
+func newDecoder() *decoder { return &decoder{strs: make(map[string]string, 256)} }
+
+// reset drops the last decode's body and every string and slice its
+// buffers still reference, keeping their memory for the next decode.
+func (d *decoder) reset() {
+	d.data, d.pos, d.depth = nil, 0, 0
+	clear(d.uiFrames[:cap(d.uiFrames)])
+	clear(d.rows[:cap(d.rows)])
+	clear(d.texts[:cap(d.texts)])
+	clear(d.clicks[:cap(d.clicks)])
+	clear(d.strs)
+}
+
+// envelope decodes the envelope at the start of data.
+func (d *decoder) envelope(data []byte) (captureEnvelope, error) {
+	d.data = data
 	var env captureEnvelope
 	if ok, err := d.beginObject(); !ok || err != nil {
 		return env, err

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"dpreverser/internal/diagtool"
@@ -306,8 +307,82 @@ func FuzzReadCapture(f *testing.F) {
 		f.Add(m)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// Decoding the seed body first leaves the pooled scratch full of
+		// its buffers, so the input decodes over reused memory.
+		if _, err := ReadCapture(bytes.NewReader(body)); err != nil {
+			t.Fatal(err)
+		}
 		checkAgainstOracle(t, data)
 	})
+}
+
+// reuseBodies returns a full Car M body, a small one and a malformed one.
+func reuseBodies(t testing.TB) [][]byte {
+	p, _ := vehicle.ProfileByCar("Car M")
+	large := saveBody(t, fleetCapture(t, p, 1))
+	return [][]byte{large, saveBody(t, smallCarM(t)), large[:len(large)/2]}
+}
+
+// zeroed reports whether a buffer holds nothing up to its capacity.
+func zeroed[T any](s []T) bool {
+	for _, v := range s[:cap(s)] {
+		if !reflect.ValueOf(v).IsZero() {
+			return false
+		}
+	}
+	return true
+}
+
+// TestDecoderReuse decodes a large capture, a small one, a malformed one
+// and the small one again on one reused decoder and through ReadCapture's
+// pool. Every result must equal a fresh decoder's, and a reset decoder
+// must hold no reference into the capture it decoded.
+func TestDecoderReuse(t *testing.T) {
+	bodies := reuseBodies(t)
+	reused := newDecoder()
+	for i, body := range append(bodies, bodies[1]) {
+		want, wantErr := newDecoder().envelope(body)
+		got, err := reused.envelope(body)
+		if (err == nil) != (wantErr == nil) || err == nil && !reflect.DeepEqual(got, want) {
+			t.Fatalf("decode %d on a reused decoder: err %v, want %v", i, err, wantErr)
+		}
+		reused.reset()
+		if !zeroed(reused.uiFrames) || !zeroed(reused.rows) || !zeroed(reused.texts) ||
+			!zeroed(reused.clicks) || len(reused.strs) != 0 || reused.data != nil {
+			t.Fatalf("decode %d: reset left references in the decoder", i)
+		}
+		pooled, err := ReadCapture(bytes.NewReader(body))
+		if (err == nil) != (wantErr == nil) || err == nil && !reflect.DeepEqual(pooled, want.Capture) {
+			t.Fatalf("decode %d through the pool: err %v, want %v", i, err, wantErr)
+		}
+	}
+}
+
+// TestReadCaptureConcurrent decodes from several goroutines at once, so
+// that -race sees the pool hand each decode its own scratch.
+func TestReadCaptureConcurrent(t *testing.T) {
+	bodies := reuseBodies(t)
+	wants := make([]Capture, len(bodies))
+	for i, body := range bodies {
+		env, _ := newDecoder().envelope(body)
+		wants[i] = env.Capture
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 6; i++ {
+				k := (g + i) % len(bodies)
+				got, err := ReadCapture(bytes.NewReader(bodies[k]))
+				if (err == nil) != (k != 2) || err == nil && !reflect.DeepEqual(got, wants[k]) {
+					t.Errorf("goroutine %d, body %d: err %v or a capture unlike a fresh decode", g, k, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // sink keeps benchmark results live.

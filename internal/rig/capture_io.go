@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sync"
 )
 
 // captureFormatVersion guards against loading captures written by an
@@ -29,16 +30,32 @@ func (c Capture) Save(w io.Writer) error {
 	return nil
 }
 
+// readScratch is one ReadCapture's working memory: the body and the
+// decoder's buffers. ReadCapture pools it, which is safe because nothing
+// in a decoded Capture aliases it: intern and unquote copy strings, and
+// arrays are copied out at their exact length.
+type readScratch struct {
+	body bytes.Buffer
+	dec  *decoder
+}
+
+var readPool = sync.Pool{New: func() any { return &readScratch{dec: newDecoder()} }}
+
+// maxPooledBody keeps a scratch whose body grew past it out of the pool,
+// so one outsized upload does not stay resident.
+const maxPooledBody = 16 << 20
+
 // ReadCapture deserialises a capture written by Save. The body is read
 // whole, then decoded in one pass (capture_decode.go). Bytes after the
 // envelope are read and ignored, and a read error after a complete
 // envelope does not fail the decode.
 func ReadCapture(r io.Reader) (Capture, error) {
+	sc := readPool.Get().(*readScratch)
+	defer sc.release()
 	// bytes.Buffer doubles as it reads; io.ReadAll's append growth would
 	// allocate several times the body on the way up.
-	var body bytes.Buffer
-	_, readErr := body.ReadFrom(r)
-	env, err := decodeEnvelope(body.Bytes())
+	_, readErr := sc.body.ReadFrom(r)
+	env, err := sc.dec.envelope(sc.body.Bytes())
 	switch {
 	case err != nil && readErr != nil:
 		return Capture{}, fmt.Errorf("rig: reading capture: %w", readErr)
@@ -49,6 +66,17 @@ func ReadCapture(r io.Reader) (Capture, error) {
 		return Capture{}, fmt.Errorf("rig: capture format version %d, want %d", env.Version, captureFormatVersion)
 	}
 	return env.Capture, nil
+}
+
+// release returns the scratch to the pool, emptied, unless its body
+// outgrew maxPooledBody.
+func (sc *readScratch) release() {
+	if sc.body.Cap() > maxPooledBody {
+		return
+	}
+	sc.body.Reset()
+	sc.dec.reset()
+	readPool.Put(sc)
 }
 
 // SaveCaptureFile writes the capture to a file.
