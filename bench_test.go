@@ -48,6 +48,19 @@ func kwpDataset() *gp.Dataset {
 	return d
 }
 
+// obdDataset is the Table 5 inference input: the two-byte engine-speed
+// PID with per-byte variables.
+func obdDataset() *gp.Dataset {
+	d := &gp.Dataset{}
+	for hi := 0.0; hi <= 64; hi += 4 {
+		for lo := 0.0; lo <= 255; lo += 32 {
+			d.X = append(d.X, []float64{hi, lo})
+			d.Y = append(d.Y, (256*hi+lo)/4)
+		}
+	}
+	return d
+}
+
 func benchGP(b *testing.B, d *gp.Dataset) {
 	cfg := gp.DefaultConfig()
 	cfg.StopFitness = -1 // full 30×1000 budget, as Table 8 accounts it
@@ -68,15 +81,41 @@ func BenchmarkGPInferKWP(b *testing.B) { benchGP(b, kwpDataset()) }
 
 // BenchmarkGPInferOBD regenerates the Table 5 workload: the two-byte
 // engine-speed PID with per-byte variables.
-func BenchmarkGPInferOBD(b *testing.B) {
-	d := &gp.Dataset{}
-	for hi := 0.0; hi <= 64; hi += 4 {
-		for lo := 0.0; lo <= 255; lo += 32 {
-			d.X = append(d.X, []float64{hi, lo})
-			d.Y = append(d.Y, (256*hi+lo)/4)
+func BenchmarkGPInferOBD(b *testing.B) { benchGP(b, obdDataset()) }
+
+// gpInferOBDAllocBaseline is the allocation count of one quick-budget
+// GPInferOBD run (TestGPInferOBDAllocRatchet's workload): 235–239 on
+// linux/amd64, the upper end under -race. Lower it when a change saves
+// allocations.
+const gpInferOBDAllocBaseline = 240
+
+// gpAllocRatchetSlack is the tolerated growth over the baseline:
+// allocation counts are deterministic enough that anything past 10% means
+// a hot path started allocating.
+const gpAllocRatchetSlack = 1.10
+
+// TestGPInferOBDAllocRatchet fails when GP inference on the Table 5
+// workload, at a quick budget with fixed seeds, allocates more than 10%
+// over gpInferOBDAllocBaseline per run.
+func TestGPInferOBDAllocRatchet(t *testing.T) {
+	d := obdDataset()
+	cfg := gp.DefaultConfig()
+	cfg.PopulationSize = 100
+	cfg.Generations = 5
+	cfg.StopFitness = -1 // full budget, as Table 8 accounts it
+	cfg.Seed = 0
+	allocs := testing.AllocsPerRun(20, func() {
+		cfg.Seed++
+		if _, err := gp.Run(d, cfg); err != nil {
+			t.Fatal(err)
 		}
+	})
+	limit := gpInferOBDAllocBaseline * gpAllocRatchetSlack
+	t.Logf("GPInferOBD: %.0f allocs/run (baseline %d, limit %.0f)", allocs, gpInferOBDAllocBaseline, limit)
+	if allocs > limit {
+		t.Fatalf("GPInferOBD allocs/run regressed: %.0f > %.0f (baseline %d, +10%% slack)",
+			allocs, limit, gpInferOBDAllocBaseline)
 	}
-	benchGP(b, d)
 }
 
 // BenchmarkLinearRegression regenerates Table 8's linear-regression column.
@@ -124,9 +163,12 @@ func BenchmarkISOTPAssemble(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		msgs, _ := reverser.Assemble(frames)
-		if len(msgs) != 100 {
-			b.Fatalf("messages = %d", len(msgs))
+		msgs, _, err := reverser.AssembleColumnar(context.Background(), reverser.FramesColumnar(frames), nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if msgs.Len() != 100 {
+			b.Fatalf("messages = %d", msgs.Len())
 		}
 	}
 }
@@ -150,9 +192,12 @@ func BenchmarkVWTPAssemble(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		msgs, _ := reverser.Assemble(frames)
-		if len(msgs) != 100 {
-			b.Fatalf("messages = %d", len(msgs))
+		msgs, _, err := reverser.AssembleColumnar(context.Background(), reverser.FramesColumnar(frames), nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if msgs.Len() != 100 {
+			b.Fatalf("messages = %d", msgs.Len())
 		}
 	}
 }

@@ -12,8 +12,6 @@
 //	dpreversed                                # HTTP API on 127.0.0.1:8780
 //	dpreversed -addr :8780 -ingest :8781      # plus live canbridge ingest
 //	dpreversed -quick                         # reduced GP budget per job
-//	dpreversed -loadtest -quick               # built-in load generator →
-//	                                          # BENCH_server.json
 //
 // API sketch (see internal/jobserver for the full surface):
 //
@@ -81,13 +79,6 @@ func run() error {
 	ingestFrames := flag.Int("ingest-max-frames", 2_000_000, "per-session ingest frame budget (0 = unlimited)")
 	ingestBytes := flag.Int64("ingest-max-bytes", 64<<20, "per-session ingest payload-byte budget (0 = unlimited)")
 	ingestScreen := flag.Bool("ingest-screen", true, "reject streamed captures carrying transport-layer attack signatures at admission")
-	loadtest := flag.Bool("loadtest", false, "run the built-in load generator instead of serving")
-	ltJobs := flag.Int("jobs", 12, "loadtest: captures to submit")
-	ltTenants := flag.Int("tenants", 3, "loadtest: tenants to spread the jobs across")
-	ltCar := flag.String("car", "Car M", "loadtest: simulated car to capture")
-	out := flag.String("o", "BENCH_server.json", "loadtest: benchmark history file to merge into")
-	date := flag.String("date", "", "loadtest: entry date, YYYY-MM-DD (default: today)")
-	seed := flag.Int64("seed", 1, "loadtest: capture simulation seed")
 	flag.Parse()
 
 	cfg := jobserver.Config{
@@ -106,12 +97,6 @@ func run() error {
 		IngestMaxFrames:   *ingestFrames,
 		IngestMaxBytes:    *ingestBytes,
 		ScreenStreams:     *ingestScreen,
-	}
-	if *loadtest {
-		return runLoadtest(cfg, loadtestOptions{
-			Jobs: *ltJobs, Tenants: *ltTenants, Car: *ltCar,
-			Quick: *quick, Seed: *seed, Out: *out, Date: *date,
-		})
 	}
 	return serve(cfg, *addr, *ingest, *drainTimeout, *logFormat, *logLevel)
 }

@@ -48,7 +48,7 @@ func main() {
 	//    OCR'd text and click timestamps — never the proprietary tables.
 	//    Inference fans out across all CPUs; the result is identical at
 	//    any worker count.
-	rv := reverser.New() // options: WithGPConfig, WithParallelism, WithProgress, ...
+	rv := reverser.New() // options: WithConfig, WithParallelism, WithProgress, ...
 	result, err := rv.Reverse(context.Background(), capture)
 	if err != nil {
 		log.Fatal(err)

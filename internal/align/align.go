@@ -17,7 +17,6 @@ import (
 	"sort"
 	"time"
 
-	"dpreverser/internal/can"
 	"dpreverser/internal/colstore"
 	"dpreverser/internal/isotp"
 	"dpreverser/internal/obd"
@@ -35,24 +34,10 @@ type obdObservation struct {
 	at    time.Duration
 }
 
-// decodeOBDTraffic extracts decoded OBD mode-01 responses from raw frames
-// using only public knowledge (the response CAN ID and J1979 formulas).
-// ParseResponse consumes the reassembled view before the next Feed, so no
-// message is ever materialised.
-func decodeOBDTraffic(frames []can.Frame) []obdObservation {
-	var out []obdObservation
-	var r isotp.Reassembler
-	for _, f := range frames {
-		if f.ID != obd.FirstResponseID {
-			continue
-		}
-		out = decodeOBDFrame(&r, f.Payload(), f.Timestamp, out)
-	}
-	return out
-}
-
-// decodeOBDTrafficColumnar is decodeOBDTraffic over a columnar frame
-// store, indexing payload views instead of per-frame slices.
+// decodeOBDTrafficColumnar extracts decoded OBD mode-01 responses from a
+// columnar frame store using only public knowledge (the response CAN ID
+// and J1979 formulas). ParseResponse consumes the reassembled view before
+// the next Feed, so no message is ever materialised.
 func decodeOBDTrafficColumnar(frames *colstore.Frames) []obdObservation {
 	var out []obdObservation
 	var r isotp.Reassembler
@@ -79,18 +64,12 @@ func decodeOBDFrame(r *isotp.Reassembler, data []byte, at time.Duration, out []o
 	return append(out, obdObservation{pid: pid, value: v, at: at})
 }
 
-// EstimateOffsetOBD estimates the camera-minus-CAN clock offset from an
-// alignment-phase capture. For every decoded OBD response, the matching
-// displayed value is searched on OBD UI frames (same PID name, value equal
-// after display rounding); each match yields one offset sample, and the
-// median is returned — robust to OCR corruption and to values that repeat
-// over time.
-func EstimateOffsetOBD(frames []can.Frame, uiFrames []ocr.Frame) (time.Duration, error) {
-	return estimateOffset(decodeOBDTraffic(frames), uiFrames)
-}
-
-// EstimateOffsetOBDColumnar is EstimateOffsetOBD over a columnar frame
-// store, so the pipeline aligns without materialising per-frame slices.
+// EstimateOffsetOBDColumnar estimates the camera-minus-CAN clock offset
+// from an alignment-phase capture held in a columnar frame store. For
+// every decoded OBD response, the matching displayed value is searched on
+// OBD UI frames (same PID name, value equal after display rounding); each
+// match yields one offset sample, and the median is returned — robust to
+// OCR corruption and to values that repeat over time.
 func EstimateOffsetOBDColumnar(frames *colstore.Frames, uiFrames []ocr.Frame) (time.Duration, error) {
 	return estimateOffset(decodeOBDTrafficColumnar(frames), uiFrames)
 }

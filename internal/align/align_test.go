@@ -5,6 +5,8 @@ import (
 	"testing"
 	"time"
 
+	"dpreverser/internal/can"
+	"dpreverser/internal/colstore"
 	"dpreverser/internal/diagtool"
 	"dpreverser/internal/ocr"
 	"dpreverser/internal/rig"
@@ -32,10 +34,20 @@ func collectAlignment(t *testing.T, cameraOffset time.Duration) rig.Capture {
 	return r.Capture()
 }
 
+// columnar transposes a capture's frames into the store the pipeline
+// aligns over.
+func columnar(frames []can.Frame) *colstore.Frames {
+	fr := colstore.NewFrames(len(frames), 8*len(frames))
+	for i := range frames {
+		fr.Append(frames[i].ID, frames[i].Timestamp, frames[i].Payload())
+	}
+	return fr
+}
+
 func TestEstimateOffsetOBDRecoversSkew(t *testing.T) {
 	for _, skew := range []time.Duration{0, 120 * time.Millisecond, 2 * time.Second} {
 		cap := collectAlignment(t, skew)
-		got, err := EstimateOffsetOBD(cap.Frames, cap.UIFrames)
+		got, err := EstimateOffsetOBDColumnar(columnar(cap.Frames), cap.UIFrames)
 		if err != nil {
 			t.Fatalf("skew %v: %v", skew, err)
 		}
@@ -49,14 +61,14 @@ func TestEstimateOffsetOBDRecoversSkew(t *testing.T) {
 }
 
 func TestEstimateOffsetOBDNoTraffic(t *testing.T) {
-	if _, err := EstimateOffsetOBD(nil, nil); !errors.Is(err, ErrNoAnchors) {
+	if _, err := EstimateOffsetOBDColumnar(colstore.NewFrames(0, 0), nil); !errors.Is(err, ErrNoAnchors) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestEstimateOffsetOBDNoUIMatches(t *testing.T) {
 	cap := collectAlignment(t, 0)
-	if _, err := EstimateOffsetOBD(cap.Frames, nil); !errors.Is(err, ErrNoAnchors) {
+	if _, err := EstimateOffsetOBDColumnar(columnar(cap.Frames), nil); !errors.Is(err, ErrNoAnchors) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -89,7 +101,7 @@ func TestDisplayTolerance(t *testing.T) {
 // within one poll interval.
 func TestAlignmentEndToEnd(t *testing.T) {
 	cap := collectAlignment(t, 1500*time.Millisecond)
-	off, err := EstimateOffsetOBD(cap.Frames, cap.UIFrames)
+	off, err := EstimateOffsetOBDColumnar(columnar(cap.Frames), cap.UIFrames)
 	if err != nil {
 		t.Fatal(err)
 	}

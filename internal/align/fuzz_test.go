@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"dpreverser/internal/can"
+	"dpreverser/internal/colstore"
 	"dpreverser/internal/faults"
 	"dpreverser/internal/isotp"
 	"dpreverser/internal/obd"
@@ -45,18 +46,14 @@ func FuzzPairing(f *testing.F) {
 	f.Add([]byte{0x10, 0xFF}, "", -1e18, uint16(0)) // truncated FF, absurd value
 
 	f.Fuzz(func(t *testing.T, data []byte, label string, value float64, gapMS uint16) {
-		var frames []can.Frame
+		frames := colstore.NewFrames(0, len(data))
 		at := time.Duration(0)
 		for off := 0; off < len(data); off += 8 {
 			end := off + 8
 			if end > len(data) {
 				end = len(data)
 			}
-			frames = append(frames, can.Frame{
-				ID: obd.FirstResponseID, Timestamp: at,
-				Len: end - off, Data: [8]byte{},
-			})
-			copy(frames[len(frames)-1].Data[:], data[off:end])
+			frames.Append(obd.FirstResponseID, at, data[off:end])
 			at += 100 * time.Millisecond
 		}
 		ui := []ocr.Frame{{
@@ -67,7 +64,7 @@ func FuzzPairing(f *testing.F) {
 				{Index: 1, Label: label, Value: "not a number"},
 			},
 		}}
-		off, err := EstimateOffsetOBD(frames, ui)
+		off, err := EstimateOffsetOBDColumnar(frames, ui)
 		if err != nil {
 			if err != ErrNoAnchors {
 				t.Fatalf("unexpected error class: %v", err)

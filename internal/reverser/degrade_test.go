@@ -29,11 +29,11 @@ func TestParseFaultPolicy(t *testing.T) {
 	}
 }
 
-func TestAssembleContextCancelled(t *testing.T) {
+func TestAssembleColumnarCancelled(t *testing.T) {
 	cap, _ := collect(t, "Car M")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := AssembleContext(ctx, cap.Frames, nil)
+	_, _, err := AssembleColumnar(ctx, FramesColumnar(cap.Frames), nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"dpreverser/internal/gp"
 	"dpreverser/internal/reverser"
 	"dpreverser/internal/rig"
 )
@@ -13,13 +12,13 @@ import (
 // uses: start from New, stack WithX options (later options win), then run
 // captures through the immutable Reverser.
 func ExampleOption() {
-	gpCfg := gp.DefaultConfig()
-	gpCfg.Seed = 7
+	cfg := reverser.DefaultConfig()
+	cfg.GP.Seed = 7  // capture seed
+	cfg.MinPairs = 8 // drop under-sampled streams
 
 	rv := reverser.New(
-		reverser.WithGPConfig(gpCfg),                  // engine budget and capture seed
+		reverser.WithConfig(cfg),                      // engine budget, seed and thresholds
 		reverser.WithParallelism(4),                   // four inference workers
-		reverser.WithMinPairs(8),                      // drop under-sampled streams
 		reverser.WithFaultPolicy(reverser.BestEffort), // salvage damaged captures
 		reverser.WithProgress(func(ev reverser.ProgressEvent) {
 			if ev.Kind == reverser.ProgressStreamDone {

@@ -105,24 +105,12 @@ type Extraction struct {
 	kwpSlab []byte
 }
 
-// ExtractFields implements §3.2 Step 3 over an assembled message stream:
-// it pairs responses with the most recent matching request and splits the
-// payloads into manufacturer-defined fields. It is a compatibility
-// wrapper: the messages are transposed into a columnar store and handed
-// to ExtractFieldsColumnar, which the pipeline calls directly.
-func ExtractFields(messages []Message) *Extraction {
-	ms := colstore.NewMessages(len(messages), 0)
-	for _, m := range messages {
-		ms.Append(m.At, m.ID, m.Addr, uint8(m.Transport), m.Payload)
-	}
-	return ExtractFieldsColumnar(ms)
-}
-
 // transportKinds bounds the pairing state arrays below.
 const transportKinds = 3
 
-// ExtractFieldsColumnar runs field extraction by indexing into the
-// columnar message store. Pairing state lives in transport-indexed
+// ExtractFieldsColumnar implements §3.2 Step 3 over an assembled message
+// store: it pairs responses with the most recent matching request and
+// splits the payloads into manufacturer-defined fields. Pairing state lives in transport-indexed
 // arrays — requests and responses travel on different CAN IDs (and, for
 // BMW, carry each other's addresses), but a capture's conversation is
 // serialised per transport kind, since tools wait for each response

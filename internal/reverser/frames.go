@@ -41,17 +41,6 @@ func (t TransportKind) String() string {
 	}
 }
 
-// Message is one assembled application-layer payload.
-type Message struct {
-	At time.Duration
-	// ID is the CAN identifier the message arrived on.
-	ID uint32
-	// Addr is the BMW extended address when Transport == TransportBMW.
-	Addr      byte
-	Transport TransportKind
-	Payload   []byte
-}
-
 // TrafficStats reproduces Table 9's frame-mix measurements.
 type TrafficStats struct {
 	// ISO-TP frame counts (single, first, consecutive, flow control).
@@ -175,54 +164,10 @@ func FramesColumnar(frames []can.Frame) *colstore.Frames {
 	return fr
 }
 
-// Assemble processes a capture in order and returns the application
-// messages. Channel-setup frames teach it which IDs carry VW TP 2.0.
-func Assemble(frames []can.Frame) ([]Message, TrafficStats) {
-	return AssembleObserved(frames, nil)
-}
-
-// AssembleObserved is Assemble with a per-error observer (nil is allowed
-// and equivalent to Assemble).
-func AssembleObserved(frames []can.Frame, obs AssemblyObserver) ([]Message, TrafficStats) {
-	messages, stats, _ := AssembleContext(context.Background(), frames, obs)
-	return messages, stats
-}
-
 // assembleCheckEvery is how often the assembly loop polls ctx: captures run
 // to millions of frames, so the loop must notice cancellation without
 // paying a ctx.Err() per frame.
 const assembleCheckEvery = 1024
-
-// AssembleContext is AssembleObserved with cooperative cancellation: the
-// frame loop checks ctx periodically and returns ctx's error (plus the
-// stats gathered so far) when the caller gives up mid-capture.
-//
-// It materialises one owned Message (with a fresh payload copy) per
-// assembled message; the pipeline itself runs on AssembleColumnar, which
-// keeps everything in the columnar store.
-func AssembleContext(ctx context.Context, frames []can.Frame, obs AssemblyObserver) ([]Message, TrafficStats, error) {
-	a := newAssembler()
-	a.onError = obs
-	for i, f := range frames {
-		if i%assembleCheckEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, a.stats, err
-			}
-		}
-		a.feed(f.Timestamp, f.ID, f.Payload())
-	}
-	a.finish()
-	a.ms.SortStableByTime()
-	messages := make([]Message, a.ms.Len())
-	for i := range messages {
-		messages[i] = Message{
-			At: a.ms.At(i), ID: a.ms.ID(i), Addr: a.ms.Addr(i),
-			Transport: TransportKind(a.ms.Transport(i)),
-			Payload:   append([]byte(nil), a.ms.Payload(i)...),
-		}
-	}
-	return messages, a.stats, nil
-}
 
 // AssembleColumnar is the pipeline's assembly entry: it screens and
 // reassembles a columnar frame store into a columnar message store,

@@ -2,10 +2,12 @@ package reverser
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"dpreverser/internal/bmwtp"
 	"dpreverser/internal/can"
+	"dpreverser/internal/colstore"
 	"dpreverser/internal/isotp"
 	"dpreverser/internal/vwtp"
 )
@@ -17,6 +19,16 @@ func framesFromData(id uint32, fields [][]byte) []can.Frame {
 		out = append(out, can.MustFrame(id, d))
 	}
 	return out
+}
+
+// assemble runs the pipeline's assembly path over a row-oriented capture.
+func assemble(t testing.TB, frames []can.Frame) (*colstore.Messages, TrafficStats) {
+	t.Helper()
+	msgs, stats, err := AssembleColumnar(context.Background(), FramesColumnar(frames), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return msgs, stats
 }
 
 func TestAssembleISOTPSingleAndMulti(t *testing.T) {
@@ -34,15 +46,15 @@ func TestAssembleISOTPSingleAndMulti(t *testing.T) {
 	// A flow-control frame interleaves on the request ID.
 	frames = append(frames, can.MustFrame(0x7E0, isotp.EncodeFlowControl(isotp.ContinueToSend, 0, 0)))
 
-	msgs, stats := Assemble(frames)
-	if len(msgs) != 2 {
-		t.Fatalf("messages = %d, want 2", len(msgs))
+	msgs, stats := assemble(t, frames)
+	if msgs.Len() != 2 {
+		t.Fatalf("messages = %d, want 2", msgs.Len())
 	}
-	if !bytes.Equal(msgs[0].Payload, []byte{0x3E, 0x00}) {
-		t.Fatalf("first message = % X", msgs[0].Payload)
+	if !bytes.Equal(msgs.Payload(0), []byte{0x3E, 0x00}) {
+		t.Fatalf("first message = % X", msgs.Payload(0))
 	}
-	if !bytes.Equal(msgs[1].Payload, long) {
-		t.Fatalf("second message = % X", msgs[1].Payload)
+	if !bytes.Equal(msgs.Payload(1), long) {
+		t.Fatalf("second message = % X", msgs.Payload(1))
 	}
 	if stats.ISOTPSingle != 1 || stats.ISOTPFirst != 1 || stats.ISOTPFlowControl != 1 {
 		t.Fatalf("stats = %+v", stats)
@@ -65,15 +77,15 @@ func TestAssembleVWTPLearnsChannelFromSetup(t *testing.T) {
 	// An ACK frame must be screened out.
 	frames = append(frames, can.MustFrame(0x741, vwtp.EncodeACK(1, true)))
 
-	msgs, stats := Assemble(frames)
-	if len(msgs) != 1 {
-		t.Fatalf("messages = %d, want 1 (stats %+v)", len(msgs), stats)
+	msgs, stats := assemble(t, frames)
+	if msgs.Len() != 1 {
+		t.Fatalf("messages = %d, want 1 (stats %+v)", msgs.Len(), stats)
 	}
-	if !bytes.Equal(msgs[0].Payload, payload) {
-		t.Fatalf("payload = % X", msgs[0].Payload)
+	if !bytes.Equal(msgs.Payload(0), payload) {
+		t.Fatalf("payload = % X", msgs.Payload(0))
 	}
-	if msgs[0].Transport != TransportVWTP {
-		t.Fatalf("transport = %v", msgs[0].Transport)
+	if TransportKind(msgs.Transport(0)) != TransportVWTP {
+		t.Fatalf("transport = %v", TransportKind(msgs.Transport(0)))
 	}
 	if stats.VWTPControl < 2 { // setup + ACK
 		t.Fatalf("stats = %+v", stats)
@@ -90,15 +102,15 @@ func TestAssembleBMWExtendedAddressing(t *testing.T) {
 		t.Fatal(err)
 	}
 	frames := framesFromData(0x629, fields)
-	msgs, stats := Assemble(frames)
-	if len(msgs) != 1 {
-		t.Fatalf("messages = %d (stats %+v)", len(msgs), stats)
+	msgs, stats := assemble(t, frames)
+	if msgs.Len() != 1 {
+		t.Fatalf("messages = %d (stats %+v)", msgs.Len(), stats)
 	}
-	if msgs[0].Transport != TransportBMW || msgs[0].Addr != 0xF1 {
-		t.Fatalf("message = %+v", msgs[0])
+	if TransportKind(msgs.Transport(0)) != TransportBMW || msgs.Addr(0) != 0xF1 {
+		t.Fatalf("message transport = %v, addr = %#x", TransportKind(msgs.Transport(0)), msgs.Addr(0))
 	}
-	if !bytes.Equal(msgs[0].Payload, payload) {
-		t.Fatalf("payload = % X", msgs[0].Payload)
+	if !bytes.Equal(msgs.Payload(0), payload) {
+		t.Fatalf("payload = % X", msgs.Payload(0))
 	}
 	if stats.ISOTPFirst != 1 {
 		t.Fatalf("stats = %+v", stats)
@@ -127,13 +139,13 @@ func TestAssembleInterleavedIDs(t *testing.T) {
 			frames = append(frames, can.MustFrame(0x703, fb[i]))
 		}
 	}
-	msgs, _ := Assemble(frames)
-	if len(msgs) != 2 {
-		t.Fatalf("messages = %d, want 2", len(msgs))
+	msgs, _ := assemble(t, frames)
+	if msgs.Len() != 2 {
+		t.Fatalf("messages = %d, want 2", msgs.Len())
 	}
 	got := map[uint32][]byte{}
-	for _, m := range msgs {
-		got[m.ID] = m.Payload
+	for i := 0; i < msgs.Len(); i++ {
+		got[msgs.ID(i)] = msgs.Payload(i)
 	}
 	if !bytes.Equal(got[0x701], longA) || !bytes.Equal(got[0x703], longB) {
 		t.Fatal("interleaved reassembly corrupted")
@@ -144,7 +156,7 @@ func TestAssembleCountsErrors(t *testing.T) {
 	frames := []can.Frame{
 		can.MustFrame(0x700, []byte{0x22, 1, 2, 3, 4, 5, 6, 7}), // CF without FF
 	}
-	_, stats := Assemble(frames)
+	_, stats := assemble(t, frames)
 	if stats.AssemblyErrors != 1 {
 		t.Fatalf("AssemblyErrors = %d", stats.AssemblyErrors)
 	}

@@ -122,13 +122,19 @@ func TestReverseCarMEndToEnd(t *testing.T) {
 	}
 }
 
+// extractCapture runs the pipeline's assembly and field extraction over a
+// capture.
+func extractCapture(cap rig.Capture) *Extraction {
+	msgs, _, _ := AssembleColumnar(context.Background(), FramesColumnar(cap.Frames), nil)
+	return ExtractFieldsColumnar(msgs)
+}
+
 // observedVars re-extracts the capture's observations for one stream and
 // returns their variables: the domain over which the paper scores formula
 // equivalence.
 func observedVars(cap rig.Capture, key StreamKey) [][]float64 {
-	messages, _ := Assemble(cap.Frames)
 	var domain [][]float64
-	for _, o := range ExtractFields(messages).ESVs {
+	for _, o := range extractCapture(cap).ESVs {
 		if o.Key != key {
 			continue
 		}
@@ -337,8 +343,7 @@ func TestReverseFromPersistedCapture(t *testing.T) {
 // must classify them as requests and not let them disturb ESV streams.
 func TestKWPIdentificationTrafficScreened(t *testing.T) {
 	cap, _ := collect(t, "Car B")
-	messages, _ := Assemble(cap.Frames)
-	ext := ExtractFields(messages)
+	ext := extractCapture(cap)
 	if ext.Requests[0x1A] == 0 {
 		t.Fatal("no readECUIdentification requests in the capture")
 	}

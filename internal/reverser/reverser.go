@@ -91,23 +91,16 @@ type Reverser struct {
 
 // Option configures a Reverser. All options follow the WithX naming
 // convention and compose left to right: later options override earlier
-// ones. The full set is WithConfig, WithGPConfig, WithParallelism,
-// WithProgress, WithTelemetry, WithFaultPolicy, WithPairMaxGap and
-// WithMinPairs.
+// ones. The full set is WithConfig, WithParallelism, WithProgress,
+// WithTelemetry and WithFaultPolicy.
 type Option func(*Reverser)
 
-// WithConfig replaces the whole pipeline configuration at once. It
-// composes with the finer-grained options below: later options win.
+// WithConfig replaces the whole pipeline configuration at once: the GP
+// engine's budget and seed, PairMaxGap and MinPairs. The GP Seed acts as
+// the capture seed: every stream derives its own RNG from it
+// and the stream key, so results are byte-identical at any parallelism.
 func WithConfig(cfg Config) Option {
 	return func(rv *Reverser) { rv.cfg = cfg }
-}
-
-// WithGPConfig sets the symbolic-regression engine configuration. The
-// configured Seed acts as the capture seed: every stream derives its own
-// RNG from it and the stream key, so results are byte-identical at any
-// parallelism.
-func WithGPConfig(cfg gp.Config) Option {
-	return func(rv *Reverser) { rv.cfg.GP = cfg }
 }
 
 // WithParallelism caps the concurrent per-stream inference workers.
@@ -131,18 +124,6 @@ func WithProgress(fn ProgressFunc) Option {
 // disables instrumentation; timing then comes from a private wall clock.
 func WithTelemetry(p *telemetry.Provider) Option {
 	return func(rv *Reverser) { rv.tel = p }
-}
-
-// WithPairMaxGap sets the largest traffic-to-video timestamp distance that
-// still pairs an X observation with a Y sample.
-func WithPairMaxGap(d time.Duration) Option {
-	return func(rv *Reverser) { rv.cfg.PairMaxGap = d }
-}
-
-// WithMinPairs sets the smallest usable (X, Y) dataset; streams with fewer
-// pairs are reported without a formula.
-func WithMinPairs(n int) Option {
-	return func(rv *Reverser) { rv.cfg.MinPairs = n }
 }
 
 // New builds a Reverser from DefaultConfig plus the given options.

@@ -174,15 +174,16 @@ func TestReverseProgressEvents(t *testing.T) {
 }
 
 func TestOptionsApply(t *testing.T) {
-	gpCfg := DefaultConfig().GP
-	gpCfg.Seed = 99
+	cfg := DefaultConfig()
+	cfg.GP.Seed = 99
+	cfg.PairMaxGap = 250 * time.Millisecond
+	cfg.MinPairs = 17
 	rv := New(
-		WithGPConfig(gpCfg),
-		WithPairMaxGap(250*time.Millisecond),
-		WithMinPairs(17),
-		WithParallelism(3),
+		WithParallelism(5),
+		WithConfig(cfg),
+		WithParallelism(3), // a later option overrides an earlier one
 	)
-	cfg := rv.Config()
+	cfg = rv.Config()
 	if cfg.GP.Seed != 99 || cfg.PairMaxGap != 250*time.Millisecond || cfg.MinPairs != 17 {
 		t.Fatalf("options not applied: %+v", cfg)
 	}
