@@ -6,6 +6,13 @@ import (
 	"testing"
 )
 
+// drawAll draws and scores the island's whole initial population.
+func drawAll(isl *island) {
+	for len(isl.pop) < len(isl.pops[isl.cur]) {
+		isl.drawChunk()
+	}
+}
+
 // firstBest returns the index and fitness bestOf picks: the first of the
 // lowest fits.
 func firstBest(pop []individual) (int, float64) {
@@ -82,7 +89,7 @@ func TestDeferralPreservesBestAndPopulation(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.PopulationSize = 120
 			isl := acquireIsland(d, cfg, FunctionSet, cfg.PopulationSize, seed, workers)
-			isl.init()
+			drawAll(isl)
 			for gen := 0; gen < 5; gen++ {
 				what := fmt.Sprintf("dataset %d, workers %d, seed %d, generation %d", di, workers, seed, gen)
 				if gen > 0 {
@@ -140,17 +147,17 @@ func TestDeferralKeepsTiesScored(t *testing.T) {
 	}
 }
 
-// On a dataset that converges at generation 0, the parsimony bound rules
-// out most of the initial population: fewer than half of the misses run
-// the VM before the run would stop.
+// On a dataset that converges on the first chunk of its initial
+// population, the parsimony bound rules out most of that chunk: fewer than
+// half of the misses run the VM before the run would stop.
 func TestDeferralSkipsMostMissesAtConvergence(t *testing.T) {
 	d := udsLikeDataset()
 	cfg := DefaultConfig()
 	isl := acquireIsland(d, cfg, FunctionSet, cfg.PopulationSize, cfg.Seed, 1)
 	defer isl.release()
-	isl.init()
+	isl.drawChunk()
 	if isl.best.raw > cfg.StopFitness {
-		t.Fatalf("best raw %v, want convergence at generation 0", isl.best.raw)
+		t.Fatalf("best raw %v, want convergence on the first chunk", isl.best.raw)
 	}
 	e := isl.ev
 	if e.dout == nil {
@@ -169,7 +176,7 @@ func TestReleaseDropsDeferredScoring(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.PopulationSize = 200
 	isl := acquireIsland(udsLikeDataset(), cfg, FunctionSet, cfg.PopulationSize, 1, 1)
-	isl.init()
+	drawAll(isl)
 	e := isl.ev
 	if e.dout == nil {
 		t.Fatal("nothing deferred")
@@ -196,7 +203,7 @@ func TestMigrateCompletesDeferredScoring(t *testing.T) {
 		islands[i] = acquireIsland(udsLikeDataset(), cfg, FunctionSet, cfg.PopulationSize/4, islandSeed(1, i), 1)
 		defer islands[i].release()
 	}
-	stepAll(islands, (*island).init)
+	stepAll(islands, drawAll)
 	stepAll(islands, (*island).step)
 	deferred := 0
 	for _, isl := range islands {

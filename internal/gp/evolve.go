@@ -193,7 +193,7 @@ type individual struct {
 	// raw is the MAE of the program's least-squares fit (see rawScore);
 	// fit adds the parsimony penalty. The fit's coefficients are a pure
 	// function of the program, so only the champion's are ever
-	// recomputed, at the end of the run.
+	// recomputed: for the early-stop check and at the end of the run.
 	raw float64
 	fit float64
 }
@@ -674,8 +674,7 @@ func RunContext(ctx context.Context, d *Dataset, cfg Config) (Result, error) {
 			isl.release()
 		}
 	}()
-	stepAll(islands, (*island).init)
-	best := globalBest(islands)
+	best := drawInitial(islands, cfg)
 	observe(cfg.Observer, 0, best, islands)
 
 	gens := 0
@@ -800,7 +799,12 @@ func acquireIsland(d *Dataset, cfg Config, funcs []Op, popSize int, seed int64, 
 	isl.pops[1] = resize(isl.pops[1], popSize)
 	// fits mirrors pop's fitness column densely for the tournament loop.
 	isl.fits = resize(isl.fits, popSize)
-	isl.children = resize(isl.children, popSize-1)
+	// children[i] is the tree being scored into population slot i: a
+	// chunk of the initial population, then each generation's bred
+	// children (slot 0 is the elite's).
+	isl.children = resize(isl.children, popSize)
+	// pop is the drawn prefix of the initial population until it is whole.
+	isl.pop = isl.pops[0][:0]
 	isl.pick = newIntn(popSize)
 	return isl
 }
@@ -824,17 +828,70 @@ func resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// init scores the initial random population and seeds the champion.
-func (isl *island) init() {
-	isl.gen.arena = isl.arenas[isl.cur]
+// initChunk is how many programs of its initial population an island
+// draws and scores per round. It is one quick-budget population, and a
+// multiple of the ramp's six-program cycle (three depths, grown or full),
+// so every round ends on a balanced sample.
+const initChunk = 150
+
+// drawInitial draws and scores the islands' initial populations, every
+// island advancing initChunk programs per round, and returns the
+// champion. After a round that leaves programs undrawn, the run stops
+// early, with the rest never drawn, if the champion meets the stop and
+// its materialised program predicts every row within 2·StopFitness: a
+// trimmed MAE alone can pass a formula that is wrong on the trimmed rows.
+// Otherwise every island ends with exactly the population, cache and
+// counters that scoring it as one batch would have left.
+func drawInitial(islands []*island, cfg Config) individual {
+	for {
+		stepAll(islands, (*island).drawChunk)
+		best := globalBest(islands)
+		undrawn := false
+		for _, isl := range islands {
+			undrawn = undrawn || len(isl.pop) < len(isl.pops[isl.cur])
+		}
+		if !undrawn {
+			return best
+		}
+		if best.raw <= cfg.StopFitness {
+			ev := islands[0].ev
+			if ev.fitsEveryRow(ev.materialise(best.tree), 2*cfg.StopFitness) {
+				return best
+			}
+		}
+	}
+}
+
+// drawChunk draws the island's next initChunk initial programs, scores
+// them and updates the champion. It first completes the previous chunk's
+// deferred scoring, so a program the new chunk repeats is a cache hit,
+// just as an in-batch duplicate would be.
+func (isl *island) drawChunk() {
+	isl.complete()
 	pop := isl.pops[isl.cur]
-	isl.ev.scoreAll(isl.gen.rampedHalfAndHalf(len(pop), max(isl.cfg.MaxDepth/2, 3)), pop, math.Inf(1))
-	isl.pop = pop
-	for i := range pop {
+	lo := len(isl.pop)
+	hi := min(lo+initChunk, len(pop))
+	if lo == hi {
+		return
+	}
+	isl.gen.arena = isl.arenas[isl.cur]
+	trees := isl.children[lo:hi]
+	isl.gen.ramp(trees, lo, max(isl.cfg.MaxDepth/2, 3))
+	bestFit := math.Inf(1)
+	if lo > 0 {
+		bestFit = isl.best.fit
+	}
+	isl.ev.scoreAll(trees, pop[lo:hi], bestFit)
+	isl.pop = pop[:hi]
+	for i := lo; i < hi; i++ {
 		isl.fits[i] = pop[i].fit
 	}
-	isl.best = bestOf(pop)
-	isl.best.tree = isl.best.tree.Clone()
+	// bestOf keeps the first of equal fits, so a later chunk takes over
+	// only with a strictly better program.
+	if b := bestOf(pop[lo:hi]); lo == 0 || b.fit < isl.best.fit {
+		isl.best = b
+		isl.best.tree = b.tree.Clone()
+	}
 }
 
 // complete scores whatever the island's last scoring deferred and
@@ -858,14 +915,15 @@ func (isl *island) step() {
 	build := isl.arenas[1-isl.cur]
 	build.reset()
 	isl.gen.arena = build
-	for i := range isl.children {
-		isl.children[i] = isl.breed()
+	children := isl.children[1:]
+	for i := range children {
+		children[i] = isl.breed()
 	}
 	next := isl.pops[1-isl.cur]
 	// Elitism: carry the champion over unchanged.
 	elite, _ := copyInto(build, isl.best.tree)
 	next[0] = individual{tree: elite, size: isl.best.size, raw: isl.best.raw, fit: isl.best.fit}
-	isl.ev.scoreAll(isl.children, next[1:], isl.best.fit)
+	isl.ev.scoreAll(children, next[1:], isl.best.fit)
 	isl.pop = next
 	isl.cur = 1 - isl.cur
 	for i := range next {

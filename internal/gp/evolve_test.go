@@ -248,10 +248,8 @@ func TestTournamentPicksFitter(t *testing.T) {
 
 func TestRampedHalfAndHalfShapes(t *testing.T) {
 	gen := &generator{rng: newTestRNG(2), numVars: 2, funcs: FunctionSet, constMin: -1, constMax: 1}
-	pop := gen.rampedHalfAndHalf(100, 6)
-	if len(pop) != 100 {
-		t.Fatalf("population size = %d", len(pop))
-	}
+	pop := make([]*Node, 100)
+	gen.ramp(pop, 0, 6)
 	maxDepth := 0
 	for _, tr := range pop {
 		if d := tr.Depth(); d > maxDepth {
@@ -370,7 +368,7 @@ func TestStepAllocatesNothing(t *testing.T) {
 	cfg.PopulationSize = 200
 	isl := acquireIsland(udsLikeDataset(), cfg, FunctionSet, cfg.PopulationSize, cfg.Seed, 1)
 	defer isl.release()
-	isl.init()
+	drawAll(isl)
 	for g := 0; g < 3; g++ {
 		isl.step()
 	}

@@ -104,6 +104,18 @@ func (e *evaluator) materialise(t *Node) *Node {
 	return out
 }
 
+// fitsEveryRow reports whether program t predicts every row of the
+// evaluator's dataset within tol.
+func (e *evaluator) fitsEveryRow(t *Node, tol float64) bool {
+	preds := e.comp.Compile(t).Eval(e.batch, e.machines[0])
+	for i, p := range preds {
+		if !(math.Abs(p-e.batch.y[i]) <= tol) {
+			return false
+		}
+	}
+	return true
+}
+
 // splitTerms collects the non-constant terms of t's root +/− chain and
 // evaluates them into f.cols in ascending order of their canonical keys,
 // which is independent of commutative operand order. It returns their

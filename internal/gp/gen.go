@@ -66,18 +66,19 @@ func (g *generator) full(depth int) *Node {
 	return g.node(Node{Op: op, L: g.full(depth - 1), R: g.full(depth - 1)})
 }
 
-// rampedHalfAndHalf builds the initial population: tree depths ramp from 2
-// to maxDepth, half grown and half full — the standard Koza initialisation
-// gplearn uses.
-func (g *generator) rampedHalfAndHalf(n, maxDepth int) []*Node {
-	out := make([]*Node, 0, n)
-	for i := 0; i < n; i++ {
+// ramp draws initial-population programs lo, lo+1, … into trees: ramped
+// half-and-half, the standard Koza initialisation gplearn uses. Program i
+// has depth 2 + i%(maxDepth-1) and is grown when i is even, full when
+// odd, so its shape depends only on i and every prefix of the population
+// is a balanced sample of depths and methods.
+func (g *generator) ramp(trees []*Node, lo, maxDepth int) {
+	for j := range trees {
+		i := lo + j
 		depth := 2 + i%(maxDepth-1)
 		if i%2 == 0 {
-			out = append(out, g.grow(depth))
+			trees[j] = g.grow(depth)
 		} else {
-			out = append(out, g.full(depth))
+			trees[j] = g.full(depth)
 		}
 	}
-	return out
 }

@@ -84,10 +84,16 @@ func runMatrix() []poolCase {
 			{"stop0", with(base(seed), func(c *Config) { c.StopFitness = 0 })},
 			{"gens1", with(base(seed), func(c *Config) { c.Generations = 1 })},
 			{"islands4-stop0", with(base(seed), func(c *Config) { c.Islands, c.MigrationInterval, c.StopFitness = 4, 2, 0 })},
+			{"stopneg", with(base(seed), func(c *Config) { c.StopFitness = -1 })},
 		} {
 			cases = append(cases, poolCase{name: ds.name + "/" + v.name, d: ds.d, cfg: v.cfg})
 		}
 	}
+	// At seed 7 the first 150 programs of the rpm population miss the
+	// stop and the rest of the 300 meet it: the run must draw and score
+	// its whole initial population.
+	cases = append(cases, poolCase{name: "rpm/seed7-pop300", d: islandTestDataset(),
+		cfg: with(base(7), func(c *Config) { c.PopulationSize = 300 })})
 	return cases
 }
 

@@ -229,6 +229,8 @@ func (j *Job) Snapshot() Snapshot {
 }
 
 // Result returns the completed result, or nil while the job is not Done.
+// Its Streams are nil: the job drops the per-stream inference inputs when
+// it ends, since neither the result document nor any endpoint reads them.
 func (j *Job) Result() *reverser.Result {
 	j.mu.Lock()
 	defer j.mu.Unlock()

@@ -605,11 +605,15 @@ func (s *Server) finalize(j *Job, final JobState, res *reverser.Result, errMsg s
 		log.Info("job-finished", attrs...)
 	}
 
+	// The run is over (or never happens): drop the capture, which is most
+	// of a job's memory, and the result's per-stream datasets, which no
+	// endpoint serves. Snapshot keeps the frame count.
+	if res != nil {
+		res.Streams = nil
+	}
 	j.state = final
 	j.result = res
 	j.errMsg = errMsg
-	// The run is over (or never happens): drop the capture, which is most
-	// of a job's memory. Snapshot keeps the frame count.
 	j.capture = rig.Capture{}
 	j.finished = finished
 	j.notifyLocked()

@@ -3,6 +3,7 @@ package jobserver
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -206,6 +207,9 @@ func TestQuotaSlotFreeOnceTerminal(t *testing.T) {
 	}
 }
 
+// A done job drops its capture and its result's per-stream datasets. Its
+// snapshot keeps the frame count, and its /result document is still
+// byte-identical with a direct Reverser run's.
 func TestDoneJobDropsCapture(t *testing.T) {
 	cap := carMCapture(t)
 	srv := New(Config{Reverser: quickOpts()}, nil)
@@ -226,6 +230,30 @@ func TestDoneJobDropsCapture(t *testing.T) {
 	}
 	if snap := j.Snapshot(); snap.Frames != len(cap.Frames) {
 		t.Fatalf("snapshot frames = %d, want %d", snap.Frames, len(cap.Frames))
+	}
+	if s := j.Result().Streams; s != nil {
+		t.Fatalf("done job still holds %d stream datasets", len(s))
+	}
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/api/v1/jobs/"+j.ID+"/result", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("result fetch: %d %s", rec.Code, rec.Body)
+	}
+	direct, err := reverser.New(quickOpts()...).Reverse(context.Background(), cap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(direct.Streams) == 0 {
+		t.Fatal("direct run has no stream datasets; the test exercises nothing")
+	}
+	var want bytes.Buffer
+	enc := json.NewEncoder(&want)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(direct); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(rec.Body.Bytes(), want.Bytes()) {
+		t.Fatalf("served result differs from direct run (%d vs %d bytes)", rec.Body.Len(), want.Len())
 	}
 }
 

@@ -73,17 +73,31 @@ func (r *Registry) family(name, help, kind string, buckets []float64, labels []s
 	return f
 }
 
+// labelEscaper escapes the series-key separator and the escape character
+// itself; a Replacer is safe for concurrent use.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, "\x1f", `\x1f`)
+
 // seriesKey joins label values with a separator that cannot appear
-// unescaped; label values are free-form, so escape the separator.
+// unescaped; label values are free-form, so escape the separator. A
+// single value with nothing to escape is its own key, so resolving an
+// existing single-label series allocates nothing.
 func seriesKey(values []string) string {
-	esc := make([]string, len(values))
-	for i, v := range values {
-		esc[i] = strings.NewReplacer(`\`, `\\`, "\x1f", `\x1f`).Replace(v)
+	if len(values) == 1 && !strings.ContainsAny(values[0], "\\\x1f") {
+		return values[0]
 	}
-	return strings.Join(esc, "\x1f")
+	var b strings.Builder
+	for i, v := range values {
+		if i > 0 {
+			b.WriteByte('\x1f')
+		}
+		labelEscaper.WriteString(&b, v)
+	}
+	return b.String()
 }
 
-func (f *family) get(values []string, make func() any) any {
+// get returns the series for the label values, creating it with make on
+// first use. make receives a copy of values that the series may keep.
+func (f *family) get(values []string, make func(vals []string) any) any {
 	if f == nil {
 		return nil
 	}
@@ -99,7 +113,7 @@ func (f *family) get(values []string, make func() any) any {
 	}
 	// Callers are this package's own metric constructors; the closure only
 	// allocates the series value, it cannot block or touch the registry.
-	s := make() //dplint:allow lockhold the callback is a package-private allocation closure, not user code
+	s := make(append([]string(nil), values...)) //dplint:allow lockhold the callback is a package-private allocation closure, not user code
 	f.series[key] = s
 	f.order = append(f.order, key)
 	return s
@@ -249,7 +263,7 @@ func (r *Registry) Counter(name, help string) *Counter {
 		return nil
 	}
 	f := r.family(name, help, kindCounter, nil, nil)
-	return f.get(nil, func() any { return &Counter{} }).(*Counter)
+	return f.get(nil, func([]string) any { return &Counter{} }).(*Counter)
 }
 
 // CounterVec registers (or fetches) a counter family with label names.
@@ -266,7 +280,7 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 		return nil
 	}
 	f := r.family(name, help, kindGauge, nil, nil)
-	return f.get(nil, func() any { return &Gauge{} }).(*Gauge)
+	return f.get(nil, func([]string) any { return &Gauge{} }).(*Gauge)
 }
 
 // GaugeVec registers (or fetches) a gauge family with label names.
@@ -287,7 +301,7 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 		buckets = DurationBuckets
 	}
 	f := r.family(name, help, kindHistogram, buckets, nil)
-	return f.get(nil, func() any { return newHistogram(f.buckets, nil) }).(*Histogram)
+	return f.get(nil, func([]string) any { return newHistogram(f.buckets, nil) }).(*Histogram)
 }
 
 // HistogramVec registers (or fetches) a histogram family with label names.
@@ -318,8 +332,7 @@ func (v *CounterVec) With(values ...string) *Counter {
 	if v == nil || v.f == nil {
 		return nil
 	}
-	vals := append([]string(nil), values...)
-	return v.f.get(vals, func() any { return &Counter{vals: vals} }).(*Counter)
+	return v.f.get(values, func(vals []string) any { return &Counter{vals: vals} }).(*Counter)
 }
 
 // GaugeVec is a labeled gauge family.
@@ -330,8 +343,7 @@ func (v *GaugeVec) With(values ...string) *Gauge {
 	if v == nil || v.f == nil {
 		return nil
 	}
-	vals := append([]string(nil), values...)
-	return v.f.get(vals, func() any { return &Gauge{vals: vals} }).(*Gauge)
+	return v.f.get(values, func(vals []string) any { return &Gauge{vals: vals} }).(*Gauge)
 }
 
 // HistogramVec is a labeled histogram family.
@@ -342,8 +354,7 @@ func (v *HistogramVec) With(values ...string) *Histogram {
 	if v == nil || v.f == nil {
 		return nil
 	}
-	vals := append([]string(nil), values...)
-	return v.f.get(vals, func() any { return newHistogram(v.f.buckets, vals) }).(*Histogram)
+	return v.f.get(values, func(vals []string) any { return newHistogram(v.f.buckets, vals) }).(*Histogram)
 }
 
 // sortedFamilies snapshots the registry's families sorted by name, each

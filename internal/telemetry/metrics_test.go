@@ -84,6 +84,40 @@ func TestVecSeriesIndependent(t *testing.T) {
 	}
 }
 
+// Resolving an existing single-label series allocates nothing, and the
+// series keys, escapes included, keep their encoding.
+func TestVecWithExistingSeries(t *testing.T) {
+	reg := NewRegistry()
+	c := reg.CounterVec("c_total", "", "stage")
+	g := reg.GaugeVec("g", "", "stage")
+	h := reg.HistogramVec("h_seconds", "", nil, "stage")
+	c.With("infer").Inc()
+	g.With("infer").Set(1)
+	h.With("infer").Observe(1)
+	if allocs := testing.AllocsPerRun(100, func() {
+		c.With("infer").Inc()
+		g.With("infer").Add(1)
+		h.With("infer").Observe(1)
+	}); allocs != 0 {
+		t.Fatalf("With on existing single-label series allocates %v times", allocs)
+	}
+	for _, k := range []struct {
+		values []string
+		want   string
+	}{
+		{nil, ""},
+		{[]string{"infer"}, "infer"},
+		{[]string{`a\b`}, `a\\b`},
+		{[]string{"a\x1fb"}, `a\x1fb`},
+		{[]string{"isotp", "bad-sequence"}, "isotp\x1fbad-sequence"},
+		{[]string{`x\`, "y\x1f", ""}, `x\\` + "\x1f" + `y\x1f` + "\x1f"},
+	} {
+		if got := seriesKey(k.values); got != k.want {
+			t.Errorf("seriesKey(%q) = %q, want %q", k.values, got, k.want)
+		}
+	}
+}
+
 func TestMismatchedReRegistrationPanics(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("m", "")
