@@ -10,10 +10,10 @@ import (
 )
 
 // This file is the single home of the canbridge wire grammar. Both ends of
-// the line protocol — the Client that drives a simulated bus, the Server
-// that exposes one, and the IngestServer that accepts live streams into
-// reverse-engineering jobs — parse and format messages through Parse and
-// Format, so the two sides cannot drift apart.
+// the line protocol — the Server that exposes a simulated bus, the
+// IngestServer that accepts live streams into reverse-engineering jobs,
+// and StreamConn, the client side of an ingest session — parse and format
+// messages through Parse and Format, so the two sides cannot drift apart.
 //
 // One message is one line. The grammar:
 //

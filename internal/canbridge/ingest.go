@@ -401,10 +401,16 @@ func (s *IngestServer) handshake(sc *bufio.Scanner) (IngestSink, error) {
 	return nil, fmt.Errorf("canbridge: connection closed before HELLO")
 }
 
+// ServerError is a protocol-level rejection (an ERR line): the server
+// parsed and refused the command.
+type ServerError struct{ Msg string }
+
+func (e *ServerError) Error() string { return "canbridge: server rejected command: " + e.Msg }
+
 // StreamConn is the client side of one ingest session: dial, stream
-// SEND/ADVANCE commands synchronously, Close to finalise. Unlike Client it
-// never redials — a dropped ingest connection means a truncated stream,
-// and silently rebinding a fresh session would hide that.
+// SEND/ADVANCE commands synchronously, Close to finalise. It never
+// redials — a dropped ingest connection means a truncated stream, and
+// silently rebinding a fresh session would hide that.
 type StreamConn struct {
 	conn net.Conn
 	rd   *bufio.Reader
@@ -422,6 +428,26 @@ func DialStream(addr, token string) (*StreamConn, error) {
 		return nil, err
 	}
 	return c, nil
+}
+
+// dialHello opens a canbridge connection and consumes the server greeting.
+func dialHello(addr string) (net.Conn, *bufio.Reader, error) {
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		return nil, nil, fmt.Errorf("canbridge: dial %s: %w", addr, err)
+	}
+	rd := bufio.NewReader(conn)
+	greeting, err := rd.ReadString('\n')
+	if err != nil {
+		conn.Close()
+		return nil, nil, fmt.Errorf("canbridge: reading greeting: %w", err)
+	}
+	hello, perr := Parse(greeting)
+	if h, ok := hello.(MsgHello); perr != nil || !ok || h.Subject != Greeting.Subject {
+		conn.Close()
+		return nil, nil, fmt.Errorf("canbridge: unexpected greeting %q", strings.TrimSpace(greeting))
+	}
+	return conn, rd, nil
 }
 
 // Send streams one frame into the session.

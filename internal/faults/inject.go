@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"dpreverser/internal/can"
-	"dpreverser/internal/colstore"
 	"dpreverser/internal/isotp"
 	"dpreverser/internal/ocr"
 	"dpreverser/internal/sim"
@@ -105,9 +104,6 @@ func New(spec Spec, seed int64) *Injector {
 	}
 }
 
-// Spec returns the fault mix in effect.
-func (in *Injector) Spec() Spec { return in.spec }
-
 // Stats returns a snapshot of the fault counters.
 func (in *Injector) Stats() Stats { return in.stats }
 
@@ -119,17 +115,6 @@ func (in *Injector) Frames(frames []can.Frame) []can.Frame {
 		out = append(out, in.Stream(f)...)
 	}
 	return append(out, in.Flush()...)
-}
-
-// FramesInto perturbs a whole capture straight into a columnar frame
-// store: each delivered frame is appended to dst as it is emitted, with
-// no intermediate []can.Frame materialised. The input is not modified.
-func (in *Injector) FramesInto(frames []can.Frame, dst *colstore.Frames) {
-	emit := func(g can.Frame) { dst.Append(g.ID, g.Timestamp, g.Payload()) }
-	for _, f := range frames {
-		in.stream(f, emit)
-	}
-	in.flush(emit)
 }
 
 // Stream feeds one frame through the injector and returns the frames to

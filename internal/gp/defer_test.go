@@ -88,7 +88,7 @@ func TestDeferralPreservesBestAndPopulation(t *testing.T) {
 			seed := rng.Int63()
 			cfg := DefaultConfig()
 			cfg.PopulationSize = 120
-			isl := acquireIsland(d, cfg, FunctionSet, cfg.PopulationSize, seed, workers)
+			isl := acquireIsland(d, cfg, cfg.PopulationSize, seed, workers)
 			drawAll(isl)
 			for gen := 0; gen < 5; gen++ {
 				what := fmt.Sprintf("dataset %d, workers %d, seed %d, generation %d", di, workers, seed, gen)
@@ -153,7 +153,7 @@ func TestDeferralKeepsTiesScored(t *testing.T) {
 func TestDeferralSkipsMostMissesAtConvergence(t *testing.T) {
 	d := udsLikeDataset()
 	cfg := DefaultConfig()
-	isl := acquireIsland(d, cfg, FunctionSet, cfg.PopulationSize, cfg.Seed, 1)
+	isl := acquireIsland(d, cfg, cfg.PopulationSize, cfg.Seed, 1)
 	defer isl.release()
 	isl.drawChunk()
 	if isl.best.raw > cfg.StopFitness {
@@ -175,7 +175,7 @@ func TestDeferralSkipsMostMissesAtConvergence(t *testing.T) {
 func TestReleaseDropsDeferredScoring(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.PopulationSize = 200
-	isl := acquireIsland(udsLikeDataset(), cfg, FunctionSet, cfg.PopulationSize, 1, 1)
+	isl := acquireIsland(udsLikeDataset(), cfg, cfg.PopulationSize, 1, 1)
 	drawAll(isl)
 	e := isl.ev
 	if e.dout == nil {
@@ -200,7 +200,7 @@ func TestMigrateCompletesDeferredScoring(t *testing.T) {
 	cfg.PopulationSize = 240
 	islands := make([]*island, 4)
 	for i := range islands {
-		islands[i] = acquireIsland(udsLikeDataset(), cfg, FunctionSet, cfg.PopulationSize/4, islandSeed(1, i), 1)
+		islands[i] = acquireIsland(udsLikeDataset(), cfg, cfg.PopulationSize/4, islandSeed(1, i), 1)
 		defer islands[i].release()
 	}
 	stepAll(islands, drawAll)

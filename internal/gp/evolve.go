@@ -54,6 +54,14 @@ var (
 	ErrShapeMismatch = errors.New("gp: dataset shape mismatch")
 )
 
+// Fixed evolution settings (gplearn's defaults, which the paper keeps):
+// tournament size, and the range of ephemeral random constants. Every run
+// uses the full 14-entry FunctionSet.
+const (
+	tournamentSize = 20
+	ercMin, ercMax = -10, 10
+)
+
 // Config tunes the evolution. The zero value is unusable; call
 // DefaultConfig for the paper's settings.
 type Config struct {
@@ -64,8 +72,6 @@ type Config struct {
 	// StopFitness halts evolution early once the best program's raw MAE
 	// falls below it — the paper's second stopping criterion.
 	StopFitness float64
-	// TournamentSize controls selection pressure.
-	TournamentSize int
 	// MaxDepth bounds trees after crossover/mutation (bloat control).
 	MaxDepth int
 	// ParsimonyCoeff penalises fitness by size*coeff, discouraging bloat
@@ -77,10 +83,6 @@ type Config struct {
 	SubtreeMutProb float64
 	PointMutProb   float64
 	HoistMutProb   float64
-	// ConstMin/ConstMax bound ephemeral random constants.
-	ConstMin, ConstMax float64
-	// Functions overrides the function set (nil = the full 14-entry set).
-	Functions []Op
 	// Parallelism caps the worker goroutines used for population fitness
 	// evaluation. Variation (selection, crossover, mutation) always draws
 	// from the RNG sequentially and evaluation is a pure function of the
@@ -147,15 +149,12 @@ func DefaultConfig() Config {
 		PopulationSize: 1000,
 		Generations:    30,
 		StopFitness:    0.01,
-		TournamentSize: 20,
 		MaxDepth:       8,
 		ParsimonyCoeff: 0.001,
 		CrossoverProb:  0.65,
 		SubtreeMutProb: 0.15,
 		PointMutProb:   0.1,
 		HoistMutProb:   0.05,
-		ConstMin:       -10,
-		ConstMax:       10,
 		Seed:           1,
 	}
 }
@@ -646,10 +645,6 @@ func RunContext(ctx context.Context, d *Dataset, cfg Config) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
-	funcs := cfg.Functions
-	if len(funcs) == 0 {
-		funcs = FunctionSet
-	}
 	workers := cfg.Parallelism
 	if workers < 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -667,7 +662,7 @@ func RunContext(ctx context.Context, d *Dataset, cfg Config) (Result, error) {
 		if k > 1 {
 			seed = islandSeed(cfg.Seed, i)
 		}
-		islands[i] = acquireIsland(d, cfg, funcs, size, seed, workers)
+		islands[i] = acquireIsland(d, cfg, size, seed, workers)
 	}
 	defer func() {
 		for _, isl := range islands {
@@ -764,7 +759,7 @@ var islandPool struct {
 
 // acquireIsland takes an island from the pool and readies it for a run
 // of popSize programs on d.
-func acquireIsland(d *Dataset, cfg Config, funcs []Op, popSize int, seed int64, workers int) *island {
+func acquireIsland(d *Dataset, cfg Config, popSize int, seed int64, workers int) *island {
 	var isl *island
 	islandPool.Lock()
 	if n := len(islandPool.free); n > 0 {
@@ -787,8 +782,8 @@ func acquireIsland(d *Dataset, cfg Config, funcs []Op, popSize int, seed int64, 
 	}
 	isl.cfg = cfg
 	*isl.gen = generator{
-		rng: isl.rng, numVars: d.NumVars(), funcs: funcs,
-		constMin: cfg.ConstMin, constMax: cfg.ConstMax,
+		rng: isl.rng, numVars: d.NumVars(), funcs: FunctionSet,
+		constMin: ercMin, constMax: ercMax,
 	}
 	isl.ev.reset(d, cfg, workers)
 	isl.cur = 0
@@ -1081,12 +1076,12 @@ func (d *intn) draw(rng *rand.Rand) int {
 //dplint:hotpath gp-breed
 func (isl *island) breed() *Node {
 	cfg, gen, rng, pop := &isl.cfg, isl.gen, isl.rng, isl.pop
-	parent := pop[tournament(isl.fits, cfg.TournamentSize, &isl.pick, rng)]
+	parent := pop[tournament(isl.fits, tournamentSize, &isl.pick, rng)]
 	child, depth := parent.tree, 0
 	switch p := rng.Float64(); {
 	case p < cfg.CrossoverProb:
 		// The donor's subtree is copied in from the previous arena.
-		donor := pop[tournament(isl.fits, cfg.TournamentSize, &isl.pick, rng)]
+		donor := pop[tournament(isl.fits, tournamentSize, &isl.pick, rng)]
 		at := rng.Intn(parent.size)
 		graft, gd := copyInto(gen.arena, nodeAt(donor.tree, rng.Intn(donor.size)))
 		child, depth = spliceCopy(gen.arena, parent.tree, at, graft, gd)

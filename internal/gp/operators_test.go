@@ -27,7 +27,7 @@ func validTree(n *Node) bool {
 // rising with the index), ready to breed children with cfg.
 func breedingIsland(t *testing.T, cfg Config, trees ...*Node) *island {
 	t.Helper()
-	isl := acquireIsland(islandTestDataset(), cfg, FunctionSet, len(trees), cfg.Seed, 1)
+	isl := acquireIsland(islandTestDataset(), cfg, len(trees), cfg.Seed, 1)
 	t.Cleanup(isl.release)
 	for i, tree := range trees {
 		isl.pops[0][i] = individual{tree: tree, size: tree.Size(), fit: float64(i)}

@@ -57,9 +57,10 @@ func (j *Job) Flight() FlightRecord {
 		QueueWaitMS: snap.QueueWaitMS, RunMS: snap.RunMS,
 	}
 
+	stageDone, streamDone := reverser.ProgressStageDone.String(), reverser.ProgressStreamDone.String()
 	j.mu.Lock()
 	for _, ev := range j.events {
-		if ev.Kind != "stage-done" && ev.Kind != "stream-done" {
+		if ev.Kind != stageDone && ev.Kind != streamDone {
 			continue
 		}
 		fr.Stages = append(fr.Stages, FlightStage{

@@ -20,7 +20,7 @@ import (
 func promDump(t *testing.T, prov *telemetry.Provider) string {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := prov.Metrics.WritePrometheus(&buf); err != nil {
+	if err := prov.Metrics.WritePrometheusFiltered(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
 	return buf.String()
@@ -219,8 +219,8 @@ func TestAttackAttributionReaches409Flight(t *testing.T) {
 		t.Fatalf("failed result = %d, want 409", resp.StatusCode)
 	}
 	var doc struct {
-		State  string        `json:"state"`
-		Flight *FlightRecord `json:"flight"`
+		State  string      `json:"state"`
+		Flight *wireFlight `json:"flight"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
 		t.Fatal(err)

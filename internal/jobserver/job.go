@@ -66,8 +66,8 @@ func (s JobState) Terminal() bool { return s == Done || s == Failed || s == Canc
 type ProgressRecord struct {
 	// Seq is the 1-based position of this event in the job's history.
 	Seq int `json:"seq"`
-	// Kind is the event kind name: stage-start, stage-done, stream-start,
-	// stream-done.
+	// Kind is the event kind's wire name (reverser.ProgressKind.String):
+	// stage-start, stage-done, stream-start, stream-done.
 	Kind string `json:"kind"`
 	// Stage is the pipeline stage the event belongs to.
 	Stage string `json:"stage"`
@@ -84,22 +84,6 @@ type ProgressRecord struct {
 	// ElapsedMS is the stage or stream wall time (done events only),
 	// from the injected telemetry clock.
 	ElapsedMS float64 `json:"elapsed_ms,omitempty"`
-}
-
-// progressKindName maps the reverser's event kinds onto wire names.
-func progressKindName(k reverser.ProgressKind) string {
-	switch k {
-	case reverser.ProgressStageStart:
-		return "stage-start"
-	case reverser.ProgressStageDone:
-		return "stage-done"
-	case reverser.ProgressStreamStart:
-		return "stream-start"
-	case reverser.ProgressStreamDone:
-		return "stream-done"
-	default:
-		return "unknown"
-	}
 }
 
 // Job is one unit of reverse-engineering work. All mutable fields are
@@ -245,7 +229,7 @@ func (j *Job) Result() *reverser.Result {
 // watchers read concurrently, so it still locks.
 func (j *Job) record(ev reverser.ProgressEvent) {
 	rec := ProgressRecord{
-		Kind:        progressKindName(ev.Kind),
+		Kind:        ev.Kind.String(),
 		Stage:       ev.Stage,
 		Label:       ev.Label,
 		Generations: ev.Generations,

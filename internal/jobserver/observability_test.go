@@ -44,6 +44,23 @@ func eventMsgs(recs []telemetry.Record) map[string]int {
 	return out
 }
 
+// wireFlight is a flight record as an API client decodes it: the events
+// stay plain JSON objects.
+type wireFlight struct {
+	FlightRecord
+	Events []map[string]any `json:"events"`
+}
+
+// checkCorrelated fails unless every event carries the job's tenant and ID.
+func checkCorrelated(t *testing.T, events []map[string]any, tenant, job string) {
+	t.Helper()
+	for _, ev := range events {
+		if ev["tenant"] != tenant || ev["job"] != job {
+			t.Fatalf("record lost correlation context: %v", ev)
+		}
+	}
+}
+
 // TestFailedJobFlightRecord drives a job through a strict-policy failure
 // and asserts the flight recorder's full postmortem contract: correlated
 // stage timings, degraded-stream reasons, and the ring tail — via the
@@ -102,9 +119,7 @@ func TestFailedJobFlightRecord(t *testing.T) {
 		if err := json.Unmarshal(raw, &doc); err != nil {
 			t.Fatal(err)
 		}
-		if doc["tenant"] != "acme" || doc["job"] != j.ID {
-			t.Fatalf("record lost correlation context: %s", raw)
-		}
+		checkCorrelated(t, []map[string]any{doc}, "acme", j.ID)
 	}
 
 	ts := httptest.NewServer(srv.Handler())
@@ -119,13 +134,14 @@ func TestFailedJobFlightRecord(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("flight endpoint = %d, want 200", resp.StatusCode)
 	}
-	var got FlightRecord
+	var got wireFlight
 	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
 		t.Fatal(err)
 	}
 	if got.Job != j.ID || got.State != Failed.String() || len(got.Events) == 0 || len(got.Degraded) == 0 {
 		t.Fatalf("flight endpoint returned %+v", got)
 	}
+	checkCorrelated(t, got.Events, "acme", j.ID)
 
 	// A failed job's 409 result payload embeds the flight record.
 	resp, err = ts.Client().Get(ts.URL + "/api/v1/jobs/" + j.ID + "/result")
@@ -137,9 +153,9 @@ func TestFailedJobFlightRecord(t *testing.T) {
 		t.Fatalf("failed result = %d, want 409", resp.StatusCode)
 	}
 	var doc struct {
-		Error  string        `json:"error"`
-		State  string        `json:"state"`
-		Flight *FlightRecord `json:"flight"`
+		Error  string      `json:"error"`
+		State  string      `json:"state"`
+		Flight *wireFlight `json:"flight"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
 		t.Fatal(err)

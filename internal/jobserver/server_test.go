@@ -140,7 +140,7 @@ func TestJobLifecycle(t *testing.T) {
 
 	// Metric families reflect the finished job.
 	var buf bytes.Buffer
-	if err := prov.Metrics.WritePrometheus(&buf); err != nil {
+	if err := prov.Metrics.WritePrometheusFiltered(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
 	dump := buf.String()
@@ -456,7 +456,7 @@ func TestIngestSessionFeedsJob(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := prov.Metrics.WritePrometheus(&buf); err != nil {
+	if err := prov.Metrics.WritePrometheusFiltered(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), telemetry.MetricStreamSessions+`{outcome="complete"} 1`) {

@@ -155,7 +155,10 @@ func (s *Server) statusView() statusView {
 		queues = append(queues, statusQueue{Shard: i, Depth: d})
 	}
 
-	windows := telemetry.SortedBurnWindows()
+	var windows []string
+	for _, w := range telemetry.SLOWindows {
+		windows = append(windows, w.String())
+	}
 	var slos []statusSLO
 	for _, st := range s.SLOs() {
 		row := statusSLO{SLOStatus: st}

@@ -213,7 +213,7 @@ func TestEachRefusalCountedOnce(t *testing.T) {
 	submit(http.StatusServiceUnavailable) // draining, before the read
 
 	var buf bytes.Buffer
-	if err := prov.Metrics.WritePrometheus(&buf); err != nil {
+	if err := prov.Metrics.WritePrometheusFiltered(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
 	var acme TenantStatus

@@ -32,6 +32,18 @@ const (
 	ProgressStreamDone
 )
 
+// progressKindNames are the kinds' wire names, in ProgressKind order.
+var progressKindNames = [...]string{"stage-start", "stage-done", "stream-start", "stream-done"}
+
+// String returns the kind's wire name, which the done records, the job
+// server's progress history and its flight record all use.
+func (k ProgressKind) String() string {
+	if k < 0 || int(k) >= len(progressKindNames) {
+		return "unknown"
+	}
+	return progressKindNames[k]
+}
+
 // ProgressEvent is one observation of the pipeline's advance. Stage events
 // carry Stage and (on done) Elapsed; stream events additionally carry the
 // stream identity, the Done/Total counters and (on done) the generation
@@ -157,16 +169,15 @@ func (rv *Reverser) Parallelism() int {
 // Config returns a copy of the pipeline configuration in effect.
 func (rv *Reverser) Config() Config { return rv.cfg }
 
-// tracer resolves the span recorder (nil when telemetry is disabled; all
-// span operations are nil-safe).
-func (rv *Reverser) tracer() *telemetry.Tracer { return rv.tel.TracerOrNil() }
-
 // run is the per-Reverse state: the cancel handle the panic guard pulls,
-// the root span, and the first recovered callback panic.
+// the root span, the stream completion counter, and the first recovered
+// callback panic.
 type run struct {
 	rv     *Reverser
 	cancel context.CancelFunc
 	span   *telemetry.Span
+	// streamsDone counts finished streams (ProgressEvent.Done).
+	streamsDone atomic.Int64
 
 	// cbErr holds the first progress-callback panic, converted to an
 	// error. It is written and read under rv.mu (emit already holds it).
@@ -205,19 +216,110 @@ func (r *run) callbackErr() error {
 	return r.cbErr
 }
 
-// stage runs one pipeline stage, bracketing it with progress events, a
-// child span, and a per-stage latency observation.
+// scope is the pipeline's one telemetry adapter. Each stage and each
+// stream opens a scope with its start event and closes it with its done
+// event, and only the scope turns those events into the span, the
+// duration observation, the done record and the progress callback. A
+// stream's scope is also its gp.Observer, which ticks the generation
+// counter and records sampled generation spans and records.
+type scope struct {
+	r     *run
+	ev    ProgressEvent // the start event
+	span  *telemetry.Span
+	log   *telemetry.Logger
+	start time.Duration
+
+	// next is the user-configured GP observer, chained rather than
+	// replaced; mark is the end of the previous generation, where the
+	// next sampled generation span starts. The engine calls the observer
+	// from its sequential loop, so mark needs no lock.
+	next gp.Observer
+	mark time.Duration
+}
+
+// open starts a scope for ev, a ProgressStageStart or ProgressStreamStart
+// event: a stage span under parent, or a stream span in its own lane. A
+// stream's records bind its key and label only. Binding the span ID would
+// leak scheduling order into the log multiset and break
+// parallelism-independence.
+func (r *run) open(parent *telemetry.Span, ev ProgressEvent) *scope {
+	s := &scope{r: r, ev: ev, log: r.rv.log}
+	if ev.Kind == ProgressStageStart {
+		s.span = parent.Child("stage:"+ev.Stage, telemetry.String("stage", ev.Stage))
+	} else {
+		id := []telemetry.Attr{
+			telemetry.String("stream", ev.Stream.String()), telemetry.String("label", ev.Label)}
+		s.span = parent.ChildLane("stream", id...)
+		s.log = s.log.With(id...)
+		s.ev.Done = int(r.streamsDone.Load())
+	}
+	r.emit(s.ev)
+	s.start = r.rv.clock.Now()
+	s.mark = s.start
+	return s
+}
+
+// close ends the scope with its done event: the start event plus the
+// elapsed time and, for a stream, the GP counters of esv.
+func (s *scope) close(esv *ReversedESV) {
+	rv := s.r.rv
+	elapsed := rv.clock.Now() - s.start
+	done := s.ev
+	done.Kind++
+	done.Elapsed = elapsed
+	if esv == nil {
+		s.span.End()
+		rv.met.StageDuration.With(done.Stage).ObserveDuration(elapsed)
+		s.log.Info(done.Kind.String(),
+			telemetry.String("stage", done.Stage), telemetry.Millis("elapsed_ms", elapsed))
+	} else {
+		done.Generations, done.Evaluations, done.CacheHits = esv.Generations, esv.Evaluations, esv.CacheHits
+		s.span.SetAttr(telemetry.Int("generations", done.Generations),
+			telemetry.Int("evals", done.Evaluations))
+		s.span.End()
+		rv.met.StreamDuration.ObserveDuration(elapsed)
+		s.log.Info(done.Kind.String(),
+			telemetry.Int("generations", done.Generations),
+			telemetry.Int("evaluations", done.Evaluations),
+			telemetry.Millis("elapsed_ms", elapsed))
+		done.Done = int(s.r.streamsDone.Add(1))
+	}
+	s.r.emit(done)
+}
+
+// abandon ends a cancelled stream's scope: its span ends, and no done
+// event follows.
+func (s *scope) abandon() { s.span.End() }
+
+// gpGenSpanSample thins per-generation spans: every Nth generation (plus
+// generation 0) gets a span so a full-budget fleet trace stays tractable,
+// while the generation *counter* still advances on every generation.
+const gpGenSpanSample = 4
+
+// Generation implements gp.Observer for a stream scope.
+func (s *scope) Generation(gs gp.GenerationStats) {
+	if s.next != nil {
+		s.next.Generation(gs)
+	}
+	rv := s.r.rv
+	rv.met.GPGenerations.Inc()
+	now := rv.clock.Now()
+	if gs.Generation%gpGenSpanSample == 0 {
+		attrs := []telemetry.Attr{
+			telemetry.Int("gen", gs.Generation),
+			telemetry.Int("evals", gs.Evaluations),
+			telemetry.Int("cache_hits", gs.CacheHits)}
+		s.span.ChildFrom("gp-generation", s.mark, attrs...).End()
+		s.log.Debug("gp-generation", attrs...)
+	}
+	s.mark = now
+}
+
+// stage runs one pipeline stage inside its scope.
 func (r *run) stage(name string, fn func()) {
-	sp := r.span.Child("stage:"+name, telemetry.String("stage", name))
-	r.emit(ProgressEvent{Kind: ProgressStageStart, Stage: name})
-	start := r.rv.clock.Now()
+	s := r.open(r.span, ProgressEvent{Kind: ProgressStageStart, Stage: name})
 	fn()
-	elapsed := r.rv.clock.Now() - start
-	sp.End()
-	r.rv.met.StageDuration.With(name).ObserveDuration(elapsed)
-	r.rv.log.Info("stage-done",
-		telemetry.String("stage", name), telemetry.Millis("elapsed_ms", elapsed))
-	r.emit(ProgressEvent{Kind: ProgressStageDone, Stage: name, Elapsed: elapsed})
+	s.close(nil)
 }
 
 // Reverse runs the complete pipeline on a capture. Cancelling ctx aborts
@@ -231,7 +333,7 @@ func (rv *Reverser) Reverse(ctx context.Context, cap rig.Capture) (*Result, erro
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	r := &run{rv: rv, cancel: cancel}
-	r.span = rv.tracer().Start("reverse",
+	r.span = rv.tel.TracerOrNil().Start("reverse",
 		telemetry.String("car", cap.Car), telemetry.String("model", cap.Model))
 	defer r.span.End()
 	runStart := rv.clock.Now()
@@ -397,44 +499,6 @@ func (rv *Reverser) assemblyObserver() AssemblyObserver {
 	}
 }
 
-// gpGenSpanSample thins per-generation spans: every Nth generation (plus
-// generation 0) gets a span so a full-budget fleet trace stays tractable,
-// while the generation *counter* still advances on every generation.
-const gpGenSpanSample = 4
-
-// genObserver adapts the GP engine's per-generation callback to telemetry:
-// a generation counter tick per call and a sampled child span under the
-// stream's span. It runs inside the engine's sequential loop, so the
-// unsynchronised mark field is safe.
-type genObserver struct {
-	span  *telemetry.Span
-	met   *telemetry.PipelineMetrics
-	clock telemetry.Clock
-	log   *telemetry.Logger // stream-scoped; Debug-level generation marks
-	next  gp.Observer       // user-configured observer, preserved, not replaced
-	mark  time.Duration
-}
-
-func (o *genObserver) Generation(gs gp.GenerationStats) {
-	if o.next != nil {
-		o.next.Generation(gs)
-	}
-	o.met.GPGenerations.Inc()
-	now := o.clock.Now()
-	if gs.Generation%gpGenSpanSample == 0 {
-		sp := o.span.ChildFrom("gp-generation", o.mark,
-			telemetry.Int("gen", gs.Generation),
-			telemetry.Int("evals", gs.Evaluations),
-			telemetry.Int("cache_hits", gs.CacheHits))
-		sp.End()
-		o.log.Debug("gp-generation",
-			telemetry.Int("gen", gs.Generation),
-			telemetry.Int("evals", gs.Evaluations),
-			telemetry.Int("cache_hits", gs.CacheHits))
-	}
-	o.mark = now
-}
-
 // inferStreams fans InferStream out across the worker pool. Workers claim
 // streams from a shared atomic cursor and write results by index, so the
 // output order — and, thanks to per-stream seeds, every formula — is
@@ -457,7 +521,6 @@ func (r *run) inferStreams(ctx context.Context, streams []StreamData) ([]Reverse
 	}
 	var (
 		cursor int64 = -1
-		done   int64
 		wg     sync.WaitGroup
 	)
 	total := len(streams)
@@ -473,27 +536,11 @@ func (r *run) inferStreams(ctx context.Context, streams []StreamData) ([]Reverse
 				sd := streams[i]
 				cfg := rv.cfg
 				cfg.GP.Seed = streamSeed(rv.cfg.GP.Seed, sd.Key)
-				sp := inferSpan.ChildLane("stream",
-					telemetry.String("stream", sd.Key.String()),
-					telemetry.String("label", sd.Label))
-				// Stream-scoped logger: key and label only. Binding the
-				// span ID here would leak scheduling order into the log
-				// multiset and break parallelism-independence.
-				slog := rv.log.With(
-					telemetry.String("stream", sd.Key.String()),
-					telemetry.String("label", sd.Label))
-				if rv.tel != nil {
-					cfg.GP.Observer = &genObserver{
-						span: sp, met: rv.met, clock: rv.clock, log: slog,
-						next: cfg.GP.Observer, mark: rv.clock.Now(),
-					}
-				}
-				r.emit(ProgressEvent{
+				sc := r.open(inferSpan, ProgressEvent{
 					Kind: ProgressStreamStart, Stage: "infer",
-					Stream: sd.Key, Label: sd.Label,
-					Done: int(atomic.LoadInt64(&done)), Total: total,
+					Stream: sd.Key, Label: sd.Label, Total: total,
 				})
-				start := rv.clock.Now()
+				sc.next, cfg.GP.Observer = cfg.GP.Observer, sc
 				esv, err, panicked := safeInferStream(ctx, sd, cfg)
 				if panicked != nil {
 					degraded[i] = &StreamError{
@@ -501,26 +548,11 @@ func (r *run) inferStreams(ctx context.Context, streams []StreamData) ([]Reverse
 						Reason: "panic", Detail: fmt.Sprintf("inference panicked: %v", panicked),
 					}
 				} else if err != nil {
-					sp.End()
+					sc.abandon()
 					return // ctx cancelled; the post-wait check reports it
 				}
-				elapsed := rv.clock.Now() - start
 				out[i] = esv
-				sp.SetAttr(telemetry.Int("generations", esv.Generations),
-					telemetry.Int("evals", esv.Evaluations))
-				sp.End()
-				rv.met.StreamDuration.ObserveDuration(elapsed)
-				slog.Info("stream-done",
-					telemetry.Int("generations", esv.Generations),
-					telemetry.Int("evaluations", esv.Evaluations),
-					telemetry.Millis("elapsed_ms", elapsed))
-				r.emit(ProgressEvent{
-					Kind: ProgressStreamDone, Stage: "infer",
-					Stream: sd.Key, Label: sd.Label,
-					Generations: esv.Generations, Elapsed: elapsed,
-					Evaluations: esv.Evaluations, CacheHits: esv.CacheHits,
-					Done: int(atomic.AddInt64(&done, 1)), Total: total,
-				})
+				sc.close(&esv)
 			}
 		}()
 	}

@@ -198,10 +198,10 @@ func TestTelemetryMetricsDeterministicAcrossParallelism(t *testing.T) {
 	if !bytes.Equal(j1.Bytes(), j8.Bytes()) {
 		t.Errorf("JSON metric dumps differ across parallelism:\n%s\nvs\n%s", j1.String(), j8.String())
 	}
-	if err := tel1.Metrics.WritePrometheus(&p1); err != nil {
+	if err := tel1.Metrics.WritePrometheusFiltered(&p1, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := tel8.Metrics.WritePrometheus(&p8); err != nil {
+	if err := tel8.Metrics.WritePrometheusFiltered(&p8, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(p1.Bytes(), p8.Bytes()) {
@@ -210,7 +210,7 @@ func TestTelemetryMetricsDeterministicAcrossParallelism(t *testing.T) {
 
 	// The registry's GP counters must reconcile exactly with the Result.
 	counter := func(tel *telemetry.Provider, name string) float64 {
-		for _, fam := range tel.Metrics.Snapshot() {
+		for _, fam := range tel.Metrics.SnapshotFiltered(nil) {
 			if fam.Name == name {
 				return *fam.Series[0].Value
 			}
@@ -319,6 +319,98 @@ func TestTelemetryDoesNotAffectResults(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("ESV %d: %+v vs %+v", i, a[i], b[i])
+		}
+	}
+}
+
+// attrOf returns the value of key in attrs ("" when absent).
+func attrOf(attrs []telemetry.Attr, key string) string {
+	for _, a := range attrs {
+		if a.Key == key {
+			return a.Value
+		}
+	}
+	return ""
+}
+
+// TestScopeOutputsAgree pins the one-adapter contract: for every stage
+// and stream done event there is exactly one span, one duration
+// observation and one done record, per stage name and per stream, at any
+// parallelism.
+func TestScopeOutputsAgree(t *testing.T) {
+	cap, _ := collect(t, "Car M")
+	for _, parallelism := range []int{1, 8} {
+		clock := telemetry.NewManualClock(0)
+		ring := telemetry.NewRingSink(4096)
+		tel := telemetry.New(clock).WithLogger(telemetry.NewLogger(clock, ring))
+		var mu sync.Mutex
+		var events []ProgressEvent
+		rv := New(WithConfig(testConfig()), WithParallelism(parallelism), WithTelemetry(tel),
+			WithProgress(func(ev ProgressEvent) {
+				mu.Lock()
+				events = append(events, ev)
+				mu.Unlock()
+			}))
+		res, err := rv.Reverse(context.Background(), cap)
+		if err != nil {
+			t.Fatalf("parallelism %d: %v", parallelism, err)
+		}
+
+		// Each output is counted per scope: "stage:<name>" or
+		// "stream:<key>/<label>".
+		streamID := func(key, label string) string { return "stream:" + key + "/" + label }
+		dones, spans, records := map[string]int{}, map[string]int{}, map[string]int{}
+		streamDones := 0
+		for _, ev := range events {
+			switch ev.Kind {
+			case ProgressStageDone:
+				dones["stage:"+ev.Stage]++
+			case ProgressStreamDone:
+				dones[streamID(ev.Stream.String(), ev.Label)]++
+				streamDones++
+			}
+		}
+		for _, s := range tel.Tracer.Spans() {
+			switch {
+			case strings.HasPrefix(s.Name, "stage:"):
+				spans[s.Name]++
+			case s.Name == "stream":
+				spans[streamID(attrOf(s.Attrs, "stream"), attrOf(s.Attrs, "label"))]++
+			}
+		}
+		recs, _ := ring.Snapshot()
+		for _, r := range recs {
+			switch r.Msg {
+			case ProgressStageDone.String():
+				records["stage:"+attrOf(r.Attrs, "stage")]++
+			case ProgressStreamDone.String():
+				records[streamID(attrOf(r.Attrs, "stream"), attrOf(r.Attrs, "label"))]++
+			}
+		}
+
+		if got := len(dones) - streamDones; got != 6 || streamDones != len(res.Streams) {
+			t.Fatalf("parallelism %d: %d stage and %d stream done events, want 6 and %d",
+				parallelism, got, streamDones, len(res.Streams))
+		}
+		for id, n := range dones {
+			if n != 1 || spans[id] != 1 || records[id] != 1 {
+				t.Errorf("parallelism %d: %s has %d done events, %d spans, %d done records; want 1 each",
+					parallelism, id, n, spans[id], records[id])
+			}
+			if stage, ok := strings.CutPrefix(id, "stage:"); ok {
+				if c := rv.met.StageDuration.With(stage).Count(); c != 1 {
+					t.Errorf("parallelism %d: %s has %d duration observations, want 1", parallelism, id, c)
+				}
+			}
+		}
+		if len(spans) != len(dones) || len(records) != len(dones) {
+			t.Errorf("parallelism %d: %d span scopes and %d record scopes for %d done events",
+				parallelism, len(spans), len(records), len(dones))
+		}
+		// The stream histogram has no per-stream label, so its count must
+		// equal the number of stream done events.
+		if c := rv.met.StreamDuration.Count(); c != uint64(streamDones) {
+			t.Errorf("parallelism %d: %d stream duration observations, want %d", parallelism, c, streamDones)
 		}
 	}
 }

@@ -9,17 +9,12 @@ import (
 	"strings"
 )
 
-// WritePrometheus renders the registry in the Prometheus text exposition
-// format (version 0.0.4): HELP/TYPE headers, one line per series,
-// histograms as cumulative le-buckets plus _sum and _count. Families and
-// series are sorted, so the output is byte-stable for a given state.
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	return r.WritePrometheusFiltered(w, nil)
-}
-
-// WritePrometheusFiltered is WritePrometheus restricted to families for
-// which keep returns true (nil keep means all) — the ?family=/?prefix=
-// query filter behind /metrics.
+// WritePrometheusFiltered renders the families for which keep returns
+// true (nil keep means all; this is the ?family=/?prefix= query filter
+// behind /metrics) in the Prometheus text exposition format (version
+// 0.0.4): HELP/TYPE headers, one line per series, histograms as
+// cumulative le-buckets plus _sum and _count. Families and series are
+// sorted, so the output is byte-stable for a given state.
 func (r *Registry) WritePrometheusFiltered(w io.Writer, keep func(name string) bool) error {
 	for _, f := range r.sortedFamilies() {
 		if keep != nil && !keep(f.name) {
@@ -152,14 +147,9 @@ type JSONBucket struct {
 	Count uint64 `json:"count"`
 }
 
-// Snapshot returns the registry's current state in the JSON dump shape,
+// SnapshotFiltered returns the current state of the families for which
+// keep returns true (nil keep means all) in the JSON dump shape,
 // deterministically ordered.
-func (r *Registry) Snapshot() []JSONMetric {
-	return r.SnapshotFiltered(nil)
-}
-
-// SnapshotFiltered is Snapshot restricted to families for which keep
-// returns true (nil keep means all).
 func (r *Registry) SnapshotFiltered(keep func(name string) bool) []JSONMetric {
 	var out []JSONMetric
 	for _, f := range r.sortedFamilies() {

@@ -1,8 +1,6 @@
 package telemetry
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -114,72 +112,6 @@ func (r Record) appendJSON(b []byte) []byte {
 // MarshalJSON implements json.Marshaler with the deterministic renderer,
 // so flight records and JSON dumps embed records byte-stably.
 func (r Record) MarshalJSON() ([]byte, error) { return r.appendJSON(nil), nil }
-
-// UnmarshalJSON implements json.Unmarshaler for Level from its wire name.
-func (l *Level) UnmarshalJSON(data []byte) error {
-	var s string
-	if err := json.Unmarshal(data, &s); err != nil {
-		return err
-	}
-	lv, err := ParseLevel(s)
-	if err != nil {
-		return err
-	}
-	*l = lv
-	return nil
-}
-
-// UnmarshalJSON parses the wire shape appendJSON emits, preserving
-// attribute order, so API clients (flight records, dptop) round-trip
-// records losslessly.
-func (r *Record) UnmarshalJSON(data []byte) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	tok, err := dec.Token()
-	if err != nil {
-		return err
-	}
-	if d, ok := tok.(json.Delim); !ok || d != '{' {
-		return fmt.Errorf("telemetry: log record must be a JSON object")
-	}
-	*r = Record{}
-	for dec.More() {
-		keyTok, err := dec.Token()
-		if err != nil {
-			return err
-		}
-		key, ok := keyTok.(string)
-		if !ok {
-			return fmt.Errorf("telemetry: log record key is not a string")
-		}
-		switch key {
-		case "at_us":
-			var us int64
-			if err := dec.Decode(&us); err != nil {
-				return fmt.Errorf("telemetry: log record at_us: %w", err)
-			}
-			r.At = time.Duration(us) * time.Microsecond
-		case "level":
-			var lv Level
-			if err := dec.Decode(&lv); err != nil {
-				return err
-			}
-			r.Level = lv
-		case "msg":
-			if err := dec.Decode(&r.Msg); err != nil {
-				return fmt.Errorf("telemetry: log record msg: %w", err)
-			}
-		default:
-			var v string
-			if err := dec.Decode(&v); err != nil {
-				return fmt.Errorf("telemetry: log record attr %q: %w", key, err)
-			}
-			r.Attrs = append(r.Attrs, Attr{Key: key, Value: v})
-		}
-	}
-	// Consume the closing brace.
-	_, err = dec.Token()
-	return err
-}
 
 // Text renders the record in the human-readable stderr shape:
 // [seconds] LEVEL msg key=value ...

@@ -46,7 +46,7 @@ func TestNilMetricsAreNoOps(t *testing.T) {
 	reg.Counter("x", "").Inc()
 	reg.CounterVec("y", "", "l").With("v").Inc()
 	reg.Histogram("z", "", nil).Observe(1)
-	if reg.Snapshot() != nil {
+	if reg.SnapshotFiltered(nil) != nil {
 		t.Fatal("nil registry snapshot must be nil")
 	}
 }
@@ -138,7 +138,7 @@ func TestPrometheusExposition(t *testing.T) {
 	h.Observe(3)
 
 	var b bytes.Buffer
-	if err := reg.WritePrometheus(&b); err != nil {
+	if err := reg.WritePrometheusFiltered(&b, nil); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -183,10 +183,10 @@ func TestExpositionDeterministicAcrossInsertionOrder(t *testing.T) {
 		return reg
 	}
 	var p1, p2, j1, j2 bytes.Buffer
-	if err := build(false).WritePrometheus(&p1); err != nil {
+	if err := build(false).WritePrometheusFiltered(&p1, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := build(true).WritePrometheus(&p2); err != nil {
+	if err := build(true).WritePrometheusFiltered(&p2, nil); err != nil {
 		t.Fatal(err)
 	}
 	if p1.String() != p2.String() {

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"sort"
 	"sync"
 	"time"
 )
@@ -76,30 +75,6 @@ func NewSLO(reg *Registry, clock Clock, name string, objective time.Duration, ta
 		s.burn = append(s.burn, burn.With(name, w.String()))
 	}
 	return s
-}
-
-// Name returns the objective's name.
-func (s *SLO) Name() string {
-	if s == nil {
-		return ""
-	}
-	return s.name
-}
-
-// Objective returns the latency bound.
-func (s *SLO) Objective() time.Duration {
-	if s == nil {
-		return 0
-	}
-	return s.objective
-}
-
-// Target returns the promised good fraction.
-func (s *SLO) Target() float64 {
-	if s == nil {
-		return 0
-	}
-	return s.target
 }
 
 // Observe classifies one latency observation, updates the counters, and
@@ -197,17 +172,4 @@ func (s *SLO) Status() SLOStatus {
 		st.Burn[w.String()] = s.Burn(w)
 	}
 	return st
-}
-
-// SortedBurnWindows returns the window labels in ascending order — the
-// stable column order for dashboards.
-func SortedBurnWindows() []string {
-	ws := make([]time.Duration, len(SLOWindows))
-	copy(ws, SLOWindows)
-	sort.Slice(ws, func(i, j int) bool { return ws[i] < ws[j] })
-	out := make([]string, len(ws))
-	for i, w := range ws {
-		out[i] = w.String()
-	}
-	return out
 }

@@ -29,7 +29,7 @@ func TestSLOCountsGoodAndBad(t *testing.T) {
 	}
 
 	var dump strings.Builder
-	if err := reg.WritePrometheus(&dump); err != nil {
+	if err := reg.WritePrometheusFiltered(&dump, nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
@@ -99,7 +99,7 @@ func TestRuntimeMetricsSample(t *testing.T) {
 		t.Fatalf("implausible runtime sample %+v", s)
 	}
 	var dump strings.Builder
-	if err := reg.WritePrometheus(&dump); err != nil {
+	if err := reg.WritePrometheusFiltered(&dump, nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, fam := range []string{
