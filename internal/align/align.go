@@ -12,9 +12,10 @@
 package align
 
 import (
+	"cmp"
 	"errors"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"dpreverser/internal/colstore"
@@ -77,8 +78,30 @@ func EstimateOffsetOBDColumnar(frames *colstore.Frames, uiFrames []ocr.Frame) (t
 // estimateOffset matches decoded observations against the OBD UI frames
 // and returns the median offset sample.
 func estimateOffset(obs []obdObservation, uiFrames []ocr.Frame) (time.Duration, error) {
-	if len(obs) == 0 {
+	samples := offsetSamples(obs, uiFrames)
+	if len(samples) == 0 {
 		return 0, ErrNoAnchors
+	}
+	slices.Sort(samples)
+	return samples[len(samples)/2], nil
+}
+
+// offsetSamples returns one offset sample per observation that some OBD
+// UI frame shows, in observation order: the gap to the earliest such
+// frame at or after the observation, since the screen cannot show a value
+// before it was measured. The frames are visited in display-time order,
+// so the search for each observation starts at its time and stops at the
+// first frame showing the value.
+func offsetSamples(obs []obdObservation, uiFrames []ocr.Frame) []time.Duration {
+	var live []*ocr.Frame
+	for i := range uiFrames {
+		if uiFrames[i].ScreenName == "obd-live" {
+			live = append(live, &uiFrames[i])
+		}
+	}
+	byAt := func(a, b *ocr.Frame) int { return cmp.Compare(a.At, b.At) }
+	if !slices.IsSortedFunc(live, byAt) {
+		slices.SortStableFunc(live, byAt)
 	}
 	var samples []time.Duration
 	for _, o := range obs {
@@ -86,39 +109,26 @@ func estimateOffset(obs []obdObservation, uiFrames []ocr.Frame) (time.Duration, 
 		if !ok {
 			continue
 		}
-		// Find the closest-in-display-time UI frame showing this value.
-		bestGap := time.Duration(math.MaxInt64)
-		found := false
-		var bestOffset time.Duration
-		for _, f := range uiFrames {
-			if f.ScreenName != "obd-live" {
-				continue
-			}
-			for _, row := range f.Rows {
-				if !row.ParseOK || row.Label != spec.Name {
-					continue
-				}
-				if math.Abs(row.Parsed-o.value) > displayTolerance(o.value) {
-					continue
-				}
-				gap := f.At - o.at
-				if gap < 0 {
-					continue // the screen cannot show a value before it was measured
-				}
-				if gap < bestGap {
-					bestGap, bestOffset, found = gap, f.At-o.at, true
-				}
+		i, _ := slices.BinarySearchFunc(live, o.at, func(f *ocr.Frame, at time.Duration) int { return cmp.Compare(f.At, at) })
+		for _, f := range live[i:] {
+			if shows(f, spec.Name, o.value) {
+				samples = append(samples, f.At-o.at)
+				break
 			}
 		}
-		if found {
-			samples = append(samples, bestOffset)
+	}
+	return samples
+}
+
+// shows reports whether frame f has a row labelled label whose value
+// equals v after display rounding.
+func shows(f *ocr.Frame, label string, v float64) bool {
+	for _, row := range f.Rows {
+		if row.ParseOK && row.Label == label && math.Abs(row.Parsed-v) <= displayTolerance(v) {
+			return true
 		}
 	}
-	if len(samples) == 0 {
-		return 0, ErrNoAnchors
-	}
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	return samples[len(samples)/2], nil
+	return false
 }
 
 // displayTolerance is the quantisation of the tool's value rendering (two

@@ -2,21 +2,26 @@ package align
 
 import (
 	"errors"
+	"math"
+	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
 	"dpreverser/internal/can"
 	"dpreverser/internal/colstore"
 	"dpreverser/internal/diagtool"
+	"dpreverser/internal/obd"
 	"dpreverser/internal/ocr"
 	"dpreverser/internal/rig"
 	"dpreverser/internal/sim"
 	"dpreverser/internal/vehicle"
 )
 
-func collectAlignment(t *testing.T, cameraOffset time.Duration) rig.Capture {
+func collectAlignment(t *testing.T, car string, cameraOffset time.Duration) rig.Capture {
 	t.Helper()
-	p, _ := vehicle.ProfileByCar("Car A")
+	p, _ := vehicle.ProfileByCar(car)
 	clock := sim.NewClock(0)
 	tool, veh, err := diagtool.ForProfile(p, clock)
 	if err != nil {
@@ -46,7 +51,7 @@ func columnar(frames []can.Frame) *colstore.Frames {
 
 func TestEstimateOffsetOBDRecoversSkew(t *testing.T) {
 	for _, skew := range []time.Duration{0, 120 * time.Millisecond, 2 * time.Second} {
-		cap := collectAlignment(t, skew)
+		cap := collectAlignment(t, "Car A", skew)
 		got, err := EstimateOffsetOBDColumnar(columnar(cap.Frames), cap.UIFrames)
 		if err != nil {
 			t.Fatalf("skew %v: %v", skew, err)
@@ -67,9 +72,74 @@ func TestEstimateOffsetOBDNoTraffic(t *testing.T) {
 }
 
 func TestEstimateOffsetOBDNoUIMatches(t *testing.T) {
-	cap := collectAlignment(t, 0)
+	cap := collectAlignment(t, "Car A", 0)
 	if _, err := EstimateOffsetOBDColumnar(columnar(cap.Frames), nil); !errors.Is(err, ErrNoAnchors) {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// scanSamples is offsetSamples as a plain scan of every UI frame for every
+// observation, keeping the smallest non-negative gap: the reference the
+// indexed search must reproduce.
+func scanSamples(obs []obdObservation, uiFrames []ocr.Frame) []time.Duration {
+	var samples []time.Duration
+	for _, o := range obs {
+		spec, ok := obd.Lookup(o.pid)
+		if !ok {
+			continue
+		}
+		bestGap, found := time.Duration(math.MaxInt64), false
+		for _, f := range uiFrames {
+			if f.ScreenName != "obd-live" {
+				continue
+			}
+			for _, row := range f.Rows {
+				if !row.ParseOK || row.Label != spec.Name || math.Abs(row.Parsed-o.value) > displayTolerance(o.value) {
+					continue
+				}
+				if gap := f.At - o.at; gap >= 0 && gap < bestGap {
+					bestGap, found = gap, true
+				}
+			}
+		}
+		if found {
+			samples = append(samples, bestGap)
+		}
+	}
+	return samples
+}
+
+// The indexed anchor search finds the same offset samples as the full
+// scan on every fleet car's alignment capture, and again once the UI
+// frames are shuffled with their timestamps coarsened so that many share
+// one, which makes the search sort them.
+func TestOffsetSamplesMatchScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, p := range vehicle.Fleet() {
+		cap := collectAlignment(t, p.Car, 300*time.Millisecond)
+		obs := decodeOBDTrafficColumnar(columnar(cap.Frames))
+		want := scanSamples(obs, cap.UIFrames)
+		if len(want) == 0 {
+			t.Fatalf("%s: no anchors", p.Car)
+		}
+		if got := offsetSamples(obs, cap.UIFrames); !slices.Equal(got, want) {
+			t.Fatalf("%s: indexed search found %v, scan %v", p.Car, got, want)
+		}
+		ui := slices.Clone(cap.UIFrames)
+		for i := range ui {
+			ui[i].At = ui[i].At.Truncate(time.Second)
+		}
+		rng.Shuffle(len(ui), func(i, j int) { ui[i], ui[j] = ui[j], ui[i] })
+		before := slices.Clone(ui)
+		if want = scanSamples(obs, ui); len(want) == 0 {
+			t.Fatalf("%s, shuffled: no anchors", p.Car)
+		}
+		if got := offsetSamples(obs, ui); !slices.Equal(got, want) {
+			t.Fatalf("%s, shuffled: indexed search found %v, scan %v", p.Car, got, want)
+		}
+		if !reflect.DeepEqual(ui, before) {
+			t.Fatalf("%s: the search reordered its input", p.Car)
+		}
 	}
 }
 
@@ -100,7 +170,7 @@ func TestDisplayTolerance(t *testing.T) {
 // estimated offset, UI timestamps line up with traffic timestamps to
 // within one poll interval.
 func TestAlignmentEndToEnd(t *testing.T) {
-	cap := collectAlignment(t, 1500*time.Millisecond)
+	cap := collectAlignment(t, "Car A", 1500*time.Millisecond)
 	off, err := EstimateOffsetOBDColumnar(columnar(cap.Frames), cap.UIFrames)
 	if err != nil {
 		t.Fatal(err)

@@ -669,7 +669,10 @@ func RunContext(ctx context.Context, d *Dataset, cfg Config) (Result, error) {
 			isl.release()
 		}
 	}()
-	best := drawInitial(islands, cfg)
+	best, stopped := singleVariableStop(islands[0], d.NumVars())
+	if !stopped {
+		best = drawInitial(islands)
+	}
 	observe(cfg.Observer, 0, best, islands)
 
 	gens := 0
@@ -726,6 +729,10 @@ type island struct {
 	// arenas whenever it improves, so it stays valid across resets (and
 	// across islands during migration).
 	best individual
+	// singleTrees and singles are singleVariableStop's programs and
+	// scores.
+	singleTrees []*Node
+	singles     []individual
 }
 
 // islandSeed derives island i's RNG seed: the configured seed XOR a
@@ -832,12 +839,11 @@ const initChunk = 150
 // drawInitial draws and scores the islands' initial populations, every
 // island advancing initChunk programs per round, and returns the
 // champion. After a round that leaves programs undrawn, the run stops
-// early, with the rest never drawn, if the champion meets the stop and
-// its materialised program predicts every row within 2·StopFitness: a
-// trimmed MAE alone can pass a formula that is wrong on the trimmed rows.
-// Otherwise every island ends with exactly the population, cache and
-// counters that scoring it as one batch would have left.
-func drawInitial(islands []*island, cfg Config) individual {
+// early, with the rest never drawn, if the champion passes
+// evaluator.stops. Otherwise every island ends with exactly the
+// population, cache and counters that scoring it as one batch would have
+// left.
+func drawInitial(islands []*island) individual {
 	for {
 		stepAll(islands, (*island).drawChunk)
 		best := globalBest(islands)
@@ -848,13 +854,36 @@ func drawInitial(islands []*island, cfg Config) individual {
 		if !undrawn {
 			return best
 		}
-		if best.raw <= cfg.StopFitness {
-			ev := islands[0].ev
-			if ev.fitsEveryRow(ev.materialise(best.tree), 2*cfg.StopFitness) {
-				return best
-			}
+		if islands[0].ev.stops(best) {
+			return best
 		}
 	}
+}
+
+// singleVariableStop scores the k single-variable programs X0…X(k−1) on
+// isl's evaluator, like any program, before anything is drawn. Most
+// diagnostic formulas are a scale and offset on one raw field, so the
+// best of them often meets the stop already; it then ends the run, with
+// its tree heap-cloned out of the arena, and stopped is true. Otherwise
+// the run draws as usual and meets these programs again as cache hits.
+// A run that never stops early (StopFitness < 0) skips the check.
+func singleVariableStop(isl *island, k int) (best individual, stopped bool) {
+	if isl.cfg.StopFitness < 0 || k == 0 {
+		return individual{}, false
+	}
+	isl.gen.arena = isl.arenas[isl.cur]
+	isl.singleTrees = resize(isl.singleTrees, k)
+	for v := range isl.singleTrees {
+		isl.singleTrees[v] = isl.gen.node(Node{Op: OpVar, Var: v})
+	}
+	isl.singles = resize(isl.singles, k)
+	isl.ev.scoreAll(isl.singleTrees, isl.singles, math.Inf(1))
+	best = bestOf(isl.singles)
+	if !isl.ev.stops(best) {
+		return individual{}, false
+	}
+	best.tree = best.tree.Clone()
+	return best, true
 }
 
 // drawChunk draws the island's next initChunk initial programs, scores

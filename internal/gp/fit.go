@@ -116,6 +116,14 @@ func (e *evaluator) fitsEveryRow(t *Node, tol float64) bool {
 	return true
 }
 
+// stops reports whether champion best ends the run before any breeding:
+// it meets the stop, and its materialised program predicts every row
+// within 2·StopFitness, since a trimmed MAE alone can pass a formula that
+// is wrong on the trimmed rows.
+func (e *evaluator) stops(best individual) bool {
+	return best.raw <= e.cfg.StopFitness && e.fitsEveryRow(e.materialise(best.tree), 2*e.cfg.StopFitness)
+}
+
 // splitTerms collects the non-constant terms of t's root +/− chain and
 // evaluates them into f.cols in ascending order of their canonical keys,
 // which is independent of commutative operand order. It returns their

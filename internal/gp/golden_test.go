@@ -44,7 +44,8 @@ func udsLikeDataset() *Dataset {
 }
 
 // runMatrix covers the engine paths an evaluation change can disturb:
-// converging and never-converging datasets, single and island runs,
+// converging and never-converging datasets (one of them fitted by a
+// single scaled variable), single and island runs,
 // serial and parallel scoring, no parsimony, no early stop, and a
 // one-generation budget.
 func runMatrix() []poolCase {
@@ -68,6 +69,7 @@ func runMatrix() []poolCase {
 		{"product", makeDataset(func(a, b float64) float64 { return a * b / 5 }, seq(200, 250, 10), seq(0, 255, 32))},
 		{"noisy", noisyDataset()},
 		{"uds", udsLikeDataset()},
+		{"affine1", affineX1Dataset()},
 	}
 	var cases []poolCase
 	for i, ds := range datasets {

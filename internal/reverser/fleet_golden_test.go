@@ -16,10 +16,12 @@ import (
 
 // fleetGoldenPath records the SHA-256 of real pipeline output: each
 // fleet car's schema-v1 result document at the quick GP budget, and three
-// cars' at the paper budget, all on rig seed 1. TestResultSchemaGolden
-// pins the document's shape on a hand-built result; this pins what the
-// GP engine actually finds, so an engine change that claims identical
-// output has to prove it.
+// cars' at the paper budget, all on rig seed 1. Each line holds two
+// digests, of the whole document and of the document without its GP work
+// counters (see resultSHA). TestResultSchemaGolden pins the document's
+// shape on a hand-built result; this pins what the GP engine actually
+// finds, so an engine change that claims identical output has to prove
+// it.
 const fleetGoldenPath = "testdata/fleet_results_sha256.golden"
 
 // paperGoldenCars are the cars also pinned at the paper budget: Cars A
@@ -40,22 +42,63 @@ func goldenBudget(name string) Config {
 	return cfg
 }
 
+// counterFields are the result document's GP work counters.
+var counterFields = []string{"evaluations", "cache_hits", "cache_misses", "generations"}
+
 // resultSHA reverses cap under cfg at Parallelism 2 and hashes the result
-// document as the job server's /result endpoint encodes it.
-func resultSHA(t *testing.T, cfg Config, car string, seed int64) string {
+// document as the job server's /result endpoint encodes it. It returns
+// two digests: of the whole document, and of the document with every
+// counterFields entry removed, so a change to how much work the GP does
+// shows in review whether the formulas stayed the same.
+func resultSHA(t *testing.T, cfg Config, car string, seed int64) (full, noCounters string) {
 	t.Helper()
 	res, err := New(WithConfig(cfg), WithParallelism(2)).Reverse(context.Background(), collectSeeded(t, car, seed))
 	if err != nil {
 		t.Fatalf("%s: %v", car, err)
 	}
+	doc := indentJSON(t, res)
+	dec := json.NewDecoder(bytes.NewReader(doc))
+	dec.UseNumber()
+	var tree any
+	if err := dec.Decode(&tree); err != nil {
+		t.Fatal(err)
+	}
+	stripCounters(tree)
+	return sha256Hex(doc), sha256Hex(indentJSON(t, tree))
+}
+
+func indentJSON(t *testing.T, v any) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(res); err != nil {
+	if err := enc.Encode(v); err != nil {
 		t.Fatal(err)
 	}
-	sum := sha256.Sum256(buf.Bytes())
+	return buf.Bytes()
+}
+
+func sha256Hex(b []byte) string {
+	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
+}
+
+// stripCounters deletes every counterFields key from a decoded JSON
+// document, at any depth.
+func stripCounters(v any) {
+	switch v := v.(type) {
+	case map[string]any:
+		for _, f := range counterFields {
+			delete(v, f)
+		}
+		for _, c := range v {
+			stripCounters(c)
+		}
+	case []any:
+		for _, c := range v {
+			stripCounters(c)
+		}
+	}
 }
 
 func TestFleetResultsGolden(t *testing.T) {
@@ -63,11 +106,15 @@ func TestFleetResultsGolden(t *testing.T) {
 		t.Skip("20 full captures and pipeline runs")
 	}
 	var got strings.Builder
+	line := func(budget, car string) {
+		full, noCounters := resultSHA(t, goldenBudget(budget), car, 1)
+		fmt.Fprintf(&got, "%s\t%s\t%s\t%s\n", budget, car, full, noCounters)
+	}
 	for _, p := range vehicle.Fleet() {
-		fmt.Fprintf(&got, "quick\t%s\t%s\n", p.Car, resultSHA(t, goldenBudget("quick"), p.Car, 1))
+		line("quick", p.Car)
 	}
 	for _, car := range paperGoldenCars {
-		fmt.Fprintf(&got, "paper\t%s\t%s\n", car, resultSHA(t, goldenBudget("paper"), car, 1))
+		line("paper", car)
 	}
 	if *updateGolden {
 		if err := os.WriteFile(fleetGoldenPath, []byte(got.String()), 0o644); err != nil {

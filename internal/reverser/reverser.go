@@ -426,9 +426,11 @@ func (rv *Reverser) Reverse(ctx context.Context, cap rig.Capture) (*Result, erro
 		}
 	}
 	res.ESVs = esvs
-	sort.Slice(res.ESVs, func(i, j int) bool {
-		return res.ESVs[i].Key.String() < res.ESVs[j].Key.String()
-	})
+	keys := make([]string, len(esvs))
+	for i := range esvs {
+		keys[i] = esvs[i].Key.String()
+	}
+	sort.Sort(esvsByKey{keys, esvs})
 
 	// §4.5: control-record extraction with active-test screen semantics.
 	r.stage("controls", func() {
@@ -474,6 +476,20 @@ func (rv *Reverser) Reverse(ctx context.Context, cap rig.Capture) (*Result, erro
 		return nil, &DegradedError{Result: res}
 	}
 	return res, nil
+}
+
+// esvsByKey sorts ESVs by their formatted keys, each formatted once; the
+// keys move with their ESVs.
+type esvsByKey struct {
+	keys []string
+	esvs []ReversedESV
+}
+
+func (s esvsByKey) Len() int           { return len(s.keys) }
+func (s esvsByKey) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
+func (s esvsByKey) Swap(i, j int) {
+	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
+	s.esvs[i], s.esvs[j] = s.esvs[j], s.esvs[i]
 }
 
 // streamKind classifies a prepared stream for the extraction metric.
