@@ -204,7 +204,8 @@ func BenchmarkVWTPAssemble(b *testing.B) {
 
 // --- E1 / Table 4: OCR throughput ---
 
-// BenchmarkOCRRecognize measures recognising one live-data screen.
+// BenchmarkOCRRecognize measures recognising one live-data screen and
+// laying its texts out as rows.
 func BenchmarkOCRRecognize(b *testing.B) {
 	p, _ := vehicle.ProfileByCar("Car L")
 	clock := sim.NewClock(0)
@@ -222,11 +223,12 @@ func BenchmarkOCRRecognize(b *testing.B) {
 	tool.Poll()
 	screen := tool.Screen()
 	engine := ocr.NewEngine(ocr.HighQualityValueErr, 1)
+	var rows []ocr.Row
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f := engine.Recognize(screen, time.Duration(i))
-		if len(f.Rows) == 0 {
+		if rows = ocr.Layout(f.Texts, rows[:0]); len(rows) == 0 {
 			b.Fatal("no rows recognised")
 		}
 	}

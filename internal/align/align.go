@@ -86,20 +86,29 @@ func estimateOffset(obs []obdObservation, uiFrames []ocr.Frame) (time.Duration, 
 	return samples[len(samples)/2], nil
 }
 
+// liveFrame is one OBD UI frame laid out as rows[lo:hi].
+type liveFrame struct {
+	at     time.Duration
+	lo, hi int
+}
+
 // offsetSamples returns one offset sample per observation that some OBD
 // UI frame shows, in observation order: the gap to the earliest such
 // frame at or after the observation, since the screen cannot show a value
-// before it was measured. The frames are visited in display-time order,
-// so the search for each observation starts at its time and stops at the
-// first frame showing the value.
+// before it was measured. Each frame is laid out once; the frames are
+// then visited in display-time order, so the search for each observation
+// starts at its time and stops at the first frame showing the value.
 func offsetSamples(obs []obdObservation, uiFrames []ocr.Frame) []time.Duration {
-	var live []*ocr.Frame
+	var rows []ocr.Row
+	var live []liveFrame
 	for i := range uiFrames {
-		if uiFrames[i].ScreenName == "obd-live" {
-			live = append(live, &uiFrames[i])
+		if f := &uiFrames[i]; f.ScreenName == "obd-live" {
+			lo := len(rows)
+			rows = ocr.Layout(f.Texts, rows)
+			live = append(live, liveFrame{at: f.At, lo: lo, hi: len(rows)})
 		}
 	}
-	byAt := func(a, b *ocr.Frame) int { return cmp.Compare(a.At, b.At) }
+	byAt := func(a, b liveFrame) int { return cmp.Compare(a.at, b.at) }
 	if !slices.IsSortedFunc(live, byAt) {
 		slices.SortStableFunc(live, byAt)
 	}
@@ -109,10 +118,10 @@ func offsetSamples(obs []obdObservation, uiFrames []ocr.Frame) []time.Duration {
 		if !ok {
 			continue
 		}
-		i, _ := slices.BinarySearchFunc(live, o.at, func(f *ocr.Frame, at time.Duration) int { return cmp.Compare(f.At, at) })
+		i, _ := slices.BinarySearchFunc(live, o.at, func(f liveFrame, at time.Duration) int { return cmp.Compare(f.at, at) })
 		for _, f := range live[i:] {
-			if shows(f, spec.Name, o.value) {
-				samples = append(samples, f.At-o.at)
+			if shows(rows[f.lo:f.hi], spec.Name, o.value) {
+				samples = append(samples, f.at-o.at)
 				break
 			}
 		}
@@ -120,10 +129,10 @@ func offsetSamples(obs []obdObservation, uiFrames []ocr.Frame) []time.Duration {
 	return samples
 }
 
-// shows reports whether frame f has a row labelled label whose value
+// shows reports whether rows include one labelled label whose value
 // equals v after display rounding.
-func shows(f *ocr.Frame, label string, v float64) bool {
-	for _, row := range f.Rows {
+func shows(rows []ocr.Row, label string, v float64) bool {
+	for _, row := range rows {
 		if row.ParseOK && row.Label == label && math.Abs(row.Parsed-v) <= displayTolerance(v) {
 			return true
 		}

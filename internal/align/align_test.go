@@ -93,7 +93,7 @@ func scanSamples(obs []obdObservation, uiFrames []ocr.Frame) []time.Duration {
 			if f.ScreenName != "obd-live" {
 				continue
 			}
-			for _, row := range f.Rows {
+			for _, row := range ocr.Layout(f.Texts, nil) {
 				if !row.ParseOK || row.Label != spec.Name || math.Abs(row.Parsed-o.value) > displayTolerance(o.value) {
 					continue
 				}
@@ -179,7 +179,7 @@ func TestAlignmentEndToEnd(t *testing.T) {
 	// Every corrected OBD frame timestamp must be within a poll interval
 	// of some OBD traffic timestamp.
 	for _, f := range corrected {
-		if f.ScreenName != "obd-live" || len(f.Rows) == 0 {
+		if f.ScreenName != "obd-live" || len(ocr.Layout(f.Texts, nil)) == 0 {
 			continue
 		}
 		best := time.Duration(1 << 62)

@@ -1,6 +1,7 @@
 package align
 
 import (
+	"strconv"
 	"testing"
 	"time"
 
@@ -12,7 +13,7 @@ import (
 	"dpreverser/internal/ocr"
 )
 
-// FuzzPairing throws arbitrary CAN payloads and OCR rows at the
+// FuzzPairing throws arbitrary CAN payloads and OCR texts at the
 // OBD-anchored clock aligner. The contract: never panic, and either
 // return a usable offset or ErrNoAnchors — even when the traffic is
 // damaged mid-transfer and the displayed value is garbage.
@@ -59,9 +60,10 @@ func FuzzPairing(f *testing.F) {
 		ui := []ocr.Frame{{
 			At:         time.Duration(gapMS) * time.Millisecond,
 			ScreenName: "obd-live",
-			Rows: []ocr.Row{
-				{Index: 0, Label: label, Parsed: value, ParseOK: true},
-				{Index: 1, Label: label, Value: "not a number"},
+			Texts: []ocr.Text{
+				{Content: "OBD-II Live Data", X: 40, Y: 16},
+				{Content: label, X: 40, Y: 60}, {Content: strconv.FormatFloat(value, 'g', -1, 64), X: 420, Y: 60},
+				{Content: label, X: 40, Y: 104}, {Content: "not a number", X: 420, Y: 104},
 			},
 		}}
 		off, err := EstimateOffsetOBDColumnar(frames, ui)

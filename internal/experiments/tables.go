@@ -61,15 +61,12 @@ func Table4(opt Options) ([]Table4Row, error) {
 		tool.SelectAllOnECU()
 		tool.ClickWidget("sel.ok")
 		engine := ocr.NewEngine(c.err, opt.Seed+int64(ci)*17+3)
-		corrupted := 0
 		for i := 0; i < pics; i++ {
 			tool.Poll()
 			clock.Advance(500 * time.Millisecond)
-			f := engine.Recognize(tool.Screen(), clock.Now())
-			if f.Corrupted {
-				corrupted++
-			}
+			engine.Recognize(tool.Screen(), clock.Now())
 		}
+		_, corrupted := engine.Stats()
 		rows = append(rows, Table4Row{Tool: c.tool, TotalPics: pics, Correct: pics - corrupted})
 		tool.Close()
 		veh.Close()

@@ -234,44 +234,49 @@ func TestBitFlipChangesExactlyOneBit(t *testing.T) {
 
 func uiFixture() []ocr.Frame {
 	return []ocr.Frame{
-		{At: time.Second, ScreenName: "live-data", Rows: []ocr.Row{
-			{Index: 0, Label: "Engine speed", Value: "1250.50", Parsed: 1250.50, ParseOK: true},
-			{Index: 1, Label: "Coolant", Value: "-4.00", Parsed: -4, ParseOK: true},
-			{Index: 2, Label: "State", Value: "On"},
+		{At: time.Second, ScreenName: "live-data", Texts: []ocr.Text{
+			{Content: "Data Stream", X: 40, Y: 16},
+			{Content: "Engine speed", X: 40, Y: 60}, {Content: "1250.50", X: 420, Y: 60}, {Content: "rpm", X: 600, Y: 60},
+			{Content: "Coolant", X: 40, Y: 104}, {Content: "-4.00", X: 420, Y: 104}, {Content: "°C", X: 600, Y: 104},
+			{Content: "State", X: 40, Y: 148}, {Content: "On", X: 420, Y: 148},
 		}},
 	}
 }
 
+// uiValues lays out frame f and returns its rows' value texts.
+func uiValues(f ocr.Frame) []string {
+	var out []string
+	for _, r := range ocr.Layout(f.Texts, nil) {
+		out = append(out, r.Value)
+	}
+	return out
+}
+
 func TestUIFramesOCRNoise(t *testing.T) {
 	inj := New(Spec{OCRDecimal: 1}, 9)
-	out := inj.UIFrames(uiFixture())
-	if got := out[0].Rows[0].Value; got != "1250.50" && got != "125050" {
-		t.Fatalf("unexpected value %q", got)
+	in := uiFixture()
+	out := inj.UIFrames(in)
+	if got, want := uiValues(out[0]), []string{"125050", "-400", "On"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("values = %q, want %q", got, want)
 	}
-	if out[0].Rows[0].Value != "125050" {
-		t.Fatalf("decimal drop not applied: %q", out[0].Rows[0].Value)
-	}
-	if !out[0].Corrupted {
-		t.Fatal("frame not flagged corrupted")
+	if r := ocr.Layout(out[0].Texts, nil)[0]; !r.ParseOK || r.Parsed != 125050 {
+		t.Fatalf("corrupted row = %+v", r)
 	}
 	st := inj.Stats()
 	if st.DecimalDrops != 2 || st.CorruptedValues != 2 || st.Values != 2 {
 		t.Fatalf("stats = %+v", st)
 	}
 	// Input untouched.
-	if fx := uiFixture(); fx[0].Rows[0].Value != "1250.50" {
-		t.Fatal("fixture mutated")
+	if !reflect.DeepEqual(in, uiFixture()) {
+		t.Fatal("input frames mutated")
 	}
 }
 
 func TestUIFramesSignFlip(t *testing.T) {
 	inj := New(Spec{OCRSign: 1}, 9)
 	out := inj.UIFrames(uiFixture())
-	if got := out[0].Rows[1].Value; got != "4.00" {
-		t.Fatalf("sign flip on negative = %q, want 4.00", got)
-	}
-	if got := out[0].Rows[0].Value; got != "-1250.50" {
-		t.Fatalf("sign flip on positive = %q, want -1250.50", got)
+	if got, want := uiValues(out[0]), []string{"-1250.50", "4.00", "On"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("values = %q, want %q", got, want)
 	}
 }
 

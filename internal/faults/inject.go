@@ -2,8 +2,7 @@ package faults
 
 import (
 	"math/rand"
-	"strconv"
-	"strings"
+	"slices"
 	"time"
 
 	"dpreverser/internal/can"
@@ -271,33 +270,28 @@ func continuesTransfer(data []byte) bool {
 }
 
 // UIFrames perturbs OCR'd video frames: each numeric displayed value
-// suffers the spec's OCR failure modes (decimal-point loss, digit
-// substitution, sign misread), replayed through the same helpers the OCR
-// engine uses. The input is not modified; corrupted frames are flagged.
+// (a value-column text, ocr.ValueTexts) suffers the spec's OCR failure
+// modes (decimal-point loss, digit substitution, sign misread), replayed
+// through the same helpers the OCR engine uses. Values are visited in
+// text order. The input is not modified.
 func (in *Injector) UIFrames(frames []ocr.Frame) []ocr.Frame {
 	out := make([]ocr.Frame, len(frames))
+	var values []int
 	for i, f := range frames {
-		nf := f
-		nf.Rows = append([]ocr.Row(nil), f.Rows...)
-		frameCorrupted := false
-		for j := range nf.Rows {
-			row := &nf.Rows[j]
-			if !row.ParseOK || row.Value == "" {
+		f.Texts = slices.Clone(f.Texts)
+		values = ocr.ValueTexts(f.Texts, values[:0])
+		for _, j := range values {
+			t := &f.Texts[j]
+			if _, ok := ocr.ParseValue(t.Content); !ok {
 				continue
 			}
 			in.stats.Values++
-			if text, changed := in.corruptValue(row.Value); changed {
-				row.Value = text
-				v, err := strconv.ParseFloat(strings.TrimSpace(text), 64)
-				row.Parsed, row.ParseOK = v, err == nil
+			if text, changed := in.corruptValue(t.Content); changed {
+				t.Content = text
 				in.stats.CorruptedValues++
-				frameCorrupted = true
 			}
 		}
-		if frameCorrupted {
-			nf.Corrupted = true
-		}
-		out[i] = nf
+		out[i] = f
 	}
 	return out
 }

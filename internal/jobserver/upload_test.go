@@ -86,7 +86,10 @@ func TestRefusalPrecedesMalformedBody(t *testing.T) {
 // connection usable: the refusal and the next, accepted submit share one
 // dial.
 func TestRefusalKeepsConnection(t *testing.T) {
+	// Leading whitespace, which the decoder skips, takes Car M's body
+	// (about 210 KB) well past the drain.
 	body := carMBody(t)
+	body = append(bytes.Repeat([]byte(" "), max(0, 320<<10-len(body))), body...)
 	if len(body) <= 256<<10 {
 		t.Fatalf("Car M body is %d bytes; the test needs more than 256 KB", len(body))
 	}

@@ -14,9 +14,6 @@ package ocr
 
 import (
 	"math/rand"
-	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"dpreverser/internal/ui"
@@ -32,7 +29,8 @@ type Text struct {
 // Center reports the midpoint of the region — where the clicker aims.
 func (t Text) Center() (x, y int) { return t.X + t.W/2, t.Y + t.H/2 }
 
-// Row is a recognised (label, value) pair from a live-data screen.
+// Row is a (label, value) pair laid out from a live-data screen's texts
+// (Layout).
 type Row struct {
 	// Index is the on-screen row number (stable pairing key: row k on the
 	// screen corresponds to the k-th identifier in the tool's request).
@@ -45,19 +43,15 @@ type Row struct {
 	// text is not a number (or the value cell was empty).
 	Parsed  float64
 	ParseOK bool
-	Y       int
 }
 
-// Frame is one OCR'd video frame.
+// Frame is one OCR'd video frame: the recognised text regions and
+// nothing a camera could not see.
 type Frame struct {
 	At         time.Duration
 	ScreenName string
 	Title      string
-	Rows       []Row
 	Texts      []Text
-	// Corrupted reports whether the engine injected at least one
-	// recognition error into this frame (ground truth for Table 4).
-	Corrupted bool
 }
 
 // Engine is the OCR model.
@@ -97,8 +91,7 @@ func (e *Engine) Stats() (frames, corrupted int) { return e.frames, e.corrupted 
 // Recognize converts a rendered screen into an OCR frame.
 func (e *Engine) Recognize(s ui.Screen, at time.Duration) Frame {
 	f := Frame{At: at, ScreenName: s.Name, Title: s.Title}
-	rows := map[int]*Row{}
-	var order []int
+	corrupted := false
 	for _, w := range s.Widgets {
 		if w.Text == "" {
 			continue
@@ -108,64 +101,21 @@ func (e *Engine) Recognize(s ui.Screen, at time.Duration) Frame {
 		case ui.Value:
 			if e.rng.Float64() < e.ValueErrProb {
 				text = e.corruptValue(text)
-				f.Corrupted = true
+				corrupted = true
 			}
 		default:
 			if e.rng.Float64() < e.LabelErrProb {
 				text = e.corruptLabel(text)
-				f.Corrupted = true
+				corrupted = true
 			}
 		}
 		f.Texts = append(f.Texts, Text{Content: text, X: w.X, Y: w.Y, W: w.W, H: w.H})
-
-		idx, part, ok := rowID(w.ID)
-		if !ok {
-			continue
-		}
-		r, exists := rows[idx]
-		if !exists {
-			r = &Row{Index: idx, Y: w.Y}
-			rows[idx] = r
-			order = append(order, idx)
-		}
-		switch part {
-		case "label":
-			r.Label = text
-		case "unit":
-			r.Unit = text
-		case "val":
-			r.Value = text
-			if v, err := strconv.ParseFloat(strings.TrimSpace(text), 64); err == nil {
-				r.Parsed = v
-				r.ParseOK = true
-			}
-		}
-	}
-	sort.Ints(order)
-	for _, idx := range order {
-		f.Rows = append(f.Rows, *rows[idx])
 	}
 	e.frames++
-	if f.Corrupted {
+	if corrupted {
 		e.corrupted++
 	}
 	return f
-}
-
-// rowID parses widget IDs of the form "row.val.3" / "obd.label.0".
-func rowID(id string) (idx int, part string, ok bool) {
-	parts := strings.Split(id, ".")
-	if len(parts) != 3 {
-		return 0, "", false
-	}
-	if parts[0] != "row" && parts[0] != "obd" {
-		return 0, "", false
-	}
-	n, err := strconv.Atoi(parts[2])
-	if err != nil {
-		return 0, "", false
-	}
-	return n, parts[1], true
 }
 
 // corruptValue applies one of the paper's observed OCR failure modes

@@ -2,6 +2,7 @@ package ocr
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 
 func liveScreen(values []string) ui.Screen {
 	s := ui.Screen{Name: "live-data", Title: "Data Stream", Width: 1024, Height: 768}
+	s.Widgets = append(s.Widgets, ui.Widget{ID: "title", Kind: ui.Label, Text: s.Title, X: 40, Y: 16, W: 360, H: 40})
 	labels := []string{"Engine speed", "Vehicle speed", "Coolant temperature"}
 	for i, v := range values {
 		y := 60 + 44*i
@@ -42,32 +44,37 @@ func itoa(i int) string {
 func TestRecognizePerfectEngine(t *testing.T) {
 	e := NewEngine(0, 1)
 	f := e.Recognize(liveScreen([]string{"771.20", "33.00"}), 5*time.Second)
-	if f.Corrupted {
+	if _, corrupted := e.Stats(); corrupted != 0 {
 		t.Fatal("zero-error engine corrupted a frame")
 	}
-	if f.At != 5*time.Second || f.ScreenName != "live-data" {
+	if f.At != 5*time.Second || f.ScreenName != "live-data" || f.Title != "Data Stream" {
 		t.Fatalf("frame meta = %+v", f)
 	}
-	if len(f.Rows) != 2 {
-		t.Fatalf("rows = %d", len(f.Rows))
+	if len(f.Texts) != 7 || f.Texts[2].Content != "771.20" {
+		t.Fatalf("texts = %+v", f.Texts)
 	}
-	r := f.Rows[0]
+	rows := Layout(f.Texts, nil)
+	if len(rows) != 2 {
+		t.Fatalf("rows = %d", len(rows))
+	}
+	r := rows[0]
 	if r.Label != "Engine speed" || !r.ParseOK || r.Parsed != 771.2 || r.Unit != "rpm" {
 		t.Fatalf("row = %+v", r)
 	}
-	if f.Rows[1].Index != 1 {
-		t.Fatalf("row order: %+v", f.Rows)
+	if rows[1].Index != 1 {
+		t.Fatalf("row order: %+v", rows)
 	}
 }
 
 func TestRecognizeEmptyValueNotParsed(t *testing.T) {
 	e := NewEngine(0, 1)
-	f := e.Recognize(liveScreen([]string{""}), 0)
-	if len(f.Rows) != 1 {
-		t.Fatalf("rows = %d", len(f.Rows))
+	f := e.Recognize(liveScreen([]string{"12.00", ""}), 0)
+	rows := Layout(f.Texts, nil)
+	if len(rows) != 2 {
+		t.Fatalf("rows = %d", len(rows))
 	}
-	if f.Rows[0].ParseOK {
-		t.Fatal("empty value parsed")
+	if rows[1].ParseOK || rows[1].Value != "" || rows[1].Unit != "rpm" {
+		t.Fatalf("empty value cell = %+v", rows[1])
 	}
 }
 
@@ -133,10 +140,8 @@ func TestRecognizeDeterministic(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		fa := a.Recognize(s, time.Duration(i))
 		fb := b.Recognize(s, time.Duration(i))
-		for j := range fa.Rows {
-			if fa.Rows[j].Value != fb.Rows[j].Value {
-				t.Fatal("same seed diverged")
-			}
+		if !slices.Equal(fa.Texts, fb.Texts) {
+			t.Fatal("same seed diverged")
 		}
 	}
 }
@@ -229,26 +234,5 @@ func TestMedianHelpers(t *testing.T) {
 	}
 	if medianAbsDevInPlace(nil, 0) != 0 {
 		t.Fatal("MAD(nil)")
-	}
-}
-
-func TestRowIDParsing(t *testing.T) {
-	cases := []struct {
-		id   string
-		idx  int
-		part string
-		ok   bool
-	}{
-		{"row.val.3", 3, "val", true},
-		{"obd.label.0", 0, "label", true},
-		{"sel.item.2", 0, "", false},
-		{"title", 0, "", false},
-		{"row.val.x", 0, "", false},
-	}
-	for _, c := range cases {
-		idx, part, ok := rowID(c.id)
-		if ok != c.ok || (ok && (idx != c.idx || part != c.part)) {
-			t.Fatalf("rowID(%q) = %d %q %v", c.id, idx, part, ok)
-		}
 	}
 }

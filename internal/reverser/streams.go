@@ -124,7 +124,9 @@ type streamPrep struct {
 	kept    []int32
 	votes   []uint64
 	rank    []int
-	// rows[r] holds the session's OCR rows shown on display row r.
+	// laid holds the session's frames laid out as rows, and rows[r]
+	// refers to those shown on display row r.
+	laid []ocr.Row
 	rows [][]rowRef
 
 	// Stream scratch.
@@ -143,10 +145,11 @@ type streamPrep struct {
 	slot    []int32
 }
 
-// rowRef is one OCR row and the time of the frame showing it.
+// rowRef is one laid-out row (its index into laid) and the time of the
+// frame showing it.
 type rowRef struct {
 	at  time.Duration
-	row *ocr.Row
+	row int32
 }
 
 // pairSet is one stream's paired samples in pairing order. gid[i] names
@@ -364,8 +367,9 @@ func (p *streamPrep) voteRowOrder() {
 	})
 }
 
-// bucketRows files the session's OCR rows under their display row, for
-// the rows that pair with one of the session's n streams.
+// bucketRows lays out each of the session's frames once and files the
+// rows under their display row, for the rows that pair with one of the
+// session's n streams.
 //
 //dplint:hotpath streams-prepare
 func (p *streamPrep) bucketRows(sess session, n int) {
@@ -375,11 +379,14 @@ func (p *streamPrep) bucketRows(sess session, n int) {
 	for r := range p.rows[:n] {
 		p.rows[r] = p.rows[r][:0]
 	}
+	p.laid = p.laid[:0]
 	for fi := range sess.frames {
 		f := &sess.frames[fi]
-		for ri := range f.Rows {
-			if idx := f.Rows[ri].Index; idx >= 0 && idx < n {
-				p.rows[idx] = append(p.rows[idx], rowRef{at: f.At, row: &f.Rows[ri]})
+		first := len(p.laid)
+		p.laid = ocr.Layout(f.Texts, p.laid)
+		for ri := first; ri < len(p.laid); ri++ {
+			if idx := p.laid[ri].Index; idx < n {
+				p.rows[idx] = append(p.rows[idx], rowRef{at: f.At, row: int32(ri)})
 			}
 		}
 	}
@@ -395,7 +402,7 @@ func (p *streamPrep) buildStreamData(k int32, rowIdx int, cfg Config) StreamData
 	ySamples := p.samples[:0]
 	numericRows, textRows := 0, 0
 	for _, r := range p.rows[rowIdx] {
-		row := r.row
+		row := &p.laid[r.row]
 		if row.Label != "" {
 			labelVotes[row.Label]++
 		}

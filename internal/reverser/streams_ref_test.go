@@ -126,7 +126,7 @@ func refBuildStreamData(key StreamKey, rowIdx int, obs []ESVObservation, sess se
 	var ySamples []ocr.Sample
 	numericRows, textRows := 0, 0
 	for _, f := range sess.frames {
-		for _, row := range f.Rows {
+		for _, row := range ocr.Layout(f.Texts, nil) {
 			if row.Index != rowIdx {
 				continue
 			}

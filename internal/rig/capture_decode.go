@@ -53,8 +53,7 @@ var (
 	envelopeFields = fields{"version", "capture"}
 	captureFields  = fields{"Car", "Model", "ToolName", "Protocol", "Frames", "UIFrames", "Clicks"}
 	frameFields    = fields{"ID", "Extended", "Data", "Len", "Timestamp"}
-	uiFrameFields  = fields{"At", "ScreenName", "Title", "Rows", "Texts", "Corrupted"}
-	rowFields      = fields{"Index", "Label", "Unit", "Value", "Parsed", "ParseOK", "Y"}
+	uiFrameFields  = fields{"At", "ScreenName", "Title", "Texts"}
 	textFields     = fields{"Content", "X", "Y", "W", "H"}
 	clickFields    = fields{"At", "X", "Y", "Text", "Hit"}
 )
@@ -127,10 +126,9 @@ type decoder struct {
 	depth int
 	// Arrays are built in these buffers and copied out at their exact
 	// length, so the capture carries no growth slack and the many short
-	// Rows and Texts arrays of a capture grow one buffer between them.
+	// Texts arrays of a capture grow one buffer between them.
 	frames   []can.Frame
 	uiFrames []ocr.Frame
-	rows     []ocr.Row
 	texts    []ocr.Text
 	clicks   []ClickEvent
 	// strs interns short strings for the length of one decode.
@@ -145,7 +143,6 @@ func newDecoder() *decoder { return &decoder{strs: make(map[string]string, 256)}
 func (d *decoder) reset() {
 	d.data, d.pos, d.depth = nil, 0, 0
 	clear(d.uiFrames[:cap(d.uiFrames)])
-	clear(d.rows[:cap(d.rows)])
 	clear(d.texts[:cap(d.texts)])
 	clear(d.clicks[:cap(d.clicks)])
 	clear(d.strs)
@@ -351,46 +348,8 @@ func (d *decoder) uiFrame(f *ocr.Frame) error {
 			err = d.stringField(&f.ScreenName)
 		case "Title":
 			err = d.stringField(&f.Title)
-		case "Rows":
-			err = decodeArray(d, &f.Rows, &d.rows, (*decoder).row)
 		case "Texts":
 			err = decodeArray(d, &f.Texts, &d.texts, (*decoder).text)
-		case "Corrupted":
-			err = d.boolField(&f.Corrupted)
-		default:
-			err = d.skip()
-		}
-		if err != nil {
-			return err
-		}
-	}
-}
-
-//dplint:hotpath capture-decode
-func (d *decoder) row(r *ocr.Row) error {
-	if ok, err := d.beginObject(); !ok || err != nil {
-		return err
-	}
-	for n := 0; ; n++ {
-		key, ok, err := d.key(n == 0)
-		if err != nil || !ok {
-			return err
-		}
-		switch rowFields.match(key, n) {
-		case "Index":
-			err = d.intField(&r.Index)
-		case "Label":
-			err = d.stringField(&r.Label)
-		case "Unit":
-			err = d.stringField(&r.Unit)
-		case "Value":
-			err = d.stringField(&r.Value)
-		case "Parsed":
-			err = d.floatField(&r.Parsed)
-		case "ParseOK":
-			err = d.boolField(&r.ParseOK)
-		case "Y":
-			err = d.intField(&r.Y)
 		default:
 			err = d.skip()
 		}
@@ -846,27 +805,6 @@ func (d *decoder) uint8Field(dst *uint8) error {
 		*dst = uint8(n)
 	}
 	return err
-}
-
-//dplint:hotpath capture-decode
-func (d *decoder) floatField(dst *float64) error {
-	c := d.next()
-	if c == 'n' {
-		return d.literal("null")
-	}
-	if c != '-' && !isDigit(c) {
-		return d.mismatch(c, "number")
-	}
-	num, err := d.number()
-	if err != nil {
-		return err
-	}
-	f, err := strconv.ParseFloat(string(num), 64)
-	if err != nil {
-		return d.rangeError(num, "float", 64)
-	}
-	*dst = f
-	return nil
 }
 
 //dplint:hotpath capture-decode

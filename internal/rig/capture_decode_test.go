@@ -93,7 +93,6 @@ func smallCarM(t testing.TB) Capture {
 	c.UIFrames = c.UIFrames[:min(len(c.UIFrames), 2)]
 	for i := range c.UIFrames {
 		f := &c.UIFrames[i]
-		f.Rows = f.Rows[:min(len(f.Rows), 2)]
 		f.Texts = f.Texts[:min(len(f.Texts), 3)]
 	}
 	c.Clicks = c.Clicks[:min(len(c.Clicks), 2)]
@@ -123,6 +122,11 @@ func nested(depth int) string { return strings.Repeat("[", depth) + strings.Repe
 
 // decodeCases are the inputs whose handling encoding/json defines in
 // detail. Each one must match the oracle; wantErr pins which way it goes.
+//
+// The capture once carried laid-out Rows and a Corrupted flag in each UI
+// frame; the cases that name them (Parsed, ParseOK, Label, Unit inside
+// Rows) keep their documents, and now pin that old members are skipped as
+// unknown keys, so only their syntax can fail them.
 var decodeCases = []struct {
 	name    string
 	in      string
@@ -149,6 +153,8 @@ var decodeCases = []struct {
 	{"duplicate arrays merge", envelope(`{"Frames":[{"ID":1,"Len":3},{"ID":2}],"Frames":[{"ID":7}]}`), false},
 	{"duplicate arrays expose truncated elements", envelope(`{"Frames":[{"ID":1},{"ID":2,"Len":5},{"ID":3}],"Frames":[{"ID":9}],"Frames":[{"ID":8},{"Data":[4]}]}`), false},
 	{"duplicate nested arrays", envelope(`{"UIFrames":[{"Rows":[{"Label":"a"},{"Label":"b"}]}],"UIFrames":[{"Rows":[{"Unit":"km/h"}]}]}`), false},
+	{"duplicate nested texts", envelope(`{"UIFrames":[{"Texts":[{"Content":"a"},{"Content":"b","X":4}]}],"UIFrames":[{"Texts":[{"Y":7}]}]}`), false},
+	{"legacy rows and corrupted", envelope(`{"UIFrames":[{"At":5,"ScreenName":"obd-live","Title":"OBD-II Live Data","Rows":[{"Index":0,"Label":"Vehicle Speed","Unit":"km/h","Value":"42.00","Parsed":42,"ParseOK":true,"Y":60}],"Texts":[{"Content":"Vehicle Speed","X":40,"Y":60,"W":360,"H":40}],"Corrupted":false}]}`), false},
 	{"duplicate envelope key", `{"version":1,"capture":{"Car":"a","Frames":[{"ID":1}]},"capture":{"Model":"m","Frames":[{"Len":2}]}}`, false},
 	{"null slice", envelope(`{"Frames":null}`), false},
 	{"empty slice", envelope(`{"Frames":[]}`), false},
@@ -169,7 +175,7 @@ var decodeCases = []struct {
 	{"fraction into int", envelope(`{"Frames":[{"Len":1.0}]}`), true},
 	{"exponent into float", envelope(`{"UIFrames":[{"Rows":[{"Parsed":1e3}]}]}`), false},
 	{"negative zero float", envelope(`{"UIFrames":[{"Rows":[{"Parsed":-0.0}]}]}`), false},
-	{"float overflow", envelope(`{"UIFrames":[{"Rows":[{"Parsed":1e400}]}]}`), true},
+	{"float overflow", envelope(`{"UIFrames":[{"Rows":[{"Parsed":1e400}]}]}`), false},
 	{"float underflow", envelope(`{"UIFrames":[{"Rows":[{"Parsed":1e-400}]}]}`), false},
 	{"negative id", envelope(`{"Frames":[{"ID":-1}]}`), true},
 	{"negative zero id", envelope(`{"Frames":[{"ID":-0}]}`), true},
@@ -229,7 +235,7 @@ var decodeCases = []struct {
 	{"string into bool", envelope(`{"Frames":[{"Extended":"true"}]}`), true},
 	{"number into bool", envelope(`{"Frames":[{"Extended":0}]}`), true},
 	{"bool into int", envelope(`{"Frames":[{"Len":true}]}`), true},
-	{"string into float", envelope(`{"UIFrames":[{"Rows":[{"Parsed":"1"}]}]}`), true},
+	{"string into float", envelope(`{"UIFrames":[{"Rows":[{"Parsed":"1"}]}]}`), false},
 	{"type error then syntax error", envelope(`{"Car":1,`), true},
 	{"depth at the limit", envelope(`{"Bogus":` + nested(maxNestingDepth-2) + `}`), false},
 	{"depth past the limit", envelope(`{"Bogus":` + nested(maxNestingDepth-1) + `}`), true},
@@ -286,8 +292,10 @@ func mutations(body []byte) [][]byte {
 		[]byte(strings.Replace(s, `"ID":`, `"id":`, 1)),
 		[]byte(strings.Replace(s, `"Frames":[`, `"Frames":null,"Frames":[`, 1)),
 		[]byte(strings.Replace(s, `"Data":[`, `"Data":[256,`, 1)),
-		[]byte(strings.Replace(s, `"Label":"`, `"Label":"é\ud83d`, 1)),
+		[]byte(strings.Replace(s, `"Content":"`, `"Content":"é\ud83d`, 1)),
 		[]byte(strings.Replace(s, `"Clicks":[`, `"Clicks":[],"Bogus":[{"x":1e5}],"Clicks":[`, 1)),
+		// The older format: laid-out Rows and a Corrupted flag in a UI frame.
+		[]byte(strings.Replace(s, `"Texts":`, `"Rows":[{"Index":0,"Label":"x","Unit":"rpm","Value":"1.50","Parsed":1.5,"ParseOK":true,"Y":60}],"Corrupted":true,"Texts":`, 1)),
 		[]byte(strings.ReplaceAll(s, ",", " , ")),
 		body[:len(body)/2],
 	}
@@ -347,7 +355,7 @@ func TestDecoderReuse(t *testing.T) {
 			t.Fatalf("decode %d on a reused decoder: err %v, want %v", i, err, wantErr)
 		}
 		reused.reset()
-		if !zeroed(reused.uiFrames) || !zeroed(reused.rows) || !zeroed(reused.texts) ||
+		if !zeroed(reused.uiFrames) || !zeroed(reused.texts) ||
 			!zeroed(reused.clicks) || len(reused.strs) != 0 || reused.data != nil {
 			t.Fatalf("decode %d: reset left references in the decoder", i)
 		}

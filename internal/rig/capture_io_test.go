@@ -3,6 +3,7 @@ package rig
 import (
 	"bytes"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -56,7 +57,7 @@ func TestCaptureRoundTripFile(t *testing.T) {
 	}
 	for i, f := range cap.UIFrames {
 		got := loaded.UIFrames[i]
-		if got.At != f.At || got.ScreenName != f.ScreenName || len(got.Rows) != len(f.Rows) {
+		if got.At != f.At || got.ScreenName != f.ScreenName || !slices.Equal(got.Texts, f.Texts) {
 			t.Fatalf("ui frame %d differs", i)
 		}
 	}

@@ -192,7 +192,7 @@ func TestRigAlignmentPhase(t *testing.T) {
 	// And the video must show the OBD screen with values.
 	obdUI := 0
 	for _, f := range cap.UIFrames {
-		if f.ScreenName == "obd-live" && len(f.Rows) > 0 {
+		if f.ScreenName == "obd-live" && len(ocr.Layout(f.Texts, nil)) > 0 {
 			obdUI++
 		}
 	}
@@ -227,7 +227,7 @@ func TestRigReadSessionCapture(t *testing.T) {
 		if f.ScreenName != "live-data" {
 			continue
 		}
-		for _, row := range f.Rows {
+		for _, row := range ocr.Layout(f.Texts, nil) {
 			if row.ParseOK {
 				withValues++
 				break
