@@ -13,8 +13,9 @@
 //	dpreverse -car "Car A" -parallel 4
 //	dpreverse -car "Car A" -faults default -fault-seed 1
 //
-// Inference fans out across -parallel workers (default: all CPUs) and can
-// be interrupted with Ctrl-C; results are identical at every worker count.
+// Stream preparation and inference fan out across -parallel workers
+// (default: all CPUs) and can be interrupted with Ctrl-C; results are
+// identical at every worker count.
 //
 // -faults corrupts the capture before analysis (dropped, duplicated,
 // reordered and bit-flipped frames, truncated transfers, OCR misreads);
@@ -61,7 +62,7 @@ func run() error {
 	list := flag.Bool("list", false, "list the simulated fleet and exit")
 	quick := flag.Bool("quick", false, "short recordings and reduced GP budget")
 	seed := flag.Int64("seed", 1, "seed for OCR noise and GP")
-	parallel := flag.Int("parallel", 0, "inference workers (0 = all CPUs)")
+	parallel := flag.Int("parallel", 0, "stream-preparation and inference workers (0 = all CPUs)")
 	islands := flag.Int("islands", 1, "GP islands per stream (1 = single panmictic population)")
 	jsonOut := flag.Bool("json", false, "emit the result as JSON on stdout")
 	progress := flag.Bool("progress", false, "report per-stream inference progress on stderr")

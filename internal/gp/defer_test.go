@@ -3,6 +3,7 @@ package gp
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -29,7 +30,7 @@ func firstBest(pop []individual) (int, float64) {
 // cache before complete ran.
 func checkNoDeferredCached(t *testing.T, what string, e *evaluator) {
 	t.Helper()
-	for _, k := range e.order[e.deferFrom:] {
+	for _, k := range e.deferred {
 		if _, ok := e.cache[e.missq[k].p.key]; ok {
 			t.Fatalf("%s: deferred program %q is already cached", what, e.missq[k].p.key)
 		}
@@ -96,7 +97,7 @@ func TestDeferralPreservesBestAndPopulation(t *testing.T) {
 					isl.step()
 				}
 				before, beforeFit := firstBest(isl.pop)
-				if isl.ev.dout != nil {
+				if len(isl.ev.deferred) > 0 {
 					deferred++
 					checkNoDeferredCached(t, what, isl.ev)
 				}
@@ -132,11 +133,11 @@ func TestDeferralKeepsTiesScored(t *testing.T) {
 	hit := NewBinary(OpAdd, NewVar(0), NewConst(3))
 	miss := NewBinary(OpSub, NewVar(0), NewConst(5))
 	out := make([]individual, 2)
-	e.scoreAll([]*Node{hit}, out[:1], math.Inf(1))
+	e.scoreAll([]*Node{hit}, out[:1], 0, math.Inf(1))
 	if out[0].raw != 0 {
 		t.Fatalf("x+3 scores raw %v, want an exact 0", out[0].raw)
 	}
-	e.scoreAll([]*Node{miss, hit}, out, math.Inf(1))
+	e.scoreAll([]*Node{miss, hit}, out, 0, math.Inf(1))
 	before, _ := firstBest(out)
 	e.complete()
 	if out[0].fit != out[1].fit {
@@ -160,10 +161,10 @@ func TestDeferralSkipsMostMissesAtConvergence(t *testing.T) {
 		t.Fatalf("best raw %v, want convergence on the first chunk", isl.best.raw)
 	}
 	e := isl.ev
-	if e.dout == nil {
+	if len(e.deferred) == 0 {
 		t.Fatal("nothing deferred")
 	}
-	scored := e.deferFrom
+	scored := e.misses - len(e.deferred)
 	if 2*scored >= e.misses {
 		t.Fatalf("%d of %d misses ran the VM, want fewer than half", scored, e.misses)
 	}
@@ -178,13 +179,13 @@ func TestReleaseDropsDeferredScoring(t *testing.T) {
 	isl := acquireIsland(udsLikeDataset(), cfg, cfg.PopulationSize, 1, 1)
 	drawAll(isl)
 	e := isl.ev
-	if e.dout == nil {
+	if len(e.deferred) == 0 {
 		t.Fatal("nothing deferred")
 	}
 	isl.release()
-	if e.dout != nil || len(e.missq) != 0 || len(e.dupq) != 0 {
-		t.Fatalf("released evaluator keeps deferred scoring: dout %d, missq %d, dupq %d",
-			len(e.dout), len(e.missq), len(e.dupq))
+	if e.out != nil || len(e.deferred) != 0 || len(e.missq) != 0 || len(e.dupq) != 0 {
+		t.Fatalf("released evaluator keeps deferred scoring: out %d, deferred %d, missq %d, dupq %d",
+			len(e.out), len(e.deferred), len(e.missq), len(e.dupq))
 	}
 	if e.complete() {
 		t.Fatal("complete scored something after release")
@@ -207,7 +208,7 @@ func TestMigrateCompletesDeferredScoring(t *testing.T) {
 	stepAll(islands, (*island).step)
 	deferred := 0
 	for _, isl := range islands {
-		if isl.ev.dout != nil {
+		if len(isl.ev.deferred) > 0 {
 			deferred++
 		}
 	}
@@ -221,7 +222,7 @@ func TestMigrateCompletesDeferredScoring(t *testing.T) {
 	migrate(islands)
 	for i, isl := range islands {
 		what := fmt.Sprintf("island %d after migration", i)
-		if isl.ev.dout != nil {
+		if len(isl.ev.deferred) > 0 {
 			t.Fatalf("%s: scoring still deferred", what)
 		}
 		checkFullyScored(t, what, isl)
@@ -232,6 +233,187 @@ func TestMigrateCompletesDeferredScoring(t *testing.T) {
 		}
 		if !found {
 			t.Fatalf("%s: migrant %s is missing", what, m.tree)
+		}
+	}
+}
+
+// drawingIslands readies a run's k islands on d, released when the test
+// ends.
+func drawingIslands(t *testing.T, d *Dataset, cfg Config, k, workers int) []*island {
+	t.Helper()
+	islands := acquireIslands(d, cfg, k, workers)
+	for _, isl := range islands {
+		t.Cleanup(isl.release)
+	}
+	return islands
+}
+
+// sameIndividual reports whether a and b are the same program with the
+// same size and score bits.
+func sameIndividual(a, b individual) bool {
+	return reflect.DeepEqual(a.tree, b.tree) && a.size == b.size &&
+		sameBits(a.raw, b.raw) && sameBits(a.fit, b.fit)
+}
+
+// checkSameIsland compares the lazy island's champion, population,
+// fitness column, cache and counters with the eager one's, bit for bit.
+func checkSameIsland(t *testing.T, what string, lazy, eager *island) {
+	t.Helper()
+	if !sameIndividual(lazy.best, eager.best) {
+		t.Fatalf("%s: champion %+v, eager draw %+v", what, lazy.best, eager.best)
+	}
+	l, e := lazy.ev, eager.ev
+	if l.evals != e.evals || l.hits != e.hits || l.misses != e.misses {
+		t.Fatalf("%s: evals/hits/misses %d/%d/%d, eager draw %d/%d/%d",
+			what, l.evals, l.hits, l.misses, e.evals, e.hits, e.misses)
+	}
+	if len(lazy.pop) != len(eager.pop) {
+		t.Fatalf("%s: %d programs drawn, eager draw %d", what, len(lazy.pop), len(eager.pop))
+	}
+	if len(l.deferred) > 0 {
+		return // the population holds placeholders until complete
+	}
+	for i := range lazy.pop {
+		if !sameIndividual(lazy.pop[i], eager.pop[i]) || !sameBits(lazy.fits[i], eager.fits[i]) {
+			t.Fatalf("%s: pop[%d] = %+v (fits %v), eager draw %+v (fits %v)",
+				what, i, lazy.pop[i], lazy.fits[i], eager.pop[i], eager.fits[i])
+		}
+	}
+	if len(l.cache) != len(e.cache) {
+		t.Fatalf("%s: %d programs cached, eager draw %d", what, len(l.cache), len(e.cache))
+	}
+	for key, raw := range e.cache {
+		if got, ok := l.cache[key]; !ok || !sameBits(got, raw) {
+			t.Fatalf("%s: cache[%q] = %v (present %v), eager draw %v", what, key, got, ok, raw)
+		}
+	}
+}
+
+// Keeping deferred programs unscored across the chunks of an initial
+// population must not change the draw. The reference scores every
+// chunk's deferred programs before drawing the next, so a repeat of one
+// is a cache hit. After every chunk both draws have the same champion and
+// counters, and once completed the same population, fitness column and
+// cache. Across datasets, seeds, worker counts and island counts.
+func TestCrossChunkDeferralMatchesEagerScoring(t *testing.T) {
+	rng := newTestRNG(23)
+	datasets := []*Dataset{
+		udsLikeDataset(),
+		islandTestDataset(),
+		noisyDataset(),
+		linearDataset(3, -7),
+		randomEdgeDataset(rng, 40, 2),
+	}
+	carried := 0
+	for di, d := range datasets {
+		for _, workers := range []int{1, 3} {
+			for _, k := range []int{1, 4} {
+				seed := rng.Int63()
+				cfg := DefaultConfig()
+				cfg.Seed = seed
+				lazy := drawingIslands(t, d, cfg, k, workers)
+				eager := drawingIslands(t, d, cfg, k, workers)
+				for round := 0; len(lazy[0].pop) < len(lazy[0].pops[0]); round++ {
+					for _, isl := range lazy {
+						if len(isl.ev.deferred) > 0 {
+							carried++
+						}
+					}
+					stepAll(lazy, (*island).drawChunk)
+					stepAll(eager, func(isl *island) {
+						isl.complete()
+						isl.drawChunk()
+					})
+					for i := range lazy {
+						what := fmt.Sprintf("dataset %d, workers %d, islands %d, seed %d, island %d, round %d",
+							di, workers, k, seed, i, round)
+						checkSameIsland(t, what, lazy[i], eager[i])
+					}
+				}
+				stepAll(lazy, (*island).complete)
+				stepAll(eager, (*island).complete)
+				for i := range lazy {
+					what := fmt.Sprintf("dataset %d, workers %d, islands %d, seed %d, island %d, completed",
+						di, workers, k, seed, i)
+					checkSameIsland(t, what, lazy[i], eager[i])
+				}
+			}
+		}
+	}
+	if carried == 0 {
+		t.Fatal("no chunk started with deferred programs; the test exercises nothing")
+	}
+}
+
+// A champion can meet StopFitness on its trimmed error yet miss a row by
+// far, so the run draws its whole initial population and stops at
+// generation 0. Deferral then carries across all its chunks: fewer than
+// half of the misses ever run the VM.
+func TestFullDrawRunsFewerThanHalfOfMisses(t *testing.T) {
+	d := linearDataset(2.5, 10)
+	d.Y[7] += 500
+	cfg := DefaultConfig()
+	islands := drawingIslands(t, d, cfg, 1, 1)
+	if _, stopped := singleVariableStop(islands[0], d.NumVars()); stopped {
+		t.Fatal("a single variable fits every row; the outlier is lost")
+	}
+	best := drawInitial(islands)
+	isl, e := islands[0], islands[0].ev
+	if len(isl.pop) != cfg.PopulationSize || best.raw > cfg.StopFitness {
+		t.Fatalf("drew %d programs, best raw %v; want all %d and raw within %v",
+			len(isl.pop), best.raw, cfg.PopulationSize, cfg.StopFitness)
+	}
+	ran := e.misses - len(e.deferred)
+	if 2*ran >= e.misses {
+		t.Fatalf("%d of %d misses ran the VM, want fewer than half", ran, e.misses)
+	}
+	t.Logf("%d of %d misses ran the VM", ran, e.misses)
+	checkNoDeferredCached(t, "full draw", e)
+	res, err := Run(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Generations != 1 || res.Evaluations < cfg.PopulationSize {
+		t.Fatalf("run took %d generations and %d evaluations, want 1 and at least %d",
+			res.Generations, res.Evaluations, cfg.PopulationSize)
+	}
+}
+
+// A program deferred in one chunk rejoins the scored classes when a later
+// chunk repeats it in fewer nodes: the repeat lowers its parsimony bound
+// below the champion's fitness. Both occurrences are then scored, and
+// nothing is left for complete.
+func TestDeferredProgramRejoinsOnSmallerRepeat(t *testing.T) {
+	d := &Dataset{}
+	for x := 0.0; x < 20; x++ {
+		d.X = append(d.X, []float64{x})
+		d.Y = append(d.Y, x)
+	}
+	e := new(evaluator)
+	e.reset(d, DefaultConfig(), 1)
+	defer e.release()
+	champ := NewBinary(OpAdd, NewBinary(OpMul, NewVar(0), NewConst(2)), NewConst(1))
+	square := NewBinary(OpMul, NewVar(0), NewVar(0))
+	big := NewBinary(OpAdd, square, NewBinary(OpAdd, NewConst(2), NewConst(3)))
+	small := NewBinary(OpAdd, square, NewConst(5))
+	trees := []*Node{champ, big, small}
+	out := make([]individual, len(trees))
+	e.scoreAll(trees[:2], out[:2], 0, math.Inf(1))
+	if len(e.deferred) != 1 {
+		t.Fatalf("first chunk defers %d programs, want %s alone", len(e.deferred), big)
+	}
+	e.scoreAll(trees, out, 2, out[0].fit)
+	if len(e.deferred) != 0 || e.complete() {
+		t.Fatalf("%d programs still deferred after %s repeated %s", len(e.deferred), small, big)
+	}
+	if e.misses != 2 || e.hits != 1 {
+		t.Fatalf("misses/hits %d/%d, want 2/1", e.misses, e.hits)
+	}
+	m := NewMachine()
+	for i, tr := range trees {
+		want := e.scoreOne(Compile(tr), tr, m, tr.Size())
+		if !sameIndividual(out[i], want) {
+			t.Fatalf("out[%d] = %+v, scored alone %+v", i, out[i], want)
 		}
 	}
 }

@@ -178,8 +178,9 @@ type Result struct {
 	// CacheMisses counts evaluations the cache could not serve: the first
 	// occurrence in a generation of a structure new to the run. A miss
 	// runs the compiled VM unless the parsimony bound rules it out of its
-	// generation's best and the run stops before anything reads the rest
-	// of that generation.
+	// generation's best (for the initial population: of the best after
+	// every chunk drawn so far) and the run stops before anything reads
+	// the whole generation.
 	CacheMisses int
 }
 
@@ -320,7 +321,10 @@ func trimmedMean(resids []float64) float64 {
 // A miss whose parsimony term alone exceeds the batch's best fitness so
 // far cannot be the generation's best, so scoreAll defers it (see
 // scoreClasses) and complete scores it once something reads the whole
-// population.
+// population. A batch is the single-variable programs, one generation's
+// children, or the whole initial population, which grows by one drawn
+// chunk per scoreAll call: a program deferred in one chunk stays
+// deferred through the later ones.
 type evaluator struct {
 	d     *Dataset
 	batch *Batch
@@ -338,9 +342,10 @@ type evaluator struct {
 	// invalidate; fit is recomputed per tree because the parsimony
 	// penalty depends on the (unfolded) tree size.
 	cache map[string]float64
-	// pending/missq/dupq are scoreAll's batch scratch, reused across
-	// generations: pending maps a key to its index in missq, and dupq
-	// records in-batch structural duplicates to resolve after scoring.
+	// pending/missq/dupq are the batch's scratch, reused across batches:
+	// pending maps a key to its index in missq, and dupq holds the
+	// in-batch structural duplicates whose first occurrence is not
+	// scored yet.
 	pending map[string]int
 	missq   []missRef
 	dupq    []dupRef
@@ -348,16 +353,16 @@ type evaluator struct {
 	// order lists missq indices in ascending bound size.
 	order    []int32
 	classEnd []int32
-	// dout is the batch's output while misses wait for complete (nil
-	// otherwise): order[deferFrom:] are the deferred misses. Their
-	// programs stay out of the cache until complete scores them, which
-	// is how their in-batch duplicates know to wait too.
-	dout      []individual
-	deferFrom int
+	// out is the batch's output, and deferred lists the missq indices
+	// that wait for complete. Their programs stay out of the cache until
+	// they are scored, which is how their duplicates, in this chunk or a
+	// later one of the same batch, know to wait too.
+	out      []individual
+	deferred []int32
 	// progs/codeSlab are the per-batch program arena: compiled miss
-	// programs and their bytecode live only until the next batch (by
-	// then complete has scored any deferred ones), so both buffers are
-	// truncated and reused every call —
+	// programs and their bytecode live only until the next batch starts
+	// (by then complete has scored any deferred ones), so both buffers
+	// are truncated and reused every batch —
 	// steady-state compilation of a miss allocates nothing but the
 	// interned key.
 	progs    []Program
@@ -371,14 +376,15 @@ type evaluator struct {
 	rows     []int32
 }
 
-// missRef is one cache miss awaiting scoring: the batch's tree i, of
-// size nodes, compiled to p. bound is the fewest nodes among the batch's trees that
-// compile to p (the miss and its in-batch duplicates), so
-// ParsimonyCoeff*bound is a lower bound on the fitness of every one of
-// them.
+// missRef is one cache miss: the batch's tree i, of size nodes,
+// compiled to p, and done once scored. bound is the fewest nodes among
+// the batch's trees that compile to p (the miss and its in-batch
+// duplicates), so ParsimonyCoeff*bound is a lower bound on the fitness
+// of every one of them.
 type missRef struct {
 	i, size, bound int
 	p              *Program
+	done           bool
 }
 
 // dupRef marks trees[i] (of size nodes) as structurally identical to
@@ -424,8 +430,8 @@ func (e *evaluator) release() {
 	clear(e.cache)
 	e.d, e.cfg = nil, Config{}
 	e.batch.y = nil
-	e.dout = nil
-	e.missq, e.dupq = e.missq[:0], e.dupq[:0]
+	e.out = nil
+	e.missq, e.dupq, e.deferred = e.missq[:0], e.dupq[:0], e.deferred[:0]
 }
 
 // scored builds the individual for tree t (of the given node count) with
@@ -439,27 +445,31 @@ func (e *evaluator) scoreOne(p *Program, t *Node, m *Machine, size int) individu
 	return e.scored(t, e.rawScore(p, t, m), size)
 }
 
-// scoreAll evaluates a batch of trees into out (trees[i] into out[i]).
-// Trees whose structure was scored before — in this batch or any earlier
-// generation — are served from the cache; the rest are compiled once and
-// scored by scoreClasses, which may defer some of them until complete.
-// bestFit is the best fitness already in the population out belongs to
-// (+Inf if none). out is written by index, so the resulting population
-// order is independent of scheduling.
-func (e *evaluator) scoreAll(trees []*Node, out []individual, bestFit float64) {
-	e.evals += len(trees)
+// scoreAll evaluates trees[lo:] into out[lo:] (trees[i] into out[i]).
+// lo == 0 starts a batch; lo > 0 continues the batch of the previous call,
+// which scored trees[:lo] into out[:lo]. Trees whose structure was scored
+// before — in this batch or any earlier generation — are served from the
+// cache; the rest are compiled once and scored by scoreClasses, which may
+// defer some of them until complete. bestFit is the best fitness already
+// in the population out belongs to (+Inf if none). out is written by
+// index, so the resulting population order is independent of scheduling.
+func (e *evaluator) scoreAll(trees []*Node, out []individual, lo int, bestFit float64) {
+	e.evals += len(trees) - lo
 	// Sequential phase: compile into the evaluator's scratch, consult the
 	// cache, and dedupe repeat structures within the batch (dups wait for
 	// the first occurrence). The map lookups convert the scratch key
 	// without allocating; only a genuine miss interns the key and
 	// materialises a persistent Program. Every slot not served by the
 	// cache holds its tree under a +Inf placeholder until it is scored.
-	e.missq = e.missq[:0]
-	e.dupq = e.dupq[:0]
-	e.progs = e.progs[:0]
-	e.codeSlab = e.codeSlab[:0]
-	clear(e.pending)
-	for i, t := range trees {
+	if lo == 0 {
+		e.missq, e.dupq, e.deferred = e.missq[:0], e.dupq[:0], e.deferred[:0]
+		e.progs, e.codeSlab = e.progs[:0], e.codeSlab[:0]
+		clear(e.pending)
+	}
+	e.out = out
+	from := len(e.missq)
+	for i := lo; i < len(trees); i++ {
+		t := trees[i]
 		e.comp.compile(t)
 		size := e.comp.nodes
 		if raw, ok := e.cache[string(e.comp.key)]; ok {
@@ -489,74 +499,81 @@ func (e *evaluator) scoreAll(trees []*Node, out []individual, bestFit float64) {
 		e.pending[key] = len(e.missq)
 		e.missq = append(e.missq, missRef{i: i, size: size, bound: size, p: &e.progs[len(e.progs)-1]})
 	}
-	e.misses += len(e.missq)
-	e.scoreClasses(out, bestFit)
-	e.resolveDups(out)
+	e.misses += len(e.missq) - from
+	e.scoreClasses(from, bestFit)
+	e.resolveDups()
 }
 
-// scoreClasses scores the batch's misses in ascending bound size, one
-// size class at a time, and publishes their scores to the cache. A
-// program's raw error is never negative, so ParsimonyCoeff*bound bounds
-// the fitness of every tree sharing it from below: once that bound
-// exceeds the best fitness in the population so far, this class and
-// every larger one can hold neither the generation's best nor a tie for
-// it (bestOf keeps the first of equal fits, hence the strict test), and
-// they are deferred to complete, uncached, with their +Inf placeholders.
-// The classes scored early depend only on the fitness values, not on
-// the worker count, and each class is chunked across the workers.
+// scoreClasses scores the batch's still-deferred misses together with
+// its misses from missq[from] on, in ascending bound size, one size class
+// at a time, and publishes their scores to the cache. A program's raw
+// error is never negative, so ParsimonyCoeff*bound bounds the fitness of
+// every tree sharing it from below: once that bound exceeds the best
+// fitness in the population so far, this class and every larger one can
+// hold neither the best nor a tie for it (bestOf keeps the first of equal
+// fits, hence the strict test), and they stay deferred, uncached, with
+// their +Inf placeholders. A deferred miss whose bound a later chunk
+// lowers can rejoin the scored classes. The classes scored early depend
+// only on the fitness values, not on the worker count, and each class is
+// chunked across the workers.
 //
 //dplint:hotpath gp-score
-func (e *evaluator) scoreClasses(out []individual, bestFit float64) {
-	e.dout = nil
-	order := e.sortMisses()
+func (e *evaluator) scoreClasses(from int, bestFit float64) {
+	cand := e.deferred
+	for k := from; k < len(e.missq); k++ {
+		cand = append(cand, int32(k))
+	}
+	order := e.sortMisses(cand)
+	e.deferred = cand[:0]
 	coeff := e.cfg.ParsimonyCoeff
 	for lo := 0; lo < len(order); {
 		size := e.missq[order[lo]].bound
 		if coeff > 0 && coeff*float64(size) > bestFit {
-			e.dout, e.deferFrom = out, lo
+			e.deferred = append(e.deferred, order[lo:]...)
 			return
 		}
 		hi := lo + 1
 		for hi < len(order) && e.missq[order[hi]].bound == size {
 			hi++
 		}
-		e.scoreMisses(order[lo:hi], out)
+		e.scoreMisses(order[lo:hi])
 		for _, k := range order[lo:hi] {
-			ms := e.missq[k]
-			bestFit = math.Min(bestFit, out[ms.i].fit)
+			bestFit = math.Min(bestFit, e.out[e.missq[k].i].fit)
 		}
 		lo = hi
 	}
 }
 
-// sortMisses lists missq's indices in ascending bound size, batch order
-// within a size, with a counting sort into reused buffers.
-func (e *evaluator) sortMisses() []int32 {
+// sortMisses lists the missq indices in cand in ascending bound size,
+// cand order within a size, with a counting sort into reused buffers.
+func (e *evaluator) sortMisses(cand []int32) []int32 {
 	maxBound := 0
-	for _, ms := range e.missq {
-		maxBound = max(maxBound, ms.bound)
+	for _, k := range cand {
+		maxBound = max(maxBound, e.missq[k].bound)
 	}
 	end := resize(e.classEnd, maxBound+1)
 	clear(end)
-	for _, ms := range e.missq {
-		end[ms.bound]++
+	for _, k := range cand {
+		end[e.missq[k].bound]++
 	}
 	for s := 1; s < len(end); s++ {
 		end[s] += end[s-1]
 	}
-	order := resize(e.order, len(e.missq))
-	for k := len(e.missq) - 1; k >= 0; k-- {
-		b := e.missq[k].bound
+	order := resize(e.order, len(cand))
+	for j := len(cand) - 1; j >= 0; j-- {
+		b := e.missq[cand[j]].bound
 		end[b]--
-		order[end[b]] = int32(k)
+		order[end[b]] = cand[j]
 	}
 	e.order, e.classEnd = order, end
 	return order
 }
 
-// scoreMisses scores the misses missq[k], k in idx, into out, chunked
-// across the workers, and publishes their scores to the cache.
-func (e *evaluator) scoreMisses(idx []int32, out []individual) {
+// scoreMisses scores the misses missq[k], k in idx, into the batch's
+// output, chunked across the workers, and publishes their scores to the
+// cache.
+func (e *evaluator) scoreMisses(idx []int32) {
+	out := e.out
 	if e.workers <= 1 || len(idx) < 2*e.workers {
 		m := e.machines[0]
 		for _, k := range idx {
@@ -583,34 +600,39 @@ func (e *evaluator) scoreMisses(idx []int32, out []individual) {
 		wg.Wait()
 	}
 	for _, k := range idx {
-		ms := e.missq[k]
+		ms := &e.missq[k]
+		ms.done = true
 		e.cache[ms.p.key] = out[ms.i].raw
 	}
 }
 
 // resolveDups fills in the in-batch duplicates whose first occurrence
-// has been scored, that is, published to the cache.
-func (e *evaluator) resolveDups(out []individual) {
+// has been scored and keeps the rest waiting.
+func (e *evaluator) resolveDups() {
+	waiting := e.dupq[:0]
 	for _, d := range e.dupq {
-		if raw, ok := e.cache[e.missq[d.m].p.key]; ok {
-			out[d.i] = e.scored(out[d.i].tree, raw, d.size)
+		ms := &e.missq[d.m]
+		if !ms.done {
+			waiting = append(waiting, d)
+			continue
 		}
+		e.out[d.i] = e.scored(e.out[d.i].tree, e.out[ms.i].raw, d.size)
 	}
+	e.dupq = waiting
 }
 
-// complete scores the misses the last scoreAll deferred, publishes them
-// to the cache and resolves their duplicates, so the batch's output
-// equals a fully scored one. It reports whether anything was deferred.
-// The batch's trees and programs stay valid until the next scoreAll, and
+// complete scores the batch's deferred misses, publishes them to the
+// cache and resolves their duplicates, so the batch's output equals a
+// fully scored one. It reports whether anything was deferred. The
+// batch's trees and programs stay valid until the next batch starts, and
 // the engine completes before anything reads the whole population.
 func (e *evaluator) complete() bool {
-	out := e.dout
-	if out == nil {
+	if len(e.deferred) == 0 {
 		return false
 	}
-	e.scoreMisses(e.order[e.deferFrom:], out)
-	e.resolveDups(out)
-	e.dout = nil
+	e.scoreMisses(e.deferred)
+	e.deferred = e.deferred[:0]
+	e.resolveDups()
 	return true
 }
 
@@ -650,20 +672,7 @@ func RunContext(ctx context.Context, d *Dataset, cfg Config) (Result, error) {
 		workers = runtime.GOMAXPROCS(0)
 	}
 
-	// Near-equal population split: the first rem islands take one extra.
-	islands := make([]*island, k)
-	base, rem := cfg.PopulationSize/k, cfg.PopulationSize%k
-	for i := range islands {
-		size := base
-		if i < rem {
-			size++
-		}
-		seed := cfg.Seed
-		if k > 1 {
-			seed = islandSeed(cfg.Seed, i)
-		}
-		islands[i] = acquireIsland(d, cfg, size, seed, workers)
-	}
+	islands := acquireIslands(d, cfg, k, workers)
 	defer func() {
 		for _, isl := range islands {
 			isl.release()
@@ -713,8 +722,12 @@ func RunContext(ctx context.Context, d *Dataset, cfg Config) (Result, error) {
 // engine; the only cross-island interaction is migrate, which runs
 // sequentially at a generation barrier.
 type island struct {
-	cfg      Config
+	cfg Config
+	// rng is seeded from seed when the island draws its first program:
+	// most runs stop on a single variable and never draw, and seeding
+	// fills the source's whole state table.
 	rng      *rand.Rand
+	seed     int64
 	gen      *generator
 	ev       *evaluator
 	arenas   [2]*nodeArena
@@ -774,7 +787,6 @@ func acquireIsland(d *Dataset, cfg Config, popSize int, seed int64, workers int)
 		islandPool.free = islandPool.free[:n-1]
 	}
 	islandPool.Unlock()
-	// Reseeding restores exactly the state rand.NewSource(seed) starts in.
 	if isl == nil {
 		isl = &island{rng: rand.New(rand.NewSource(seed)), gen: new(generator), ev: new(evaluator)}
 		// Trees live one generation: children of generation g+1 reference
@@ -783,11 +795,10 @@ func acquireIsland(d *Dataset, cfg Config, popSize int, seed int64, workers int)
 		// previous generation's arena is recycled wholesale.
 		isl.arenas = [2]*nodeArena{newNodeArena(), newNodeArena()}
 	} else {
-		isl.rng.Seed(seed)
 		isl.arenas[0].reset()
 		isl.arenas[1].reset()
 	}
-	isl.cfg = cfg
+	isl.cfg, isl.seed = cfg, seed
 	*isl.gen = generator{
 		rng: isl.rng, numVars: d.NumVars(), funcs: FunctionSet,
 		constMin: ercMin, constMax: ercMax,
@@ -809,6 +820,26 @@ func acquireIsland(d *Dataset, cfg Config, popSize int, seed int64, workers int)
 	isl.pop = isl.pops[0][:0]
 	isl.pick = newIntn(popSize)
 	return isl
+}
+
+// acquireIslands readies the k islands of a run: a near-equal split of
+// the population, the first PopulationSize%k islands taking one extra,
+// each seeded from cfg.Seed and its index when k > 1.
+func acquireIslands(d *Dataset, cfg Config, k, workers int) []*island {
+	islands := make([]*island, k)
+	base, rem := cfg.PopulationSize/k, cfg.PopulationSize%k
+	for i := range islands {
+		size := base
+		if i < rem {
+			size++
+		}
+		seed := cfg.Seed
+		if k > 1 {
+			seed = islandSeed(cfg.Seed, i)
+		}
+		islands[i] = acquireIsland(d, cfg, size, seed, workers)
+	}
+	return islands
 }
 
 // release returns the island to the pool once its run has finished.
@@ -840,9 +871,9 @@ const initChunk = 150
 // island advancing initChunk programs per round, and returns the
 // champion. After a round that leaves programs undrawn, the run stops
 // early, with the rest never drawn, if the champion passes
-// evaluator.stops. Otherwise every island ends with exactly the
-// population, cache and counters that scoring it as one batch would have
-// left.
+// evaluator.stops. Each island's population is one batch that grows by a
+// chunk per round, so once completed it holds exactly the population,
+// cache and counters that scoring it in one call would have left.
 func drawInitial(islands []*island) individual {
 	for {
 		stepAll(islands, (*island).drawChunk)
@@ -877,7 +908,7 @@ func singleVariableStop(isl *island, k int) (best individual, stopped bool) {
 		isl.singleTrees[v] = isl.gen.node(Node{Op: OpVar, Var: v})
 	}
 	isl.singles = resize(isl.singles, k)
-	isl.ev.scoreAll(isl.singleTrees, isl.singles, math.Inf(1))
+	isl.ev.scoreAll(isl.singleTrees, isl.singles, 0, math.Inf(1))
 	best = bestOf(isl.singles)
 	if !isl.ev.stops(best) {
 		return individual{}, false
@@ -887,27 +918,33 @@ func singleVariableStop(isl *island, k int) (best individual, stopped bool) {
 }
 
 // drawChunk draws the island's next initChunk initial programs, scores
-// them and updates the champion. It first completes the previous chunk's
-// deferred scoring, so a program the new chunk repeats is a cache hit,
-// just as an in-batch duplicate would be.
+// them as the next part of one growing batch, and updates the champion.
+// Programs an earlier chunk deferred stay deferred: a repeat of one in
+// this chunk is an in-batch duplicate, which may lower its bound enough
+// to have it scored now. The first chunk seeds the island's RNG.
 func (isl *island) drawChunk() {
-	isl.complete()
 	pop := isl.pops[isl.cur]
 	lo := len(isl.pop)
 	hi := min(lo+initChunk, len(pop))
 	if lo == hi {
 		return
 	}
+	if lo == 0 {
+		// Reseeding restores exactly the state rand.NewSource(seed)
+		// starts in.
+		isl.rng.Seed(isl.seed)
+	}
 	isl.gen.arena = isl.arenas[isl.cur]
-	trees := isl.children[lo:hi]
-	isl.gen.ramp(trees, lo, max(isl.cfg.MaxDepth/2, 3))
+	isl.gen.ramp(isl.children[lo:hi], lo, max(isl.cfg.MaxDepth/2, 3))
 	bestFit := math.Inf(1)
 	if lo > 0 {
 		bestFit = isl.best.fit
 	}
-	isl.ev.scoreAll(trees, pop[lo:hi], bestFit)
+	isl.ev.scoreAll(isl.children[:hi], pop[:hi], lo, bestFit)
 	isl.pop = pop[:hi]
-	for i := lo; i < hi; i++ {
+	// Scoring an earlier chunk's deferred program fills in slots before
+	// lo too.
+	for i := range isl.pop {
 		isl.fits[i] = pop[i].fit
 	}
 	// bestOf keeps the first of equal fits, so a later chunk takes over
@@ -947,7 +984,7 @@ func (isl *island) step() {
 	// Elitism: carry the champion over unchanged.
 	elite, _ := copyInto(build, isl.best.tree)
 	next[0] = individual{tree: elite, size: isl.best.size, raw: isl.best.raw, fit: isl.best.fit}
-	isl.ev.scoreAll(children, next[1:], isl.best.fit)
+	isl.ev.scoreAll(children, next[1:], 0, isl.best.fit)
 	isl.pop = next
 	isl.cur = 1 - isl.cur
 	for i := range next {

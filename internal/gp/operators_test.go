@@ -29,6 +29,9 @@ func breedingIsland(t *testing.T, cfg Config, trees ...*Node) *island {
 	t.Helper()
 	isl := acquireIsland(islandTestDataset(), cfg, len(trees), cfg.Seed, 1)
 	t.Cleanup(isl.release)
+	// Islands seed their RNG on their first draw, and this one draws
+	// nothing.
+	isl.rng.Seed(cfg.Seed)
 	for i, tree := range trees {
 		isl.pops[0][i] = individual{tree: tree, size: tree.Size(), fit: float64(i)}
 		isl.fits[i] = float64(i)

@@ -115,8 +115,10 @@ func WithConfig(cfg Config) Option {
 	return func(rv *Reverser) { rv.cfg = cfg }
 }
 
-// WithParallelism caps the concurrent per-stream inference workers.
-// Values < 1 mean runtime.GOMAXPROCS(0), the default.
+// WithParallelism caps the concurrent workers of the streams stage, which
+// prepares the capture's UI sessions, and of the infer stage, which runs
+// per-stream inference. Values < 1 mean runtime.GOMAXPROCS(0), the
+// default. Results are identical at every setting.
 func WithParallelism(n int) Option {
 	return func(rv *Reverser) { rv.parallelism = n }
 }
@@ -158,7 +160,8 @@ func New(opts ...Option) *Reverser {
 // Policy reports the degradation policy in effect.
 func (rv *Reverser) Policy() FaultPolicy { return rv.policy }
 
-// Parallelism reports the effective inference worker count.
+// Parallelism reports the effective worker count of the streams and infer
+// stages.
 func (rv *Reverser) Parallelism() int {
 	if rv.parallelism < 1 {
 		return runtime.GOMAXPROCS(0)
@@ -383,7 +386,7 @@ func (rv *Reverser) Reverse(ctx context.Context, cap rig.Capture) (*Result, erro
 	// §3.3-§3.5 Step 1: session splitting, semantics, pairing, filtering,
 	// aggregation.
 	r.stage("streams", func() {
-		res.Streams = streamsFromExtraction(ext, uiFrames, rv.cfg)
+		res.Streams = streamsFromExtraction(ext, uiFrames, rv.cfg, rv.Parallelism())
 	})
 	for _, sd := range res.Streams {
 		rv.met.StreamsExtracted.With(streamKind(sd)).Inc()

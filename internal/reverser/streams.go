@@ -7,6 +7,8 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"dpreverser/internal/align"
@@ -59,7 +61,7 @@ func ExtractStreams(cap rig.Capture, cfg Config) ([]StreamData, TrafficStats, ti
 	ms, stats, _ := AssembleColumnar(context.Background(), fr, nil)
 	ext := ExtractFieldsColumnar(ms)
 	offset, uiFrames := alignUI(fr, cap.UIFrames)
-	return streamsFromExtraction(ext, uiFrames, cfg), stats, offset
+	return streamsFromExtraction(ext, uiFrames, cfg, 1), stats, offset
 }
 
 // alignUI estimates the camera-to-CAN clock offset (§3.3) and returns the
@@ -74,16 +76,43 @@ func alignUI(fr *colstore.Frames, uiFrames []ocr.Frame) (time.Duration, []ocr.Fr
 
 // streamsFromExtraction builds the per-stream datasets from an already
 // extracted capture — the back half of ExtractStreams, reused by the
-// pipeline so the capture is assembled exactly once.
-func streamsFromExtraction(ext *Extraction, uiFrames []ocr.Frame, cfg Config) []StreamData {
+// pipeline so the capture is assembled exactly once. Sessions are
+// independent, so up to workers goroutines (the caller's among them)
+// prepare them: each claims sessions from a shared cursor with its own
+// fork of the index, and the streams are concatenated in session order,
+// so the output is the same at any worker count.
+func streamsFromExtraction(ext *Extraction, uiFrames []ocr.Frame, cfg Config, workers int) []StreamData {
+	sessions := splitSessions(uiFrames)
+	per := make([][]StreamData, len(sessions))
 	p := newStreamPrep(ext.ESVs)
-	var out []StreamData
-	for _, sess := range splitSessions(uiFrames) {
-		keys := p.sessionStreams(sess)
-		p.bucketRows(sess, len(keys))
-		for rowIdx, k := range keys {
-			out = append(out, p.buildStreamData(k, rowIdx, cfg))
+	var (
+		cursor atomic.Int64
+		wg     sync.WaitGroup
+	)
+	work := func(wp *streamPrep) {
+		for i := int(cursor.Add(1)) - 1; i < len(sessions); i = int(cursor.Add(1)) - 1 {
+			per[i] = wp.session(sessions[i], cfg)
 		}
+	}
+	for w := 1; w < min(workers, len(sessions)); w++ {
+		wg.Add(1)
+		go func(wp *streamPrep) {
+			defer wg.Done()
+			work(wp)
+		}(p.fork())
+	}
+	work(p)
+	wg.Wait()
+	return slices.Concat(per...)
+}
+
+// session prepares one session's streams in display-row order.
+func (p *streamPrep) session(sess session, cfg Config) []StreamData {
+	keys := p.sessionStreams(sess)
+	p.bucketRows(sess, len(keys))
+	out := make([]StreamData, 0, len(keys))
+	for rowIdx, k := range keys {
+		out = append(out, p.buildStreamData(k, rowIdx, cfg))
 	}
 	return out
 }
@@ -93,7 +122,9 @@ func streamsFromExtraction(ext *Extraction, uiFrames []ocr.Frame, cfg Config) []
 // key id rather than in maps keyed by the string-bearing StreamKey, and
 // the per-session and per-stream buffers are reused from one session and
 // stream to the next. Apart from the sorts behind its medians, the work
-// is linear in the observations and OCR rows.
+// is linear in the observations and OCR rows. The index, obs through
+// timeSorted, is read-only once built; forks share it, and each has
+// session and stream state of its own.
 type streamPrep struct {
 	obs []ESVObservation
 	// keys lists the distinct stream keys in capture order; kid[i] is
@@ -190,12 +221,29 @@ func newStreamPrep(obs []ESVObservation) *streamPrep {
 	if !p.timeSorted {
 		slices.SortStableFunc(p.byTime, func(a, b int32) int { return cmp.Compare(obs[a].At, obs[b].At) })
 	}
+	p.initSession()
+	return p
+}
+
+// initSession allocates the per-key session state.
+func (p *streamPrep) initSession() {
 	n := len(p.keys)
 	p.members = make([][]int32, n)
 	p.live = make([]bool, n)
 	p.local = make([]int32, n)
 	p.cycle = make([]int, n)
-	return p
+}
+
+// fork returns a streamPrep sharing p's index, with fresh session and
+// stream state, for another goroutine.
+func (p *streamPrep) fork() *streamPrep {
+	f := &streamPrep{
+		obs: p.obs, keys: p.keys, kid: p.kid, obd: p.obd,
+		byTime: p.byTime, timeSorted: p.timeSorted,
+		groups: make(map[string]int32),
+	}
+	f.initSession()
+	return f
 }
 
 // sessionStreams lists the streams active in a session in display-row

@@ -46,20 +46,14 @@ func collectSeeded(t *testing.T, car string, seed int64) rig.Capture {
 // equal results.
 func checkStreamsMatchReference(t *testing.T, name string, cap rig.Capture) {
 	t.Helper()
-	fr := FramesColumnar(cap.Frames)
-	ms, _, err := AssembleColumnar(context.Background(), fr, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ext := ExtractFieldsColumnar(ms)
-	_, uiFrames := alignUI(fr, cap.UIFrames)
+	ext, uiFrames := frontHalf(t, cap)
 	checkExtractionMatchesReference(t, name, ext, uiFrames)
 }
 
 func checkExtractionMatchesReference(t *testing.T, name string, ext *Extraction, uiFrames []ocr.Frame) {
 	t.Helper()
 	cfg := DefaultConfig()
-	got := streamsFromExtraction(ext, uiFrames, cfg)
+	got := streamsFromExtraction(ext, uiFrames, cfg, 1)
 	want := refStreamsFromExtraction(ext, uiFrames, cfg)
 	if len(want) == 0 {
 		t.Fatalf("%s: reference prepared no streams", name)
@@ -71,6 +65,57 @@ func checkExtractionMatchesReference(t *testing.T, name string, ext *Extraction,
 			}
 		}
 		t.Fatalf("%s: %d streams, reference has %d", name, len(got), len(want))
+	}
+}
+
+// frontHalf runs the pipeline's front half on cap up to the streams
+// stage.
+func frontHalf(t *testing.T, cap rig.Capture) (*Extraction, []ocr.Frame) {
+	t.Helper()
+	fr := FramesColumnar(cap.Frames)
+	ms, _, err := AssembleColumnar(context.Background(), fr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, uiFrames := alignUI(fr, cap.UIFrames)
+	return ExtractFieldsColumnar(ms), uiFrames
+}
+
+// checkStreamsSameAtAnyWorkerCount prepares cap's streams on 1, 2 and 8
+// workers and requires deeply equal results.
+func checkStreamsSameAtAnyWorkerCount(t *testing.T, name string, cap rig.Capture) {
+	t.Helper()
+	ext, uiFrames := frontHalf(t, cap)
+	cfg := DefaultConfig()
+	want := streamsFromExtraction(ext, uiFrames, cfg, 1)
+	if len(want) == 0 {
+		t.Fatalf("%s: no streams prepared", name)
+	}
+	for _, workers := range []int{2, 8} {
+		if got := streamsFromExtraction(ext, uiFrames, cfg, workers); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: %d workers prepare %d streams unlike 1 worker's %d", name, workers, len(got), len(want))
+		}
+	}
+}
+
+// The streams stage prepares sessions concurrently; the streams must not
+// depend on how many workers share them, on clean captures of the whole
+// fleet and on damaged ones.
+func TestStreamsSameAtAnyWorkerCount(t *testing.T) {
+	for _, p := range vehicle.Fleet() {
+		checkStreamsSameAtAnyWorkerCount(t, p.Car, collectSeeded(t, p.Car, 1))
+	}
+	spec, err := faults.ParseSpec("heavy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, car := range []string{"Car A", "Car L", "Car R"} {
+		clean := collectSeeded(t, car, 1)
+		inj := faults.New(spec, 1)
+		cap := clean
+		cap.Frames = inj.Frames(clean.Frames)
+		cap.UIFrames = inj.UIFrames(clean.UIFrames)
+		checkStreamsSameAtAnyWorkerCount(t, car+" heavy", cap)
 	}
 }
 
