@@ -84,10 +84,10 @@ func BenchmarkGPInferKWP(b *testing.B) { benchGP(b, kwpDataset()) }
 func BenchmarkGPInferOBD(b *testing.B) { benchGP(b, obdDataset()) }
 
 // gpInferOBDAllocBaseline is the allocation count of one quick-budget
-// GPInferOBD run (TestGPInferOBDAllocRatchet's workload): 235–239 on
-// linux/amd64, the upper end under -race. Lower it when a change saves
+// GPInferOBD run (TestGPInferOBDAllocRatchet's workload): 233 on
+// linux/amd64, with and without -race. Lower it when a change saves
 // allocations.
-const gpInferOBDAllocBaseline = 240
+const gpInferOBDAllocBaseline = 233
 
 // gpAllocRatchetSlack is the tolerated growth over the baseline:
 // allocation counts are deterministic enough that anything past 10% means
@@ -309,27 +309,6 @@ func BenchmarkReverseOneCar(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := rv.Reverse(context.Background(), cap); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkGPParallelEvaluation measures the GP engine's chunked
-// population evaluation on one dataset at several Parallelism settings.
-func BenchmarkGPParallelEvaluation(b *testing.B) {
-	d := kwpDataset()
-	cfg := gp.DefaultConfig()
-	cfg.StopFitness = -1
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			cfg := cfg
-			cfg.Parallelism = workers
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				cfg.Seed = int64(i + 1)
-				if _, err := gp.Run(d, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}

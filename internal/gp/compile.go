@@ -12,7 +12,7 @@ import (
 // instruction over the *whole dataset* at a time: structure-of-arrays
 // batch loops over the dataset's columns instead of one recursive
 // interpretation per (tree, sample) pair. The VM's scratch (stack slots
-// and one flat float slab) lives in a Machine that workers reuse across
+// and one flat float slab) lives in a Machine that is reused across
 // evaluations, so steady-state scoring performs zero allocations.
 //
 // Determinism: the compiler's constant folder and the VM's batch loops
@@ -247,8 +247,8 @@ func (p *Program) Len() int { return len(p.code) }
 // Batch is the structure-of-arrays view of a Dataset: one contiguous
 // column per variable, so the VM streams each instruction over memory
 // linearly. Rows narrower than the widest row read 0 for their missing
-// variables, matching Eval's out-of-range rule. A Batch is immutable
-// after construction and shared by all workers.
+// variables, matching Eval's out-of-range rule. A Batch is read-only
+// while programs are evaluated on it.
 type Batch struct {
 	n    int
 	cols [][]float64

@@ -3,7 +3,6 @@ package gp
 import (
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
 )
 
@@ -102,39 +101,6 @@ func TestCompiledParityFuzz(t *testing.T) {
 	}
 }
 
-// TestCompiledParityConcurrent runs the parity check from several
-// goroutines sharing one Batch (as the evaluator's workers do), each
-// with its own Machine — the -race configuration of the engine.
-func TestCompiledParityConcurrent(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	const numVars = 2
-	d := randomEdgeDataset(rng, 64, numVars)
-	b := NewBatch(d)
-	trees := make([]*Node, 32)
-	for i := range trees {
-		trees[i] = randomTree(rng, 5, numVars)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			m := NewMachine()
-			for i := w; i < len(trees); i += 4 {
-				p := Compile(trees[i])
-				preds := p.Eval(b, m)
-				for r, row := range d.X {
-					if want := trees[i].Eval(row); !sameBits(preds[r], want) {
-						t.Errorf("tree %d row %d: VM %v != interpreter %v", i, r, preds[r], want)
-						return
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
 // referenceMAE/MSE/RobustMAE are the pre-engine interpreter loops, kept
 // verbatim as the behavioral reference for the deduplicated helpers.
 func referenceMAE(n *Node, d *Dataset) float64 {
@@ -199,65 +165,43 @@ func TestMetricParityFuzz(t *testing.T) {
 	}
 }
 
-// TestRobustMAEBoundedExact verifies the early-abort scorer's contract:
-// exceeded is true exactly when the true trimmed MAE exceeds the bound,
-// and an early abort never under-reports (the returned value is a lower
-// bound on the exact score).
-func TestRobustMAEBoundedExact(t *testing.T) {
+// The post-run simplification guard scores on the run's own evaluator,
+// whose machine and batch have already served a population, and on
+// another dataset before that. Its score must equal the reference
+// interpreter's bit for bit, and its keep/drop decision must be the
+// reference's, across random trees on edge-input datasets, a NaN target
+// and a non-finite prediction.
+func TestSimplifyGuardMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 300; trial++ {
+	cfg := DefaultConfig()
+	cfg.PopulationSize = initChunk
+	nonFinite := NewBinary(OpMul, NewVar(0), NewConst(math.Inf(1)))
+	for trial := 0; trial < 60; trial++ {
 		numVars := 1 + rng.Intn(2)
-		tree := randomTree(rng, 2+rng.Intn(4), numVars)
 		d := randomEdgeDataset(rng, 1+rng.Intn(200), numVars)
-		exact := referenceRobustMAE(tree, d)
-		var bound float64
-		switch trial % 4 {
-		case 0:
-			bound = 0
-		case 1:
-			bound = math.Inf(1)
-		case 2:
-			bound = exact // exactly at the threshold: not exceeded
-		default:
-			bound = math.Abs(rng.NormFloat64()) * 100
+		if trial%3 == 0 {
+			d.Y[rng.Intn(len(d.Y))] = math.NaN()
 		}
-		got, exceeded := RobustMAEBounded(tree, d, bound)
-		if want := exact > bound; exceeded != want {
-			t.Fatalf("trial %d: exceeded=%v, want %v (exact=%v bound=%v, tree %s)",
-				trial, exceeded, want, exact, bound, tree)
+		isl := acquireIsland(d, cfg, cfg.PopulationSize, rng.Int63())
+		drawAll(isl)
+		isl.complete()
+		trees := []*Node{nonFinite}
+		for i := 0; i < 5; i++ {
+			trees = append(trees, randomTree(rng, 2+rng.Intn(4), numVars))
 		}
-		if exceeded {
-			if !(got > bound) && !math.IsNaN(exact) {
-				t.Fatalf("trial %d: aborted with value %v not above bound %v", trial, got, bound)
+		for _, tree := range trees {
+			want := referenceRobustMAE(tree, d)
+			got := isl.ev.robustMAE(tree)
+			if !sameBits(got, want) {
+				t.Fatalf("trial %d: guard scores %v, reference %v for %s", trial, got, want, tree)
 			}
-			if got > exact && !math.IsNaN(exact) {
-				t.Fatalf("trial %d: lower bound %v exceeds exact %v", trial, got, exact)
+			for _, bound := range []float64{0, math.Inf(1), want, math.Abs(rng.NormFloat64()) * 100} {
+				if keep, wantKeep := !(got > bound), !(want > bound); keep != wantKeep {
+					t.Fatalf("trial %d: bound %v keeps %v, reference %v for %s", trial, bound, keep, wantKeep, tree)
+				}
 			}
-		} else if !sameBits(got, exact) {
-			t.Fatalf("trial %d: non-aborted value %v != exact %v", trial, got, exact)
 		}
-	}
-}
-
-// TestRobustMAEBoundedAborts pins the abort path itself: a long dataset
-// with uniformly huge residuals must trip the streaming check well
-// before the end, and still satisfy the lower-bound contract.
-func TestRobustMAEBoundedAborts(t *testing.T) {
-	d := &Dataset{}
-	for i := 0; i < 10000; i++ {
-		d.X = append(d.X, []float64{float64(i)})
-		d.Y = append(d.Y, 1e6)
-	}
-	tree := NewConst(0) // residual is 1e6 everywhere
-	got, exceeded := RobustMAEBounded(tree, d, 1)
-	if !exceeded {
-		t.Fatal("bound 1 not reported exceeded for residuals of 1e6")
-	}
-	if got <= 1 {
-		t.Fatalf("returned bound estimate %v not above the bound", got)
-	}
-	if exact := referenceRobustMAE(tree, d); got > exact {
-		t.Fatalf("lower bound %v exceeds exact %v", got, exact)
+		isl.release()
 	}
 }
 
@@ -293,21 +237,20 @@ func TestConstantFolding(t *testing.T) {
 }
 
 // TestCacheCountersDeterministic verifies the cache behaves identically
-// at every parallelism — counters included — and that the accounting
+// on a repeated run — counters included — and that the accounting
 // invariant holds.
 func TestCacheCountersDeterministic(t *testing.T) {
-	d := parallelTestDataset()
+	d := linear2Dataset()
 	cfg := DefaultConfig()
 	cfg.PopulationSize = 150
 	cfg.Generations = 6
 	cfg.StopFitness = -1
 	cfg.Seed = 11
 	var want Result
-	for i, workers := range []int{1, 3, -1} {
-		cfg.Parallelism = workers
+	for i := 0; i < 2; i++ {
 		res, err := Run(d, cfg)
 		if err != nil {
-			t.Fatalf("parallelism %d: %v", workers, err)
+			t.Fatalf("run %d: %v", i, err)
 		}
 		if res.CacheHits+res.CacheMisses != res.Evaluations {
 			t.Fatalf("hits %d + misses %d != evaluations %d",
@@ -322,7 +265,7 @@ func TestCacheCountersDeterministic(t *testing.T) {
 		}
 		if res.CacheHits != want.CacheHits || res.CacheMisses != want.CacheMisses ||
 			res.Best.String() != want.Best.String() || res.Fitness != want.Fitness {
-			t.Fatalf("parallelism %d diverged: %+v vs %+v", workers, res, want)
+			t.Fatalf("run %d diverged: %+v vs %+v", i, res, want)
 		}
 	}
 }

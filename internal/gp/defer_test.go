@@ -37,15 +37,20 @@ func checkNoDeferredCached(t *testing.T, what string, e *evaluator) {
 	}
 }
 
+// scoredAlone scores t on e's dataset by itself: freshly compiled, on a
+// fresh machine, without the cache or deferral.
+func scoredAlone(e *evaluator, t *Node) individual {
+	return e.scored(t, e.rawScore(Compile(t), t, NewMachine()), t.Size())
+}
+
 // checkFullyScored compares pop with each tree scored on its own, without
 // the cache or deferral.
 func checkFullyScored(t *testing.T, what string, isl *island) {
 	t.Helper()
 	ref := new(evaluator)
-	ref.reset(isl.ev.d, isl.cfg, 1)
-	m := NewMachine()
+	ref.reset(isl.ev.d, isl.cfg)
 	for i, got := range isl.pop {
-		want := ref.scoreOne(Compile(got.tree), got.tree, m, got.tree.Size())
+		want := scoredAlone(ref, got.tree)
 		same := got.size == want.size && sameBits(got.raw, want.raw) && sameBits(got.fit, want.fit)
 		if !same {
 			t.Fatalf("%s: pop[%d] = %+v, scored alone %+v", what, i, got, want)
@@ -70,8 +75,7 @@ func linearDataset(slope, icept float64) *Dataset {
 // Deferral must never change what the engine sees: before complete, the
 // generation's best is the same individual with the same fitness bits as
 // after it, and after complete the population equals one fully scored.
-// Across random seeds and datasets, over several generations and at two
-// worker counts.
+// Across random seeds and datasets, over several generations.
 func TestDeferralPreservesBestAndPopulation(t *testing.T) {
 	rng := newTestRNG(99)
 	datasets := []*Dataset{
@@ -85,32 +89,30 @@ func TestDeferralPreservesBestAndPopulation(t *testing.T) {
 	}
 	deferred := 0
 	for di, d := range datasets {
-		for _, workers := range []int{1, 3} {
-			seed := rng.Int63()
-			cfg := DefaultConfig()
-			cfg.PopulationSize = 120
-			isl := acquireIsland(d, cfg, cfg.PopulationSize, seed, workers)
-			drawAll(isl)
-			for gen := 0; gen < 5; gen++ {
-				what := fmt.Sprintf("dataset %d, workers %d, seed %d, generation %d", di, workers, seed, gen)
-				if gen > 0 {
-					isl.step()
-				}
-				before, beforeFit := firstBest(isl.pop)
-				if len(isl.ev.deferred) > 0 {
-					deferred++
-					checkNoDeferredCached(t, what, isl.ev)
-				}
-				isl.complete()
-				after, afterFit := firstBest(isl.pop)
-				if before != after || !sameBits(beforeFit, afterFit) {
-					t.Fatalf("%s: best was pop[%d] (fit %v) before complete, pop[%d] (fit %v) after",
-						what, before, beforeFit, after, afterFit)
-				}
-				checkFullyScored(t, what, isl)
+		seed := rng.Int63()
+		cfg := DefaultConfig()
+		cfg.PopulationSize = 120
+		isl := acquireIsland(d, cfg, cfg.PopulationSize, seed)
+		drawAll(isl)
+		for gen := 0; gen < 5; gen++ {
+			what := fmt.Sprintf("dataset %d, seed %d, generation %d", di, seed, gen)
+			if gen > 0 {
+				isl.step()
 			}
-			isl.release()
+			before, beforeFit := firstBest(isl.pop)
+			if len(isl.ev.deferred) > 0 {
+				deferred++
+				checkNoDeferredCached(t, what, isl.ev)
+			}
+			isl.complete()
+			after, afterFit := firstBest(isl.pop)
+			if before != after || !sameBits(beforeFit, afterFit) {
+				t.Fatalf("%s: best was pop[%d] (fit %v) before complete, pop[%d] (fit %v) after",
+					what, before, beforeFit, after, afterFit)
+			}
+			checkFullyScored(t, what, isl)
 		}
+		isl.release()
 	}
 	if deferred == 0 {
 		t.Fatal("no generation deferred any scoring; the test exercises nothing")
@@ -128,7 +130,7 @@ func TestDeferralKeepsTiesScored(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	e := new(evaluator)
-	e.reset(d, cfg, 1)
+	e.reset(d, cfg)
 	defer e.release()
 	hit := NewBinary(OpAdd, NewVar(0), NewConst(3))
 	miss := NewBinary(OpSub, NewVar(0), NewConst(5))
@@ -154,7 +156,7 @@ func TestDeferralKeepsTiesScored(t *testing.T) {
 func TestDeferralSkipsMostMissesAtConvergence(t *testing.T) {
 	d := udsLikeDataset()
 	cfg := DefaultConfig()
-	isl := acquireIsland(d, cfg, cfg.PopulationSize, cfg.Seed, 1)
+	isl := acquireIsland(d, cfg, cfg.PopulationSize, cfg.Seed)
 	defer isl.release()
 	isl.drawChunk()
 	if isl.best.raw > cfg.StopFitness {
@@ -176,7 +178,7 @@ func TestDeferralSkipsMostMissesAtConvergence(t *testing.T) {
 func TestReleaseDropsDeferredScoring(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.PopulationSize = 200
-	isl := acquireIsland(udsLikeDataset(), cfg, cfg.PopulationSize, 1, 1)
+	isl := acquireIsland(udsLikeDataset(), cfg, cfg.PopulationSize, 1)
 	drawAll(isl)
 	e := isl.ev
 	if len(e.deferred) == 0 {
@@ -201,11 +203,11 @@ func TestMigrateCompletesDeferredScoring(t *testing.T) {
 	cfg.PopulationSize = 240
 	islands := make([]*island, 4)
 	for i := range islands {
-		islands[i] = acquireIsland(udsLikeDataset(), cfg, cfg.PopulationSize/4, islandSeed(1, i), 1)
+		islands[i] = acquireIsland(udsLikeDataset(), cfg, cfg.PopulationSize/4, islandSeed(1, i))
 		defer islands[i].release()
+		drawAll(islands[i])
+		islands[i].step()
 	}
-	stepAll(islands, drawAll)
-	stepAll(islands, (*island).step)
 	deferred := 0
 	for _, isl := range islands {
 		if len(isl.ev.deferred) > 0 {
@@ -239,9 +241,9 @@ func TestMigrateCompletesDeferredScoring(t *testing.T) {
 
 // drawingIslands readies a run's k islands on d, released when the test
 // ends.
-func drawingIslands(t *testing.T, d *Dataset, cfg Config, k, workers int) []*island {
+func drawingIslands(t *testing.T, d *Dataset, cfg Config, k int) []*island {
 	t.Helper()
-	islands := acquireIslands(d, cfg, k, workers)
+	islands := acquireIslands(d, cfg, k)
 	for _, isl := range islands {
 		t.Cleanup(isl.release)
 	}
@@ -294,7 +296,7 @@ func checkSameIsland(t *testing.T, what string, lazy, eager *island) {
 // chunk's deferred programs before drawing the next, so a repeat of one
 // is a cache hit. After every chunk both draws have the same champion and
 // counters, and once completed the same population, fitness column and
-// cache. Across datasets, seeds, worker counts and island counts.
+// cache. Across datasets, seeds and island counts.
 func TestCrossChunkDeferralMatchesEagerScoring(t *testing.T) {
 	rng := newTestRNG(23)
 	datasets := []*Dataset{
@@ -306,37 +308,30 @@ func TestCrossChunkDeferralMatchesEagerScoring(t *testing.T) {
 	}
 	carried := 0
 	for di, d := range datasets {
-		for _, workers := range []int{1, 3} {
-			for _, k := range []int{1, 4} {
-				seed := rng.Int63()
-				cfg := DefaultConfig()
-				cfg.Seed = seed
-				lazy := drawingIslands(t, d, cfg, k, workers)
-				eager := drawingIslands(t, d, cfg, k, workers)
-				for round := 0; len(lazy[0].pop) < len(lazy[0].pops[0]); round++ {
-					for _, isl := range lazy {
-						if len(isl.ev.deferred) > 0 {
-							carried++
-						}
-					}
-					stepAll(lazy, (*island).drawChunk)
-					stepAll(eager, func(isl *island) {
-						isl.complete()
-						isl.drawChunk()
-					})
-					for i := range lazy {
-						what := fmt.Sprintf("dataset %d, workers %d, islands %d, seed %d, island %d, round %d",
-							di, workers, k, seed, i, round)
-						checkSameIsland(t, what, lazy[i], eager[i])
-					}
-				}
-				stepAll(lazy, (*island).complete)
-				stepAll(eager, (*island).complete)
+		for _, k := range []int{1, 4} {
+			seed := rng.Int63()
+			cfg := DefaultConfig()
+			cfg.Seed = seed
+			lazy := drawingIslands(t, d, cfg, k)
+			eager := drawingIslands(t, d, cfg, k)
+			for round := 0; len(lazy[0].pop) < len(lazy[0].pops[0]); round++ {
 				for i := range lazy {
-					what := fmt.Sprintf("dataset %d, workers %d, islands %d, seed %d, island %d, completed",
-						di, workers, k, seed, i)
+					if len(lazy[i].ev.deferred) > 0 {
+						carried++
+					}
+					lazy[i].drawChunk()
+					eager[i].complete()
+					eager[i].drawChunk()
+					what := fmt.Sprintf("dataset %d, islands %d, seed %d, island %d, round %d",
+						di, k, seed, i, round)
 					checkSameIsland(t, what, lazy[i], eager[i])
 				}
+			}
+			for i := range lazy {
+				lazy[i].complete()
+				eager[i].complete()
+				what := fmt.Sprintf("dataset %d, islands %d, seed %d, island %d, completed", di, k, seed, i)
+				checkSameIsland(t, what, lazy[i], eager[i])
 			}
 		}
 	}
@@ -353,7 +348,7 @@ func TestFullDrawRunsFewerThanHalfOfMisses(t *testing.T) {
 	d := linearDataset(2.5, 10)
 	d.Y[7] += 500
 	cfg := DefaultConfig()
-	islands := drawingIslands(t, d, cfg, 1, 1)
+	islands := drawingIslands(t, d, cfg, 1)
 	if _, stopped := singleVariableStop(islands[0], d.NumVars()); stopped {
 		t.Fatal("a single variable fits every row; the outlier is lost")
 	}
@@ -390,7 +385,7 @@ func TestDeferredProgramRejoinsOnSmallerRepeat(t *testing.T) {
 		d.Y = append(d.Y, x)
 	}
 	e := new(evaluator)
-	e.reset(d, DefaultConfig(), 1)
+	e.reset(d, DefaultConfig())
 	defer e.release()
 	champ := NewBinary(OpAdd, NewBinary(OpMul, NewVar(0), NewConst(2)), NewConst(1))
 	square := NewBinary(OpMul, NewVar(0), NewVar(0))
@@ -409,9 +404,8 @@ func TestDeferredProgramRejoinsOnSmallerRepeat(t *testing.T) {
 	if e.misses != 2 || e.hits != 1 {
 		t.Fatalf("misses/hits %d/%d, want 2/1", e.misses, e.hits)
 	}
-	m := NewMachine()
 	for i, tr := range trees {
-		want := e.scoreOne(Compile(tr), tr, m, tr.Size())
+		want := scoredAlone(e, tr)
 		if !sameIndividual(out[i], want) {
 			t.Fatalf("out[%d] = %+v, scored alone %+v", i, out[i], want)
 		}

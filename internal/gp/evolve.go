@@ -7,7 +7,6 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
-	"runtime"
 	"strconv"
 	"sync"
 )
@@ -83,20 +82,13 @@ type Config struct {
 	SubtreeMutProb float64
 	PointMutProb   float64
 	HoistMutProb   float64
-	// Parallelism caps the worker goroutines used for population fitness
-	// evaluation. Variation (selection, crossover, mutation) always draws
-	// from the RNG sequentially and evaluation is a pure function of the
-	// tree, so results are byte-identical at every setting. 0 and 1 both
-	// evaluate serially; negative values mean runtime.GOMAXPROCS(0).
-	Parallelism int
 	// Islands splits the population into this many independently breeding
 	// sub-populations (near-equal split, each seeded from Seed and the
-	// island index). Islands breed and score in parallel and exchange
-	// migrants on a ring — island i's champion replaces island (i+1)%k's
-	// worst individual — every MigrationInterval generations. Migration is
-	// applied sequentially in island order at a generation barrier, so
-	// results are byte-identical at any Parallelism. 0 and 1 both run the
-	// classic single panmictic population.
+	// island index). Islands step in island order on the run's goroutine
+	// and exchange migrants on a ring — island i's champion replaces
+	// island (i+1)%k's worst individual — every MigrationInterval
+	// generations. 0 and 1 both run the classic single panmictic
+	// population.
 	Islands int
 	// MigrationInterval is the number of generations between migrations
 	// when Islands > 1 (0 means the default of 5).
@@ -113,10 +105,9 @@ type Config struct {
 	DisableLinearScaling bool
 	// Observer, when non-nil, receives one GenerationStats per scored
 	// generation (including the initial population as generation 0). It is
-	// called from the engine's sequential loop between parallel scoring
-	// phases, never concurrently, and it cannot influence evolution: the
-	// call sites touch no RNG and results are byte-identical with or
-	// without an observer, at any Parallelism.
+	// called on the run's goroutine between generations, and it cannot
+	// influence evolution: the call sites touch no RNG and results are
+	// byte-identical with or without an observer.
 	Observer Observer
 	// Seed drives the deterministic RNG.
 	Seed int64
@@ -311,12 +302,8 @@ func trimmedMean(resids []float64) float64 {
 // evaluator scores program trees on one dataset through the compiled
 // engine. Each tree is compiled to postfix bytecode; the fitness cache —
 // keyed on the program's canonical structural encoding — serves repeat
-// structures across generations, and only cache misses run the VM.
-// Scoring a program is a pure function of (program, dataset), so misses
-// can be split into chunks and scored by concurrent workers without
-// changing any result: compilation, cache lookups and cache insertion
-// all happen sequentially, and workers touch disjoint output indices
-// with worker-owned scratch machines.
+// structures across generations, and only cache misses run the VM, on
+// the evaluator's one machine.
 //
 // A miss whose parsimony term alone exceeds the batch's best fitness so
 // far cannot be the generation's best, so scoreAll defers it (see
@@ -329,13 +316,11 @@ type evaluator struct {
 	d     *Dataset
 	batch *Batch
 	cfg   Config
-	// workers caps the miss-scoring goroutines; machines holds one VM
-	// scratch per worker, reused across generations.
-	workers  int
-	machines []*Machine
-	// comp is the sequential phase's compile scratch: trees compile into
-	// reusable buffers and only cache misses materialise a persistent
-	// Program, so cache hits cost zero allocations.
+	// m is the VM scratch, reused across generations and runs.
+	m *Machine
+	// comp is the compile scratch: trees compile into reusable buffers and
+	// only cache misses materialise a persistent Program, so cache hits
+	// cost zero allocations.
 	comp *Compiler
 	// cache maps Program.Key to raw fitness across generations. Raw
 	// fitness is a pure function of the program, so entries never
@@ -367,8 +352,7 @@ type evaluator struct {
 	// interned key.
 	progs    []Program
 	codeSlab []instr
-	// evals/hits/misses count scoring requests (mutated only between
-	// parallel phases; evals == hits+misses).
+	// evals/hits/misses count scoring requests (evals == hits+misses).
 	evals, hits, misses int
 	// distinct is the dataset's count of distinct X rows, and rows the
 	// scratch that counts them.
@@ -395,20 +379,17 @@ type dupRef struct {
 	i, m, size int
 }
 
-// reset readies e to score on d, keeping its buffers, machines and map
+// reset readies e to score on d, keeping its buffers, machine and map
 // storage from earlier runs.
-func (e *evaluator) reset(d *Dataset, cfg Config, workers int) {
-	if workers < 1 {
-		workers = 1
-	}
-	e.d, e.cfg, e.workers = d, cfg, workers
+func (e *evaluator) reset(d *Dataset, cfg Config) {
+	e.d, e.cfg = d, cfg
 	if e.batch == nil {
 		e.batch = NewBatch(d)
 	} else {
 		e.batch.reset(d)
 	}
-	for len(e.machines) < workers {
-		e.machines = append(e.machines, NewMachine())
+	if e.m == nil {
+		e.m = NewMachine()
 	}
 	if e.comp == nil {
 		e.comp = NewCompiler()
@@ -440,26 +421,20 @@ func (e *evaluator) scored(t *Node, raw float64, size int) individual {
 	return individual{tree: t, size: size, raw: raw, fit: raw + e.cfg.ParsimonyCoeff*float64(size)}
 }
 
-// scoreOne evaluates one compiled program on the worker's machine.
-func (e *evaluator) scoreOne(p *Program, t *Node, m *Machine, size int) individual {
-	return e.scored(t, e.rawScore(p, t, m), size)
-}
-
 // scoreAll evaluates trees[lo:] into out[lo:] (trees[i] into out[i]).
 // lo == 0 starts a batch; lo > 0 continues the batch of the previous call,
 // which scored trees[:lo] into out[:lo]. Trees whose structure was scored
 // before — in this batch or any earlier generation — are served from the
 // cache; the rest are compiled once and scored by scoreClasses, which may
 // defer some of them until complete. bestFit is the best fitness already
-// in the population out belongs to (+Inf if none). out is written by
-// index, so the resulting population order is independent of scheduling.
+// in the population out belongs to (+Inf if none).
 func (e *evaluator) scoreAll(trees []*Node, out []individual, lo int, bestFit float64) {
 	e.evals += len(trees) - lo
-	// Sequential phase: compile into the evaluator's scratch, consult the
-	// cache, and dedupe repeat structures within the batch (dups wait for
-	// the first occurrence). The map lookups convert the scratch key
-	// without allocating; only a genuine miss interns the key and
-	// materialises a persistent Program. Every slot not served by the
+	// Compile into the evaluator's scratch, consult the cache, and dedupe
+	// repeat structures within the batch (dups wait for the first
+	// occurrence). The map lookups convert the scratch key without
+	// allocating; only a genuine miss interns the key and materialises a
+	// persistent Program. Every slot not served by the
 	// cache holds its tree under a +Inf placeholder until it is scored.
 	if lo == 0 {
 		e.missq, e.dupq, e.deferred = e.missq[:0], e.dupq[:0], e.deferred[:0]
@@ -513,9 +488,7 @@ func (e *evaluator) scoreAll(trees []*Node, out []individual, lo int, bestFit fl
 // hold neither the best nor a tie for it (bestOf keeps the first of equal
 // fits, hence the strict test), and they stay deferred, uncached, with
 // their +Inf placeholders. A deferred miss whose bound a later chunk
-// lowers can rejoin the scored classes. The classes scored early depend
-// only on the fitness values, not on the worker count, and each class is
-// chunked across the workers.
+// lowers can rejoin the scored classes.
 //
 //dplint:hotpath gp-score
 func (e *evaluator) scoreClasses(from int, bestFit float64) {
@@ -570,39 +543,14 @@ func (e *evaluator) sortMisses(cand []int32) []int32 {
 }
 
 // scoreMisses scores the misses missq[k], k in idx, into the batch's
-// output, chunked across the workers, and publishes their scores to the
-// cache.
+// output and publishes their scores to the cache.
 func (e *evaluator) scoreMisses(idx []int32) {
-	out := e.out
-	if e.workers <= 1 || len(idx) < 2*e.workers {
-		m := e.machines[0]
-		for _, k := range idx {
-			ms := e.missq[k]
-			out[ms.i] = e.scoreOne(ms.p, out[ms.i].tree, m, ms.size)
-		}
-	} else {
-		chunk := (len(idx) + e.workers - 1) / e.workers
-		var wg sync.WaitGroup
-		for w := 0; w*chunk < len(idx); w++ {
-			lo, hi := w*chunk, (w+1)*chunk
-			if hi > len(idx) {
-				hi = len(idx)
-			}
-			wg.Add(1)
-			go func(idx []int32, m *Machine) {
-				defer wg.Done()
-				for _, k := range idx {
-					ms := e.missq[k]
-					out[ms.i] = e.scoreOne(ms.p, out[ms.i].tree, m, ms.size)
-				}
-			}(idx[lo:hi], e.machines[w])
-		}
-		wg.Wait()
-	}
 	for _, k := range idx {
 		ms := &e.missq[k]
+		t := e.out[ms.i].tree
+		e.out[ms.i] = e.scored(t, e.rawScore(ms.p, t, e.m), ms.size)
 		ms.done = true
-		e.cache[ms.p.key] = out[ms.i].raw
+		e.cache[ms.p.key] = e.out[ms.i].raw
 	}
 }
 
@@ -667,12 +615,8 @@ func RunContext(ctx context.Context, d *Dataset, cfg Config) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
-	workers := cfg.Parallelism
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 
-	islands := acquireIslands(d, cfg, k, workers)
+	islands := acquireIslands(d, cfg, k)
 	defer func() {
 		for _, isl := range islands {
 			isl.release()
@@ -693,20 +637,22 @@ func RunContext(ctx context.Context, d *Dataset, cfg Config) (Result, error) {
 		if best.raw <= cfg.StopFitness {
 			break
 		}
-		stepAll(islands, (*island).step)
+		for _, isl := range islands {
+			isl.step()
+		}
 		if k > 1 && gens%interval == 0 {
 			migrate(islands)
 		}
 		best = globalBest(islands)
 		observe(cfg.Observer, gens, best, islands)
 	}
-	final := islands[0].ev.materialise(best.tree)
+	ev := islands[0].ev
+	final := ev.materialise(best.tree)
 	simplified := Simplify(final)
 	// Simplification must never change semantics; keep the simplified form
-	// only if its error did not regress (guards protected-op edge cases).
-	// Only the threshold matters here, so the bounded scorer may abort
-	// the accumulation early without changing the decision.
-	if _, exceeded := RobustMAEBounded(simplified, d, best.raw+1e-9); !exceeded {
+	// unless its error regressed (guards protected-op edge cases). A NaN
+	// score keeps it too.
+	if !(ev.robustMAE(simplified) > best.raw+1e-9) {
 		final = simplified
 	}
 	n := tally(islands)
@@ -719,8 +665,8 @@ func RunContext(ctx context.Context, d *Dataset, cfg Config) (Result, error) {
 // island is one independently breeding sub-population with its own RNG,
 // generator, evaluator (and fitness cache), ping-ponging arenas and
 // population buffers. A single island is exactly the classic panmictic
-// engine; the only cross-island interaction is migrate, which runs
-// sequentially at a generation barrier.
+// engine; the only cross-island interaction is migrate, which runs once
+// every island has stepped.
 type island struct {
 	cfg Config
 	// rng is seeded from seed when the island draws its first program:
@@ -765,10 +711,11 @@ func islandSeed(seed int64, i int) int64 {
 
 // islandPool keeps islands, with their arenas, populations, evaluator
 // and RNG, from one run for the next: a pipeline runs GP once per stream,
-// and rebuilding that scratch for every run cost more allocation than
-// the evolution itself. Every buffer is either reset by acquireIsland or
-// fully written before it is read, and the champion is heap-cloned out
-// of the arenas, so nothing of a run survives into the next. Unlike a
+// on concurrent stream workers that share the pool, and rebuilding that
+// scratch for every run cost more allocation than the evolution itself.
+// Every buffer is either reset by acquireIsland or fully written before
+// it is read, and the champion is heap-cloned out of the arenas, so
+// nothing of a run survives into the next. Unlike a
 // sync.Pool, whose items are private to a scheduler P, the free list
 // serves every run, and it never holds more islands than were in use at
 // once: acquireIsland builds one only when the list is empty.
@@ -779,7 +726,7 @@ var islandPool struct {
 
 // acquireIsland takes an island from the pool and readies it for a run
 // of popSize programs on d.
-func acquireIsland(d *Dataset, cfg Config, popSize int, seed int64, workers int) *island {
+func acquireIsland(d *Dataset, cfg Config, popSize int, seed int64) *island {
 	var isl *island
 	islandPool.Lock()
 	if n := len(islandPool.free); n > 0 {
@@ -803,7 +750,7 @@ func acquireIsland(d *Dataset, cfg Config, popSize int, seed int64, workers int)
 		rng: isl.rng, numVars: d.NumVars(), funcs: FunctionSet,
 		constMin: ercMin, constMax: ercMax,
 	}
-	isl.ev.reset(d, cfg, workers)
+	isl.ev.reset(d, cfg)
 	isl.cur = 0
 	// Populations ping-pong alongside the arenas: generation g+1 is
 	// scored into the slice generation g-1 occupied, so the steady-state
@@ -825,7 +772,7 @@ func acquireIsland(d *Dataset, cfg Config, popSize int, seed int64, workers int)
 // acquireIslands readies the k islands of a run: a near-equal split of
 // the population, the first PopulationSize%k islands taking one extra,
 // each seeded from cfg.Seed and its index when k > 1.
-func acquireIslands(d *Dataset, cfg Config, k, workers int) []*island {
+func acquireIslands(d *Dataset, cfg Config, k int) []*island {
 	islands := make([]*island, k)
 	base, rem := cfg.PopulationSize/k, cfg.PopulationSize%k
 	for i := range islands {
@@ -837,7 +784,7 @@ func acquireIslands(d *Dataset, cfg Config, k, workers int) []*island {
 		if k > 1 {
 			seed = islandSeed(cfg.Seed, i)
 		}
-		islands[i] = acquireIsland(d, cfg, size, seed, workers)
+		islands[i] = acquireIsland(d, cfg, size, seed)
 	}
 	return islands
 }
@@ -876,7 +823,9 @@ const initChunk = 150
 // cache and counters that scoring it in one call would have left.
 func drawInitial(islands []*island) individual {
 	for {
-		stepAll(islands, (*island).drawChunk)
+		for _, isl := range islands {
+			isl.drawChunk()
+		}
 		best := globalBest(islands)
 		undrawn := false
 		for _, isl := range islands {
@@ -969,8 +918,7 @@ func (isl *island) complete() {
 }
 
 // step breeds and scores one generation. All of the island's RNG draws
-// happen here, in one goroutine, in a fixed order; only miss scoring
-// fans out (and it is a pure function of the tree).
+// happen here, in a fixed order.
 func (isl *island) step() {
 	isl.complete()
 	build := isl.arenas[1-isl.cur]
@@ -996,34 +944,16 @@ func (isl *island) step() {
 	}
 }
 
-// stepAll runs f on every island. A single island runs inline; multiple
-// islands run concurrently and barrier here — islands share no state
-// while stepping, so scheduling cannot affect any result.
-func stepAll(islands []*island, f func(*island)) {
-	if len(islands) == 1 {
-		f(islands[0])
-		return
-	}
-	var wg sync.WaitGroup
-	for _, isl := range islands {
-		wg.Add(1)
-		go func(isl *island) {
-			defer wg.Done()
-			f(isl)
-		}(isl)
-	}
-	wg.Wait()
-}
-
 // migrate exchanges champions on the ring: island i's champion (captured
 // before any replacement) overwrites the worst individual of island
-// (i+1)%k. All islands are quiescent at the call and replacements apply
-// sequentially in island order with no RNG draws, so migration is a pure
-// function of the islands' states — goroutine scheduling during the
-// preceding step cannot influence it. The worst slot is read from whole
-// populations, so every island completes its deferred scoring first.
+// (i+1)%k. Replacements apply in island order with no RNG draws, so
+// migration is a pure function of the islands' states. The worst slot is
+// read from whole populations, so every island completes its deferred
+// scoring first.
 func migrate(islands []*island) {
-	stepAll(islands, (*island).complete)
+	for _, isl := range islands {
+		isl.complete()
+	}
 	k := len(islands)
 	migrants := make([]individual, k)
 	for i, isl := range islands {

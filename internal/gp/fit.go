@@ -80,7 +80,7 @@ func (e *evaluator) rawScore(p *Program, t *Node, m *Machine) float64 {
 // itself (k = 1) or its root terms, with near-identity coefficients
 // snapped so they simplify away.
 func (e *evaluator) materialise(t *Node) *Node {
-	m := e.machines[0]
+	m := e.m
 	e.rawScore(e.comp.Compile(t), t, m)
 	f := &m.fit
 	var out *Node
@@ -107,13 +107,19 @@ func (e *evaluator) materialise(t *Node) *Node {
 // fitsEveryRow reports whether program t predicts every row of the
 // evaluator's dataset within tol.
 func (e *evaluator) fitsEveryRow(t *Node, tol float64) bool {
-	preds := e.comp.Compile(t).Eval(e.batch, e.machines[0])
+	preds := e.comp.Compile(t).Eval(e.batch, e.m)
 	for i, p := range preds {
 		if !(math.Abs(p-e.batch.y[i]) <= tol) {
 			return false
 		}
 	}
 	return true
+}
+
+// robustMAE scores program t on the evaluator's dataset with the
+// trimmed-mean criterion of RobustMAE, on the run's compiler and machine.
+func (e *evaluator) robustMAE(t *Node) float64 {
+	return e.comp.Compile(t).robustMAE(e.batch, e.m)
 }
 
 // stops reports whether champion best ends the run before any breeding:
@@ -343,8 +349,8 @@ func dot(a, b []float64) float64 {
 // (see linearScale -- index order would evict on almost every element
 // for trend-shaped residuals). The kept multiset is identical to
 // trimmedMean's; only the floating-point summation order differs, and it
-// is a pure function of the input, so scoring stays deterministic at any
-// parallelism. h must have room for len(y)/5 values.
+// is a pure function of the input, so scoring stays deterministic. h must
+// have room for len(y)/5 values.
 //
 //dplint:hotpath gp-score
 func trimmedMeanScaled(cols [][]float64, y []float64, c *[maxTerms + 1]float64, h []float64) float64 {

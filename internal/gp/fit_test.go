@@ -88,7 +88,7 @@ func refFit(g, y []float64) (a, b float64) {
 func fitOf(t *testing.T, d *Dataset, tree *Node) (float64, fitScratch) {
 	t.Helper()
 	e := new(evaluator)
-	e.reset(d, DefaultConfig(), 1)
+	e.reset(d, DefaultConfig())
 	m := NewMachine()
 	raw := e.rawScore(Compile(tree), tree, m)
 	return raw, m.fit

@@ -45,9 +45,8 @@ func udsLikeDataset() *Dataset {
 
 // runMatrix covers the engine paths an evaluation change can disturb:
 // converging and never-converging datasets (one of them fitted by a
-// single scaled variable), single and island runs,
-// serial and parallel scoring, no parsimony, no early stop, and a
-// one-generation budget.
+// single scaled variable), single and island runs, no parsimony, no
+// early stop, and a one-generation budget.
 func runMatrix() []poolCase {
 	base := func(seed int64) Config {
 		cfg := DefaultConfig()
@@ -65,7 +64,7 @@ func runMatrix() []poolCase {
 		d    *Dataset
 	}{
 		{"rpm", islandTestDataset()},
-		{"linear2", parallelTestDataset()},
+		{"linear2", linear2Dataset()},
 		{"product", makeDataset(func(a, b float64) float64 { return a * b / 5 }, seq(200, 250, 10), seq(0, 255, 32))},
 		{"noisy", noisyDataset()},
 		{"uds", udsLikeDataset()},
@@ -79,9 +78,7 @@ func runMatrix() []poolCase {
 			cfg  Config
 		}{
 			{"p1", base(seed)},
-			{"p4", with(base(seed), func(c *Config) { c.Parallelism = 4 })},
 			{"islands4-p1", with(base(seed), func(c *Config) { c.Islands, c.MigrationInterval = 4, 2 })},
-			{"islands4-p4", with(base(seed), func(c *Config) { c.Islands, c.MigrationInterval, c.Parallelism = 4, 2, 4 })},
 			{"parsimony0", with(base(seed), func(c *Config) { c.ParsimonyCoeff = 0 })},
 			{"stop0", with(base(seed), func(c *Config) { c.StopFitness = 0 })},
 			{"gens1", with(base(seed), func(c *Config) { c.Generations = 1 })},

@@ -124,28 +124,20 @@ func TestSingleVariablePrecheck(t *testing.T) {
 	})
 	t.Run("deterministic", func(t *testing.T) {
 		// A pre-check stop uses island 0 alone, so it also matches
-		// across island counts; a draw matches across Parallelism.
+		// across island counts; a draw matches across concurrent runs.
 		for _, c := range []struct {
 			name        string
 			d           *Dataset
 			sameIslands bool
 		}{{"affine", affineX1Dataset(), true}, {"outlier", lineDataset(20), false}} {
-			got := map[[2]int]string{}
+			got := map[int]string{}
 			for _, islands := range []int{1, 4} {
-				for _, par := range []int{1, 8} {
-					cfg := DefaultConfig()
-					cfg.PopulationSize, cfg.Islands, cfg.Parallelism = 2*initChunk, islands, par
-					res, err := Run(c.d, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got[[2]int{islands, par}] = resultJSON(t, res)
-				}
-				if p1, p8 := got[[2]int{islands, 1}], got[[2]int{islands, 8}]; p1 != p8 {
-					t.Fatalf("%s, islands %d diverged:\n p=1: %s\n p=8: %s", c.name, islands, p1, p8)
-				}
+				cfg := DefaultConfig()
+				cfg.PopulationSize, cfg.Islands = 2*initChunk, islands
+				res := soloMatchesConcurrent(t, fmt.Sprintf("%s, islands %d", c.name, islands), c.d, cfg)
+				got[islands] = resultJSON(t, res)
 			}
-			if i1, i4 := got[[2]int{1, 1}], got[[2]int{4, 1}]; c.sameIslands && i1 != i4 {
+			if i1, i4 := got[1], got[4]; c.sameIslands && i1 != i4 {
 				t.Fatalf("%s diverged across islands:\n 1: %s\n 4: %s", c.name, i1, i4)
 			}
 		}
@@ -153,7 +145,8 @@ func TestSingleVariablePrecheck(t *testing.T) {
 }
 
 // A multi-chunk initial population keeps the engine deterministic: at 1
-// and 4 islands the result is byte-identical at Parallelism 1 and 8. At
+// and 4 islands the result is byte-identical whether the run is alone or
+// one of several concurrent runs, as at any pipeline Parallelism. At
 // seed 8 one island stops on the product after five of its seven chunks
 // and four islands draw both of theirs; the outliers draw every round and
 // stop, and the noisy target breeds after drawing every round.
@@ -171,23 +164,9 @@ func TestInitialChunksDeterministicAcrossParallelism(t *testing.T) {
 		for _, islands := range []int{1, 4} {
 			cfg := DefaultConfig()
 			cfg.Generations, cfg.Seed, cfg.Islands = c.gens, 8, islands
-			var want string
-			for _, par := range []int{1, 8} {
-				cfg.Parallelism = par
-				res, err := Run(c.d, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				what := fmt.Sprintf("%s, islands %d, parallelism %d", c.name, islands, par)
-				if res.Evaluations <= initChunk*islands {
-					t.Fatalf("%s: %d evaluations, want more than one round of chunks", what, res.Evaluations)
-				}
-				got := resultJSON(t, res)
-				if par == 1 {
-					want = got
-				} else if got != want {
-					t.Fatalf("%s diverged:\n p=1: %s\n p=%d: %s", what, want, par, got)
-				}
+			what := fmt.Sprintf("%s, islands %d", c.name, islands)
+			if res := soloMatchesConcurrent(t, what, c.d, cfg); res.Evaluations <= initChunk*islands {
+				t.Fatalf("%s: %d evaluations, want more than one round of chunks", what, res.Evaluations)
 			}
 		}
 	}

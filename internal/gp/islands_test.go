@@ -2,7 +2,9 @@ package gp
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 )
 
@@ -19,20 +21,19 @@ func islandTestDataset() *Dataset {
 	return d
 }
 
-func islandConfig(islands, parallelism int) Config {
+func islandConfig(islands int) Config {
 	cfg := DefaultConfig()
 	cfg.PopulationSize = 120
 	cfg.Generations = 8
 	cfg.StopFitness = -1 // never stop early: every generation and migration runs
 	cfg.Islands = islands
 	cfg.MigrationInterval = 2
-	cfg.Parallelism = parallelism
 	cfg.Seed = 7
 	return cfg
 }
 
 // resultJSON renders the parts of a Result that must be byte-identical
-// across Parallelism settings.
+// across repeated runs.
 func resultJSON(t *testing.T, res Result) string {
 	t.Helper()
 	blob, err := json.Marshal(struct {
@@ -49,40 +50,56 @@ func resultJSON(t *testing.T, res Result) string {
 	return string(blob)
 }
 
+// soloMatchesConcurrent runs cfg on d alone, then twice at once on two
+// goroutines that share the island pool, as the pipeline's stream
+// workers do. It fails unless all three serialized results agree, and
+// returns the solo run's.
+func soloMatchesConcurrent(t *testing.T, what string, d *Dataset, cfg Config) Result {
+	t.Helper()
+	solo, err := Run(d, cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	want := resultJSON(t, solo)
+	var results [2]Result
+	var errs [2]error
+	var wg sync.WaitGroup
+	for g := range results {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			results[g], errs[g] = Run(d, cfg)
+		}(g)
+	}
+	wg.Wait()
+	for g, res := range results {
+		if errs[g] != nil {
+			t.Fatalf("%s, concurrent run %d: %v", what, g, errs[g])
+		}
+		if got := resultJSON(t, res); got != want {
+			t.Fatalf("%s: concurrent run %d diverged:\n solo: %s\n now:  %s", what, g, want, got)
+		}
+	}
+	return solo
+}
+
 // TestIslandsDeterministicAcrossParallelism pins the engine's core
 // invariant for the island model: for any island count, the serialized
-// Result is byte-identical whether misses are scored serially or by 8
-// workers, and whether islands step inline or on their own goroutines.
+// Result is byte-identical whether the run is alone or one of several
+// concurrent runs, as at any pipeline Parallelism.
 func TestIslandsDeterministicAcrossParallelism(t *testing.T) {
 	d := islandTestDataset()
 	for _, islands := range []int{1, 2, 4} {
-		var want string
-		for _, par := range []int{1, 8} {
-			res, err := Run(d, islandConfig(islands, par))
-			if err != nil {
-				t.Fatalf("islands=%d parallelism=%d: %v", islands, par, err)
-			}
-			got := resultJSON(t, res)
-			if par == 1 {
-				want = got
-				continue
-			}
-			if got != want {
-				t.Fatalf("islands=%d: result diverged across parallelism:\n p=1: %s\n p=%d: %s",
-					islands, want, par, got)
-			}
-		}
+		soloMatchesConcurrent(t, fmt.Sprintf("islands=%d", islands), d, islandConfig(islands))
 	}
 }
 
 // TestIslandMigrationBoundaryDeterministic stresses the migration
-// boundary: migrating every generation with 4 islands stepping
-// concurrently, repeated runs must agree exactly — goroutine scheduling
-// during a step must not leak into the migrant exchange. Run under
-// -race this also proves the barrier synchronises all island state.
+// boundary: migrating every generation with 4 islands, repeated runs
+// must agree exactly.
 func TestIslandMigrationBoundaryDeterministic(t *testing.T) {
 	d := islandTestDataset()
-	cfg := islandConfig(4, 8)
+	cfg := islandConfig(4)
 	cfg.MigrationInterval = 1
 	var want string
 	for trial := 0; trial < 3; trial++ {
@@ -107,11 +124,11 @@ func TestIslandMigrationBoundaryDeterministic(t *testing.T) {
 // initial population fits, so both runs have to breed.
 func TestIslandsDiffer(t *testing.T) {
 	d := noisyDataset()
-	r1, err := Run(d, islandConfig(1, 1))
+	r1, err := Run(d, islandConfig(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r4, err := Run(d, islandConfig(4, 1))
+	r4, err := Run(d, islandConfig(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +141,7 @@ func TestIslandsDiffer(t *testing.T) {
 // split: four islands of 100 still recover a linear two-byte codec.
 func TestIslandsRecover(t *testing.T) {
 	d := islandTestDataset()
-	cfg := islandConfig(4, 2)
+	cfg := islandConfig(4)
 	cfg.PopulationSize = 400
 	cfg.Generations = 25
 	cfg.StopFitness = 0.01
@@ -154,7 +171,7 @@ func TestIslandsPopulationTooSmall(t *testing.T) {
 // final snapshot matches the Result exactly.
 func TestIslandsObserverCounters(t *testing.T) {
 	d := islandTestDataset()
-	cfg := islandConfig(3, 4)
+	cfg := islandConfig(3)
 	obs := &statsObserver{}
 	cfg.Observer = obs
 	res, err := Run(d, cfg)

@@ -16,10 +16,10 @@ type poolCase struct {
 }
 
 // poolCases returns two runs that differ in dataset width and length,
-// population size, island count and parallelism, so a run that reuses
+// population size and island count, so a run that reuses
 // the other's scratch has to resize every buffer.
 func poolCases() (a, b poolCase) {
-	a = poolCase{name: "A", d: islandTestDataset(), cfg: islandConfig(3, 4)}
+	a = poolCase{name: "A", d: islandTestDataset(), cfg: islandConfig(3)}
 	bd := &Dataset{}
 	for x := 0.0; x < 200; x++ {
 		bd.X = append(bd.X, []float64{x})

@@ -6,8 +6,8 @@ import (
 )
 
 // machinePool serves VM scratch to the one-shot scoring entry points
-// (MAE, MSE, RobustMAE and friends). The evolution engine does not use
-// it: each evaluator worker owns a machine outright.
+// (MAE, MSE and RobustMAE). The evolution engine does not use it: each
+// evaluator owns a machine outright.
 var machinePool = sync.Pool{New: func() any { return NewMachine() }}
 
 // MAE computes the mean absolute error of program n on the dataset.
@@ -33,29 +33,11 @@ func MSE(n *Node, d *Dataset) float64 {
 // RobustMAE scores program t on d with the same trimmed-mean criterion the
 // evolution uses (exported for the experiment harness and ablations).
 func RobustMAE(t *Node, d *Dataset) float64 {
-	mae, _ := RobustMAEBounded(t, d, math.Inf(1))
-	return mae
-}
-
-// RobustMAEBounded is RobustMAE with early abort: accumulation stops as
-// soon as the residuals seen so far prove the final trimmed mean exceeds
-// bound. The guarantee is exact in both directions — exceeded is true if
-// and only if RobustMAE(t, d) > bound — so threshold call sites (the
-// post-run simplification guard, accept/reject sweeps) can use it without
-// changing any decision. When it aborts early the returned value is a
-// lower bound on the true trimmed MAE, not the exact score.
-//
-// Soundness of the abort: with n residuals of which drop are trimmed, at
-// least k-drop of the first k residuals survive trimming, and their sum
-// is at least sum(first k) - drop·max(first k). Residuals are
-// non-negative, so once that quantity exceeds bound·keep the final
-// trimmed mean provably exceeds bound.
-func RobustMAEBounded(t *Node, d *Dataset, bound float64) (mae float64, exceeded bool) {
 	c := compilerPool.Get().(*Compiler)
 	defer compilerPool.Put(c)
 	m := machinePool.Get().(*Machine)
 	defer machinePool.Put(m)
-	return c.Compile(t).robustMAEBounded(NewBatch(d), m, bound)
+	return c.Compile(t).robustMAE(NewBatch(d), m)
 }
 
 // scoreCompiled runs n's compiled form over the dataset and hands the
@@ -89,39 +71,18 @@ func meanDiff(preds, y []float64, squared bool) float64 {
 	return sum / float64(len(y))
 }
 
-// robustMAEBounded is the allocation-free core of RobustMAE and
-// RobustMAEBounded: machine-owned scratch, batch evaluation, streaming
-// abort checks every 64 samples.
+// robustMAE is the allocation-free core of RobustMAE and the post-run
+// simplification guard: machine-owned scratch and batch evaluation.
 //
 //dplint:hotpath gp-score
-func (p *Program) robustMAEBounded(b *Batch, m *Machine, bound float64) (float64, bool) {
+func (p *Program) robustMAE(b *Batch, m *Machine) float64 {
 	preds := p.Eval(b, m)
-	n := len(preds)
-	keep, drop := n, 0
-	if n >= 10 {
-		keep = n * 4 / 5
-		drop = n - keep
-	}
-	resids := m.resids(n)
-	budget := bound * float64(keep)
-	sum, maxr := 0.0, 0.0
+	resids := m.resids(len(preds))
 	for i, v := range preds {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			inf := math.Inf(1)
-			return inf, inf > bound
+			return math.Inf(1)
 		}
-		r := math.Abs(v - b.y[i])
-		resids[i] = r
-		sum += r
-		if r > maxr {
-			maxr = r
-		}
-		if i&63 == 63 {
-			if lb := sum - float64(drop)*maxr; lb > budget {
-				return lb / float64(keep), true
-			}
-		}
+		resids[i] = math.Abs(v - b.y[i])
 	}
-	exact := trimmedMean(resids)
-	return exact, exact > bound
+	return trimmedMean(resids)
 }
