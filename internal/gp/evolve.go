@@ -325,8 +325,10 @@ type evaluator struct {
 	// cache maps Program.Key to raw fitness across generations. Raw
 	// fitness is a pure function of the program, so entries never
 	// invalidate; fit is recomputed per tree because the parsimony
-	// penalty depends on the (unfolded) tree size.
-	cache map[string]float64
+	// penalty depends on the (unfolded) tree size. cached lists the keys
+	// this run inserted, which release deletes.
+	cache  map[string]float64
+	cached []string
 	// pending/missq/dupq are the batch's scratch, reused across batches:
 	// pending maps a key to its index in missq, and dupq holds the
 	// in-batch structural duplicates whose first occurrence is not
@@ -402,13 +404,18 @@ func (e *evaluator) reset(d *Dataset, cfg Config) {
 	e.distinct = e.countDistinct()
 }
 
-// release ends e's run. It clears the fitness cache, whose keys are
-// program structures that score differently on another dataset (clear
-// keeps the map's buckets for the next run), and drops e's references to
-// the run's dataset and configuration, so a pooled evaluator keeps
-// neither alive.
+// release ends e's run. It empties the fitness cache, whose keys are
+// program structures that score differently on another dataset, by
+// deleting the keys the run inserted: the map keeps the buckets the
+// pool's largest run grew, and clearing them all would cost every later
+// run as much. It also drops e's references to the run's dataset and
+// configuration, so a pooled evaluator keeps neither alive.
 func (e *evaluator) release() {
-	clear(e.cache)
+	for _, k := range e.cached {
+		delete(e.cache, k)
+	}
+	clear(e.cached)
+	e.cached = e.cached[:0]
 	e.d, e.cfg = nil, Config{}
 	e.batch.y = nil
 	e.out = nil
@@ -551,6 +558,7 @@ func (e *evaluator) scoreMisses(idx []int32) {
 		e.out[ms.i] = e.scored(t, e.rawScore(ms.p, t, e.m), ms.size)
 		ms.done = true
 		e.cache[ms.p.key] = e.out[ms.i].raw
+		e.cached = append(e.cached, ms.p.key)
 	}
 }
 

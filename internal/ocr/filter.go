@@ -43,7 +43,7 @@ func FilterOutliers(samples []Sample) []Sample {
 	for i, s := range samples {
 		all[i] = s.Value
 	}
-	globalMed := medianInPlace(all)
+	globalMed := MedianInPlace(all)
 	globalMAD := medianAbsDevInPlace(all, globalMed)
 
 	const window = 3 // neighbours on each side
@@ -66,7 +66,7 @@ func FilterOutliers(samples []Sample) []Sample {
 			}
 			neigh = append(neigh, samples[j].Value)
 		}
-		med := medianInPlace(neigh)
+		med := MedianInPlace(neigh)
 		mad := medianAbsDevInPlace(neigh, med)
 		tol := math.Max(5*mad, 0.15*math.Abs(med)+0.5)
 		tol = math.Max(tol, 4*globalMAD)
@@ -82,8 +82,8 @@ func Filter(samples []Sample, min, max float64) []Sample {
 	return FilterOutliers(FilterRange(samples, min, max))
 }
 
-// medianInPlace sorts vals and returns their median (0 when empty).
-func medianInPlace(vals []float64) float64 {
+// MedianInPlace sorts vals and returns their median (0 when empty).
+func MedianInPlace(vals []float64) float64 {
 	n := len(vals)
 	if n == 0 {
 		return 0
@@ -101,5 +101,5 @@ func medianAbsDevInPlace(vals []float64, med float64) float64 {
 	for i, v := range vals {
 		vals[i] = math.Abs(v - med)
 	}
-	return medianInPlace(vals)
+	return MedianInPlace(vals)
 }

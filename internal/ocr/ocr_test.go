@@ -220,13 +220,13 @@ func TestFilterChained(t *testing.T) {
 }
 
 func TestMedianHelpers(t *testing.T) {
-	if medianInPlace(nil) != 0 {
-		t.Fatal("medianInPlace(nil)")
+	if MedianInPlace(nil) != 0 {
+		t.Fatal("MedianInPlace(nil)")
 	}
-	if medianInPlace([]float64{3, 1, 2}) != 2 {
+	if MedianInPlace([]float64{3, 1, 2}) != 2 {
 		t.Fatal("odd median")
 	}
-	if medianInPlace([]float64{1, 2, 3, 4}) != 2.5 {
+	if MedianInPlace([]float64{1, 2, 3, 4}) != 2.5 {
 		t.Fatal("even median")
 	}
 	if medianAbsDevInPlace([]float64{1, 2, 3}, 2) != 1 {

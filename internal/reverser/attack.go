@@ -153,7 +153,7 @@ func DetectAttacks(stats TrafficStats) []AttackFinding {
 // at stream admission: a flagged capture is rejected before it can
 // occupy a worker.
 func ScreenFrames(frames []can.Frame) []AttackFinding {
-	a := newAssembler()
+	a := newAssembler(0, 0)
 	for i := range frames {
 		a.feed(frames[i].Timestamp, frames[i].ID, frames[i].Payload())
 	}

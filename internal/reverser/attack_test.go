@@ -168,7 +168,7 @@ func TestDetectAttacksDefaultFaultsCalibration(t *testing.T) {
 // maxPendingTransfers evicts the oldest with a pending-overflow error,
 // keeps pending state bounded, and still assembles later transfers.
 func TestPendingTransferCapEvicts(t *testing.T) {
-	a := newAssembler()
+	a := newAssembler(0, 0)
 	var reasons []string
 	a.onError = func(transport, reason string) {
 		reasons = append(reasons, transport+"/"+reason)

@@ -122,6 +122,8 @@ const transportKinds = 3
 //dplint:hotpath extract-fields
 func ExtractFieldsColumnar(ms *colstore.Messages) *Extraction {
 	out := &Extraction{
+		// A capture has about as many ESVs as messages.
+		ESVs:              make([]ESVObservation, 0, ms.Len()),
 		Requests:          map[byte]int{},
 		NegativeResponses: map[byte]int{},
 	}

@@ -117,14 +117,16 @@ type pendingKey struct {
 	kind uint8 // a TransportKind
 }
 
-func newAssembler() *assembler {
+// newAssembler returns an assembler whose message store is presized for
+// the given message count and payload bytes.
+func newAssembler(messages, payloadBytes int) *assembler {
 	return &assembler{
 		vwtpIDs:    map[uint32]bool{},
 		isotp:      map[uint32]*isotp.Reassembler{},
 		vw:         map[uint32]*vwtp.Reassembler{},
 		bmw:        map[uint32]map[byte]*isotp.Reassembler{},
 		pendingSet: map[pendingKey]bool{},
-		ms:         colstore.NewMessages(0, 0),
+		ms:         colstore.NewMessages(messages, payloadBytes),
 	}
 }
 
@@ -176,7 +178,9 @@ const assembleCheckEvery = 1024
 // pooled scratch into the message slab, and every downstream consumer
 // reads zero-copy views.
 func AssembleColumnar(ctx context.Context, frames *colstore.Frames, obs AssemblyObserver) (*colstore.Messages, TrafficStats, error) {
-	a := newAssembler()
+	// Assembly only strips transport headers, so the frames bound the
+	// messages and their payload bytes.
+	a := newAssembler(frames.Len(), frames.PayloadBytes())
 	a.onError = obs
 	for i, n := 0, frames.Len(); i < n; i++ {
 		if i%assembleCheckEvery == 0 {

@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -78,13 +77,14 @@ func alignUI(fr *colstore.Frames, uiFrames []ocr.Frame) (time.Duration, []ocr.Fr
 // extracted capture — the back half of ExtractStreams, reused by the
 // pipeline so the capture is assembled exactly once. Sessions are
 // independent, so up to workers goroutines (the caller's among them)
-// prepare them: each claims sessions from a shared cursor with its own
-// fork of the index, and the streams are concatenated in session order,
-// so the output is the same at any worker count.
+// prepare them: each claims sessions from a shared cursor with scratch
+// of its own over the shared index, and the streams are concatenated in
+// session order, so the output is the same at any worker count.
 func streamsFromExtraction(ext *Extraction, uiFrames []ocr.Frame, cfg Config, workers int) []StreamData {
 	sessions := splitSessions(uiFrames)
 	per := make([][]StreamData, len(sessions))
-	p := newStreamPrep(ext.ESVs)
+	idx := newStreamIndex(ext.ESVs)
+	defer idx.release()
 	var (
 		cursor atomic.Int64
 		wg     sync.WaitGroup
@@ -98,9 +98,12 @@ func streamsFromExtraction(ext *Extraction, uiFrames []ocr.Frame, cfg Config, wo
 		wg.Add(1)
 		go func(wp *streamPrep) {
 			defer wg.Done()
+			defer wp.release()
 			work(wp)
-		}(p.fork())
+		}(newStreamPrep(idx))
 	}
+	p := newStreamPrep(idx)
+	defer p.release()
 	work(p)
 	wg.Wait()
 	return slices.Concat(per...)
@@ -117,20 +120,19 @@ func (p *streamPrep) session(sess session, cfg Config) []StreamData {
 	return out
 }
 
-// streamPrep holds one capture's stream-preparation state. Every stream
-// key is indexed once, so per-key bookkeeping lives in slices indexed by
-// key id rather than in maps keyed by the string-bearing StreamKey, and
-// the per-session and per-stream buffers are reused from one session and
-// stream to the next. Apart from the sorts behind its medians, the work
-// is linear in the observations and OCR rows. The index, obs through
-// timeSorted, is read-only once built; forks share it, and each has
-// session and stream state of its own.
-type streamPrep struct {
+// streamIndex indexes one capture's observations for stream
+// preparation. Every stream key is indexed once, so per-key bookkeeping
+// lives in slices indexed by key id rather than in maps keyed by the
+// string-bearing StreamKey. It is read-only once built, so the
+// streamPreps of every worker share it.
+type streamIndex struct {
 	obs []ESVObservation
 	// keys lists the distinct stream keys in capture order; kid[i] is
-	// obs[i]'s index into keys, and obd[k] marks keys[k] as an OBD stream.
+	// obs[i]'s index into keys, ids maps a key to its index, and obd[k]
+	// marks keys[k] as an OBD stream.
 	keys []StreamKey
 	kid  []int32
+	ids  map[StreamKey]int32
 	obd  []bool
 	// byTime lists the observations in time order (capture order among
 	// equal times), so a session finds its window by binary search
@@ -138,6 +140,18 @@ type streamPrep struct {
 	// already in time order, where byTime is the identity.
 	byTime     []int32
 	timeSorted bool
+}
+
+// streamPrep is one worker's stream-preparation state over a shared
+// index. Its per-session and per-stream buffers are reused from one
+// session and stream to the next. Apart from the sorts behind its
+// medians, the work is linear in the observations and OCR rows.
+//
+// Indexes and preps come from indexPool and prepPool and go back to them
+// emptied (release), so a capture's preparation reuses the buffers
+// earlier ones grew.
+type streamPrep struct {
+	*streamIndex
 
 	// Session state, indexed by key id. members[k] lists keys[k]'s
 	// observations in the session; live[k] marks a key in the session and
@@ -161,19 +175,20 @@ type streamPrep struct {
 	rows [][]rowRef
 
 	// Stream scratch.
-	samples []ocr.Sample
-	gaps    []time.Duration
-	vars    [][]float64 // vars[j]: members[j]'s X row, nil when malformed
-	gid     []int32     // gid[j]: the exact-X group of vars[j]
-	groups  map[string]int32
-	keyBuf  []byte
-	pairs   pairSet
-	f64     []float64
-	absRes  []float64
-	start   []int32
-	fill    []int32
-	vals    []float64
-	slot    []int32
+	samples  []ocr.Sample
+	gaps     []time.Duration
+	vars     [][]float64 // vars[j]: members[j]'s X row, nil when malformed
+	gid      []int32     // gid[j]: the exact-X group of vars[j]
+	groups   map[string]int32
+	keyBuf   []byte
+	pairs    pairSet
+	screened pairSet // screenPairs' survivors
+	f64      []float64
+	absRes   []float64
+	start    []int32
+	fill     []int32
+	vals     []float64
+	slot     []int32
 }
 
 // rowRef is one laid-out row (its index into laid) and the time of the
@@ -193,26 +208,30 @@ type pairSet struct {
 	groups int
 }
 
-// newStreamPrep indexes the stream key and time order of every
+// indexPool and prepPool recycle stream-preparation buffers across
+// captures.
+var (
+	indexPool = sync.Pool{New: func() any { return &streamIndex{ids: make(map[StreamKey]int32)} }}
+	prepPool  = sync.Pool{New: func() any { return &streamPrep{groups: make(map[string]int32)} }}
+)
+
+// newStreamIndex indexes the stream key and time order of every
 // observation.
 //
 //dplint:hotpath streams-prepare
-func newStreamPrep(obs []ESVObservation) *streamPrep {
-	p := &streamPrep{
-		obs: obs, kid: make([]int32, len(obs)),
-		byTime: make([]int32, len(obs)), timeSorted: true,
-		groups: make(map[string]int32),
-	}
-	ids := make(map[StreamKey]int32)
+func newStreamIndex(obs []ESVObservation) *streamIndex {
+	p := indexPool.Get().(*streamIndex)
+	p.obs, p.timeSorted = obs, true
+	p.kid, p.byTime = resize(p.kid, len(obs)), resize(p.byTime, len(obs))
 	for i := range obs {
 		p.byTime[i] = int32(i)
 		if i > 0 && obs[i].At < obs[i-1].At {
 			p.timeSorted = false
 		}
-		k, ok := ids[obs[i].Key]
+		k, ok := p.ids[obs[i].Key]
 		if !ok {
 			k = int32(len(p.keys))
-			ids[obs[i].Key] = k
+			p.ids[obs[i].Key] = k
 			p.keys = append(p.keys, obs[i].Key)
 			p.obd = append(p.obd, obs[i].Key.Proto == "OBD")
 		}
@@ -221,29 +240,54 @@ func newStreamPrep(obs []ESVObservation) *streamPrep {
 	if !p.timeSorted {
 		slices.SortStableFunc(p.byTime, func(a, b int32) int { return cmp.Compare(obs[a].At, obs[b].At) })
 	}
+	return p
+}
+
+// release empties x and returns it to indexPool. It drops the
+// observations and the stream keys, which refer into the capture.
+func (x *streamIndex) release() {
+	clear(x.keys)
+	clear(x.ids)
+	x.obs, x.keys, x.obd = nil, x.keys[:0], x.obd[:0]
+	indexPool.Put(x)
+}
+
+// newStreamPrep returns session and stream state over idx for one
+// worker.
+//
+//dplint:hotpath streams-prepare
+func newStreamPrep(idx *streamIndex) *streamPrep {
+	p := prepPool.Get().(*streamPrep)
+	p.streamIndex = idx
 	p.initSession()
 	return p
 }
 
-// initSession allocates the per-key session state.
+// initSession empties the per-key session state.
 func (p *streamPrep) initSession() {
 	n := len(p.keys)
-	p.members = make([][]int32, n)
-	p.live = make([]bool, n)
-	p.local = make([]int32, n)
-	p.cycle = make([]int, n)
+	p.members = resize(p.members, n)
+	for k := range p.members {
+		p.members[k] = p.members[k][:0]
+	}
+	p.live, p.local, p.cycle = resize(p.live, n), resize(p.local, n), resize(p.cycle, n)
+	clear(p.live)
+	clear(p.cycle)
+	p.stamp, p.touched = 0, p.touched[:0]
 }
 
-// fork returns a streamPrep sharing p's index, with fresh session and
-// stream state, for another goroutine.
-func (p *streamPrep) fork() *streamPrep {
-	f := &streamPrep{
-		obs: p.obs, keys: p.keys, kid: p.kid, obd: p.obd,
-		byTime: p.byTime, timeSorted: p.timeSorted,
-		groups: make(map[string]int32),
-	}
-	f.initSession()
-	return f
+// release empties p and returns it to prepPool. Nothing it keeps refers
+// into the capture or the prepared streams: the index, the laid-out rows
+// (which hold OCR strings) and the X rows (which the streams' datasets
+// hold) are dropped.
+func (p *streamPrep) release() {
+	p.streamIndex = nil
+	clear(p.groups)
+	clear(p.laid[:cap(p.laid)])
+	clear(p.vars[:cap(p.vars)])
+	clear(p.pairs.xs[:cap(p.pairs.xs)])
+	clear(p.screened.xs[:cap(p.screened.xs)])
+	prepPool.Put(p)
 }
 
 // sessionStreams lists the streams active in a session in display-row
@@ -290,7 +334,7 @@ func (p *streamPrep) sessionStreams(sess session) []int32 {
 			counts = append(counts, float64(len(p.members[k])))
 		}
 		p.f64 = counts
-		med := medianInPlace(counts)
+		med := ocr.MedianInPlace(counts)
 		kept := p.order[:0]
 		for _, k := range p.order {
 			if float64(len(p.members[k]))*5 < med {
@@ -369,7 +413,7 @@ func (p *streamPrep) voteRowOrder() {
 	// median gap is (close to) zero and any clearly larger gap is a
 	// refresh boundary. When spacing is uniform instead (one identifier
 	// per tick), no gap qualifies and the repeat-cut below decides.
-	cycleGap := time.Duration(3 * medianInPlace(gaps))
+	cycleGap := time.Duration(3 * ocr.MedianInPlace(gaps))
 	// Each vote packs (first-seen rank, position); sorting them groups a
 	// key's votes by position, so the modal position is one run scan.
 	votes := p.votes[:0]
@@ -585,18 +629,19 @@ func (p *streamPrep) screenPairs(ps pairSet) (pairSet, int) {
 		return ps, 0
 	}
 	vals, start := p.groupYs(ps)
-	groupMed := growF64(&p.f64, ps.groups)
+	p.f64 = resize(p.f64, ps.groups)
+	groupMed := p.f64
 	for g := range groupMed {
-		groupMed[g] = medianInPlace(vals[start[g]:start[g+1]])
+		groupMed[g] = ocr.MedianInPlace(vals[start[g]:start[g+1]])
 	}
-	absRes := growF64(&p.absRes, n)
-	absYs := growF64(&p.vals, n) // groupYs' values are spent
+	p.absRes, p.vals = resize(p.absRes, n), resize(p.vals, n) // groupYs' values are spent
+	absRes, absYs := p.absRes, p.vals
 	for i, y := range ps.ys {
 		absRes[i] = abs(y - groupMed[ps.gid[i]])
 		absYs[i] = abs(y)
 	}
-	scale := medianInPlace(absYs)
-	mad := medianInPlace(append(absYs[:0], absRes...))
+	scale := ocr.MedianInPlace(absYs)
+	mad := ocr.MedianInPlace(append(absYs[:0], absRes...))
 	tol := 8 * mad
 	if floor := 0.05*scale + 1; tol < floor {
 		tol = floor
@@ -615,8 +660,7 @@ func (p *streamPrep) screenPairs(ps pairSet) (pairSet, int) {
 		// aggregation's per-group medians do what they can instead.
 		return ps, 0
 	}
-	kept := n - rejected
-	out := pairSet{xs: make([][]float64, 0, kept), ys: make([]float64, 0, kept), gid: make([]int32, 0, kept), groups: ps.groups}
+	out := pairSet{xs: p.screened.xs[:0], ys: p.screened.ys[:0], gid: p.screened.gid[:0], groups: ps.groups}
 	for i, r := range absRes {
 		if r > tol {
 			continue
@@ -625,6 +669,7 @@ func (p *streamPrep) screenPairs(ps pairSet) (pairSet, int) {
 		out.ys = append(out.ys, ps.ys[i])
 		out.gid = append(out.gid, ps.gid[i])
 	}
+	p.screened = out
 	return out, rejected
 }
 
@@ -656,7 +701,7 @@ func (p *streamPrep) aggregateByX(ps pairSet) *gp.Dataset {
 		}
 		// Each group's values sit in pairing order, so the sort (and the
 		// median it yields) is the one a per-group slice would get.
-		d.Y[s] = medianInPlace(vals[start[g]:start[g+1]])
+		d.Y[s] = ocr.MedianInPlace(vals[start[g]:start[g+1]])
 	}
 	return d
 }
@@ -677,7 +722,8 @@ func (p *streamPrep) groupYs(ps pairSet) (vals []float64, start []int32) {
 		start[g] += start[g-1]
 	}
 	fill := append(p.fill[:0], start[:ps.groups]...)
-	vals = growF64(&p.vals, len(ps.ys))
+	p.vals = resize(p.vals, len(ps.ys))
+	vals = p.vals
 	for i, g := range ps.gid {
 		vals[fill[g]] = ps.ys[i]
 		fill[g]++
@@ -686,13 +732,12 @@ func (p *streamPrep) groupYs(ps pairSet) (vals []float64, start []int32) {
 	return vals, start
 }
 
-// growF64 resizes *buf to n values, reallocating only to grow.
-func growF64(buf *[]float64, n int) []float64 {
-	if cap(*buf) < n {
-		*buf = make([]float64, n)
+// resize returns s resized to n elements, reallocating only to grow.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	*buf = (*buf)[:n]
-	return *buf
+	return s[:n]
 }
 
 // typicalSpacing estimates the video sampling period as the median gap
@@ -791,19 +836,6 @@ func firstAtOrAfter(samples []ocr.Sample, n int, t time.Duration) int {
 		}
 	}
 	return lo
-}
-
-// medianInPlace sorts vals and returns their median (0 when empty).
-func medianInPlace(vals []float64) float64 {
-	n := len(vals)
-	if n == 0 {
-		return 0
-	}
-	sort.Float64s(vals)
-	if n%2 == 1 {
-		return vals[n/2]
-	}
-	return (vals[n/2-1] + vals[n/2]) / 2
 }
 
 func abs(v float64) float64 {

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -208,7 +209,7 @@ func TestSessionWindowMatchesScan(t *testing.T) {
 		for i, at := range times {
 			obs[i].At = at
 		}
-		p := newStreamPrep(obs)
+		p := newStreamPrep(newStreamIndex(obs))
 		lo := time.Duration(rng.Intn(7)) - 1
 		hi := lo + time.Duration(rng.Intn(4))
 		var want []int32
@@ -246,4 +247,94 @@ func FuzzNearestSample(f *testing.F) {
 				ats, sorted, at, maxGap, gotY, gotOK, wantY, wantOK)
 		}
 	})
+}
+
+// TestPooledStreamPrep prepares Car K, Car M and a faulted Car A in turn
+// at 1, 2 and 8 workers, so each preparation runs on pooled scratch that
+// another capture grew, and requires the reference's streams every time.
+// It then checks that a released index and two released preps that
+// shared it keep no reference into the capture or the streams.
+func TestPooledStreamPrep(t *testing.T) {
+	spec, err := faults.ParseSpec("heavy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulted := collectSeeded(t, "Car A", 1)
+	inj := faults.New(spec, 1)
+	faulted.Frames = inj.Frames(faulted.Frames)
+	faulted.UIFrames = inj.UIFrames(faulted.UIFrames)
+	type prepared struct {
+		name     string
+		ext      *Extraction
+		uiFrames []ocr.Frame
+		want     []StreamData
+	}
+	var caps []prepared
+	cfg := DefaultConfig()
+	for _, c := range []struct {
+		name string
+		cap  rig.Capture
+	}{{"Car K", collectSeeded(t, "Car K", 1)}, {"Car M", collectSeeded(t, "Car M", 1)}, {"Car A heavy", faulted}} {
+		ext, uiFrames := frontHalf(t, c.cap)
+		caps = append(caps, prepared{c.name, ext, uiFrames, refStreamsFromExtraction(ext, uiFrames, cfg)})
+	}
+	for round := 0; round < 2; round++ {
+		for _, workers := range []int{1, 2, 8} {
+			for _, c := range caps {
+				if got := streamsFromExtraction(c.ext, c.uiFrames, cfg, workers); !reflect.DeepEqual(got, c.want) {
+					t.Fatalf("%s at %d workers, round %d: streams unlike the reference's", c.name, workers, round)
+				}
+			}
+		}
+	}
+	// Concurrent stages, as a job server's workers run them, share the pool.
+	var wg sync.WaitGroup
+	for _, workers := range []int{1, 2, 8} {
+		for _, c := range caps {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if got := streamsFromExtraction(c.ext, c.uiFrames, cfg, workers); !reflect.DeepEqual(got, c.want) {
+					t.Errorf("%s at %d workers, concurrently: streams unlike the reference's", c.name, workers)
+				}
+			}()
+		}
+	}
+	wg.Wait()
+
+	c := caps[1]
+	idx := newStreamIndex(c.ext.ESVs)
+	p, f := newStreamPrep(idx), newStreamPrep(idx)
+	for i, sess := range splitSessions(c.uiFrames) {
+		if i%2 == 0 {
+			p.session(sess, cfg)
+		} else {
+			f.session(sess, cfg)
+		}
+	}
+	if len(p.laid) == 0 || len(f.laid) == 0 || len(p.vars) == 0 || len(f.pairs.xs) == 0 {
+		t.Fatal("the sessions left no scratch to check")
+	}
+	f.release()
+	p.release()
+	idx.release()
+	if idx.obs != nil || len(idx.ids) != 0 || !slices.Equal(idx.keys[:cap(idx.keys)], make([]StreamKey, cap(idx.keys))) {
+		t.Error("index: released with its observations, key ids or stream keys")
+	}
+	for i, q := range []*streamPrep{p, f} {
+		if q.streamIndex != nil || len(q.groups) != 0 {
+			t.Errorf("prep %d: released with its index or groups", i)
+		}
+		if !slices.Equal(q.laid[:cap(q.laid)], make([]ocr.Row, cap(q.laid))) {
+			t.Errorf("prep %d: released with laid-out rows", i)
+		}
+		for _, rows := range [][][]float64{q.vars, q.pairs.xs, q.screened.xs} {
+			for _, row := range rows[:cap(rows)] {
+				if row != nil {
+					t.Errorf("prep %d: released with an X row", i)
+					break
+				}
+			}
+		}
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"time"
 	"unicode"
 	"unicode/utf8"
 
@@ -33,6 +34,10 @@ import (
 //   - nesting deeper than 10000 containers is an error;
 //   - bytes after the envelope are ignored, though ReadCapture reads them
 //     with the rest of the body.
+//
+// Frame and text objects laid out exactly as Save writes them are read by
+// a straight pass (straightFrame, straightText) that gives way to the
+// general member loop at the first byte it does not expect.
 //
 // The field lists below must name every exported field of the decoded
 // structs; TestReadCaptureMatchesOracleOnFleet fails when one goes
@@ -267,6 +272,9 @@ func decodeArray[T any](d *decoder, dst, buf *[]T, elem func(*decoder, *T) error
 
 //dplint:hotpath capture-decode
 func (d *decoder) frame(f *can.Frame) error {
+	if d.straightFrame(f) {
+		return nil
+	}
 	if ok, err := d.beginObject(); !ok || err != nil {
 		return err
 	}
@@ -361,6 +369,9 @@ func (d *decoder) uiFrame(f *ocr.Frame) error {
 
 //dplint:hotpath capture-decode
 func (d *decoder) text(t *ocr.Text) error {
+	if d.straightText(t) {
+		return nil
+	}
 	if ok, err := d.beginObject(); !ok || err != nil {
 		return err
 	}
@@ -417,6 +428,115 @@ func (d *decoder) click(c *ClickEvent) error {
 			return err
 		}
 	}
+}
+
+// straightFrame reads the frame object at the cursor in one pass when it
+// is exactly as Save writes it: its members in declaration order, no
+// whitespace, eight Data values and plain non-negative integers in range.
+// At the first deviation it reports false with the cursor and f as they
+// were, and frame's member loop reads the object instead.
+//
+//dplint:hotpath capture-decode
+func (d *decoder) straightFrame(f *can.Frame) bool {
+	s := straight{b: d.data, i: d.pos, ok: true}
+	s.lit(`{"ID":`)
+	id := s.uint(math.MaxUint32)
+	s.lit(`,"Extended":`)
+	ext := s.bool()
+	s.lit(`,"Data":[`)
+	var data [can.MaxDataLen]byte
+	for k := range data {
+		if k > 0 {
+			s.lit(",")
+		}
+		data[k] = byte(s.uint(math.MaxUint8))
+	}
+	s.lit(`],"Len":`)
+	n := s.uint(math.MaxInt)
+	s.lit(`,"Timestamp":`)
+	ts := s.uint(math.MaxInt64)
+	s.lit("}")
+	if !s.ok {
+		return false
+	}
+	*f = can.Frame{ID: uint32(id), Extended: ext, Data: data, Len: int(n), Timestamp: time.Duration(ts)}
+	d.pos = s.i
+	return true
+}
+
+// straightText is straightFrame for a text object, whose Content must
+// also be printable ASCII without escapes.
+//
+//dplint:hotpath capture-decode
+func (d *decoder) straightText(t *ocr.Text) bool {
+	s := straight{b: d.data, i: d.pos, ok: true}
+	s.lit(`{"Content":"`)
+	start, end := s.i, s.i
+	for s.ok && end < len(s.b) && plainByte[s.b[end]] {
+		end++
+	}
+	s.i = end
+	s.lit(`","X":`)
+	x := s.uint(math.MaxInt)
+	s.lit(`,"Y":`)
+	y := s.uint(math.MaxInt)
+	s.lit(`,"W":`)
+	w := s.uint(math.MaxInt)
+	s.lit(`,"H":`)
+	h := s.uint(math.MaxInt)
+	s.lit("}")
+	if !s.ok {
+		return false
+	}
+	*t = ocr.Text{Content: d.intern(d.data[start:end]), X: int(x), Y: int(y), W: int(w), H: int(h)}
+	d.pos = s.i
+	return true
+}
+
+// straight is the cursor of straightFrame and straightText. Once a read
+// fails, ok stays false and later reads do nothing.
+type straight struct {
+	b  []byte
+	i  int
+	ok bool
+}
+
+// lit consumes want.
+func (s *straight) lit(want string) {
+	if s.ok && len(s.b)-s.i >= len(want) && string(s.b[s.i:s.i+len(want)]) == want {
+		s.i += len(want)
+		return
+	}
+	s.ok = false
+}
+
+// bool consumes true or false.
+func (s *straight) bool() bool {
+	if s.ok && s.i < len(s.b) && s.b[s.i] == 't' {
+		s.lit("true")
+		return true
+	}
+	s.lit("false")
+	return false
+}
+
+// uint consumes a plain non-negative integer of at most limit: no sign,
+// no leading zero, at most 19 digits (so the loop cannot overflow). The
+// literal that follows rules out a fraction or an exponent.
+func (s *straight) uint(limit uint64) uint64 {
+	if !s.ok {
+		return 0
+	}
+	b, start := s.b, s.i
+	i, n := start, uint64(0)
+	for ; i < len(b) && isDigit(b[i]); i++ {
+		n = n*10 + uint64(b[i]-'0')
+	}
+	s.i = i
+	if digits := i - start; digits == 0 || digits > 19 || digits > 1 && b[start] == '0' || n > limit {
+		s.ok = false
+	}
+	return n
 }
 
 // next skips whitespace and returns the byte at the cursor, or 0 at the

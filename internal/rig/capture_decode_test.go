@@ -10,7 +10,9 @@ import (
 	"sync"
 	"testing"
 
+	"dpreverser/internal/can"
 	"dpreverser/internal/diagtool"
+	"dpreverser/internal/ocr"
 	"dpreverser/internal/sim"
 	"dpreverser/internal/vehicle"
 )
@@ -264,6 +266,104 @@ func TestReadCaptureMatchesOracleOnTruncations(t *testing.T) {
 	checkAgainstOracle(t, body)
 }
 
+// Save writes every frame and text like these, which the decoder reads
+// in one straight pass (straightFrame, straightText).
+const (
+	saveFrame = `{"ID":2024,"Extended":false,"Data":[2,65,13,0,0,0,0,0],"Len":8,"Timestamp":123456}`
+	saveText  = `{"Content":"Vehicle Speed","X":40,"Y":60,"W":360,"H":40}`
+)
+
+// nearSaveCases are frame and text objects one step from saveFrame or
+// saveText. straight says whether the straight pass reads them; the rest
+// must fall back to the member loop with nothing consumed or written.
+var nearSaveCases = []struct {
+	name     string
+	frame    bool
+	obj      string
+	straight bool
+}{
+	{"save frame", true, saveFrame, true},
+	{"extended frame", true, `{"ID":418119921,"Extended":true,"Data":[255,0,1,2,3,4,5,6],"Len":3,"Timestamp":0}`, true},
+	{"max values", true, `{"ID":4294967295,"Extended":false,"Data":[255,255,255,255,255,255,255,255],"Len":9223372036854775807,"Timestamp":9223372036854775807}`, true},
+	{"19-digit timestamp", true, `{"ID":1,"Extended":false,"Data":[0,0,0,0,0,0,0,0],"Len":0,"Timestamp":1234567890123456789}`, true},
+	{"20-digit timestamp", true, `{"ID":1,"Extended":false,"Data":[0,0,0,0,0,0,0,0],"Len":0,"Timestamp":12345678901234567890}`, false},
+	{"2^64 wraps to 0", true, `{"ID":1,"Extended":false,"Data":[0,0,0,0,0,0,0,0],"Len":0,"Timestamp":18446744073709551616}`, false},
+	{"timestamp past int64", true, `{"ID":1,"Extended":false,"Data":[0,0,0,0,0,0,0,0],"Len":0,"Timestamp":9223372036854775808}`, false},
+	{"swapped members", true, `{"Extended":false,"ID":2024,"Data":[2,65,13,0,0,0,0,0],"Len":8,"Timestamp":123456}`, false},
+	{"whitespace", true, `{"ID": 2024,"Extended":false,"Data":[2,65,13,0,0,0,0,0],"Len":8,"Timestamp":123456}`, false},
+	{"leading whitespace", true, ` ` + saveFrame, false},
+	{"negative zero", true, `{"ID":2024,"Extended":false,"Data":[2,65,13,0,0,0,0,0],"Len":-0,"Timestamp":123456}`, false},
+	{"negative timestamp", true, `{"ID":2024,"Extended":false,"Data":[2,65,13,0,0,0,0,0],"Len":8,"Timestamp":-5}`, false},
+	{"leading zeros", true, `{"ID":2024,"Extended":false,"Data":[2,65,13,0,0,0,0,0],"Len":007,"Timestamp":123456}`, false},
+	{"exponent", true, `{"ID":2024,"Extended":false,"Data":[2,65,13,0,0,0,0,0],"Len":1e3,"Timestamp":123456}`, false},
+	{"fraction", true, `{"ID":2024,"Extended":false,"Data":[2,65,13,0,0,0,0,0],"Len":8.0,"Timestamp":123456}`, false},
+	{"id 2^32", true, `{"ID":4294967296,"Extended":false,"Data":[2,65,13,0,0,0,0,0],"Len":8,"Timestamp":123456}`, false},
+	{"data 256", true, `{"ID":2024,"Extended":false,"Data":[2,65,256,0,0,0,0,0],"Len":8,"Timestamp":123456}`, false},
+	{"7 data values", true, `{"ID":2024,"Extended":false,"Data":[2,65,13,0,0,0,0],"Len":8,"Timestamp":123456}`, false},
+	{"9 data values", true, `{"ID":2024,"Extended":false,"Data":[2,65,13,0,0,0,0,0,9],"Len":8,"Timestamp":123456}`, false},
+	{"null extended", true, `{"ID":2024,"Extended":null,"Data":[2,65,13,0,0,0,0,0],"Len":8,"Timestamp":123456}`, false},
+	{"null data", true, `{"ID":2024,"Extended":false,"Data":null,"Len":8,"Timestamp":123456}`, false},
+	{"folded key", true, `{"id":2024,"Extended":false,"Data":[2,65,13,0,0,0,0,0],"Len":8,"Timestamp":123456}`, false},
+	{"missing member", true, `{"ID":2024,"Extended":false,"Data":[2,65,13,0,0,0,0,0],"Len":8}`, false},
+	{"extra member", true, `{"ID":2024,"Extended":false,"Data":[2,65,13,0,0,0,0,0],"Len":8,"Timestamp":123456,"ID":7}`, false},
+	{"truncated", true, `{"ID":2024,"Extended":false,"Data":[2,65,13`, false},
+	{"null frame", true, `null`, false},
+	{"save text", false, saveText, true},
+	{"empty content", false, `{"Content":"","X":0,"Y":0,"W":0,"H":0}`, true},
+	{"printable ascii", false, `{"Content":"~!#$%&'()*+,-./:;<=>?@[]^_{|}` + "\x7f" + `","X":1,"Y":2,"W":3,"H":4}`, true},
+	{"escaped content", false, `{"Content":"a\"b","X":40,"Y":60,"W":360,"H":40}`, false},
+	{"unicode escape", false, `{"Content":"\u003c40","X":40,"Y":60,"W":360,"H":40}`, false},
+	{"non-ascii content", false, `{"Content":"Öltemperatur °C","X":40,"Y":60,"W":360,"H":40}`, false},
+	{"null content", false, `{"Content":null,"X":40,"Y":60,"W":360,"H":40}`, false},
+	{"negative x", false, `{"Content":"Vehicle Speed","X":-40,"Y":60,"W":360,"H":40}`, false},
+	{"swapped text members", false, `{"X":40,"Content":"Vehicle Speed","Y":60,"W":360,"H":40}`, false},
+	{"text whitespace", false, `{"Content":"Vehicle Speed", "X":40,"Y":60,"W":360,"H":40}`, false},
+	{"unterminated content", false, `{"Content":"Vehicle`, false},
+}
+
+// nearSaveDocument places obj between two Save-shaped objects of its
+// kind, and again in a repeated array that decodes over the first.
+func nearSaveDocument(frame bool, obj string) string {
+	if frame {
+		return envelope(`{"Frames":[` + saveFrame + `,` + obj + `,` + saveFrame + `],"Frames":[` + obj + `]}`)
+	}
+	return envelope(`{"UIFrames":[{"At":5,"Texts":[` + saveText + `,` + obj + `,` + saveText + `]},{"Texts":[` + obj + `]}]}`)
+}
+
+// TestReadCaptureNearSaveObjects checks the straight pass takes exactly
+// the objects it should, leaves the cursor and the element alone when it
+// declines, and that either way the document decodes as encoding/json
+// decodes it.
+func TestReadCaptureNearSaveObjects(t *testing.T) {
+	for _, tc := range nearSaveCases {
+		t.Run(tc.name, func(t *testing.T) {
+			d := newDecoder()
+			d.data = []byte(tc.obj)
+			var took bool
+			if tc.frame {
+				f := can.Frame{ID: 99, Len: 99}
+				took = d.straightFrame(&f)
+				if !took && f != (can.Frame{ID: 99, Len: 99}) {
+					t.Fatalf("declined, but wrote %+v", f)
+				}
+			} else {
+				x := ocr.Text{Content: "kept", X: 99}
+				took = d.straightText(&x)
+				if !took && x != (ocr.Text{Content: "kept", X: 99}) {
+					t.Fatalf("declined, but wrote %+v", x)
+				}
+			}
+			if took != tc.straight {
+				t.Fatalf("straight pass took it: %v, want %v", took, tc.straight)
+			}
+			if want := map[bool]int{true: len(tc.obj), false: 0}[took]; d.pos != want {
+				t.Fatalf("cursor at %d, want %d", d.pos, want)
+			}
+			checkAgainstOracle(t, []byte(nearSaveDocument(tc.frame, tc.obj)))
+		})
+	}
+}
+
 // errAfter is a reader that returns its bytes and then a non-EOF error.
 type errAfter struct{ r *bytes.Reader }
 
@@ -297,6 +397,17 @@ func mutations(body []byte) [][]byte {
 		// The older format: laid-out Rows and a Corrupted flag in a UI frame.
 		[]byte(strings.Replace(s, `"Texts":`, `"Rows":[{"Index":0,"Label":"x","Unit":"rpm","Value":"1.50","Parsed":1.5,"ParseOK":true,"Y":60}],"Corrupted":true,"Texts":`, 1)),
 		[]byte(strings.ReplaceAll(s, ",", " , ")),
+		// One step off Save's layout in a frame or a text, so the fuzzer
+		// starts from both sides of the straight pass.
+		[]byte(strings.Replace(s, `{"ID":`, `{"Extended":true,"ID":`, 1)),
+		[]byte(strings.Replace(s, `"Extended":false`, `"Extended":null`, 1)),
+		[]byte(strings.Replace(s, `"Data":[`, `"Data":[7,`, 1)),
+		[]byte(strings.Replace(s, `"Len":`, `"Len":-0,"Len":`, 1)),
+		[]byte(strings.Replace(s, `,"Timestamp":`, `,"Timestamp":1e3,"Timestamp":`, 1)),
+		[]byte(strings.Replace(s, `,"Timestamp":`, `,"Timestamp":9999999999999999999,"Timestamp":`, 1)),
+		[]byte(strings.Replace(s, `"Content":"`, `"Content":"\u0041`, 1)),
+		[]byte(strings.Replace(s, `"X":`, `"X":-`, 1)),
+		[]byte(strings.Replace(s, `"X":`, `"X":00`, 1)),
 		body[:len(body)/2],
 	}
 }
