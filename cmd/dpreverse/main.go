@@ -8,7 +8,7 @@
 //
 //	dpreverse -car "Car A"          # reverse engineer the Skoda Octavia
 //	dpreverse -list                 # list the fleet
-//	dpreverse -car "Car K" -quick   # shorter recording, smaller GP budget
+//	dpreverse -car "Car K" -quick   # shorter recording, GP at 300 programs x 20 generations
 //	dpreverse -car "Car A" -json    # machine-readable result on stdout
 //	dpreverse -car "Car A" -parallel 4
 //	dpreverse -car "Car A" -faults default -fault-seed 1
@@ -60,10 +60,9 @@ func main() {
 func run() error {
 	car := flag.String("car", "Car A", "fleet car to reverse engineer (see -list)")
 	list := flag.Bool("list", false, "list the simulated fleet and exit")
-	quick := flag.Bool("quick", false, "short recordings and reduced GP budget")
+	quick := flag.Bool("quick", false, "short recordings and reduced GP budget: 300 programs x 20 generations")
 	seed := flag.Int64("seed", 1, "seed for OCR noise and GP")
 	parallel := flag.Int("parallel", 0, "stream-preparation and inference workers (0 = all CPUs)")
-	islands := flag.Int("islands", 1, "GP islands per stream (1 = single panmictic population)")
 	jsonOut := flag.Bool("json", false, "emit the result as JSON on stdout")
 	progress := flag.Bool("progress", false, "report per-stream inference progress on stderr")
 	showTraffic := flag.Bool("traffic", false, "print the Table 9 frame-mix statistics")
@@ -171,7 +170,6 @@ func run() error {
 
 	cfg := reverser.DefaultConfig()
 	cfg.GP.Seed = *seed
-	cfg.GP.Islands = *islands
 	if *quick {
 		cfg.GP.PopulationSize = 300
 		cfg.GP.Generations = 20

@@ -11,7 +11,7 @@
 //
 //	dpreversed                                # HTTP API on 127.0.0.1:8780
 //	dpreversed -addr :8780 -ingest :8781      # plus live canbridge ingest
-//	dpreversed -quick                         # reduced GP budget per job
+//	dpreversed -quick                         # GP at 150 programs x 10 generations per job
 //
 // API sketch (see internal/jobserver for the full surface):
 //
@@ -48,13 +48,12 @@ func main() {
 }
 
 // jobOptions is the base reverser configuration every job runs under.
-func jobOptions(quick bool, islands int) []reverser.Option {
+func jobOptions(quick bool) []reverser.Option {
 	cfg := reverser.DefaultConfig()
 	if quick {
 		cfg.GP.PopulationSize = 150
 		cfg.GP.Generations = 10
 	}
-	cfg.GP.Islands = islands
 	return []reverser.Option{reverser.WithConfig(cfg)}
 }
 
@@ -66,8 +65,7 @@ func run() error {
 	queueDepth := flag.Int("queue-depth", 64, "per-shard backlog limit before 429 backpressure")
 	tenantMax := flag.Int("tenant-max", 8, "per-tenant live job quota")
 	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After hint on rejected submissions")
-	quick := flag.Bool("quick", false, "reduced GP budget per job")
-	islands := flag.Int("islands", 1, "GP islands per stream (1 = single panmictic population)")
+	quick := flag.Bool("quick", false, "reduced GP budget per job: 150 programs x 10 generations")
 	drainTimeout := flag.Duration("drain-timeout", time.Minute, "graceful-drain budget on shutdown before jobs are cancelled")
 	logFormat := flag.String("log-format", "text", "structured-log format on stderr (text or json; empty disables)")
 	logLevel := flag.String("log-level", "info", "minimum structured-log level (debug, info, warn or error)")
@@ -91,7 +89,7 @@ func run() error {
 		RunSLO:          *sloRun,
 		SLOTarget:       *sloTarget,
 		FlightEvents:    *flightEvents,
-		Reverser:        jobOptions(*quick, *islands),
+		Reverser:        jobOptions(*quick),
 
 		IngestIdleTimeout: *ingestIdle,
 		IngestMaxFrames:   *ingestFrames,

@@ -182,7 +182,8 @@ func TestSimplifyGuardMatchesReference(t *testing.T) {
 		if trial%3 == 0 {
 			d.Y[rng.Intn(len(d.Y))] = math.NaN()
 		}
-		isl := acquireIsland(d, cfg, cfg.PopulationSize, rng.Int63())
+		cfg.Seed = rng.Int63()
+		isl := acquireIsland(d, cfg)
 		drawAll(isl)
 		isl.complete()
 		trees := []*Node{nonFinite}

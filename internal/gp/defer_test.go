@@ -91,8 +91,8 @@ func TestDeferralPreservesBestAndPopulation(t *testing.T) {
 	for di, d := range datasets {
 		seed := rng.Int63()
 		cfg := DefaultConfig()
-		cfg.PopulationSize = 120
-		isl := acquireIsland(d, cfg, cfg.PopulationSize, seed)
+		cfg.PopulationSize, cfg.Seed = 120, seed
+		isl := acquireIsland(d, cfg)
 		drawAll(isl)
 		for gen := 0; gen < 5; gen++ {
 			what := fmt.Sprintf("dataset %d, seed %d, generation %d", di, seed, gen)
@@ -156,7 +156,7 @@ func TestDeferralKeepsTiesScored(t *testing.T) {
 func TestDeferralSkipsMostMissesAtConvergence(t *testing.T) {
 	d := udsLikeDataset()
 	cfg := DefaultConfig()
-	isl := acquireIsland(d, cfg, cfg.PopulationSize, cfg.Seed)
+	isl := acquireIsland(d, cfg)
 	defer isl.release()
 	isl.drawChunk()
 	if isl.best.raw > cfg.StopFitness {
@@ -178,7 +178,7 @@ func TestDeferralSkipsMostMissesAtConvergence(t *testing.T) {
 func TestReleaseDropsDeferredScoring(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.PopulationSize = 200
-	isl := acquireIsland(udsLikeDataset(), cfg, cfg.PopulationSize, 1)
+	isl := acquireIsland(udsLikeDataset(), cfg)
 	drawAll(isl)
 	e := isl.ev
 	if len(e.deferred) == 0 {
@@ -194,60 +194,13 @@ func TestReleaseDropsDeferredScoring(t *testing.T) {
 	}
 }
 
-// migrate reads every destination's worst slot from the whole
-// population, so it must complete deferred scoring first: afterwards no
-// island holds a placeholder and each one has its ring neighbour's
-// champion.
-func TestMigrateCompletesDeferredScoring(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.PopulationSize = 240
-	islands := make([]*island, 4)
-	for i := range islands {
-		islands[i] = acquireIsland(udsLikeDataset(), cfg, cfg.PopulationSize/4, islandSeed(1, i))
-		defer islands[i].release()
-		drawAll(islands[i])
-		islands[i].step()
-	}
-	deferred := 0
-	for _, isl := range islands {
-		if len(isl.ev.deferred) > 0 {
-			deferred++
-		}
-	}
-	if deferred == 0 {
-		t.Fatal("no island deferred any scoring; the test exercises nothing")
-	}
-	migrants := make([]individual, len(islands))
-	for i, isl := range islands {
-		migrants[i] = isl.best
-	}
-	migrate(islands)
-	for i, isl := range islands {
-		what := fmt.Sprintf("island %d after migration", i)
-		if len(isl.ev.deferred) > 0 {
-			t.Fatalf("%s: scoring still deferred", what)
-		}
-		checkFullyScored(t, what, isl)
-		m := migrants[(i+len(islands)-1)%len(islands)]
-		found := false
-		for _, ind := range isl.pop {
-			found = found || (ind.tree.String() == m.tree.String() && sameBits(ind.fit, m.fit))
-		}
-		if !found {
-			t.Fatalf("%s: migrant %s is missing", what, m.tree)
-		}
-	}
-}
-
-// drawingIslands readies a run's k islands on d, released when the test
+// drawingIsland readies a run's island on d, released when the test
 // ends.
-func drawingIslands(t *testing.T, d *Dataset, cfg Config, k int) []*island {
+func drawingIsland(t *testing.T, d *Dataset, cfg Config) *island {
 	t.Helper()
-	islands := acquireIslands(d, cfg, k)
-	for _, isl := range islands {
-		t.Cleanup(isl.release)
-	}
-	return islands
+	isl := acquireIsland(d, cfg)
+	t.Cleanup(isl.release)
+	return isl
 }
 
 // sameIndividual reports whether a and b are the same program with the
@@ -296,7 +249,7 @@ func checkSameIsland(t *testing.T, what string, lazy, eager *island) {
 // chunk's deferred programs before drawing the next, so a repeat of one
 // is a cache hit. After every chunk both draws have the same champion and
 // counters, and once completed the same population, fitness column and
-// cache. Across datasets, seeds and island counts.
+// cache. Across datasets and seeds.
 func TestCrossChunkDeferralMatchesEagerScoring(t *testing.T) {
 	rng := newTestRNG(23)
 	datasets := []*Dataset{
@@ -308,31 +261,25 @@ func TestCrossChunkDeferralMatchesEagerScoring(t *testing.T) {
 	}
 	carried := 0
 	for di, d := range datasets {
-		for _, k := range []int{1, 4} {
+		for range 2 {
 			seed := rng.Int63()
 			cfg := DefaultConfig()
 			cfg.Seed = seed
-			lazy := drawingIslands(t, d, cfg, k)
-			eager := drawingIslands(t, d, cfg, k)
-			for round := 0; len(lazy[0].pop) < len(lazy[0].pops[0]); round++ {
-				for i := range lazy {
-					if len(lazy[i].ev.deferred) > 0 {
-						carried++
-					}
-					lazy[i].drawChunk()
-					eager[i].complete()
-					eager[i].drawChunk()
-					what := fmt.Sprintf("dataset %d, islands %d, seed %d, island %d, round %d",
-						di, k, seed, i, round)
-					checkSameIsland(t, what, lazy[i], eager[i])
+			lazy := drawingIsland(t, d, cfg)
+			eager := drawingIsland(t, d, cfg)
+			for chunk := 0; len(lazy.pop) < len(lazy.pops[0]); chunk++ {
+				if len(lazy.ev.deferred) > 0 {
+					carried++
 				}
+				lazy.drawChunk()
+				eager.complete()
+				eager.drawChunk()
+				what := fmt.Sprintf("dataset %d, seed %d, chunk %d", di, seed, chunk)
+				checkSameIsland(t, what, lazy, eager)
 			}
-			for i := range lazy {
-				lazy[i].complete()
-				eager[i].complete()
-				what := fmt.Sprintf("dataset %d, islands %d, seed %d, island %d, completed", di, k, seed, i)
-				checkSameIsland(t, what, lazy[i], eager[i])
-			}
+			lazy.complete()
+			eager.complete()
+			checkSameIsland(t, fmt.Sprintf("dataset %d, seed %d, completed", di, seed), lazy, eager)
 		}
 	}
 	if carried == 0 {
@@ -348,12 +295,12 @@ func TestFullDrawRunsFewerThanHalfOfMisses(t *testing.T) {
 	d := linearDataset(2.5, 10)
 	d.Y[7] += 500
 	cfg := DefaultConfig()
-	islands := drawingIslands(t, d, cfg, 1)
-	if _, stopped := singleVariableStop(islands[0], d.NumVars()); stopped {
+	isl := drawingIsland(t, d, cfg)
+	if _, stopped := singleVariableStop(isl, d.NumVars()); stopped {
 		t.Fatal("a single variable fits every row; the outlier is lost")
 	}
-	best := drawInitial(islands)
-	isl, e := islands[0], islands[0].ev
+	best := isl.drawInitial()
+	e := isl.ev
 	if len(isl.pop) != cfg.PopulationSize || best.raw > cfg.StopFitness {
 		t.Fatalf("drew %d programs, best raw %v; want all %d and raw within %v",
 			len(isl.pop), best.raw, cfg.PopulationSize, cfg.StopFitness)

@@ -7,7 +7,6 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
-	"strconv"
 	"sync"
 )
 
@@ -82,17 +81,6 @@ type Config struct {
 	SubtreeMutProb float64
 	PointMutProb   float64
 	HoistMutProb   float64
-	// Islands splits the population into this many independently breeding
-	// sub-populations (near-equal split, each seeded from Seed and the
-	// island index). Islands step in island order on the run's goroutine
-	// and exchange migrants on a ring — island i's champion replaces
-	// island (i+1)%k's worst individual — every MigrationInterval
-	// generations. 0 and 1 both run the classic single panmictic
-	// population.
-	Islands int
-	// MigrationInterval is the number of generations between migrations
-	// when Islands > 1 (0 means the default of 5).
-	MigrationInterval int
 	// DisableLinearScaling turns off the least-squares fit of candidate
 	// programs. By default every candidate g is evaluated as a*g(x)+b
 	// with (a, b) fitted by trimmed least squares (Keijzer-style linear
@@ -609,32 +597,18 @@ func RunContext(ctx context.Context, d *Dataset, cfg Config) (Result, error) {
 	if cfg.Generations < 1 {
 		return Result{}, fmt.Errorf("gp: generations %d too small", cfg.Generations)
 	}
-	k := cfg.Islands
-	if k < 1 {
-		k = 1
-	}
-	if k > 1 && cfg.PopulationSize < 2*k {
-		return Result{}, fmt.Errorf("gp: population size %d too small for %d islands", cfg.PopulationSize, k)
-	}
-	interval := cfg.MigrationInterval
-	if interval < 1 {
-		interval = 5
-	}
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
 
-	islands := acquireIslands(d, cfg, k)
-	defer func() {
-		for _, isl := range islands {
-			isl.release()
-		}
-	}()
-	best, stopped := singleVariableStop(islands[0], d.NumVars())
+	isl := acquireIsland(d, cfg)
+	defer isl.release()
+	ev := isl.ev
+	best, stopped := singleVariableStop(isl, d.NumVars())
 	if !stopped {
-		best = drawInitial(islands)
+		best = isl.drawInitial()
 	}
-	observe(cfg.Observer, 0, best, islands)
+	observe(cfg.Observer, 0, best, ev)
 
 	gens := 0
 	for g := 0; g < cfg.Generations; g++ {
@@ -645,16 +619,10 @@ func RunContext(ctx context.Context, d *Dataset, cfg Config) (Result, error) {
 		if best.raw <= cfg.StopFitness {
 			break
 		}
-		for _, isl := range islands {
-			isl.step()
-		}
-		if k > 1 && gens%interval == 0 {
-			migrate(islands)
-		}
-		best = globalBest(islands)
-		observe(cfg.Observer, gens, best, islands)
+		isl.step()
+		best = isl.best
+		observe(cfg.Observer, gens, best, ev)
 	}
-	ev := islands[0].ev
 	final := ev.materialise(best.tree)
 	simplified := Simplify(final)
 	// Simplification must never change semantics; keep the simplified form
@@ -663,18 +631,15 @@ func RunContext(ctx context.Context, d *Dataset, cfg Config) (Result, error) {
 	if !(ev.robustMAE(simplified) > best.raw+1e-9) {
 		final = simplified
 	}
-	n := tally(islands)
 	return Result{
-		Best: final, Fitness: best.raw, Generations: gens, Evaluations: n.Evaluations,
-		CacheHits: n.CacheHits, CacheMisses: n.CacheMisses,
+		Best: final, Fitness: best.raw, Generations: gens, Evaluations: ev.evals,
+		CacheHits: ev.hits, CacheMisses: ev.misses,
 	}, nil
 }
 
-// island is one independently breeding sub-population with its own RNG,
-// generator, evaluator (and fitness cache), ping-ponging arenas and
-// population buffers. A single island is exactly the classic panmictic
-// engine; the only cross-island interaction is migrate, which runs once
-// every island has stepped.
+// island is a run's one breeding population with its RNG, generator,
+// evaluator (and fitness cache), ping-ponging arenas and population
+// buffers.
 type island struct {
 	cfg Config
 	// rng is seeded from seed when the island draws its first program:
@@ -693,28 +658,12 @@ type island struct {
 	// pick draws tournament entrants from the population's index range.
 	pick intn
 	// best is the island's champion; its tree is heap-cloned out of the
-	// arenas whenever it improves, so it stays valid across resets (and
-	// across islands during migration).
+	// arenas whenever it improves, so it stays valid across resets.
 	best individual
 	// singleTrees and singles are singleVariableStop's programs and
 	// scores.
 	singleTrees []*Node
 	singles     []individual
-}
-
-// islandSeed derives island i's RNG seed: the configured seed XOR a
-// 63-bit FNV-1a hash of the island index's decimal form. Distinct
-// islands explore from decorrelated streams while the whole run stays a
-// pure function of (Seed, Islands).
-func islandSeed(seed int64, i int) int64 {
-	var buf [20]byte
-	s := strconv.AppendInt(buf[:0], int64(i), 10)
-	h := uint64(14695981039346656037)
-	for _, b := range s {
-		h ^= uint64(b)
-		h *= 1099511628211
-	}
-	return seed ^ int64(h&0x7FFFFFFFFFFFFFFF)
 }
 
 // islandPool keeps islands, with their arenas, populations, evaluator
@@ -725,16 +674,19 @@ func islandSeed(seed int64, i int) int64 {
 // it is read, and the champion is heap-cloned out of the arenas, so
 // nothing of a run survives into the next. Unlike a
 // sync.Pool, whose items are private to a scheduler P, the free list
-// serves every run, and it never holds more islands than were in use at
-// once: acquireIsland builds one only when the list is empty.
+// serves every run. Each run holds one island, and acquireIsland builds
+// one only when the list is empty, so the list never holds more islands
+// than GP runs were in flight at once: at most the job server's workers
+// times reverser.WithParallelism.
 var islandPool struct {
 	sync.Mutex
 	free []*island
 }
 
 // acquireIsland takes an island from the pool and readies it for a run
-// of popSize programs on d.
-func acquireIsland(d *Dataset, cfg Config, popSize int, seed int64) *island {
+// of cfg.PopulationSize programs on d, seeded from cfg.Seed.
+func acquireIsland(d *Dataset, cfg Config) *island {
+	popSize, seed := cfg.PopulationSize, cfg.Seed
 	var isl *island
 	islandPool.Lock()
 	if n := len(islandPool.free); n > 0 {
@@ -777,26 +729,6 @@ func acquireIsland(d *Dataset, cfg Config, popSize int, seed int64) *island {
 	return isl
 }
 
-// acquireIslands readies the k islands of a run: a near-equal split of
-// the population, the first PopulationSize%k islands taking one extra,
-// each seeded from cfg.Seed and its index when k > 1.
-func acquireIslands(d *Dataset, cfg Config, k int) []*island {
-	islands := make([]*island, k)
-	base, rem := cfg.PopulationSize/k, cfg.PopulationSize%k
-	for i := range islands {
-		size := base
-		if i < rem {
-			size++
-		}
-		seed := cfg.Seed
-		if k > 1 {
-			seed = islandSeed(cfg.Seed, i)
-		}
-		islands[i] = acquireIsland(d, cfg, size, seed)
-	}
-	return islands
-}
-
 // release returns the island to the pool once its run has finished.
 func (isl *island) release() {
 	isl.ev.release()
@@ -817,33 +749,23 @@ func resize[T any](s []T, n int) []T {
 }
 
 // initChunk is how many programs of its initial population an island
-// draws and scores per round. It is one quick-budget population, and a
+// draws and scores at a time. It is one quick-budget population, and a
 // multiple of the ramp's six-program cycle (three depths, grown or full),
-// so every round ends on a balanced sample.
+// so every chunk ends on a balanced sample.
 const initChunk = 150
 
-// drawInitial draws and scores the islands' initial populations, every
-// island advancing initChunk programs per round, and returns the
-// champion. After a round that leaves programs undrawn, the run stops
-// early, with the rest never drawn, if the champion passes
-// evaluator.stops. Each island's population is one batch that grows by a
-// chunk per round, so once completed it holds exactly the population,
-// cache and counters that scoring it in one call would have left.
-func drawInitial(islands []*island) individual {
+// drawInitial draws and scores the island's initial population,
+// initChunk programs at a time, and returns the champion. After a chunk
+// that leaves programs undrawn, the run stops early, with the rest never
+// drawn, if the champion passes evaluator.stops. The population is one
+// batch that grows by a chunk at a time, so once completed it holds
+// exactly the population, cache and counters that scoring it in one call
+// would have left.
+func (isl *island) drawInitial() individual {
 	for {
-		for _, isl := range islands {
-			isl.drawChunk()
-		}
-		best := globalBest(islands)
-		undrawn := false
-		for _, isl := range islands {
-			undrawn = undrawn || len(isl.pop) < len(isl.pops[isl.cur])
-		}
-		if !undrawn {
-			return best
-		}
-		if islands[0].ev.stops(best) {
-			return best
+		isl.drawChunk()
+		if len(isl.pop) == len(isl.pops[isl.cur]) || isl.ev.stops(isl.best) {
+			return isl.best
 		}
 	}
 }
@@ -915,7 +837,7 @@ func (isl *island) drawChunk() {
 // complete scores whatever the island's last scoring deferred and
 // refreshes fits, so the population is exactly a fully scored one. It
 // must run before anything reads the whole population: breeding's
-// tournaments and migration.
+// tournaments.
 func (isl *island) complete() {
 	if !isl.ev.complete() {
 		return
@@ -952,69 +874,15 @@ func (isl *island) step() {
 	}
 }
 
-// migrate exchanges champions on the ring: island i's champion (captured
-// before any replacement) overwrites the worst individual of island
-// (i+1)%k. Replacements apply in island order with no RNG draws, so
-// migration is a pure function of the islands' states. The worst slot is
-// read from whole populations, so every island completes its deferred
-// scoring first.
-func migrate(islands []*island) {
-	for _, isl := range islands {
-		isl.complete()
-	}
-	k := len(islands)
-	migrants := make([]individual, k)
-	for i, isl := range islands {
-		migrants[i] = isl.best
-	}
-	for i, m := range migrants {
-		dst := islands[(i+1)%k]
-		// Worst slot: highest fitness, first such index on ties.
-		w := 0
-		for j, f := range dst.fits {
-			if f > dst.fits[w] {
-				w = j
-			}
-		}
-		// The copy lives in dst's current arena: that arena survives until
-		// the generation bred from it has been scored, which is exactly the
-		// migrant's useful lifetime (the champion itself stays heap-cloned
-		// on the source island).
-		m.tree, _ = copyInto(dst.arenas[dst.cur], m.tree)
-		dst.pop[w] = m
-		dst.fits[w] = m.fit
-	}
-}
-
-// globalBest returns the best champion across islands; ties keep the
-// lowest island index.
-func globalBest(islands []*island) individual {
-	best := islands[0].best
-	for _, isl := range islands[1:] {
-		if isl.best.fit < best.fit {
-			best = isl.best
-		}
-	}
-	return best
-}
-
-// observe reports one scored generation to a configured observer.
-func observe(o Observer, gen int, best individual, islands []*island) {
+// observe reports one scored generation, with ev's cumulative counters,
+// to a configured observer.
+func observe(o Observer, gen int, best individual, ev *evaluator) {
 	if o != nil {
-		s := tally(islands)
-		s.Generation, s.BestFitness = gen, best.raw
-		o.Generation(s)
+		o.Generation(GenerationStats{
+			Generation: gen, BestFitness: best.raw,
+			Evaluations: ev.evals, CacheHits: ev.hits, CacheMisses: ev.misses,
+		})
 	}
-}
-
-// tally sums the islands' scoring counters in island order.
-func tally(islands []*island) (s GenerationStats) {
-	for _, isl := range islands {
-		s.Evaluations += isl.ev.evals
-		s.CacheHits += isl.ev.hits
-		s.CacheMisses += isl.ev.misses
-	}
-	return s
 }
 
 func bestOf(pop []individual) individual {

@@ -366,7 +366,7 @@ func TestIntnMatchesRandIntn(t *testing.T) {
 func TestStepAllocatesNothing(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.PopulationSize = 200
-	isl := acquireIsland(udsLikeDataset(), cfg, cfg.PopulationSize, cfg.Seed)
+	isl := acquireIsland(udsLikeDataset(), cfg)
 	defer isl.release()
 	drawAll(isl)
 	for g := 0; g < 3; g++ {

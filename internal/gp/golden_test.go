@@ -45,8 +45,8 @@ func udsLikeDataset() *Dataset {
 
 // runMatrix covers the engine paths an evaluation change can disturb:
 // converging and never-converging datasets (one of them fitted by a
-// single scaled variable), single and island runs, no parsimony, no
-// early stop, and a one-generation budget.
+// single scaled variable), no parsimony, no early stop (stopneg breeds
+// every generation), and a one-generation budget.
 func runMatrix() []poolCase {
 	base := func(seed int64) Config {
 		cfg := DefaultConfig()
@@ -78,11 +78,9 @@ func runMatrix() []poolCase {
 			cfg  Config
 		}{
 			{"p1", base(seed)},
-			{"islands4-p1", with(base(seed), func(c *Config) { c.Islands, c.MigrationInterval = 4, 2 })},
 			{"parsimony0", with(base(seed), func(c *Config) { c.ParsimonyCoeff = 0 })},
 			{"stop0", with(base(seed), func(c *Config) { c.StopFitness = 0 })},
 			{"gens1", with(base(seed), func(c *Config) { c.Generations = 1 })},
-			{"islands4-stop0", with(base(seed), func(c *Config) { c.Islands, c.MigrationInterval, c.StopFitness = 4, 2, 0 })},
 			{"stopneg", with(base(seed), func(c *Config) { c.StopFitness = -1 })},
 		} {
 			cases = append(cases, poolCase{name: ds.name + "/" + v.name, d: ds.d, cfg: v.cfg})

@@ -1,9 +1,6 @@
 package gp
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 // lineDataset is y = 3x+5 on 50 points, with 50 added to every row
 // listed in outliers: few enough to fall in the trimmed 20%.
@@ -123,33 +120,23 @@ func TestSingleVariablePrecheck(t *testing.T) {
 		}
 	})
 	t.Run("deterministic", func(t *testing.T) {
-		// A pre-check stop uses island 0 alone, so it also matches
-		// across island counts; a draw matches across concurrent runs.
+		// A pre-check stop and a draw both match across concurrent runs.
 		for _, c := range []struct {
-			name        string
-			d           *Dataset
-			sameIslands bool
-		}{{"affine", affineX1Dataset(), true}, {"outlier", lineDataset(20), false}} {
-			got := map[int]string{}
-			for _, islands := range []int{1, 4} {
-				cfg := DefaultConfig()
-				cfg.PopulationSize, cfg.Islands = 2*initChunk, islands
-				res := soloMatchesConcurrent(t, fmt.Sprintf("%s, islands %d", c.name, islands), c.d, cfg)
-				got[islands] = resultJSON(t, res)
-			}
-			if i1, i4 := got[1], got[4]; c.sameIslands && i1 != i4 {
-				t.Fatalf("%s diverged across islands:\n 1: %s\n 4: %s", c.name, i1, i4)
-			}
+			name string
+			d    *Dataset
+		}{{"affine", affineX1Dataset()}, {"outlier", lineDataset(20)}} {
+			cfg := DefaultConfig()
+			cfg.PopulationSize = 2 * initChunk
+			soloMatchesConcurrent(t, c.name, c.d, cfg)
 		}
 	})
 }
 
-// A multi-chunk initial population keeps the engine deterministic: at 1
-// and 4 islands the result is byte-identical whether the run is alone or
-// one of several concurrent runs, as at any pipeline Parallelism. At
-// seed 8 one island stops on the product after five of its seven chunks
-// and four islands draw both of theirs; the outliers draw every round and
-// stop, and the noisy target breeds after drawing every round.
+// A multi-chunk initial population keeps the engine deterministic: the
+// result is byte-identical whether the run is alone or one of several
+// concurrent runs, as at any pipeline Parallelism. At seed 8 the product
+// stops after five of its seven chunks; the outliers draw every chunk and
+// stop, and the noisy target breeds after drawing every chunk.
 func TestInitialChunksDeterministicAcrossParallelism(t *testing.T) {
 	product := makeDataset(func(a, b float64) float64 { return 0.001 * a * (b - 128) }, seq(0, 255, 17), seq(0, 255, 23))
 	for _, c := range []struct {
@@ -161,13 +148,10 @@ func TestInitialChunksDeterministicAcrossParallelism(t *testing.T) {
 		{"outliers", lineDataset(3, 20, 37), 30},
 		{"noisy", noisyDataset(), 2},
 	} {
-		for _, islands := range []int{1, 4} {
-			cfg := DefaultConfig()
-			cfg.Generations, cfg.Seed, cfg.Islands = c.gens, 8, islands
-			what := fmt.Sprintf("%s, islands %d", c.name, islands)
-			if res := soloMatchesConcurrent(t, what, c.d, cfg); res.Evaluations <= initChunk*islands {
-				t.Fatalf("%s: %d evaluations, want more than one round of chunks", what, res.Evaluations)
-			}
+		cfg := DefaultConfig()
+		cfg.Generations, cfg.Seed = c.gens, 8
+		if res := soloMatchesConcurrent(t, c.name, c.d, cfg); res.Evaluations <= initChunk {
+			t.Fatalf("%s: %d evaluations, want more than one chunk", c.name, res.Evaluations)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package gp
 
 import (
 	"encoding/json"
-	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -10,7 +9,7 @@ import (
 
 func islandTestDataset() *Dataset {
 	// Y = (256*hi + lo) / 4 — the OBD engine-RPM codec shape, small enough
-	// to keep the island runs cheap.
+	// to keep the runs cheap.
 	d := &Dataset{}
 	for hi := 0.0; hi <= 32; hi += 8 {
 		for lo := 0.0; lo <= 255; lo += 64 {
@@ -21,13 +20,11 @@ func islandTestDataset() *Dataset {
 	return d
 }
 
-func islandConfig(islands int) Config {
+func islandConfig() Config {
 	cfg := DefaultConfig()
 	cfg.PopulationSize = 120
 	cfg.Generations = 8
-	cfg.StopFitness = -1 // never stop early: every generation and migration runs
-	cfg.Islands = islands
-	cfg.MigrationInterval = 2
+	cfg.StopFitness = -1 // never stop early: every generation runs
 	cfg.Seed = 7
 	return cfg
 }
@@ -84,94 +81,20 @@ func soloMatchesConcurrent(t *testing.T, what string, d *Dataset, cfg Config) Re
 }
 
 // TestIslandsDeterministicAcrossParallelism pins the engine's core
-// invariant for the island model: for any island count, the serialized
-// Result is byte-identical whether the run is alone or one of several
+// invariant: the serialized Result of a run that breeds every generation
+// is byte-identical whether the run is alone or one of several
 // concurrent runs, as at any pipeline Parallelism.
 func TestIslandsDeterministicAcrossParallelism(t *testing.T) {
-	d := islandTestDataset()
-	for _, islands := range []int{1, 2, 4} {
-		soloMatchesConcurrent(t, fmt.Sprintf("islands=%d", islands), d, islandConfig(islands))
-	}
+	soloMatchesConcurrent(t, "rpm", islandTestDataset(), islandConfig())
 }
 
-// TestIslandMigrationBoundaryDeterministic stresses the migration
-// boundary: migrating every generation with 4 islands, repeated runs
-// must agree exactly.
-func TestIslandMigrationBoundaryDeterministic(t *testing.T) {
-	d := islandTestDataset()
-	cfg := islandConfig(4)
-	cfg.MigrationInterval = 1
-	var want string
-	for trial := 0; trial < 3; trial++ {
-		res, err := Run(d, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := resultJSON(t, res)
-		if trial == 0 {
-			want = got
-			continue
-		}
-		if got != want {
-			t.Fatalf("trial %d diverged:\n first: %s\n now:   %s", trial, want, got)
-		}
-	}
-}
-
-// TestIslandsDiffer confirms islands actually change the search: the
-// island model is a different (decorrelated-seed) trajectory, not a
-// cosmetic wrapper around the panmictic engine. The dataset is one no
-// initial population fits, so both runs have to breed.
-func TestIslandsDiffer(t *testing.T) {
-	d := noisyDataset()
-	r1, err := Run(d, islandConfig(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r4, err := Run(d, islandConfig(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.CacheMisses == r4.CacheMisses && r1.Best.String() == r4.Best.String() {
-		t.Fatalf("islands=4 produced the identical run as islands=1: %s", r1.Best)
-	}
-}
-
-// TestIslandsRecover verifies search quality survives the population
-// split: four islands of 100 still recover a linear two-byte codec.
-func TestIslandsRecover(t *testing.T) {
-	d := islandTestDataset()
-	cfg := islandConfig(4)
-	cfg.PopulationSize = 400
-	cfg.Generations = 25
-	cfg.StopFitness = 0.01
-	res, err := Run(d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Y spans 0..2111, so MAE < 2 is a sub-0.1% fit of the codec.
-	if res.Fitness > 2.0 {
-		t.Fatalf("fitness = %v (best %q)", res.Fitness, res.Best)
-	}
-}
-
-// TestIslandsPopulationTooSmall pins the validation error.
-func TestIslandsPopulationTooSmall(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.PopulationSize = 7
-	cfg.Islands = 4
-	if _, err := Run(islandTestDataset(), cfg); err == nil {
-		t.Fatal("expected error for 7 individuals across 4 islands")
-	}
-}
-
-// TestIslandsObserverCounters checks the combined per-generation
-// telemetry: counters are cumulative sums over islands and stay
-// consistent (Evaluations == CacheHits + CacheMisses, monotone), and the
-// final snapshot matches the Result exactly.
+// TestIslandsObserverCounters checks the per-generation telemetry:
+// counters are cumulative and stay consistent (Evaluations == CacheHits
+// + CacheMisses, monotone), and the final snapshot matches the Result
+// exactly.
 func TestIslandsObserverCounters(t *testing.T) {
 	d := islandTestDataset()
-	cfg := islandConfig(3)
+	cfg := islandConfig()
 	obs := &statsObserver{}
 	cfg.Observer = obs
 	res, err := Run(d, cfg)

@@ -27,7 +27,8 @@ func validTree(n *Node) bool {
 // rising with the index), ready to breed children with cfg.
 func breedingIsland(t *testing.T, cfg Config, trees ...*Node) *island {
 	t.Helper()
-	isl := acquireIsland(islandTestDataset(), cfg, len(trees), cfg.Seed)
+	cfg.PopulationSize = len(trees)
+	isl := acquireIsland(islandTestDataset(), cfg)
 	t.Cleanup(isl.release)
 	// Islands seed their RNG on their first draw, and this one draws
 	// nothing.

@@ -15,11 +15,11 @@ type poolCase struct {
 	cfg  Config
 }
 
-// poolCases returns two runs that differ in dataset width and length,
-// population size and island count, so a run that reuses
-// the other's scratch has to resize every buffer.
+// poolCases returns two runs that differ in dataset width and length
+// and in population size, so a run that reuses the other's scratch has
+// to resize every buffer.
 func poolCases() (a, b poolCase) {
-	a = poolCase{name: "A", d: islandTestDataset(), cfg: islandConfig(3)}
+	a = poolCase{name: "A", d: islandTestDataset(), cfg: islandConfig()}
 	bd := &Dataset{}
 	for x := 0.0; x < 200; x++ {
 		bd.X = append(bd.X, []float64{x})
@@ -160,9 +160,9 @@ func TestPooledScratchAfterCancelledRun(t *testing.T) {
 }
 
 // Runs reuse pooled islands whichever goroutine (and so whichever
-// scheduler P) they run on, and the pool holds no more islands than were
-// in use at once: the 3 of island case A, or 8 runs' worth when 8 run
-// concurrently.
+// scheduler P) they run on, and the pool holds no more islands than runs
+// were in flight at once: exactly 1 after each serial run, and at most 8
+// after 8 concurrent runs.
 func TestIslandPoolReusedAcrossGoroutines(t *testing.T) {
 	a, b := poolCases()
 	drainIslandPool()
@@ -179,8 +179,8 @@ func TestIslandPoolReusedAcrossGoroutines(t *testing.T) {
 			}
 		}()
 		<-done
-		if n := pooledIslands(); n != a.cfg.Islands {
-			t.Fatalf("after run %d the pool holds %d islands, want %d", i, n, a.cfg.Islands)
+		if n := pooledIslands(); n != 1 {
+			t.Fatalf("after run %d the pool holds %d islands, want 1", i, n)
 		}
 	}
 	var wg sync.WaitGroup
@@ -194,7 +194,7 @@ func TestIslandPoolReusedAcrossGoroutines(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if n := pooledIslands(); n > 8*a.cfg.Islands {
-		t.Fatalf("pool holds %d islands, more than the %d ever in use at once", n, 8*a.cfg.Islands)
+	if n := pooledIslands(); n > 8 {
+		t.Fatalf("pool holds %d islands, more than the 8 runs in flight at once", n)
 	}
 }
