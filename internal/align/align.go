@@ -72,13 +72,19 @@ func decodeOBDFrame(r *isotp.Reassembler, data []byte, at time.Duration, out []o
 // match yields one offset sample, and the median is returned — robust to
 // OCR corruption and to values that repeat over time.
 func EstimateOffsetOBDColumnar(frames *colstore.Frames, uiFrames []ocr.Frame) (time.Duration, error) {
-	return estimateOffset(decodeOBDTrafficColumnar(frames), uiFrames)
+	return EstimateOffsetLive(frames, layOutLive(uiFrames))
 }
 
-// estimateOffset matches decoded observations against the OBD UI frames
-// and returns the median offset sample.
-func estimateOffset(obs []obdObservation, uiFrames []ocr.Frame) (time.Duration, error) {
-	samples := offsetSamples(obs, uiFrames)
+// LiveFrame is one "obd-live" UI frame as ocr.Layout reads it.
+type LiveFrame struct {
+	At   time.Duration
+	Rows []ocr.Row
+}
+
+// EstimateOffsetLive is EstimateOffsetOBDColumnar over OBD UI frames the
+// caller has already laid out, in capture order. It does not modify live.
+func EstimateOffsetLive(frames *colstore.Frames, live []LiveFrame) (time.Duration, error) {
+	samples := offsetSamples(decodeOBDTrafficColumnar(frames), live)
 	if len(samples) == 0 {
 		return 0, ErrNoAnchors
 	}
@@ -86,30 +92,38 @@ func estimateOffset(obs []obdObservation, uiFrames []ocr.Frame) (time.Duration, 
 	return samples[len(samples)/2], nil
 }
 
-// liveFrame is one OBD UI frame laid out as rows[lo:hi].
-type liveFrame struct {
-	at     time.Duration
-	lo, hi int
+// layOutLive lays out the obd-live frames of uiFrames, in capture order.
+func layOutLive(uiFrames []ocr.Frame) []LiveFrame {
+	var rows []ocr.Row
+	var ends []int
+	for i := range uiFrames {
+		if f := &uiFrames[i]; f.ScreenName == "obd-live" {
+			rows = ocr.Layout(f.Texts, rows)
+			ends = append(ends, len(rows))
+		}
+	}
+	live := make([]LiveFrame, 0, len(ends))
+	lo := 0
+	for i := range uiFrames {
+		if f := &uiFrames[i]; f.ScreenName == "obd-live" {
+			hi := ends[len(live)]
+			live = append(live, LiveFrame{At: f.At, Rows: rows[lo:hi:hi]})
+			lo = hi
+		}
+	}
+	return live
 }
 
 // offsetSamples returns one offset sample per observation that some OBD
 // UI frame shows, in observation order: the gap to the earliest such
 // frame at or after the observation, since the screen cannot show a value
-// before it was measured. Each frame is laid out once; the frames are
-// then visited in display-time order, so the search for each observation
-// starts at its time and stops at the first frame showing the value.
-func offsetSamples(obs []obdObservation, uiFrames []ocr.Frame) []time.Duration {
-	var rows []ocr.Row
-	var live []liveFrame
-	for i := range uiFrames {
-		if f := &uiFrames[i]; f.ScreenName == "obd-live" {
-			lo := len(rows)
-			rows = ocr.Layout(f.Texts, rows)
-			live = append(live, liveFrame{at: f.At, lo: lo, hi: len(rows)})
-		}
-	}
-	byAt := func(a, b liveFrame) int { return cmp.Compare(a.at, b.at) }
+// before it was measured. The frames are visited in display-time order,
+// so the search for each observation starts at its time and stops at the
+// first frame showing the value.
+func offsetSamples(obs []obdObservation, live []LiveFrame) []time.Duration {
+	byAt := func(a, b LiveFrame) int { return cmp.Compare(a.At, b.At) }
 	if !slices.IsSortedFunc(live, byAt) {
+		live = slices.Clone(live)
 		slices.SortStableFunc(live, byAt)
 	}
 	var samples []time.Duration
@@ -118,10 +132,10 @@ func offsetSamples(obs []obdObservation, uiFrames []ocr.Frame) []time.Duration {
 		if !ok {
 			continue
 		}
-		i, _ := slices.BinarySearchFunc(live, o.at, func(f liveFrame, at time.Duration) int { return cmp.Compare(f.at, at) })
+		i, _ := slices.BinarySearchFunc(live, o.at, func(f LiveFrame, at time.Duration) int { return cmp.Compare(f.At, at) })
 		for _, f := range live[i:] {
-			if shows(rows[f.lo:f.hi], spec.Name, o.value) {
-				samples = append(samples, f.at-o.at)
+			if shows(f.Rows, spec.Name, o.value) {
+				samples = append(samples, f.At-o.at)
 				break
 			}
 		}

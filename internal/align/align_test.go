@@ -122,7 +122,7 @@ func TestOffsetSamplesMatchScan(t *testing.T) {
 		if len(want) == 0 {
 			t.Fatalf("%s: no anchors", p.Car)
 		}
-		if got := offsetSamples(obs, cap.UIFrames); !slices.Equal(got, want) {
+		if got := offsetSamples(obs, layOutLive(cap.UIFrames)); !slices.Equal(got, want) {
 			t.Fatalf("%s: indexed search found %v, scan %v", p.Car, got, want)
 		}
 		ui := slices.Clone(cap.UIFrames)
@@ -134,7 +134,7 @@ func TestOffsetSamplesMatchScan(t *testing.T) {
 		if want = scanSamples(obs, ui); len(want) == 0 {
 			t.Fatalf("%s, shuffled: no anchors", p.Car)
 		}
-		if got := offsetSamples(obs, ui); !slices.Equal(got, want) {
+		if got := offsetSamples(obs, layOutLive(ui)); !slices.Equal(got, want) {
 			t.Fatalf("%s, shuffled: indexed search found %v, scan %v", p.Car, got, want)
 		}
 		if !reflect.DeepEqual(ui, before) {

@@ -148,7 +148,7 @@ func TestRecognizeDeterministic(t *testing.T) {
 
 func TestFilterRange(t *testing.T) {
 	in := []Sample{{0, 50}, {1, 2500}, {2, 52}, {3, -10}, {4, 55}}
-	out := FilterRange(in, 0, 255)
+	out := FilterRange(in, 0, 255, nil)
 	if len(out) != 3 {
 		t.Fatalf("kept %d samples: %+v", len(out), out)
 	}
@@ -170,7 +170,7 @@ func TestFilterOutliersRejectsDecimalLoss(t *testing.T) {
 		}
 		in = append(in, Sample{At: time.Duration(i) * time.Second, Value: v})
 	}
-	out := FilterOutliers(in)
+	out := FilterOutliers(in, nil)
 	for _, s := range out {
 		if s.Value == 250 {
 			t.Fatal("decimal-loss outlier survived")
@@ -187,7 +187,7 @@ func TestFilterOutliersKeepsGenuineDrift(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		in = append(in, Sample{At: time.Duration(i) * 500 * time.Millisecond, Value: 800 + 55*float64(i)})
 	}
-	out := FilterOutliers(in)
+	out := FilterOutliers(in, nil)
 	if len(out) != len(in) {
 		t.Fatalf("genuine drift filtered: kept %d/%d", len(out), len(in))
 	}
@@ -195,7 +195,7 @@ func TestFilterOutliersKeepsGenuineDrift(t *testing.T) {
 
 func TestFilterOutliersSmallSeriesUntouched(t *testing.T) {
 	in := []Sample{{0, 1}, {1, 9999}}
-	out := FilterOutliers(in)
+	out := FilterOutliers(in, nil)
 	if len(out) != 2 {
 		t.Fatal("short series must pass through")
 	}

@@ -1,7 +1,7 @@
 package reverser
 
 import (
-	"fmt"
+	"strconv"
 	"time"
 
 	"dpreverser/internal/colstore"
@@ -63,14 +63,24 @@ type StreamKey struct {
 
 // String renders the key the way the result tables print identifiers.
 func (k StreamKey) String() string {
+	var buf [48]byte
+	return string(k.appendID(buf[:0]))
+}
+
+// appendID appends the key as String renders it: "UDS DID %04X @%03X",
+// "KWP local %02X[%d] ftype %02X @%03X" or "OBD PID %02X".
+func (k StreamKey) appendID(b []byte) []byte {
 	switch k.Proto {
 	case "UDS":
-		return fmt.Sprintf("UDS DID %04X @%03X", k.DID, k.RespID)
+		b = appendHex(append(b, "UDS DID "...), uint64(k.DID), 4)
 	case "KWP":
-		return fmt.Sprintf("KWP local %02X[%d] ftype %02X @%03X", k.LocalID, k.Index, k.FType, k.RespID)
+		b = appendHex(append(b, "KWP local "...), uint64(k.LocalID), 2)
+		b = strconv.AppendInt(append(b, '['), int64(k.Index), 10)
+		b = appendHex(append(b, "] ftype "...), uint64(k.FType), 2)
 	default:
-		return fmt.Sprintf("OBD PID %02X", k.DID)
+		return appendHex(append(b, "OBD PID "...), uint64(k.DID), 2)
 	}
+	return appendHex(append(b, " @"...), uint64(k.RespID), 3)
 }
 
 // ECRObservation is one captured IO-control request (§4.5's raw material).

@@ -143,34 +143,26 @@ type session struct {
 
 // splitSessions groups UI frames into contiguous recordings: a new session
 // starts when the screen changes or the video gaps for more than two
-// seconds (menu navigation between recordings).
+// seconds (menu navigation between recordings). A session's frames are a
+// run of consecutive frames, so each is a subslice of frames.
 func splitSessions(frames []ocr.Frame) []session {
 	const gap = 2 * time.Second
 	var out []session
 	var cur *session
-	for _, f := range frames {
+	for i := range frames {
+		f := &frames[i]
 		if f.ScreenName != "live-data" && f.ScreenName != "obd-live" {
 			cur = nil
 			continue
 		}
 		if cur == nil || f.ScreenName != cur.screenName || f.At-cur.end > gap {
-			out = append(out, session{screenName: f.ScreenName, start: f.At, end: f.At})
+			out = append(out, session{screenName: f.ScreenName, start: f.At, end: f.At, frames: frames[i:i]})
 			cur = &out[len(out)-1]
 		}
-		cur.frames = append(cur.frames, f)
+		cur.frames = cur.frames[:len(cur.frames)+1]
 		cur.end = f.At
 	}
 	return out
-}
-
-func majority(votes map[string]int) string {
-	best, n := "", 0
-	for s, c := range votes {
-		if c > n || (c == n && s < best) {
-			best, n = s, c
-		}
-	}
-	return best
 }
 
 // rangeForLabel supplies the stage-one plausibility range from public
@@ -212,8 +204,9 @@ func rangeForLabel(label string) (min, max float64) {
 }
 
 // reverseECRs groups IO-control observations into per-actuator records and
-// recovers their semantics from the active-test screens.
-func reverseECRs(obs []ECRObservation, uiFrames []ocr.Frame) []ReversedECR {
+// recovers their semantics from the active-test screens, whose camera
+// clock is off ahead of the traffic clock.
+func reverseECRs(obs []ECRObservation, uiFrames []ocr.Frame, off time.Duration) []ReversedECR {
 	type ecrKey struct {
 		service byte
 		id      uint16
@@ -262,7 +255,7 @@ func reverseECRs(obs []ECRObservation, uiFrames []ocr.Frame) []ReversedECR {
 		}
 		for _, t := range f.Texts {
 			if strings.HasPrefix(t.Content, "Testing ") {
-				testing = append(testing, testingFrame{at: f.At, name: strings.TrimPrefix(t.Content, "Testing ")})
+				testing = append(testing, testingFrame{at: f.At - off, name: strings.TrimPrefix(t.Content, "Testing ")})
 			}
 		}
 	}

@@ -24,6 +24,10 @@ type ProgressKind int
 const (
 	// ProgressStageStart / ProgressStageDone bracket one pipeline stage
 	// ("assemble", "extract", "align", "streams", "infer", "controls").
+	// Stages never overlap and always come in this order. At Parallelism
+	// 2 and above the camera half of stream preparation and alignment run
+	// on a helper goroutine during assembly and extraction, and the
+	// "align" stage brackets the wait for them; at 1 they run inside it.
 	ProgressStageStart ProgressKind = iota
 	ProgressStageDone
 	// ProgressStreamStart / ProgressStreamDone bracket one stream's
@@ -117,7 +121,8 @@ func WithConfig(cfg Config) Option {
 
 // WithParallelism caps the concurrent workers of the streams stage, which
 // prepares the capture's UI sessions, and of the infer stage, which runs
-// per-stream inference. Values < 1 mean runtime.GOMAXPROCS(0), the
+// per-stream inference; from 2 on, the camera half of stream preparation
+// also runs beside assembly. Values < 1 mean runtime.GOMAXPROCS(0), the
 // default. Results are identical at every setting.
 func WithParallelism(n int) Option {
 	return func(rv *Reverser) { rv.parallelism = n }
@@ -345,6 +350,28 @@ func (rv *Reverser) Reverse(ctx context.Context, cap rig.Capture) (*Result, erro
 
 	res := &Result{Car: cap.Car, Model: cap.Model, ToolName: cap.ToolName}
 
+	// The capture's two inputs meet only in the streams stage. The camera
+	// half of stream preparation (§3.3-§3.4) reads only the UI frames, and
+	// alignment (§3.3) reads them and the frame store, so at Parallelism 2
+	// and above one helper goroutine runs the two while this one assembles
+	// and extracts the CAN traffic; at Parallelism 1 they run inline in
+	// the align stage. Either way the stage events stay bracketed and in
+	// order: the align stage ends when the offset is known.
+	var cam *camera
+	frames := make(chan *colstore.Frames, 1)
+	cameraHalf := func() {
+		cam = newCamera(cap.UIFrames)
+		res.Offset = cam.clockOffset(<-frames)
+	}
+	var cameraDone chan struct{}
+	if rv.Parallelism() > 1 {
+		cameraDone = make(chan struct{})
+		go func() {
+			defer close(cameraDone)
+			cameraHalf()
+		}()
+	}
+
 	// §3.2 Steps 1-2: screening and payload assembly — one pass over the
 	// raw frames, shared by field extraction, alignment and the message
 	// count. The capture is transposed once into a columnar frame store
@@ -356,12 +383,17 @@ func (rv *Reverser) Reverse(ctx context.Context, cap rig.Capture) (*Result, erro
 	var aerr error
 	r.stage("assemble", func() {
 		fr = FramesColumnar(cap.Frames)
+		frames <- fr
 		ms, res.Stats, aerr = AssembleColumnar(ctx, fr, rv.assemblyObserver())
 		if ms != nil {
 			res.Messages = ms.Len()
 		}
 	})
 	if aerr != nil {
+		if cameraDone != nil {
+			<-cameraDone
+			cam.release()
+		}
 		// A panicking progress callback cancels the run; report the panic,
 		// not the cancellation it caused.
 		if cbErr := r.callbackErr(); cbErr != nil {
@@ -379,15 +411,22 @@ func (rv *Reverser) Reverse(ctx context.Context, cap rig.Capture) (*Result, erro
 	rv.met.ESVObservations.Add(float64(len(ext.ESVs)))
 	rv.met.ECRObservations.Add(float64(len(ext.ECRs)))
 
-	// §3.3: camera-to-CAN clock alignment.
-	var uiFrames = cap.UIFrames
-	r.stage("align", func() { res.Offset, uiFrames = alignUI(fr, cap.UIFrames) })
+	// §3.3: camera-to-CAN clock alignment, after the camera half.
+	r.stage("align", func() {
+		if cameraDone == nil {
+			cameraHalf()
+		} else {
+			<-cameraDone
+		}
+	})
 
-	// §3.3-§3.5 Step 1: session splitting, semantics, pairing, filtering,
+	// §3.3-§3.5 Step 1: the CAN half of stream preparation — the streams
+	// of each session, their display rows, pairing, screening,
 	// aggregation.
 	r.stage("streams", func() {
-		res.Streams = streamsFromExtraction(ext, uiFrames, rv.cfg, rv.Parallelism())
+		res.Streams = streamsFromExtraction(ext, cam, res.Offset, rv.cfg, rv.Parallelism())
 	})
+	cam.release()
 	for _, sd := range res.Streams {
 		rv.met.StreamsExtracted.With(streamKind(sd)).Inc()
 	}
@@ -437,7 +476,7 @@ func (rv *Reverser) Reverse(ctx context.Context, cap rig.Capture) (*Result, erro
 
 	// §4.5: control-record extraction with active-test screen semantics.
 	r.stage("controls", func() {
-		res.ECRs = reverseECRs(ext.ECRs, uiFrames)
+		res.ECRs = reverseECRs(ext.ECRs, cap.UIFrames, res.Offset)
 	})
 	rv.met.ECRsRecovered.Add(float64(len(res.ECRs)))
 

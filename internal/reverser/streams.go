@@ -10,8 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dpreverser/internal/align"
-	"dpreverser/internal/colstore"
 	"dpreverser/internal/gp"
 	"dpreverser/internal/ocr"
 	"dpreverser/internal/rig"
@@ -51,37 +49,30 @@ type StreamData struct {
 // — and returns one StreamData per observed stream plus the traffic stats
 // and the estimated clock offset.
 //
-// (*Reverser).Reverse performs the same work but shares one assembly pass
-// with the rest of the pipeline and publishes the streams on
-// Result.Streams; this entry point remains for callers that only need the
-// front half.
+// (*Reverser).Reverse runs the same two halves, the camera half
+// (newCamera) and the CAN half (streamsFromExtraction), with the camera
+// half beside assembly, and publishes the streams on Result.Streams; this
+// entry point runs them one after the other for callers that only need
+// the front half.
 func ExtractStreams(cap rig.Capture, cfg Config) ([]StreamData, TrafficStats, time.Duration) {
 	fr := FramesColumnar(cap.Frames)
 	ms, stats, _ := AssembleColumnar(context.Background(), fr, nil)
 	ext := ExtractFieldsColumnar(ms)
-	offset, uiFrames := alignUI(fr, cap.UIFrames)
-	return streamsFromExtraction(ext, uiFrames, cfg, 1), stats, offset
+	cam := newCamera(cap.UIFrames)
+	defer cam.release()
+	offset := cam.clockOffset(fr)
+	return streamsFromExtraction(ext, cam, offset, cfg, 1), stats, offset
 }
 
-// alignUI estimates the camera-to-CAN clock offset (§3.3) and returns the
-// UI frames shifted onto the traffic clock. Captures with no usable OBD
-// anchors keep their raw timestamps and a zero offset.
-func alignUI(fr *colstore.Frames, uiFrames []ocr.Frame) (time.Duration, []ocr.Frame) {
-	if off, err := align.EstimateOffsetOBDColumnar(fr, uiFrames); err == nil {
-		return off, align.ApplyOffset(uiFrames, off)
-	}
-	return 0, uiFrames
-}
-
-// streamsFromExtraction builds the per-stream datasets from an already
-// extracted capture — the back half of ExtractStreams, reused by the
-// pipeline so the capture is assembled exactly once. Sessions are
+// streamsFromExtraction is the CAN half of stream preparation: it builds
+// the per-stream datasets from an extracted capture and its camera half,
+// whose times it shifts by the clock offset off. Sessions are
 // independent, so up to workers goroutines (the caller's among them)
 // prepare them: each claims sessions from a shared cursor with scratch
 // of its own over the shared index, and the streams are concatenated in
 // session order, so the output is the same at any worker count.
-func streamsFromExtraction(ext *Extraction, uiFrames []ocr.Frame, cfg Config, workers int) []StreamData {
-	sessions := splitSessions(uiFrames)
+func streamsFromExtraction(ext *Extraction, cam *camera, off time.Duration, cfg Config, workers int) []StreamData {
+	sessions := cam.sessions
 	per := make([][]StreamData, len(sessions))
 	idx := newStreamIndex(ext.ESVs)
 	defer idx.release()
@@ -91,7 +82,7 @@ func streamsFromExtraction(ext *Extraction, uiFrames []ocr.Frame, cfg Config, wo
 	)
 	work := func(wp *streamPrep) {
 		for i := int(cursor.Add(1)) - 1; i < len(sessions); i = int(cursor.Add(1)) - 1 {
-			per[i] = wp.session(sessions[i], cfg)
+			per[i] = wp.session(cam, sessions[i], off, cfg)
 		}
 	}
 	for w := 1; w < min(workers, len(sessions)); w++ {
@@ -109,13 +100,18 @@ func streamsFromExtraction(ext *Extraction, uiFrames []ocr.Frame, cfg Config, wo
 	return slices.Concat(per...)
 }
 
-// session prepares one session's streams in display-row order.
-func (p *streamPrep) session(sess session, cfg Config) []StreamData {
-	keys := p.sessionStreams(sess)
-	p.bucketRows(sess, len(keys))
+// session prepares one session's streams in display-row order. A stream
+// whose display row no frame shows gets an empty camera row.
+func (p *streamPrep) session(cam *camera, sess camSession, off time.Duration, cfg Config) []StreamData {
+	keys := p.sessionStreams(sess.screenName, sess.start-off, sess.end-off)
+	rows := cam.rows[sess.row0 : sess.row0+sess.nrows]
 	out := make([]StreamData, 0, len(keys))
 	for rowIdx, k := range keys {
-		out = append(out, p.buildStreamData(k, rowIdx, cfg))
+		var row camRow
+		if rowIdx < len(rows) {
+			row = rows[rowIdx]
+		}
+		out = append(out, p.buildStreamData(k, cam, row, off, cfg))
 	}
 	return out
 }
@@ -145,7 +141,7 @@ type streamIndex struct {
 // streamPrep is one worker's stream-preparation state over a shared
 // index. Its per-session and per-stream buffers are reused from one
 // session and stream to the next. Apart from the sorts behind its
-// medians, the work is linear in the observations and OCR rows.
+// medians, the work is linear in the observations and camera samples.
 //
 // Indexes and preps come from indexPool and prepPool and go back to them
 // emptied (release), so a capture's preparation reuses the buffers
@@ -169,12 +165,9 @@ type streamPrep struct {
 	kept    []int32
 	votes   []uint64
 	rank    []int
-	// laid holds the session's frames laid out as rows, and rows[r]
-	// refers to those shown on display row r.
-	laid []ocr.Row
-	rows [][]rowRef
 
-	// Stream scratch.
+	// Stream scratch. samples holds a camera row's samples moved onto the
+	// traffic clock.
 	samples  []ocr.Sample
 	gaps     []time.Duration
 	vars     [][]float64 // vars[j]: members[j]'s X row, nil when malformed
@@ -183,19 +176,13 @@ type streamPrep struct {
 	keyBuf   []byte
 	pairs    pairSet
 	screened pairSet // screenPairs' survivors
+	rawGid   []int32 // the raw pairs' group ids; RawDataset keeps X and Y only
 	f64      []float64
 	absRes   []float64
 	start    []int32
 	fill     []int32
 	vals     []float64
 	slot     []int32
-}
-
-// rowRef is one laid-out row (its index into laid) and the time of the
-// frame showing it.
-type rowRef struct {
-	at  time.Duration
-	row int32
 }
 
 // pairSet is one stream's paired samples in pairing order. gid[i] names
@@ -277,13 +264,11 @@ func (p *streamPrep) initSession() {
 }
 
 // release empties p and returns it to prepPool. Nothing it keeps refers
-// into the capture or the prepared streams: the index, the laid-out rows
-// (which hold OCR strings) and the X rows (which the streams' datasets
-// hold) are dropped.
+// into the capture or the prepared streams: the index and the X rows
+// (which the streams' datasets hold) are dropped.
 func (p *streamPrep) release() {
 	p.streamIndex = nil
 	clear(p.groups)
-	clear(p.laid[:cap(p.laid)])
 	clear(p.vars[:cap(p.vars)])
 	clear(p.pairs.xs[:cap(p.pairs.xs)])
 	clear(p.screened.xs[:cap(p.screened.xs)])
@@ -307,14 +292,14 @@ func (p *streamPrep) release() {
 // steps are no-ops. members[k] holds each returned key's observations.
 //
 //dplint:hotpath streams-prepare
-func (p *streamPrep) sessionStreams(sess session) []int32 {
+func (p *streamPrep) sessionStreams(screenName string, start, end time.Duration) []int32 {
 	for _, k := range p.touched {
 		p.members[k] = p.members[k][:0]
 		p.live[k] = false
 	}
 	p.touched, p.sessObs = p.touched[:0], p.sessObs[:0]
-	window := p.sessionWindow(sess.start-time.Second, sess.end+time.Second)
-	wantOBD := sess.screenName == "obd-live"
+	window := p.sessionWindow(start-time.Second, end+time.Second)
+	wantOBD := screenName == "obd-live"
 	for _, i := range window {
 		k := p.kid[i]
 		if p.obd[k] != wantOBD {
@@ -459,70 +444,20 @@ func (p *streamPrep) voteRowOrder() {
 	})
 }
 
-// bucketRows lays out each of the session's frames once and files the
-// rows under their display row, for the rows that pair with one of the
-// session's n streams.
-//
-//dplint:hotpath streams-prepare
-func (p *streamPrep) bucketRows(sess session, n int) {
-	for len(p.rows) < n {
-		p.rows = append(p.rows, nil)
-	}
-	for r := range p.rows[:n] {
-		p.rows[r] = p.rows[r][:0]
-	}
-	p.laid = p.laid[:0]
-	for fi := range sess.frames {
-		f := &sess.frames[fi]
-		first := len(p.laid)
-		p.laid = ocr.Layout(f.Texts, p.laid)
-		for ri := first; ri < len(p.laid); ri++ {
-			if idx := p.laid[ri].Index; idx < n {
-				p.rows[idx] = append(p.rows[idx], rowRef{at: f.At, row: int32(ri)})
-			}
-		}
-	}
-}
-
 // buildStreamData performs §3.3/§3.4 and §3.5 Step 1 for stream k, shown
-// on display row rowIdx.
-func (p *streamPrep) buildStreamData(k int32, rowIdx int, cfg Config) StreamData {
-	sd := StreamData{Key: p.keys[k]}
-
-	labelVotes := map[string]int{}
-	unitVotes := map[string]int{}
-	ySamples := p.samples[:0]
-	numericRows, textRows := 0, 0
-	for _, r := range p.rows[rowIdx] {
-		row := &p.laid[r.row]
-		if row.Label != "" {
-			labelVotes[row.Label]++
-		}
-		if row.Unit != "" {
-			unitVotes[row.Unit]++
-		}
-		if row.ParseOK {
-			numericRows++
-			ySamples = append(ySamples, ocr.Sample{At: r.at, Value: row.Parsed})
-		} else if row.Value != "" {
-			textRows++
-		}
-	}
-	p.samples = ySamples
-	sd.Label = majority(labelVotes)
-	sd.Unit = majority(unitVotes)
-
-	if textRows > numericRows {
+// on the session's display row row, whose samples are on the camera clock
+// of cam, off ahead of the traffic clock.
+func (p *streamPrep) buildStreamData(k int32, cam *camera, row camRow, off time.Duration, cfg Config) StreamData {
+	sd := StreamData{Key: p.keys[k], Label: row.label, Unit: row.unit}
+	if row.enum {
 		sd.Enum = true
 		return sd
 	}
-
-	min, max := rangeForLabel(sd.Label)
-	filtered := ocr.Filter(ySamples, min, max)
+	p.samples = shifted(cam.samplesOf(row.filtered), off, p.samples[:0])
 
 	members := p.members[k]
 	p.groupX(members)
-	p.pairs = p.pair(members, filtered, cfg.PairMaxGap, p.pairs)
+	p.pairs = p.pair(members, p.samples, cfg.PairMaxGap, p.pairs)
 	screened, rejected := p.screenPairs(p.pairs)
 	sd.RawPairs, sd.RejectedPairs = len(screened.ys), rejected
 	if sd.RawPairs < cfg.MinPairs {
@@ -534,8 +469,11 @@ func (p *streamPrep) buildStreamData(k int32, rowIdx int, cfg Config) StreamData
 	sd.Dataset = p.aggregateByX(screened)
 
 	// The raw pairs become the stream's RawDataset, so they get fresh
-	// slices.
-	raw := p.pair(members, ySamples, cfg.PairMaxGap, pairSet{})
+	// slices, sized for every observation to pair.
+	p.samples = shifted(cam.samplesOf(row.ys), off, p.samples[:0])
+	raw := p.pair(members, p.samples, cfg.PairMaxGap, pairSet{
+		xs: make([][]float64, 0, len(members)), ys: make([]float64, 0, len(members)), gid: p.rawGid})
+	p.rawGid = raw.gid
 	if len(raw.ys) > 0 {
 		sd.RawDataset = &gp.Dataset{X: raw.xs, Y: raw.ys}
 	}
@@ -683,15 +621,22 @@ func (p *streamPrep) aggregateByX(ps pairSet) *gp.Dataset {
 		slot = append(slot, -1)
 	}
 	p.slot = slot
-	d := &gp.Dataset{}
-	for i, g := range ps.gid {
+	n := int32(0)
+	for _, g := range ps.gid {
 		if slot[g] < 0 {
-			slot[g] = int32(len(d.X))
-			d.X = append(d.X, ps.xs[i])
+			slot[g] = n
+			n++
 		}
 	}
-	if len(d.X) == 0 {
+	d := &gp.Dataset{}
+	if n == 0 {
 		return d
+	}
+	d.X = make([][]float64, n)
+	for i, g := range ps.gid {
+		if d.X[slot[g]] == nil {
+			d.X[slot[g]] = ps.xs[i]
+		}
 	}
 	vals, start := p.groupYs(ps)
 	d.Y = make([]float64, len(d.X))
@@ -730,6 +675,15 @@ func (p *streamPrep) groupYs(ps pairSet) (vals []float64, start []int32) {
 	}
 	p.start, p.fill = start, fill
 	return vals, start
+}
+
+// shifted appends samples to dst moved from the camera clock onto the
+// traffic clock, off behind it.
+func shifted(samples []ocr.Sample, off time.Duration, dst []ocr.Sample) []ocr.Sample {
+	for _, s := range samples {
+		dst = append(dst, ocr.Sample{At: s.At - off, Value: s.Value})
+	}
+	return dst
 }
 
 // resize returns s resized to n elements, reallocating only to grow.

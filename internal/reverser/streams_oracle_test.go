@@ -1,7 +1,9 @@
 package reverser
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -10,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"dpreverser/internal/align"
 	"dpreverser/internal/diagtool"
 	"dpreverser/internal/faults"
 	"dpreverser/internal/ocr"
@@ -47,15 +50,18 @@ func collectSeeded(t *testing.T, car string, seed int64) rig.Capture {
 // equal results.
 func checkStreamsMatchReference(t *testing.T, name string, cap rig.Capture) {
 	t.Helper()
-	ext, uiFrames := frontHalf(t, cap)
-	checkExtractionMatchesReference(t, name, ext, uiFrames)
+	ext, off := frontHalf(t, cap)
+	checkExtractionMatchesReference(t, name, ext, cap.UIFrames, off)
 }
 
-func checkExtractionMatchesReference(t *testing.T, name string, ext *Extraction, uiFrames []ocr.Frame) {
+// checkExtractionMatchesReference prepares the streams of ext and of UI
+// frames whose clock is off ahead of the traffic's, and requires the
+// reference's streams over the frames moved onto the traffic clock.
+func checkExtractionMatchesReference(t *testing.T, name string, ext *Extraction, uiFrames []ocr.Frame, off time.Duration) {
 	t.Helper()
 	cfg := DefaultConfig()
-	got := streamsFromExtraction(ext, uiFrames, cfg, 1)
-	want := refStreamsFromExtraction(ext, uiFrames, cfg)
+	got := prepareStreams(ext, uiFrames, off, cfg, 1)
+	want := refStreamsFromExtraction(ext, align.ApplyOffset(uiFrames, off), cfg)
 	if len(want) == 0 {
 		t.Fatalf("%s: reference prepared no streams", name)
 	}
@@ -69,31 +75,42 @@ func checkExtractionMatchesReference(t *testing.T, name string, ext *Extraction,
 	}
 }
 
-// frontHalf runs the pipeline's front half on cap up to the streams
-// stage.
-func frontHalf(t *testing.T, cap rig.Capture) (*Extraction, []ocr.Frame) {
+// frontHalf runs the pipeline's CAN front half on cap up to the streams
+// stage, and estimates the clock offset with the standalone alignment.
+func frontHalf(t *testing.T, cap rig.Capture) (*Extraction, time.Duration) {
 	t.Helper()
 	fr := FramesColumnar(cap.Frames)
 	ms, _, err := AssembleColumnar(context.Background(), fr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, uiFrames := alignUI(fr, cap.UIFrames)
-	return ExtractFieldsColumnar(ms), uiFrames
+	off, err := align.EstimateOffsetOBDColumnar(fr, cap.UIFrames)
+	if err != nil {
+		off = 0
+	}
+	return ExtractFieldsColumnar(ms), off
+}
+
+// prepareStreams runs both halves of stream preparation, the CAN half on
+// workers goroutines.
+func prepareStreams(ext *Extraction, uiFrames []ocr.Frame, off time.Duration, cfg Config, workers int) []StreamData {
+	cam := newCamera(uiFrames)
+	defer cam.release()
+	return streamsFromExtraction(ext, cam, off, cfg, workers)
 }
 
 // checkStreamsSameAtAnyWorkerCount prepares cap's streams on 1, 2 and 8
 // workers and requires deeply equal results.
 func checkStreamsSameAtAnyWorkerCount(t *testing.T, name string, cap rig.Capture) {
 	t.Helper()
-	ext, uiFrames := frontHalf(t, cap)
+	ext, off := frontHalf(t, cap)
 	cfg := DefaultConfig()
-	want := streamsFromExtraction(ext, uiFrames, cfg, 1)
+	want := prepareStreams(ext, cap.UIFrames, off, cfg, 1)
 	if len(want) == 0 {
 		t.Fatalf("%s: no streams prepared", name)
 	}
 	for _, workers := range []int{2, 8} {
-		if got := streamsFromExtraction(ext, uiFrames, cfg, workers); !reflect.DeepEqual(got, want) {
+		if got := prepareStreams(ext, cap.UIFrames, off, cfg, workers); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: %d workers prepare %d streams unlike 1 worker's %d", name, workers, len(got), len(want))
 		}
 	}
@@ -164,31 +181,36 @@ func TestStreamsMatchReferenceShuffledAndSnapped(t *testing.T) {
 			t.Fatal(err)
 		}
 		ext := ExtractFieldsColumnar(ms)
-		_, uiFrames := alignUI(fr, cap.UIFrames)
+		off, err := align.EstimateOffsetOBDColumnar(fr, cap.UIFrames)
+		if err != nil {
+			t.Fatal(err)
+		}
 
 		shuffled := *ext
 		shuffled.ESVs = append([]ESVObservation(nil), ext.ESVs...)
 		rand.New(rand.NewSource(1)).Shuffle(len(shuffled.ESVs), func(i, j int) {
 			shuffled.ESVs[i], shuffled.ESVs[j] = shuffled.ESVs[j], shuffled.ESVs[i]
 		})
-		checkExtractionMatchesReference(t, car+" shuffled", &shuffled, uiFrames)
+		checkExtractionMatchesReference(t, car+" shuffled", &shuffled, cap.UIFrames, off)
 
-		swapped := append([]ocr.Frame(nil), uiFrames...)
+		swapped := append([]ocr.Frame(nil), cap.UIFrames...)
 		for i := 0; i+1 < len(swapped); i += 2 {
 			swapped[i], swapped[i+1] = swapped[i+1], swapped[i]
 		}
-		checkExtractionMatchesReference(t, car+" swapped frames", ext, swapped)
+		checkExtractionMatchesReference(t, car+" swapped frames", ext, swapped, off)
 
 		snapped := *ext
 		snapped.ESVs = append([]ESVObservation(nil), ext.ESVs...)
 		for i := range snapped.ESVs {
 			snapped.ESVs[i].At = snap(snapped.ESVs[i].At)
 		}
-		snappedUI := append([]ocr.Frame(nil), uiFrames...)
+		// Snapped on the traffic clock, so that observations land on
+		// session window edges.
+		snappedUI := align.ApplyOffset(cap.UIFrames, off)
 		for i := range snappedUI {
 			snappedUI[i].At = snap(snappedUI[i].At)
 		}
-		checkExtractionMatchesReference(t, car+" snapped", &snapped, snappedUI)
+		checkExtractionMatchesReference(t, car+" snapped", &snapped, snappedUI, 0)
 	}
 }
 
@@ -252,8 +274,8 @@ func FuzzNearestSample(f *testing.F) {
 // TestPooledStreamPrep prepares Car K, Car M and a faulted Car A in turn
 // at 1, 2 and 8 workers, so each preparation runs on pooled scratch that
 // another capture grew, and requires the reference's streams every time.
-// It then checks that a released index and two released preps that
-// shared it keep no reference into the capture or the streams.
+// It then checks that a released camera, index and two released preps
+// that shared them keep no reference into the capture or the streams.
 func TestPooledStreamPrep(t *testing.T) {
 	spec, err := faults.ParseSpec("heavy")
 	if err != nil {
@@ -267,6 +289,7 @@ func TestPooledStreamPrep(t *testing.T) {
 		name     string
 		ext      *Extraction
 		uiFrames []ocr.Frame
+		off      time.Duration
 		want     []StreamData
 	}
 	var caps []prepared
@@ -275,13 +298,14 @@ func TestPooledStreamPrep(t *testing.T) {
 		name string
 		cap  rig.Capture
 	}{{"Car K", collectSeeded(t, "Car K", 1)}, {"Car M", collectSeeded(t, "Car M", 1)}, {"Car A heavy", faulted}} {
-		ext, uiFrames := frontHalf(t, c.cap)
-		caps = append(caps, prepared{c.name, ext, uiFrames, refStreamsFromExtraction(ext, uiFrames, cfg)})
+		ext, off := frontHalf(t, c.cap)
+		want := refStreamsFromExtraction(ext, align.ApplyOffset(c.cap.UIFrames, off), cfg)
+		caps = append(caps, prepared{c.name, ext, c.cap.UIFrames, off, want})
 	}
 	for round := 0; round < 2; round++ {
 		for _, workers := range []int{1, 2, 8} {
 			for _, c := range caps {
-				if got := streamsFromExtraction(c.ext, c.uiFrames, cfg, workers); !reflect.DeepEqual(got, c.want) {
+				if got := prepareStreams(c.ext, c.uiFrames, c.off, cfg, workers); !reflect.DeepEqual(got, c.want) {
 					t.Fatalf("%s at %d workers, round %d: streams unlike the reference's", c.name, workers, round)
 				}
 			}
@@ -294,7 +318,7 @@ func TestPooledStreamPrep(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if got := streamsFromExtraction(c.ext, c.uiFrames, cfg, workers); !reflect.DeepEqual(got, c.want) {
+				if got := prepareStreams(c.ext, c.uiFrames, c.off, cfg, workers); !reflect.DeepEqual(got, c.want) {
 					t.Errorf("%s at %d workers, concurrently: streams unlike the reference's", c.name, workers)
 				}
 			}()
@@ -303,21 +327,23 @@ func TestPooledStreamPrep(t *testing.T) {
 	wg.Wait()
 
 	c := caps[1]
+	cam := newCamera(c.uiFrames)
 	idx := newStreamIndex(c.ext.ESVs)
 	p, f := newStreamPrep(idx), newStreamPrep(idx)
-	for i, sess := range splitSessions(c.uiFrames) {
+	for i, sess := range cam.sessions {
 		if i%2 == 0 {
-			p.session(sess, cfg)
+			p.session(cam, sess, c.off, cfg)
 		} else {
-			f.session(sess, cfg)
+			f.session(cam, sess, c.off, cfg)
 		}
 	}
-	if len(p.laid) == 0 || len(f.laid) == 0 || len(p.vars) == 0 || len(f.pairs.xs) == 0 {
+	if len(cam.laid) == 0 || len(cam.live) == 0 || len(p.vars) == 0 || len(f.pairs.xs) == 0 {
 		t.Fatal("the sessions left no scratch to check")
 	}
 	f.release()
 	p.release()
 	idx.release()
+	cam.release()
 	if idx.obs != nil || len(idx.ids) != 0 || !slices.Equal(idx.keys[:cap(idx.keys)], make([]StreamKey, cap(idx.keys))) {
 		t.Error("index: released with its observations, key ids or stream keys")
 	}
@@ -325,14 +351,74 @@ func TestPooledStreamPrep(t *testing.T) {
 		if q.streamIndex != nil || len(q.groups) != 0 {
 			t.Errorf("prep %d: released with its index or groups", i)
 		}
-		if !slices.Equal(q.laid[:cap(q.laid)], make([]ocr.Row, cap(q.laid))) {
-			t.Errorf("prep %d: released with laid-out rows", i)
-		}
 		for _, rows := range [][][]float64{q.vars, q.pairs.xs, q.screened.xs} {
 			for _, row := range rows[:cap(rows)] {
 				if row != nil {
 					t.Errorf("prep %d: released with an X row", i)
 					break
+				}
+			}
+		}
+	}
+	if len(cam.sessions) != 0 || len(cam.samples) != 0 ||
+		!slices.Equal(cam.laid[:cap(cam.laid)], make([]ocr.Row, cap(cam.laid))) ||
+		!slices.Equal(cam.rows[:cap(cam.rows)], make([]camRow, cap(cam.rows))) ||
+		slices.ContainsFunc(cam.live[:cap(cam.live)], func(f align.LiveFrame) bool { return f.Rows != nil }) {
+		t.Error("camera: released with its sessions, samples, laid-out rows, row labels or live frames")
+	}
+}
+
+// Reverse runs the camera half of stream preparation beside assembly at
+// Parallelism 2 and above and inline at 1, and ExtractStreams runs the
+// two halves one after the other. On every fleet car, clean and with
+// heavy faults, all of them must prepare the same streams with the same
+// clock offset, Reverse must give the same document at every setting, and
+// its progress events must stay bracketed and in order.
+func TestStreamsSameAcrossEntryPointsAndParallelism(t *testing.T) {
+	spec, err := faults.ParseSpec("heavy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig()
+	for _, p := range vehicle.Fleet() {
+		clean := collectSeeded(t, p.Car, 1)
+		inj := faults.New(spec, 1)
+		heavy := clean
+		heavy.Frames = inj.Frames(clean.Frames)
+		heavy.UIFrames = inj.UIFrames(clean.UIFrames)
+		for _, c := range []struct {
+			name string
+			cap  rig.Capture
+		}{{p.Car, clean}, {p.Car + " heavy", heavy}} {
+			want, _, wantOff := ExtractStreams(c.cap, cfg)
+			if len(want) == 0 {
+				t.Fatalf("%s: no streams prepared", c.name)
+			}
+			var doc []byte
+			for _, workers := range []int{1, 2, 8} {
+				var events []ProgressEvent
+				var mu sync.Mutex
+				rv := New(WithConfig(cfg), WithParallelism(workers), WithProgress(func(ev ProgressEvent) {
+					mu.Lock()
+					events = append(events, ev)
+					mu.Unlock()
+				}))
+				res, err := rv.Reverse(context.Background(), c.cap)
+				if err != nil {
+					t.Fatalf("%s at parallelism %d: %v", c.name, workers, err)
+				}
+				if !reflect.DeepEqual(res.Streams, want) || res.Offset != wantOff {
+					t.Fatalf("%s at parallelism %d: streams or offset %v unlike ExtractStreams' (offset %v)", c.name, workers, res.Offset, wantOff)
+				}
+				checkEventNesting(t, events)
+				got, err := json.Marshal(res)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if doc == nil {
+					doc = got
+				} else if !bytes.Equal(got, doc) {
+					t.Fatalf("%s at parallelism %d: result document unlike parallelism 1's", c.name, workers)
 				}
 			}
 		}

@@ -154,7 +154,7 @@ func refBuildStreamData(key StreamKey, rowIdx int, obs []ESVObservation, sess se
 
 	rawSamples := ySamples
 	min, max := rangeForLabel(sd.Label)
-	ySamples = refFilterOutliers(ocr.FilterRange(ySamples, min, max))
+	ySamples = refFilterOutliers(ocr.FilterRange(ySamples, min, max, nil))
 
 	pair := func(samples []ocr.Sample) ([][]float64, []float64) {
 		maxGap := cfg.PairMaxGap
@@ -368,4 +368,14 @@ func refMedianAbsDev(vals []float64, med float64) float64 {
 		devs[i] = math.Abs(v - med)
 	}
 	return refMedianOf(devs)
+}
+
+func majority(votes map[string]int) string {
+	best, n := "", 0
+	for s, c := range votes {
+		if c > n || (c == n && s < best) {
+			best, n = s, c
+		}
+	}
+	return best
 }

@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sync"
+	"runtime"
 )
 
 // captureFormatVersion guards against loading captures written by an
@@ -31,7 +31,7 @@ func (c Capture) Save(w io.Writer) error {
 }
 
 // readScratch is one ReadCapture's working memory: the body and the
-// decoder's buffers. ReadCapture pools it, which is safe because nothing
+// decoder's buffers. ReadCapture reuses it, which is safe because nothing
 // in a decoded Capture aliases it: intern and unquote copy strings, and
 // arrays are copied out at their exact length.
 type readScratch struct {
@@ -39,10 +39,14 @@ type readScratch struct {
 	dec  *decoder
 }
 
-var readPool = sync.Pool{New: func() any { return &readScratch{dec: newDecoder()} }}
+// readFree is the free list of idle scratches, one per P at most. Unlike
+// a sync.Pool, it hands a decode the scratch the last one left whatever P
+// either runs on, and keeps it across collections, so a decode regrows
+// its buffers only when more decodes overlap than ever did before.
+var readFree = make(chan *readScratch, runtime.GOMAXPROCS(0))
 
-// maxPooledBody keeps a scratch whose body grew past it out of the pool,
-// so one outsized upload does not stay resident.
+// maxPooledBody keeps a scratch whose body grew past it off the free
+// list, so one outsized upload does not stay resident.
 const maxPooledBody = 16 << 20
 
 // ReadCapture deserialises a capture written by Save. The body is read
@@ -50,7 +54,7 @@ const maxPooledBody = 16 << 20
 // envelope are read and ignored, and a read error after a complete
 // envelope does not fail the decode.
 func ReadCapture(r io.Reader) (Capture, error) {
-	sc := readPool.Get().(*readScratch)
+	sc := acquireScratch()
 	defer sc.release()
 	// bytes.Buffer doubles as it reads; io.ReadAll's append growth would
 	// allocate several times the body on the way up.
@@ -68,15 +72,28 @@ func ReadCapture(r io.Reader) (Capture, error) {
 	return env.Capture, nil
 }
 
-// release returns the scratch to the pool, emptied, unless its body
-// outgrew maxPooledBody.
+// acquireScratch takes an idle scratch off the free list, or makes one.
+func acquireScratch() *readScratch {
+	select {
+	case sc := <-readFree:
+		return sc
+	default:
+		return &readScratch{dec: newDecoder()}
+	}
+}
+
+// release returns the scratch to the free list, emptied, unless its body
+// outgrew maxPooledBody or the list is full.
 func (sc *readScratch) release() {
 	if sc.body.Cap() > maxPooledBody {
 		return
 	}
 	sc.body.Reset()
 	sc.dec.reset()
-	readPool.Put(sc)
+	select {
+	case readFree <- sc:
+	default:
+	}
 }
 
 // SaveCaptureFile writes the capture to a file.

@@ -3,6 +3,7 @@ package rig
 import (
 	"bytes"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -82,5 +83,43 @@ func TestReadCaptureRejectsGarbage(t *testing.T) {
 func TestLoadCaptureFileMissing(t *testing.T) {
 	if _, err := LoadCaptureFile(filepath.Join(t.TempDir(), "absent.json")); err == nil {
 		t.Fatal("missing file accepted")
+	}
+}
+
+// A decode reuses the buffers the previous decode grew even when it runs
+// on another goroutine after two collections, which empty a sync.Pool: it
+// allocates no more than a decode right after the first on the same
+// goroutine does, well below one more copy of the body.
+func TestReadCaptureReusesScratchAcrossGoroutines(t *testing.T) {
+	r, _ := newRig(t, "Car M", fastConfig())
+	cap, err := r.RunFull()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := cap.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	body := buf.Bytes()
+	decode := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := ReadCapture(bytes.NewReader(body)); err != nil {
+			t.Error(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	decode()
+	warm := decode()
+	for round := 0; round < 4; round++ {
+		runtime.GC()
+		runtime.GC()
+		allocs := make(chan uint64)
+		go func() { allocs <- decode() }()
+		if got := <-allocs; got > warm+uint64(len(body))/2 {
+			t.Fatalf("round %d: a decode on another goroutine allocated %d bytes, against %d on the first one's (body %d bytes)",
+				round, got, warm, len(body))
+		}
 	}
 }

@@ -181,7 +181,7 @@ func ParseRDBIResponse(msg []byte, requested []uint16) ([]DataRecord, error) {
 		return nil, fmt.Errorf("%w: sid %#02x", ErrNotService, msg[0])
 	}
 	body := msg[1:]
-	var records []DataRecord
+	records := make([]DataRecord, 0, len(requested))
 	pos := 0
 	for i, did := range requested {
 		if pos+2 > len(body) {
