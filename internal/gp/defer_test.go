@@ -287,17 +287,18 @@ func TestCrossChunkDeferralMatchesEagerScoring(t *testing.T) {
 	}
 }
 
-// A champion can meet StopFitness on its trimmed error yet miss a row by
-// far, so the run draws its whole initial population and stops at
+// A champion can meet StopFitness on its trimmed error yet miss two rows
+// by far, so the run draws its whole initial population and stops at
 // generation 0. Deferral then carries across all its chunks: fewer than
 // half of the misses ever run the VM.
 func TestFullDrawRunsFewerThanHalfOfMisses(t *testing.T) {
 	d := linearDataset(2.5, 10)
 	d.Y[7] += 500
+	d.Y[40] += 500
 	cfg := DefaultConfig()
 	isl := drawingIsland(t, d, cfg)
-	if _, stopped := singleVariableStop(isl, d.NumVars()); stopped {
-		t.Fatal("a single variable fits every row; the outlier is lost")
+	if _, stopped := stopLadder(isl, d.NumVars()); stopped {
+		t.Fatal("the stop ladder fits all rows but one; an outlier is lost")
 	}
 	best := isl.drawInitial()
 	e := isl.ev

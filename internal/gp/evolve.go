@@ -296,7 +296,7 @@ func trimmedMean(resids []float64) float64 {
 // A miss whose parsimony term alone exceeds the batch's best fitness so
 // far cannot be the generation's best, so scoreAll defers it (see
 // scoreClasses) and complete scores it once something reads the whole
-// population. A batch is the single-variable programs, one generation's
+// population. A batch is one tier of the stop ladder, one generation's
 // children, or the whole initial population, which grows by one drawn
 // chunk per scoreAll call: a program deferred in one chunk stays
 // deferred through the later ones.
@@ -604,7 +604,7 @@ func RunContext(ctx context.Context, d *Dataset, cfg Config) (Result, error) {
 	isl := acquireIsland(d, cfg)
 	defer isl.release()
 	ev := isl.ev
-	best, stopped := singleVariableStop(isl, d.NumVars())
+	best, stopped := stopLadder(isl, d.NumVars())
 	if !stopped {
 		best = isl.drawInitial()
 	}
@@ -643,7 +643,7 @@ func RunContext(ctx context.Context, d *Dataset, cfg Config) (Result, error) {
 type island struct {
 	cfg Config
 	// rng is seeded from seed when the island draws its first program:
-	// most runs stop on a single variable and never draw, and seeding
+	// most runs stop on the stop ladder and never draw, and seeding
 	// fills the source's whole state table.
 	rng      *rand.Rand
 	seed     int64
@@ -660,10 +660,10 @@ type island struct {
 	// best is the island's champion; its tree is heap-cloned out of the
 	// arenas whenever it improves, so it stays valid across resets.
 	best individual
-	// singleTrees and singles are singleVariableStop's programs and
-	// scores.
-	singleTrees []*Node
-	singles     []individual
+	// ladderTrees and ladder are the programs and scores of the stop
+	// ladder's current tier.
+	ladderTrees []*Node
+	ladder      []individual
 }
 
 // islandPool keeps islands, with their arenas, populations, evaluator
@@ -770,30 +770,95 @@ func (isl *island) drawInitial() individual {
 	}
 }
 
-// singleVariableStop scores the k single-variable programs X0…X(k−1) on
-// isl's evaluator, like any program, before anything is drawn. Most
-// diagnostic formulas are a scale and offset on one raw field, so the
-// best of them often meets the stop already; it then ends the run, with
-// its tree heap-cloned out of the arena, and stopped is true. Otherwise
-// the run draws as usual and meets these programs again as cache hits.
-// A run that never stops early (StopFitness < 0) skips the check.
-func singleVariableStop(isl *island, k int) (best individual, stopped bool) {
+// stopLadder scores the fixed tiers of the stop ladder on isl's
+// evaluator, like any program, before anything is drawn, and ends the run
+// on the first tier whose best program passes the same stop test as an
+// initial-population chunk (evaluator.stops):
+//   - tier 0, the k single variables X0…X(k−1): most diagnostic formulas
+//     are a scale and offset on one raw field;
+//   - tier 1, the basis: Xi·Xi and sqrt(Xi) for every i, Xi+Xj for every
+//     pair i < j, and Xi·Xj+Xi and Xi·Xj·Xj+Xi·Xj for every i ≠ j.
+//
+// The least-squares fit of the whole tree or its root terms supplies
+// every constant, so the basis needs none: it holds a scaled square or
+// root, a two-byte field, and the product formulas of KWP's formula
+// types with an offset on either byte. This is FFX's deterministic basis
+// regression (McConaghy, GPTP 2011) ahead of the paper's GP. A stopping
+// program is heap-cloned out of the arena, and stopped is true.
+// Otherwise the run draws as usual and meets the ladder's programs again
+// as cache hits. A run that never stops early (StopFitness < 0) skips
+// the ladder, so it runs the paper's algorithm alone.
+func stopLadder(isl *island, k int) (best individual, stopped bool) {
 	if isl.cfg.StopFitness < 0 || k == 0 {
 		return individual{}, false
 	}
 	isl.gen.arena = isl.arenas[isl.cur]
-	isl.singleTrees = resize(isl.singleTrees, k)
-	for v := range isl.singleTrees {
-		isl.singleTrees[v] = isl.gen.node(Node{Op: OpVar, Var: v})
+	if best, stopped = isl.stopsOn(isl.singleVariables(k)); !stopped {
+		best, stopped = isl.stopsOn(isl.basis(k))
 	}
-	isl.singles = resize(isl.singles, k)
-	isl.ev.scoreAll(isl.singleTrees, isl.singles, 0, math.Inf(1))
-	best = bestOf(isl.singles)
+	return best, stopped
+}
+
+// stopsOn scores one tier of the stop ladder as one batch and reports
+// whether its best program ends the run, heap-cloned out of the arena
+// when it does.
+func (isl *island) stopsOn(tier []*Node) (individual, bool) {
+	isl.ladder = resize(isl.ladder, len(tier))
+	isl.ev.scoreAll(tier, isl.ladder, 0, math.Inf(1))
+	best := bestOf(isl.ladder)
 	if !isl.ev.stops(best) {
 		return individual{}, false
 	}
 	best.tree = best.tree.Clone()
 	return best, true
+}
+
+// singleVariables builds tier 0 of the stop ladder in the generator's
+// arena, into the island's ladder scratch.
+func (isl *island) singleVariables(k int) []*Node {
+	t := isl.ladderTrees[:0]
+	for i := range k {
+		t = append(t, isl.gen.node(Node{Op: OpVar, Var: i}))
+	}
+	isl.ladderTrees = t
+	return t
+}
+
+// basis builds tier 1 of the stop ladder in the generator's arena, one
+// form after the other in the order stopLadder lists them, into the
+// island's ladder scratch.
+func (isl *island) basis(k int) []*Node {
+	g := isl.gen
+	x := func(i int) *Node { return g.node(Node{Op: OpVar, Var: i}) }
+	op := func(op Op, l, r *Node) *Node { return g.node(Node{Op: op, L: l, R: r}) }
+	t := isl.ladderTrees[:0]
+	for i := range k {
+		t = append(t, op(OpMul, x(i), x(i)))
+	}
+	for i := range k {
+		t = append(t, op(OpSqrt, x(i), nil))
+	}
+	for i := range k {
+		for j := i + 1; j < k; j++ {
+			t = append(t, op(OpAdd, x(i), x(j)))
+		}
+	}
+	for i := range k {
+		for j := range k {
+			if i != j {
+				t = append(t, op(OpAdd, op(OpMul, x(i), x(j)), x(i)))
+			}
+		}
+	}
+	for i := range k {
+		for j := range k {
+			if i != j {
+				t = append(t, op(OpAdd, op(OpMul, op(OpMul, x(i), x(j)), x(j)), op(OpMul, x(i), x(j))))
+			}
+		}
+	}
+	isl.ladderTrees = t
+	return t
 }
 
 // drawChunk draws the island's next initChunk initial programs, scores

@@ -104,13 +104,25 @@ func (e *evaluator) materialise(t *Node) *Node {
 	return out
 }
 
-// fitsEveryRow reports whether program t predicts every row of the
-// evaluator's dataset within tol.
-func (e *evaluator) fitsEveryRow(t *Node, tol float64) bool {
+// oneMissRows is the fewest rows a dataset needs before the stop test
+// forgives one row outside its bound: one row of eight is under the 20%
+// the trimmed MAE already drops.
+const oneMissRows = 8
+
+// fitsRows reports whether program t predicts the rows of the
+// evaluator's dataset within tol: every row, or every row but one when
+// the dataset has at least oneMissRows rows.
+func (e *evaluator) fitsRows(t *Node, tol float64) bool {
 	preds := e.comp.Compile(t).Eval(e.batch, e.m)
+	allowed, misses := 0, 0
+	if len(preds) >= oneMissRows {
+		allowed = 1
+	}
 	for i, p := range preds {
 		if !(math.Abs(p-e.batch.y[i]) <= tol) {
-			return false
+			if misses++; misses > allowed {
+				return false
+			}
 		}
 	}
 	return true
@@ -123,11 +135,12 @@ func (e *evaluator) robustMAE(t *Node) float64 {
 }
 
 // stops reports whether champion best ends the run before any breeding:
-// it meets the stop, and its materialised program predicts every row
-// within 2·StopFitness, since a trimmed MAE alone can pass a formula that
-// is wrong on the trimmed rows.
+// it meets the stop, and its materialised program predicts the rows
+// within 2·StopFitness (fitsRows: every row, or all but one of at least
+// oneMissRows), since a trimmed MAE alone can pass a formula that is
+// wrong on the trimmed rows.
 func (e *evaluator) stops(best individual) bool {
-	return best.raw <= e.cfg.StopFitness && e.fitsEveryRow(e.materialise(best.tree), 2*e.cfg.StopFitness)
+	return best.raw <= e.cfg.StopFitness && e.fitsRows(e.materialise(best.tree), 2*e.cfg.StopFitness)
 }
 
 // splitTerms collects the non-constant terms of t's root +/− chain and

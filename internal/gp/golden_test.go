@@ -44,9 +44,10 @@ func udsLikeDataset() *Dataset {
 }
 
 // runMatrix covers the engine paths an evaluation change can disturb:
-// converging and never-converging datasets (one of them fitted by a
-// single scaled variable), no parsimony, no early stop (stopneg breeds
-// every generation), and a one-generation budget.
+// converging and never-converging datasets (uds and affine1 are fitted by
+// a single scaled variable, rpm, linear2 and product by the basis tier of
+// the stop ladder), no parsimony, no early stop (stopneg breeds every
+// generation), and a one-generation budget.
 func runMatrix() []poolCase {
 	base := func(seed int64) Config {
 		cfg := DefaultConfig()
@@ -86,11 +87,11 @@ func runMatrix() []poolCase {
 			cases = append(cases, poolCase{name: ds.name + "/" + v.name, d: ds.d, cfg: v.cfg})
 		}
 	}
-	// At seed 7 the first 150 programs of the rpm population miss the
+	// At seed 5 the first 150 programs of the log population miss the
 	// stop and the rest of the 300 meet it: the run must draw and score
 	// its whole initial population.
-	cases = append(cases, poolCase{name: "rpm/seed7-pop300", d: islandTestDataset(),
-		cfg: with(base(7), func(c *Config) { c.PopulationSize = 300 })})
+	cases = append(cases, poolCase{name: "log/seed5-pop300", d: logDataset(),
+		cfg: with(base(5), func(c *Config) { c.PopulationSize = 300 })})
 	return cases
 }
 

@@ -1,6 +1,7 @@
 package reverser
 
 import (
+	"runtime"
 	"strconv"
 	"time"
 
@@ -128,12 +129,18 @@ const transportKinds = 3
 // lookup and no key formatting. Extracted ESV bytes are views into the
 // store's slab (or, for KWP's decoded triples, into an extraction-owned
 // slab); the Extraction keeps the store alive through those views.
+func ExtractFieldsColumnar(ms *colstore.Messages) *Extraction {
+	// A capture has about as many ESVs as messages.
+	return extractFields(ms, make([]ESVObservation, 0, ms.Len()))
+}
+
+// extractFields is ExtractFieldsColumnar appending the observations to
+// esvs, an empty buffer.
 //
 //dplint:hotpath extract-fields
-func ExtractFieldsColumnar(ms *colstore.Messages) *Extraction {
+func extractFields(ms *colstore.Messages, esvs []ESVObservation) *Extraction {
 	out := &Extraction{
-		// A capture has about as many ESVs as messages.
-		ESVs:              make([]ESVObservation, 0, ms.Len()),
+		ESVs:              esvs,
 		Requests:          map[byte]int{},
 		NegativeResponses: map[byte]int{},
 	}
@@ -262,6 +269,44 @@ func ExtractFieldsColumnar(ms *colstore.Messages) *Extraction {
 		}
 	}
 	return out
+}
+
+// esvFree is the free list of idle observation buffers, one per P at
+// most. Reverse extracts into a buffer from it and returns the buffer
+// once the streams stage has read the observations, so a job appends
+// into the capacity earlier jobs grew instead of presizing a fresh
+// buffer to its message count and regrowing it past that (a KWP capture
+// has more observations than messages). Like rig's readFree, and unlike
+// a sync.Pool, it keeps its buffers across collections and hands one to
+// any P.
+var esvFree = make(chan []ESVObservation, runtime.GOMAXPROCS(0))
+
+// maxPooledESVs keeps a buffer that grew past it off the free list, so
+// one outsized capture does not stay resident.
+const maxPooledESVs = 1 << 16
+
+// acquireESVs takes an empty buffer off the free list, or makes one of n.
+func acquireESVs(n int) []ESVObservation {
+	select {
+	case b := <-esvFree:
+		return b
+	default:
+		return make([]ESVObservation, 0, n)
+	}
+}
+
+// releaseESVs returns b to the free list, emptied: its observations'
+// views into the capture's message store are cleared. A buffer over
+// maxPooledESVs, or one the full list has no room for, is dropped.
+func releaseESVs(b []ESVObservation) {
+	clear(b)
+	if cap(b) > maxPooledESVs {
+		return
+	}
+	select {
+	case esvFree <- b[:0]:
+	default:
+	}
 }
 
 // appendKWP packs one decoded KWP (FType, X0, X1) triple onto the

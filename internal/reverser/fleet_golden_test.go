@@ -26,10 +26,12 @@ const fleetGoldenPath = "testdata/fleet_results_sha256.golden"
 
 // paperGoldenCars are the cars also pinned at the paper budget; the test
 // stays within a few seconds. At rig seed 1 no stream of theirs breeds at
-// that budget: Car K's three torque streams (KWP 01[9], 02[9], 03[9])
-// each end in generation 1 after 1,002 evaluations. Breeding is pinned by
-// the quick digests instead, where Car K's 02[9] runs 6 generations and
-// its 03[9] runs 10.
+// that budget, and all but Car K's three torque streams (KWP 01[9],
+// 02[9], 03[9]) stop on the stop ladder before drawing; those three each
+// draw their whole initial population and end in generation 1 after
+// 1,011 evaluations. Breeding is pinned by the quick digests instead,
+// where Car K's 02[9] still runs 6 generations (906 evaluations) and its
+// 03[9] 10 (1,651); the run matrix (internal/gp) pins it too.
 var paperGoldenCars = []string{"Car A", "Car M", "Car K"}
 
 // goldenBudget returns the pipeline configuration of a named GP budget:

@@ -407,7 +407,7 @@ func (rv *Reverser) Reverse(ctx context.Context, cap rig.Capture) (*Result, erro
 	// §3.2 Step 3: request/response pairing and field extraction, indexing
 	// into the columnar message store.
 	var ext *Extraction
-	r.stage("extract", func() { ext = ExtractFieldsColumnar(ms) })
+	r.stage("extract", func() { ext = extractFields(ms, acquireESVs(ms.Len())) })
 	rv.met.ESVObservations.Add(float64(len(ext.ESVs)))
 	rv.met.ECRObservations.Add(float64(len(ext.ECRs)))
 
@@ -427,6 +427,10 @@ func (rv *Reverser) Reverse(ctx context.Context, cap rig.Capture) (*Result, erro
 		res.Streams = streamsFromExtraction(ext, cam, res.Offset, rv.cfg, rv.Parallelism())
 	})
 	cam.release()
+	// The streams copied what they need out of the observations, and the
+	// stream index has dropped them.
+	releaseESVs(ext.ESVs)
+	ext.ESVs = nil
 	for _, sd := range res.Streams {
 		rv.met.StreamsExtracted.With(streamKind(sd)).Inc()
 	}

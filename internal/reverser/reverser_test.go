@@ -1,6 +1,7 @@
 package reverser
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"dpreverser/internal/rig"
 )
 
 // fingerprint flattens the fields the determinism guarantee covers:
@@ -262,5 +265,64 @@ func TestResultMarshalJSON(t *testing.T) {
 	}
 	if formulas == 0 {
 		t.Fatal("no formula ESVs in JSON output")
+	}
+}
+
+// Reverse extracts into a buffer from esvFree and returns it emptied once
+// the streams stage is done: no entry in the buffer's whole capacity
+// still refers into a capture. Concurrent runs share the free list, and
+// each gives the document it gives alone. Car K's KWP capture has more
+// observations than messages, so its buffer grows past the presize.
+func TestReleasedESVBufferHoldsNoCapture(t *testing.T) {
+	captures := []rig.Capture{collectSeeded(t, "Car K", 1), collectSeeded(t, "Car M", 1)}
+	rv := New(WithParallelism(1))
+	reverse := func(c rig.Capture) []byte {
+		res, err := rv.Reverse(context.Background(), c)
+		if err != nil {
+			t.Error(err)
+			return nil
+		}
+		doc, err := json.Marshal(res)
+		if err != nil {
+			t.Error(err)
+		}
+		return doc
+	}
+	want := make([][]byte, len(captures))
+	for i, c := range captures {
+		want[i] = reverse(c)
+	}
+	var wg sync.WaitGroup
+	for range 3 {
+		for i, c := range captures {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if got := reverse(c); !bytes.Equal(got, want[i]) {
+					t.Errorf("capture %d reversed concurrently differs from its run alone", i)
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	released := 0
+	for {
+		select {
+		case b := <-esvFree:
+			released++
+			if len(b) != 0 {
+				t.Errorf("released buffer holds %d observations", len(b))
+			}
+			for i, o := range b[:cap(b)] {
+				if o.Bytes != nil || o.Key != (StreamKey{}) || o.At != 0 {
+					t.Fatalf("released buffer entry %d still holds %+v", i, o)
+				}
+			}
+		default:
+			if released == 0 {
+				t.Fatal("Reverse returned no buffer to the free list")
+			}
+			return
+		}
 	}
 }
