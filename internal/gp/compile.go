@@ -38,8 +38,7 @@ type instr struct {
 type Program struct {
 	code  []instr
 	depth int // maximum stack depth at any point of the execution
-	keyb  []byte
-	key   string // interned copy of keyb; empty for compiler-owned programs
+	key   []byte
 }
 
 // Compiler holds reusable compilation scratch: the postfix emit buffer
@@ -83,7 +82,7 @@ func Compile(root *Node) *Program {
 	p := &Program{
 		code:  append([]instr(nil), c.code...),
 		depth: stackDepth(c.code),
-		key:   string(c.key),
+		key:   append([]byte(nil), c.key...),
 	}
 	compilerPool.Put(c)
 	return p
@@ -95,7 +94,7 @@ func Compile(root *Node) *Program {
 // have grown to the working tree size.
 func (c *Compiler) Compile(root *Node) *Program {
 	c.compile(root)
-	c.prog = Program{code: c.code, depth: stackDepth(c.code), keyb: c.key}
+	c.prog = Program{code: c.code, depth: stackDepth(c.code), key: c.key}
 	return &c.prog
 }
 
@@ -231,14 +230,8 @@ func stackDepth(code []instr) (depth int) {
 // programs score bitwise identically). That makes it a collision-free
 // fitness-cache key: crossover and elitism re-create structurally
 // identical and mirrored offspring constantly, and every copy maps to
-// the same key. For compiler-owned programs the string is materialised
-// on demand.
-func (p *Program) Key() string {
-	if p.key == "" && len(p.keyb) > 0 {
-		return string(p.keyb)
-	}
-	return p.key
-}
+// the same key.
+func (p *Program) Key() string { return string(p.key) }
 
 // Len reports the instruction count (≤ the source tree's node count,
 // thanks to folding).

@@ -185,7 +185,6 @@ func TestSimplifyGuardMatchesReference(t *testing.T) {
 		cfg.Seed = rng.Int63()
 		isl := acquireIsland(d, cfg)
 		drawAll(isl)
-		isl.complete()
 		trees := []*Node{nonFinite}
 		for i := 0; i < 5; i++ {
 			trees = append(trees, randomTree(rng, 2+rng.Intn(4), numVars))

@@ -155,11 +155,8 @@ type Result struct {
 	// re-create constantly) share one compiled program and one score.
 	CacheHits int
 	// CacheMisses counts evaluations the cache could not serve: the first
-	// occurrence in a generation of a structure new to the run. A miss
-	// runs the compiled VM unless the parsimony bound rules it out of its
-	// generation's best (for the initial population: of the best after
-	// every chunk drawn so far) and the run stops before anything reads
-	// the whole generation.
+	// occurrence in the run of a structure. Every miss runs the compiled
+	// VM once.
 	CacheMisses int
 }
 
@@ -290,83 +287,31 @@ func trimmedMean(resids []float64) float64 {
 // evaluator scores program trees on one dataset through the compiled
 // engine. Each tree is compiled to postfix bytecode; the fitness cache —
 // keyed on the program's canonical structural encoding — serves repeat
-// structures across generations, and only cache misses run the VM, on
-// the evaluator's one machine.
-//
-// A miss whose parsimony term alone exceeds the batch's best fitness so
-// far cannot be the generation's best, so scoreAll defers it (see
-// scoreClasses) and complete scores it once something reads the whole
-// population. A batch is one tier of the stop ladder, one generation's
-// children, or the whole initial population, which grows by one drawn
-// chunk per scoreAll call: a program deferred in one chunk stays
-// deferred through the later ones.
+// structures across generations, and every cache miss runs the VM once,
+// on the evaluator's one machine, when it is compiled.
 type evaluator struct {
 	d     *Dataset
 	batch *Batch
 	cfg   Config
 	// m is the VM scratch, reused across generations and runs.
 	m *Machine
-	// comp is the compile scratch: trees compile into reusable buffers and
-	// only cache misses materialise a persistent Program, so cache hits
-	// cost zero allocations.
+	// comp is the compile scratch: trees compile into reusable buffers,
+	// and a miss is scored straight from them, so cache hits cost zero
+	// allocations and a miss allocates only its interned key.
 	comp *Compiler
-	// cache maps Program.Key to raw fitness across generations. Raw
-	// fitness is a pure function of the program, so entries never
-	// invalidate; fit is recomputed per tree because the parsimony
-	// penalty depends on the (unfolded) tree size. cached lists the keys
-	// this run inserted, which release deletes.
+	// cache maps a program's canonical key to its raw fitness across
+	// generations. Raw fitness is a pure function of the program, so
+	// entries never invalidate; fit is recomputed per tree because the
+	// parsimony penalty depends on the (unfolded) tree size. cached lists
+	// the keys this run inserted, which release deletes.
 	cache  map[string]float64
 	cached []string
-	// pending/missq/dupq are the batch's scratch, reused across batches:
-	// pending maps a key to its index in missq, and dupq holds the
-	// in-batch structural duplicates whose first occurrence is not
-	// scored yet.
-	pending map[string]int
-	missq   []missRef
-	dupq    []dupRef
-	// order and classEnd are the size-class counting sort's scratch:
-	// order lists missq indices in ascending bound size.
-	order    []int32
-	classEnd []int32
-	// out is the batch's output, and deferred lists the missq indices
-	// that wait for complete. Their programs stay out of the cache until
-	// they are scored, which is how their duplicates, in this chunk or a
-	// later one of the same batch, know to wait too.
-	out      []individual
-	deferred []int32
-	// progs/codeSlab are the per-batch program arena: compiled miss
-	// programs and their bytecode live only until the next batch starts
-	// (by then complete has scored any deferred ones), so both buffers
-	// are truncated and reused every batch —
-	// steady-state compilation of a miss allocates nothing but the
-	// interned key.
-	progs    []Program
-	codeSlab []instr
 	// evals/hits/misses count scoring requests (evals == hits+misses).
 	evals, hits, misses int
 	// distinct is the dataset's count of distinct X rows, and rows the
 	// scratch that counts them.
 	distinct int
 	rows     []int32
-}
-
-// missRef is one cache miss: the batch's tree i, of size nodes,
-// compiled to p, and done once scored. bound is the fewest nodes among
-// the batch's trees that compile to p (the miss and its in-batch
-// duplicates), so ParsimonyCoeff*bound is a lower bound on the fitness
-// of every one of them.
-type missRef struct {
-	i, size, bound int
-	p              *Program
-	done           bool
-}
-
-// dupRef marks trees[i] (of size nodes) as structurally identical to
-// missq[m]'s program. Sizes are per tree, not per program: two trees can
-// fold to the same bytecode yet differ in node count, and the parsimony
-// penalty is charged on the unfolded tree.
-type dupRef struct {
-	i, m, size int
 }
 
 // reset readies e to score on d, keeping its buffers, machine and map
@@ -386,7 +331,6 @@ func (e *evaluator) reset(d *Dataset, cfg Config) {
 	}
 	if e.cache == nil {
 		e.cache = make(map[string]float64)
-		e.pending = make(map[string]int)
 	}
 	e.evals, e.hits, e.misses = 0, 0, 0
 	e.distinct = e.countDistinct()
@@ -406,8 +350,6 @@ func (e *evaluator) release() {
 	e.cached = e.cached[:0]
 	e.d, e.cfg = nil, Config{}
 	e.batch.y = nil
-	e.out = nil
-	e.missq, e.dupq, e.deferred = e.missq[:0], e.dupq[:0], e.deferred[:0]
 }
 
 // scored builds the individual for tree t (of the given node count) with
@@ -416,168 +358,28 @@ func (e *evaluator) scored(t *Node, raw float64, size int) individual {
 	return individual{tree: t, size: size, raw: raw, fit: raw + e.cfg.ParsimonyCoeff*float64(size)}
 }
 
-// scoreAll evaluates trees[lo:] into out[lo:] (trees[i] into out[i]).
-// lo == 0 starts a batch; lo > 0 continues the batch of the previous call,
-// which scored trees[:lo] into out[:lo]. Trees whose structure was scored
-// before — in this batch or any earlier generation — are served from the
-// cache; the rest are compiled once and scored by scoreClasses, which may
-// defer some of them until complete. bestFit is the best fitness already
-// in the population out belongs to (+Inf if none).
-func (e *evaluator) scoreAll(trees []*Node, out []individual, lo int, bestFit float64) {
-	e.evals += len(trees) - lo
-	// Compile into the evaluator's scratch, consult the cache, and dedupe
-	// repeat structures within the batch (dups wait for the first
-	// occurrence). The map lookups convert the scratch key without
-	// allocating; only a genuine miss interns the key and materialises a
-	// persistent Program. Every slot not served by the
-	// cache holds its tree under a +Inf placeholder until it is scored.
-	if lo == 0 {
-		e.missq, e.dupq, e.deferred = e.missq[:0], e.dupq[:0], e.deferred[:0]
-		e.progs, e.codeSlab = e.progs[:0], e.codeSlab[:0]
-		clear(e.pending)
-	}
-	e.out = out
-	from := len(e.missq)
-	for i := lo; i < len(trees); i++ {
-		t := trees[i]
+// scoreAll evaluates trees[i] into out[i]. A tree whose structure was
+// scored before — earlier in this call or in any earlier one of the run —
+// is served from the cache; the rest run the VM straight from the
+// compiler's scratch. The cache lookup converts the scratch key without
+// allocating; only a miss interns its key.
+func (e *evaluator) scoreAll(trees []*Node, out []individual) {
+	e.evals += len(trees)
+	for i, t := range trees {
 		e.comp.compile(t)
 		size := e.comp.nodes
 		if raw, ok := e.cache[string(e.comp.key)]; ok {
 			e.hits++
 			out[i] = e.scored(t, raw, size)
-			bestFit = math.Min(bestFit, out[i].fit)
 			continue
 		}
-		out[i] = individual{tree: t, size: size, raw: math.Inf(1), fit: math.Inf(1)}
-		if mi, ok := e.pending[string(e.comp.key)]; ok {
-			e.hits++
-			e.dupq = append(e.dupq, dupRef{i: i, m: mi, size: size})
-			if size < e.missq[mi].bound {
-				e.missq[mi].bound = size
-			}
-			continue
-		}
+		e.misses++
+		p := Program{code: e.comp.code, depth: stackDepth(e.comp.code)}
+		out[i] = e.scored(t, e.rawScore(&p, t, e.m), size)
 		key := string(e.comp.key)
-		// The program lives in the batch arena; growth mid-batch leaves
-		// earlier programs pointing at the old (immutable) backing array.
-		co := len(e.codeSlab)
-		e.codeSlab = append(e.codeSlab, e.comp.code...)
-		e.progs = append(e.progs, Program{
-			code:  e.codeSlab[co:len(e.codeSlab):len(e.codeSlab)],
-			depth: stackDepth(e.comp.code), key: key,
-		})
-		e.pending[key] = len(e.missq)
-		e.missq = append(e.missq, missRef{i: i, size: size, bound: size, p: &e.progs[len(e.progs)-1]})
+		e.cache[key] = out[i].raw
+		e.cached = append(e.cached, key)
 	}
-	e.misses += len(e.missq) - from
-	e.scoreClasses(from, bestFit)
-	e.resolveDups()
-}
-
-// scoreClasses scores the batch's still-deferred misses together with
-// its misses from missq[from] on, in ascending bound size, one size class
-// at a time, and publishes their scores to the cache. A program's raw
-// error is never negative, so ParsimonyCoeff*bound bounds the fitness of
-// every tree sharing it from below: once that bound exceeds the best
-// fitness in the population so far, this class and every larger one can
-// hold neither the best nor a tie for it (bestOf keeps the first of equal
-// fits, hence the strict test), and they stay deferred, uncached, with
-// their +Inf placeholders. A deferred miss whose bound a later chunk
-// lowers can rejoin the scored classes.
-//
-//dplint:hotpath gp-score
-func (e *evaluator) scoreClasses(from int, bestFit float64) {
-	cand := e.deferred
-	for k := from; k < len(e.missq); k++ {
-		cand = append(cand, int32(k))
-	}
-	order := e.sortMisses(cand)
-	e.deferred = cand[:0]
-	coeff := e.cfg.ParsimonyCoeff
-	for lo := 0; lo < len(order); {
-		size := e.missq[order[lo]].bound
-		if coeff > 0 && coeff*float64(size) > bestFit {
-			e.deferred = append(e.deferred, order[lo:]...)
-			return
-		}
-		hi := lo + 1
-		for hi < len(order) && e.missq[order[hi]].bound == size {
-			hi++
-		}
-		e.scoreMisses(order[lo:hi])
-		for _, k := range order[lo:hi] {
-			bestFit = math.Min(bestFit, e.out[e.missq[k].i].fit)
-		}
-		lo = hi
-	}
-}
-
-// sortMisses lists the missq indices in cand in ascending bound size,
-// cand order within a size, with a counting sort into reused buffers.
-func (e *evaluator) sortMisses(cand []int32) []int32 {
-	maxBound := 0
-	for _, k := range cand {
-		maxBound = max(maxBound, e.missq[k].bound)
-	}
-	end := resize(e.classEnd, maxBound+1)
-	clear(end)
-	for _, k := range cand {
-		end[e.missq[k].bound]++
-	}
-	for s := 1; s < len(end); s++ {
-		end[s] += end[s-1]
-	}
-	order := resize(e.order, len(cand))
-	for j := len(cand) - 1; j >= 0; j-- {
-		b := e.missq[cand[j]].bound
-		end[b]--
-		order[end[b]] = cand[j]
-	}
-	e.order, e.classEnd = order, end
-	return order
-}
-
-// scoreMisses scores the misses missq[k], k in idx, into the batch's
-// output and publishes their scores to the cache.
-func (e *evaluator) scoreMisses(idx []int32) {
-	for _, k := range idx {
-		ms := &e.missq[k]
-		t := e.out[ms.i].tree
-		e.out[ms.i] = e.scored(t, e.rawScore(ms.p, t, e.m), ms.size)
-		ms.done = true
-		e.cache[ms.p.key] = e.out[ms.i].raw
-		e.cached = append(e.cached, ms.p.key)
-	}
-}
-
-// resolveDups fills in the in-batch duplicates whose first occurrence
-// has been scored and keeps the rest waiting.
-func (e *evaluator) resolveDups() {
-	waiting := e.dupq[:0]
-	for _, d := range e.dupq {
-		ms := &e.missq[d.m]
-		if !ms.done {
-			waiting = append(waiting, d)
-			continue
-		}
-		e.out[d.i] = e.scored(e.out[d.i].tree, e.out[ms.i].raw, d.size)
-	}
-	e.dupq = waiting
-}
-
-// complete scores the batch's deferred misses, publishes them to the
-// cache and resolves their duplicates, so the batch's output equals a
-// fully scored one. It reports whether anything was deferred. The
-// batch's trees and programs stay valid until the next batch starts, and
-// the engine completes before anything reads the whole population.
-func (e *evaluator) complete() bool {
-	if len(e.deferred) == 0 {
-		return false
-	}
-	e.scoreMisses(e.deferred)
-	e.deferred = e.deferred[:0]
-	e.resolveDups()
-	return true
 }
 
 // Run evolves a formula for the dataset.
@@ -757,10 +559,9 @@ const initChunk = 150
 // drawInitial draws and scores the island's initial population,
 // initChunk programs at a time, and returns the champion. After a chunk
 // that leaves programs undrawn, the run stops early, with the rest never
-// drawn, if the champion passes evaluator.stops. The population is one
-// batch that grows by a chunk at a time, so once completed it holds
-// exactly the population, cache and counters that scoring it in one call
-// would have left.
+// drawn, if the champion passes evaluator.stops. Each chunk is scored
+// against the cache the earlier ones filled, so the drawn population,
+// cache and counters are exactly those of scoring it in one call.
 func (isl *island) drawInitial() individual {
 	for {
 		isl.drawChunk()
@@ -804,7 +605,7 @@ func stopLadder(isl *island, k int) (best individual, stopped bool) {
 // when it does.
 func (isl *island) stopsOn(tier []*Node) (individual, bool) {
 	isl.ladder = resize(isl.ladder, len(tier))
-	isl.ev.scoreAll(tier, isl.ladder, 0, math.Inf(1))
+	isl.ev.scoreAll(tier, isl.ladder)
 	best := bestOf(isl.ladder)
 	if !isl.ev.stops(best) {
 		return individual{}, false
@@ -862,10 +663,8 @@ func (isl *island) basis(k int) []*Node {
 }
 
 // drawChunk draws the island's next initChunk initial programs, scores
-// them as the next part of one growing batch, and updates the champion.
-// Programs an earlier chunk deferred stay deferred: a repeat of one in
-// this chunk is an in-batch duplicate, which may lower its bound enough
-// to have it scored now. The first chunk seeds the island's RNG.
+// them into the population and updates the champion. The first chunk
+// seeds the island's RNG.
 func (isl *island) drawChunk() {
 	pop := isl.pops[isl.cur]
 	lo := len(isl.pop)
@@ -880,15 +679,9 @@ func (isl *island) drawChunk() {
 	}
 	isl.gen.arena = isl.arenas[isl.cur]
 	isl.gen.ramp(isl.children[lo:hi], lo, max(isl.cfg.MaxDepth/2, 3))
-	bestFit := math.Inf(1)
-	if lo > 0 {
-		bestFit = isl.best.fit
-	}
-	isl.ev.scoreAll(isl.children[:hi], pop[:hi], lo, bestFit)
+	isl.ev.scoreAll(isl.children[lo:hi], pop[lo:hi])
 	isl.pop = pop[:hi]
-	// Scoring an earlier chunk's deferred program fills in slots before
-	// lo too.
-	for i := range isl.pop {
+	for i := lo; i < hi; i++ {
 		isl.fits[i] = pop[i].fit
 	}
 	// bestOf keeps the first of equal fits, so a later chunk takes over
@@ -899,23 +692,9 @@ func (isl *island) drawChunk() {
 	}
 }
 
-// complete scores whatever the island's last scoring deferred and
-// refreshes fits, so the population is exactly a fully scored one. It
-// must run before anything reads the whole population: breeding's
-// tournaments.
-func (isl *island) complete() {
-	if !isl.ev.complete() {
-		return
-	}
-	for i := range isl.pop {
-		isl.fits[i] = isl.pop[i].fit
-	}
-}
-
 // step breeds and scores one generation. All of the island's RNG draws
 // happen here, in a fixed order.
 func (isl *island) step() {
-	isl.complete()
 	build := isl.arenas[1-isl.cur]
 	build.reset()
 	isl.gen.arena = build
@@ -927,7 +706,7 @@ func (isl *island) step() {
 	// Elitism: carry the champion over unchanged.
 	elite, _ := copyInto(build, isl.best.tree)
 	next[0] = individual{tree: elite, size: isl.best.size, raw: isl.best.raw, fit: isl.best.fit}
-	isl.ev.scoreAll(children, next[1:], 0, isl.best.fit)
+	isl.ev.scoreAll(children, next[1:])
 	isl.pop = next
 	isl.cur = 1 - isl.cur
 	for i := range next {

@@ -2,8 +2,10 @@ package gp
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -372,7 +374,6 @@ func TestStepAllocatesNothing(t *testing.T) {
 	for g := 0; g < 3; g++ {
 		isl.step()
 	}
-	isl.complete()
 	cur, best := isl.cur, isl.best
 	fits := append([]float64(nil), isl.fits...)
 	replay := func() {
@@ -385,5 +386,153 @@ func TestStepAllocatesNothing(t *testing.T) {
 	replay()
 	if allocs := testing.AllocsPerRun(20, replay); allocs != 0 {
 		t.Fatalf("warmed-up step allocates %v times", allocs)
+	}
+}
+
+// drawAll draws and scores the island's whole initial population.
+func drawAll(isl *island) {
+	for len(isl.pop) < len(isl.pops[isl.cur]) {
+		isl.drawChunk()
+	}
+}
+
+// linearDataset is y = slope*x + icept on 64 points: linear scaling fits
+// it at generation 0 up to rounding.
+func linearDataset(slope, icept float64) *Dataset {
+	d := &Dataset{}
+	for x := 0.0; x < 64; x++ {
+		d.X = append(d.X, []float64{x, math.Mod(x*5, 17)})
+		d.Y = append(d.Y, slope*x+icept)
+	}
+	return d
+}
+
+// checkScoredAlone compares the island's population with each tree
+// scored on its own: freshly compiled, on a fresh machine and evaluator,
+// without the cache.
+func checkScoredAlone(t *testing.T, what string, isl *island) {
+	t.Helper()
+	ref := new(evaluator)
+	ref.reset(isl.ev.d, isl.cfg)
+	for i, got := range isl.pop {
+		want := ref.scored(got.tree, ref.rawScore(Compile(got.tree), got.tree, NewMachine()), got.tree.Size())
+		same := got.size == want.size && sameBits(got.raw, want.raw) && sameBits(got.fit, want.fit)
+		if !same {
+			t.Fatalf("%s: pop[%d] = %+v, scored alone %+v", what, i, got, want)
+		}
+		if !sameBits(isl.fits[i], got.fit) {
+			t.Fatalf("%s: fits[%d] = %v, pop[%d].fit = %v", what, i, isl.fits[i], i, got.fit)
+		}
+	}
+}
+
+// The fitness cache never changes a score: after the initial draw and
+// after each of several generations, every population slot equals its
+// tree scored alone, bit for bit. Across random seeds and datasets.
+func TestCachedScoresMatchScoringAlone(t *testing.T) {
+	rng := newTestRNG(99)
+	datasets := []*Dataset{
+		udsLikeDataset(),
+		islandTestDataset(),
+		noisyDataset(),
+		randomEdgeDataset(rng, 40, 2),
+	}
+	for i := 0; i < 4; i++ {
+		datasets = append(datasets, linearDataset(rng.NormFloat64()*5, rng.NormFloat64()*50))
+	}
+	hits := 0
+	for di, d := range datasets {
+		seed := rng.Int63()
+		cfg := DefaultConfig()
+		cfg.PopulationSize, cfg.Seed = 120, seed
+		isl := acquireIsland(d, cfg)
+		drawAll(isl)
+		for gen := 0; gen < 5; gen++ {
+			if gen > 0 {
+				isl.step()
+			}
+			checkScoredAlone(t, fmt.Sprintf("dataset %d, seed %d, generation %d", di, seed, gen), isl)
+		}
+		hits += isl.ev.hits
+		isl.release()
+	}
+	if hits == 0 {
+		t.Fatal("no program was served from the cache; the test exercises nothing")
+	}
+}
+
+// drawWhole draws the island's whole initial population in one ramp and
+// scores it with one scoreAll call.
+func drawWhole(isl *island) {
+	pop := isl.pops[isl.cur]
+	isl.rng.Seed(isl.seed)
+	isl.gen.arena = isl.arenas[isl.cur]
+	isl.gen.ramp(isl.children, 0, max(isl.cfg.MaxDepth/2, 3))
+	isl.ev.scoreAll(isl.children, pop)
+	isl.pop = pop
+	for i := range pop {
+		isl.fits[i] = pop[i].fit
+	}
+	isl.best = bestOf(pop)
+	isl.best.tree = isl.best.tree.Clone()
+}
+
+// sameIndividual reports whether a and b are the same program with the
+// same size and score bits.
+func sameIndividual(a, b individual) bool {
+	return reflect.DeepEqual(a.tree, b.tree) && a.size == b.size &&
+		sameBits(a.raw, b.raw) && sameBits(a.fit, b.fit)
+}
+
+// Drawing the initial population in initChunk pieces leaves the same
+// population, fitness column, champion, counters and cache as drawing and
+// scoring it whole. Across datasets and seeds.
+func TestChunkedDrawMatchesWholeDraw(t *testing.T) {
+	rng := newTestRNG(23)
+	datasets := []*Dataset{
+		udsLikeDataset(),
+		islandTestDataset(),
+		noisyDataset(),
+		linearDataset(3, -7),
+		randomEdgeDataset(rng, 40, 2),
+	}
+	for di, d := range datasets {
+		for range 2 {
+			seed := rng.Int63()
+			cfg := DefaultConfig()
+			cfg.Seed = seed
+			what := fmt.Sprintf("dataset %d, seed %d", di, seed)
+			chunked := acquireIsland(d, cfg)
+			drawAll(chunked)
+			whole := acquireIsland(d, cfg)
+			drawWhole(whole)
+			if !sameIndividual(chunked.best, whole.best) {
+				t.Fatalf("%s: champion %+v, whole draw %+v", what, chunked.best, whole.best)
+			}
+			c, w := chunked.ev, whole.ev
+			if c.evals != w.evals || c.hits != w.hits || c.misses != w.misses {
+				t.Fatalf("%s: evals/hits/misses %d/%d/%d, whole draw %d/%d/%d",
+					what, c.evals, c.hits, c.misses, w.evals, w.hits, w.misses)
+			}
+			if len(chunked.pop) != len(whole.pop) {
+				t.Fatalf("%s: %d programs drawn, whole draw %d", what, len(chunked.pop), len(whole.pop))
+			}
+			for i := range chunked.pop {
+				if !sameIndividual(chunked.pop[i], whole.pop[i]) || !sameBits(chunked.fits[i], whole.fits[i]) {
+					t.Fatalf("%s: pop[%d] = %+v (fits %v), whole draw %+v (fits %v)",
+						what, i, chunked.pop[i], chunked.fits[i], whole.pop[i], whole.fits[i])
+				}
+			}
+			if len(c.cache) != len(w.cache) {
+				t.Fatalf("%s: %d programs cached, whole draw %d", what, len(c.cache), len(w.cache))
+			}
+			for key, raw := range w.cache {
+				if got, ok := c.cache[key]; !ok || !sameBits(got, raw) {
+					t.Fatalf("%s: cache[%q] = %v (present %v), whole draw %v", what, key, got, ok, raw)
+				}
+			}
+			chunked.release()
+			whole.release()
+		}
 	}
 }

@@ -135,8 +135,8 @@ func (c cancelAtGeneration) Generation(s GenerationStats) {
 
 // A run cancelled mid-evolution returns its scratch to the pool in
 // whatever state it reached; the next run must not notice. The second
-// cancelled run stops while misses are deferred: on a linear codec with
-// StopFitness 0 every generation defers most of its scoring.
+// cancelled run stops with its fitness cache well filled: on a linear
+// codec with StopFitness 0 it breeds until it is cancelled.
 func TestPooledScratchAfterCancelledRun(t *testing.T) {
 	a, b := poolCases()
 	c := poolCase{name: "C", d: udsLikeDataset(), cfg: DefaultConfig()}
