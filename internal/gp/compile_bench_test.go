@@ -112,10 +112,10 @@ func BenchmarkGPFitnessCache(b *testing.B) {
 	}
 }
 
-// BenchmarkGPRunConverging runs the engine on a stream it solves at
-// generation 0, as most pipeline streams are, at the server's quick
-// budget and the paper's: the cost is the initial population's scoring,
-// of which the parsimony bound defers most.
+// BenchmarkGPRunConverging runs the engine on a stream it solves before
+// any draw, as most pipeline streams are, at the server's quick budget
+// and the paper's: one scaled variable of the stop ladder meets the stop,
+// so the cost is a run's set-up and one scored program.
 func BenchmarkGPRunConverging(b *testing.B) {
 	d := udsLikeDataset()
 	for _, budget := range []struct {

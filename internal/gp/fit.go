@@ -75,14 +75,24 @@ func (e *evaluator) rawScore(p *Program, t *Node, m *Machine) float64 {
 	return raw
 }
 
+// negligibleTerm bounds, as a share of the largest |y|, what a root term
+// of a multi-term fit may contribute on every row and still be left out
+// of the reported formula: its coefficient is zero up to rounding.
+const negligibleTerm = 1e-9
+
 // materialise returns the program a run reports for its champion t: t's
 // fit written into the tree as c0 + c1·t1 + … + ck·tk, where the tj are t
 // itself (k = 1) or its root terms, with near-identity coefficients
-// snapped so they simplify away.
+// snapped so they simplify away. A root term whose contribution is
+// negligible is dropped, and the remaining terms are fitted and written
+// again.
 func (e *evaluator) materialise(t *Node) *Node {
 	m := e.m
 	e.rawScore(e.comp.Compile(t), t, m)
 	f := &m.fit
+	if rest := f.significantTerms(e.batch.y); rest != nil {
+		return e.materialise(rest)
+	}
 	var out *Node
 	for j := 0; j < f.k; j++ {
 		term := t
@@ -102,6 +112,52 @@ func (e *evaluator) materialise(t *Node) *Node {
 		out = NewBinary(OpAdd, out, NewConst(b))
 	}
 	return out
+}
+
+// significantTerms returns the sum of a multi-term fit's root terms
+// without those that contribute at most negligibleTerm·max|y| on every
+// row of y, or nil when it would drop none or all of them.
+func (f *fitScratch) significantTerms(y []float64) *Node {
+	if f.k < 2 {
+		return nil
+	}
+	bound := 0.0
+	for _, v := range y {
+		bound = math.Max(bound, math.Abs(v))
+	}
+	bound *= negligibleTerm
+	var drop [maxTerms]bool
+	dropped := 0
+	for j, col := range f.cols[:f.k] {
+		if drop[j] = negligible(col, f.coef[j+1], bound); drop[j] {
+			dropped++
+		}
+	}
+	if dropped == 0 || dropped == f.k {
+		return nil
+	}
+	var rest *Node
+	for j, term := range f.terms[:f.k] {
+		switch {
+		case drop[j]:
+		case rest == nil:
+			rest = term
+		default:
+			rest = NewBinary(OpAdd, rest, term)
+		}
+	}
+	return rest
+}
+
+// negligible reports whether c·col stays within bound on every row; a
+// NaN bound admits nothing.
+func negligible(col []float64, c, bound float64) bool {
+	for _, v := range col {
+		if !(math.Abs(c*v) <= bound) {
+			return false
+		}
+	}
+	return true
 }
 
 // oneMissRows is the fewest rows a dataset needs before the stop test

@@ -187,6 +187,27 @@ func TestRootFitFallsBackToOneColumn(t *testing.T) {
 	}
 }
 
+// materialise leaves out a root term whose fitted contribution is zero up
+// to rounding and writes the remaining terms' own fit, but keeps a term
+// that is small yet real.
+func TestMaterialiseDropsNegligibleTerms(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		f    func(a, b float64) float64
+		want string
+	}{
+		{"exact product", func(a, b float64) float64 { return a * b / 5 }, "(0.2 * (X0 * X1))"},
+		{"small real term", func(a, b float64) float64 { return a*b/5 + 1e-3*a }, "((0.001 * X0) + (0.2 * (X0 * X1)))"},
+	} {
+		e := new(evaluator)
+		e.reset(byteGrid(c.f), DefaultConfig())
+		tree := sum2(prod2(x0, x1), x0)
+		if got := Simplify(e.materialise(tree)).String(); got != c.want {
+			t.Errorf("%s: %s materialises as %s, want %s", c.name, tree, got, c.want)
+		}
+	}
+}
+
 // FuzzRootFit feeds the least-squares fit random term columns, with
 // constant, collinear, huge, NaN and infinite entries mixed in.
 func FuzzRootFit(f *testing.F) {

@@ -52,8 +52,8 @@ type ReversedESV struct {
 	// Evaluations counts the GP fitness evaluations requested for this
 	// stream; CacheHits of them were served by the engine's
 	// cross-generation fitness cache and CacheMisses were not
-	// (Evaluations = CacheHits + CacheMisses; see gp.Result for when a
-	// miss runs the compiled VM).
+	// (Evaluations = CacheHits + CacheMisses; each miss ran the compiled
+	// VM once).
 	Evaluations int
 	CacheHits   int
 	CacheMisses int
