@@ -6,13 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
 
-	"dpreverser/internal/can"
 	"dpreverser/internal/diagtool"
-	"dpreverser/internal/ocr"
+	"dpreverser/internal/faults"
 	"dpreverser/internal/sim"
 	"dpreverser/internal/vehicle"
 )
@@ -101,16 +101,39 @@ func smallCarM(t testing.TB) Capture {
 	return c
 }
 
+// TestReadCaptureMatchesOracleOnFleet decodes every fleet capture, clean
+// and through each fault preset, and requires that the straight pass
+// takes it (no encoding/json fallback) and that it decodes as
+// encoding/json decodes it.
 func TestReadCaptureMatchesOracleOnFleet(t *testing.T) {
-	seeds := []int64{1, 2, 3}
+	seeds := []int64{1, 2, 7}
 	if testing.Short() {
 		seeds = seeds[:1]
 	}
+	presets := []string{"default", "heavy", "adversarial"}
 	for _, seed := range seeds {
 		for _, p := range vehicle.Fleet() {
-			body := saveBody(t, fleetCapture(t, p, seed))
-			if err := checkAgainstOracle(t, body); err != nil {
-				t.Fatalf("%s seed %d: %v", p.Car, seed, err)
+			clean := fleetCapture(t, p, seed)
+			variants := map[string]Capture{"clean": clean}
+			for _, name := range presets {
+				spec, err := faults.ParseSpec(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				inj := faults.New(spec, 1)
+				c := clean
+				c.Frames = inj.Frames(c.Frames)
+				c.UIFrames = inj.UIFrames(c.UIFrames)
+				variants[name] = c
+			}
+			for name, c := range variants {
+				body := saveBody(t, c)
+				if _, ok := newDecoder().envelope(body); !ok {
+					t.Errorf("%s seed %d %s: the straight pass declined Save's output", p.Car, seed, name)
+				}
+				if err := checkAgainstOracle(t, body); err != nil {
+					t.Fatalf("%s seed %d %s: %v", p.Car, seed, name, err)
+				}
 			}
 		}
 	}
@@ -118,6 +141,9 @@ func TestReadCaptureMatchesOracleOnFleet(t *testing.T) {
 
 // envelope wraps a capture object in a v1 envelope.
 func envelope(capture string) string { return `{"version":1,"capture":` + capture + `}` }
+
+// maxNestingDepth is encoding/json's container nesting limit.
+const maxNestingDepth = 10000
 
 // nested returns depth arrays nested inside one another.
 func nested(depth int) string { return strings.Repeat("[", depth) + strings.Repeat("]", depth) }
@@ -266,16 +292,15 @@ func TestReadCaptureMatchesOracleOnTruncations(t *testing.T) {
 	checkAgainstOracle(t, body)
 }
 
-// Save writes every frame and text like these, which the decoder reads
-// in one straight pass (straightFrame, straightText).
+// Save writes every frame and text like these.
 const (
 	saveFrame = `{"ID":2024,"Extended":false,"Data":[2,65,13,0,0,0,0,0],"Len":8,"Timestamp":123456}`
 	saveText  = `{"Content":"Vehicle Speed","X":40,"Y":60,"W":360,"H":40}`
 )
 
 // nearSaveCases are frame and text objects one step from saveFrame or
-// saveText. straight says whether the straight pass reads them; the rest
-// must fall back to the member loop with nothing consumed or written.
+// saveText. straight says whether the straight pass reads them inside a
+// Save-layout envelope; the rest send the whole body to encoding/json.
 var nearSaveCases = []struct {
 	name     string
 	frame    bool
@@ -285,15 +310,20 @@ var nearSaveCases = []struct {
 	{"save frame", true, saveFrame, true},
 	{"extended frame", true, `{"ID":418119921,"Extended":true,"Data":[255,0,1,2,3,4,5,6],"Len":3,"Timestamp":0}`, true},
 	{"max values", true, `{"ID":4294967295,"Extended":false,"Data":[255,255,255,255,255,255,255,255],"Len":9223372036854775807,"Timestamp":9223372036854775807}`, true},
+	{"min values", true, `{"ID":0,"Extended":false,"Data":[0,0,0,0,0,0,0,0],"Len":-9223372036854775808,"Timestamp":-9223372036854775808}`, true},
 	{"19-digit timestamp", true, `{"ID":1,"Extended":false,"Data":[0,0,0,0,0,0,0,0],"Len":0,"Timestamp":1234567890123456789}`, true},
 	{"20-digit timestamp", true, `{"ID":1,"Extended":false,"Data":[0,0,0,0,0,0,0,0],"Len":0,"Timestamp":12345678901234567890}`, false},
 	{"2^64 wraps to 0", true, `{"ID":1,"Extended":false,"Data":[0,0,0,0,0,0,0,0],"Len":0,"Timestamp":18446744073709551616}`, false},
 	{"timestamp past int64", true, `{"ID":1,"Extended":false,"Data":[0,0,0,0,0,0,0,0],"Len":0,"Timestamp":9223372036854775808}`, false},
+	{"timestamp past -int64", true, `{"ID":1,"Extended":false,"Data":[0,0,0,0,0,0,0,0],"Len":0,"Timestamp":-9223372036854775809}`, false},
 	{"swapped members", true, `{"Extended":false,"ID":2024,"Data":[2,65,13,0,0,0,0,0],"Len":8,"Timestamp":123456}`, false},
 	{"whitespace", true, `{"ID": 2024,"Extended":false,"Data":[2,65,13,0,0,0,0,0],"Len":8,"Timestamp":123456}`, false},
 	{"leading whitespace", true, ` ` + saveFrame, false},
-	{"negative zero", true, `{"ID":2024,"Extended":false,"Data":[2,65,13,0,0,0,0,0],"Len":-0,"Timestamp":123456}`, false},
-	{"negative timestamp", true, `{"ID":2024,"Extended":false,"Data":[2,65,13,0,0,0,0,0],"Len":8,"Timestamp":-5}`, false},
+	{"negative zero", true, `{"ID":2024,"Extended":false,"Data":[2,65,13,0,0,0,0,0],"Len":-0,"Timestamp":123456}`, true},
+	{"negative timestamp", true, `{"ID":2024,"Extended":false,"Data":[2,65,13,0,0,0,0,0],"Len":8,"Timestamp":-5}`, true},
+	{"negative zero id", true, `{"ID":-0,"Extended":false,"Data":[2,65,13,0,0,0,0,0],"Len":8,"Timestamp":123456}`, false},
+	{"negative data", true, `{"ID":2024,"Extended":false,"Data":[2,-65,13,0,0,0,0,0],"Len":8,"Timestamp":123456}`, false},
+	{"bare minus", true, `{"ID":2024,"Extended":false,"Data":[2,65,13,0,0,0,0,0],"Len":-,"Timestamp":123456}`, false},
 	{"leading zeros", true, `{"ID":2024,"Extended":false,"Data":[2,65,13,0,0,0,0,0],"Len":007,"Timestamp":123456}`, false},
 	{"exponent", true, `{"ID":2024,"Extended":false,"Data":[2,65,13,0,0,0,0,0],"Len":1e3,"Timestamp":123456}`, false},
 	{"fraction", true, `{"ID":2024,"Extended":false,"Data":[2,65,13,0,0,0,0,0],"Len":8.0,"Timestamp":123456}`, false},
@@ -311,18 +341,40 @@ var nearSaveCases = []struct {
 	{"save text", false, saveText, true},
 	{"empty content", false, `{"Content":"","X":0,"Y":0,"W":0,"H":0}`, true},
 	{"printable ascii", false, `{"Content":"~!#$%&'()*+,-./:;<=>?@[]^_{|}` + "\x7f" + `","X":1,"Y":2,"W":3,"H":4}`, true},
-	{"escaped content", false, `{"Content":"a\"b","X":40,"Y":60,"W":360,"H":40}`, false},
-	{"unicode escape", false, `{"Content":"\u003c40","X":40,"Y":60,"W":360,"H":40}`, false},
-	{"non-ascii content", false, `{"Content":"Öltemperatur °C","X":40,"Y":60,"W":360,"H":40}`, false},
+	{"escaped content", false, `{"Content":"a\"b","X":40,"Y":60,"W":360,"H":40}`, true},
+	{"unicode escape", false, `{"Content":"\u003c40","X":40,"Y":60,"W":360,"H":40}`, true},
+	{"escaped backslash before quote", false, `{"Content":"a\\","X":40,"Y":60,"W":360,"H":40}`, true},
+	{"bad escape", false, `{"Content":"a\qb","X":40,"Y":60,"W":360,"H":40}`, false},
+	{"lone surrogate escape", false, `{"Content":"\ud83d","X":40,"Y":60,"W":360,"H":40}`, true},
+	{"non-ascii content", false, `{"Content":"Öltemperatur °C","X":40,"Y":60,"W":360,"H":40}`, true},
+	{"replacement character", false, `{"Content":"1` + "\ufffd" + `5","X":40,"Y":60,"W":360,"H":40}`, true},
+	{"invalid utf-8", false, `{"Content":"a` + "\xff" + `b","X":40,"Y":60,"W":360,"H":40}`, false},
+	{"invalid utf-8 beside an escape", false, `{"Content":"a` + "\xff" + `\nb","X":40,"Y":60,"W":360,"H":40}`, true},
+	{"control byte", false, `{"Content":"a` + "\t" + `b","X":40,"Y":60,"W":360,"H":40}`, false},
 	{"null content", false, `{"Content":null,"X":40,"Y":60,"W":360,"H":40}`, false},
-	{"negative x", false, `{"Content":"Vehicle Speed","X":-40,"Y":60,"W":360,"H":40}`, false},
+	{"negative x", false, `{"Content":"Vehicle Speed","X":-40,"Y":60,"W":360,"H":40}`, true},
 	{"swapped text members", false, `{"X":40,"Content":"Vehicle Speed","Y":60,"W":360,"H":40}`, false},
 	{"text whitespace", false, `{"Content":"Vehicle Speed", "X":40,"Y":60,"W":360,"H":40}`, false},
 	{"unterminated content", false, `{"Content":"Vehicle`, false},
+	{"unterminated escape", false, `{"Content":"Vehicle\`, false},
+}
+
+// saveDocument places obj between two Save-shaped objects of its kind in
+// an envelope laid out as Save writes it.
+func saveDocument(frame bool, obj string) string {
+	frames, texts := "null", `[]`
+	if frame {
+		frames = `[` + saveFrame + `,` + obj + `,` + saveFrame + `]`
+	} else {
+		texts = `[` + saveText + `,` + obj + `,` + saveText + `]`
+	}
+	return `{"version":1,"capture":{"Car":"Car M","Model":"","ToolName":"t","Protocol":2,"Frames":` + frames +
+		`,"UIFrames":[{"At":5,"ScreenName":"obd-live","Title":"","Texts":` + texts + `},{"At":6,"ScreenName":"","Title":"","Texts":null}]` +
+		`,"Clicks":[{"At":7,"X":-1,"Y":2,"Text":"\u003cback-arrow\u003e","Hit":true}]}}` + "\n"
 }
 
 // nearSaveDocument places obj between two Save-shaped objects of its
-// kind, and again in a repeated array that decodes over the first.
+// kind, and again in a repeated array.
 func nearSaveDocument(frame bool, obj string) string {
 	if frame {
 		return envelope(`{"Frames":[` + saveFrame + `,` + obj + `,` + saveFrame + `],"Frames":[` + obj + `]}`)
@@ -331,34 +383,16 @@ func nearSaveDocument(frame bool, obj string) string {
 }
 
 // TestReadCaptureNearSaveObjects checks the straight pass takes exactly
-// the objects it should, leaves the cursor and the element alone when it
-// declines, and that either way the document decodes as encoding/json
-// decodes it.
+// the objects it should, and that either way the document decodes as
+// encoding/json decodes it.
 func TestReadCaptureNearSaveObjects(t *testing.T) {
 	for _, tc := range nearSaveCases {
 		t.Run(tc.name, func(t *testing.T) {
-			d := newDecoder()
-			d.data = []byte(tc.obj)
-			var took bool
-			if tc.frame {
-				f := can.Frame{ID: 99, Len: 99}
-				took = d.straightFrame(&f)
-				if !took && f != (can.Frame{ID: 99, Len: 99}) {
-					t.Fatalf("declined, but wrote %+v", f)
-				}
-			} else {
-				x := ocr.Text{Content: "kept", X: 99}
-				took = d.straightText(&x)
-				if !took && x != (ocr.Text{Content: "kept", X: 99}) {
-					t.Fatalf("declined, but wrote %+v", x)
-				}
-			}
-			if took != tc.straight {
+			doc := []byte(saveDocument(tc.frame, tc.obj))
+			if _, took := newDecoder().envelope(doc); took != tc.straight {
 				t.Fatalf("straight pass took it: %v, want %v", took, tc.straight)
 			}
-			if want := map[bool]int{true: len(tc.obj), false: 0}[took]; d.pos != want {
-				t.Fatalf("cursor at %d, want %d", d.pos, want)
-			}
+			checkAgainstOracle(t, doc)
 			checkAgainstOracle(t, []byte(nearSaveDocument(tc.frame, tc.obj)))
 		})
 	}
@@ -388,6 +422,7 @@ func TestReadCaptureReadErrorAfterEnvelope(t *testing.T) {
 // less common paths, for the fuzz corpus.
 func mutations(body []byte) [][]byte {
 	s := string(body)
+	texts := regexp.MustCompile(`"Texts":\[[^\]]*\]`).FindStringIndex(s)
 	return [][]byte{
 		[]byte(strings.Replace(s, `"ID":`, `"id":`, 1)),
 		[]byte(strings.Replace(s, `"Frames":[`, `"Frames":null,"Frames":[`, 1)),
@@ -408,6 +443,14 @@ func mutations(body []byte) [][]byte {
 		[]byte(strings.Replace(s, `"Content":"`, `"Content":"\u0041`, 1)),
 		[]byte(strings.Replace(s, `"X":`, `"X":-`, 1)),
 		[]byte(strings.Replace(s, `"X":`, `"X":00`, 1)),
+		// Branches of the straight pass over the whole envelope: an
+		// escaped click text, a raw invalid UTF-8 byte, a null and an
+		// empty array, and bytes after the envelope.
+		[]byte(strings.Replace(s, `"Text":"`, `"Text":"\u003cback\"`, 1)),
+		[]byte(strings.Replace(s, `"Content":"`, "\"Content\":\"\xff", 1)),
+		[]byte(s[:texts[0]] + `"Texts":null` + s[texts[1]:]),
+		[]byte(s[:strings.LastIndex(s, `"Clicks":`)] + `"Clicks":[]}}` + "\n"),
+		[]byte(s + `{"version":2}`),
 		body[:len(body)/2],
 	}
 }
@@ -460,10 +503,10 @@ func TestDecoderReuse(t *testing.T) {
 	bodies := reuseBodies(t)
 	reused := newDecoder()
 	for i, body := range append(bodies, bodies[1]) {
-		want, wantErr := newDecoder().envelope(body)
-		got, err := reused.envelope(body)
-		if (err == nil) != (wantErr == nil) || err == nil && !reflect.DeepEqual(got, want) {
-			t.Fatalf("decode %d on a reused decoder: err %v, want %v", i, err, wantErr)
+		want, wantOK := newDecoder().envelope(body)
+		got, ok := reused.envelope(body)
+		if ok != wantOK || ok && !reflect.DeepEqual(got, want) {
+			t.Fatalf("decode %d on a reused decoder: took %v, want %v", i, ok, wantOK)
 		}
 		reused.reset()
 		if !zeroed(reused.uiFrames) || !zeroed(reused.texts) ||
@@ -471,8 +514,8 @@ func TestDecoderReuse(t *testing.T) {
 			t.Fatalf("decode %d: reset left references in the decoder", i)
 		}
 		pooled, err := ReadCapture(bytes.NewReader(body))
-		if (err == nil) != (wantErr == nil) || err == nil && !reflect.DeepEqual(pooled, want.Capture) {
-			t.Fatalf("decode %d through the pool: err %v, want %v", i, err, wantErr)
+		if (err == nil) != wantOK || err == nil && !reflect.DeepEqual(pooled, want.Capture) {
+			t.Fatalf("decode %d through the pool: err %v, want success %v", i, err, wantOK)
 		}
 	}
 }
@@ -483,7 +526,10 @@ func TestReadCaptureConcurrent(t *testing.T) {
 	bodies := reuseBodies(t)
 	wants := make([]Capture, len(bodies))
 	for i, body := range bodies {
-		env, _ := newDecoder().envelope(body)
+		env, ok := newDecoder().envelope(body)
+		if ok != (i != 2) {
+			t.Fatalf("body %d: straight pass took it: %v", i, ok)
+		}
 		wants[i] = env.Capture
 	}
 	var wg sync.WaitGroup

@@ -32,8 +32,9 @@ func (c Capture) Save(w io.Writer) error {
 
 // readScratch is one ReadCapture's working memory: the body and the
 // decoder's buffers. ReadCapture reuses it, which is safe because nothing
-// in a decoded Capture aliases it: intern and unquote copy strings, and
-// arrays are copied out at their exact length.
+// in a decoded Capture aliases it: intern and unquote copy strings,
+// arrays are copied out at their exact length, and encoding/json copies
+// what it decodes.
 type readScratch struct {
 	body bytes.Buffer
 	dec  *decoder
@@ -50,16 +51,24 @@ var readFree = make(chan *readScratch, runtime.GOMAXPROCS(0))
 const maxPooledBody = 16 << 20
 
 // ReadCapture deserialises a capture written by Save. The body is read
-// whole, then decoded in one pass (capture_decode.go). Bytes after the
-// envelope are read and ignored, and a read error after a complete
-// envelope does not fail the decode.
+// whole, then decoded in one pass when it is laid out as Save writes it
+// (capture_decode.go), else by encoding/json. Bytes after the envelope
+// are read and ignored, and a read error after a complete envelope does
+// not fail the decode.
 func ReadCapture(r io.Reader) (Capture, error) {
 	sc := acquireScratch()
 	defer sc.release()
 	// bytes.Buffer doubles as it reads; io.ReadAll's append growth would
 	// allocate several times the body on the way up.
 	_, readErr := sc.body.ReadFrom(r)
-	env, err := sc.dec.envelope(sc.body.Bytes())
+	env, ok := sc.dec.envelope(sc.body.Bytes())
+	var err error
+	if !ok {
+		// A fresh envelope, so that only this path moves one to the heap.
+		var fresh captureEnvelope
+		err = json.NewDecoder(bytes.NewReader(sc.body.Bytes())).Decode(&fresh)
+		env = fresh
+	}
 	switch {
 	case err != nil && readErr != nil:
 		return Capture{}, fmt.Errorf("rig: reading capture: %w", readErr)
