@@ -8,7 +8,7 @@
 //
 //	dpreverse -car "Car A"          # reverse engineer the Skoda Octavia
 //	dpreverse -list                 # list the fleet
-//	dpreverse -car "Car K" -quick   # shorter recording, GP at 300 programs x 20 generations
+//	dpreverse -car "Car K" -quick   # shorter recordings and a reduced GP budget
 //	dpreverse -car "Car A" -json    # machine-readable result on stdout
 //	dpreverse -car "Car A" -parallel 4
 //	dpreverse -car "Car A" -faults default -fault-seed 1
@@ -42,6 +42,7 @@ import (
 	"time"
 
 	"dpreverser/internal/diagtool"
+	"dpreverser/internal/experiments"
 	"dpreverser/internal/faults"
 	"dpreverser/internal/reverser"
 	"dpreverser/internal/rig"
@@ -60,7 +61,7 @@ func main() {
 func run() error {
 	car := flag.String("car", "Car A", "fleet car to reverse engineer (see -list)")
 	list := flag.Bool("list", false, "list the simulated fleet and exit")
-	quick := flag.Bool("quick", false, "short recordings and reduced GP budget: 300 programs x 20 generations")
+	quick := flag.Bool("quick", false, "short recordings and the reduced GP budget of experiments -quick")
 	seed := flag.Int64("seed", 1, "seed for OCR noise and GP")
 	parallel := flag.Int("parallel", 0, "stream-preparation and inference workers (0 = all CPUs)")
 	jsonOut := flag.Bool("json", false, "emit the result as JSON on stdout")
@@ -128,11 +129,8 @@ func run() error {
 		defer tool.Close()
 		defer veh.Close()
 
-		cfgRig := rig.DefaultConfig()
+		cfgRig := experiments.RigConfig(*quick)
 		cfgRig.Seed = *seed
-		if *quick {
-			cfgRig = quickRigConfig(*seed)
-		}
 		r := rig.New(tool, veh, cfgRig)
 		defer r.Close()
 		cap, err = r.RunFull()
@@ -168,12 +166,8 @@ func run() error {
 		return err
 	}
 
-	cfg := reverser.DefaultConfig()
+	cfg := experiments.ReverserConfig(*quick)
 	cfg.GP.Seed = *seed
-	if *quick {
-		cfg.GP.PopulationSize = 300
-		cfg.GP.Generations = 20
-	}
 	opts := []reverser.Option{
 		reverser.WithConfig(cfg),
 		reverser.WithParallelism(*parallel),
@@ -281,13 +275,4 @@ func renderProgress(status func(format string, args ...any)) reverser.ProgressFu
 			}
 		}
 	}
-}
-
-func quickRigConfig(seed int64) rig.Config {
-	cfg := rig.DefaultConfig()
-	cfg.Seed = seed
-	cfg.ReadDuration = 10 * time.Second
-	cfg.AlignDuration = 5 * time.Second
-	cfg.TestDuration = time.Second
-	return cfg
 }

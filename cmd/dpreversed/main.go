@@ -2,16 +2,19 @@
 // the batch pipeline behind cmd/dpreverse, re-hosted as a long-running
 // HTTP service. Tenants upload rig captures (or stream live traffic over
 // the canbridge line protocol), poll job progress, and fetch results that
-// are byte-identical with a local `dpreverse -json` run. Jobs land in a
-// sharded in-memory queue partitioned by (tenant, car, stream key) and a
-// bounded worker fleet runs them with per-tenant quotas, queue-depth
-// backpressure (429 + Retry-After) and graceful drain on SIGTERM.
+// are byte-identical with what `dpreverse -load-capture F -json` prints for
+// the same capture, at the same -quick setting and the default -seed. Jobs
+// land in a sharded in-memory queue partitioned by (tenant, car, stream
+// key) and a bounded worker fleet runs them with per-tenant quotas,
+// queue-depth backpressure (429 + Retry-After) and graceful drain on
+// SIGTERM. The retry hint, the latency SLOs, the flight-recorder size and
+// the ingest guardrails are fixed (see internal/jobserver).
 //
 // Usage:
 //
 //	dpreversed                                # HTTP API on 127.0.0.1:8780
 //	dpreversed -addr :8780 -ingest :8781      # plus live canbridge ingest
-//	dpreversed -quick                         # GP at 150 programs x 10 generations per job
+//	dpreversed -quick                         # the GP budget of dpreverse -quick per job
 //
 // API sketch (see internal/jobserver for the full surface):
 //
@@ -35,6 +38,7 @@ import (
 	"syscall"
 	"time"
 
+	"dpreverser/internal/experiments"
 	"dpreverser/internal/jobserver"
 	"dpreverser/internal/reverser"
 	"dpreverser/internal/telemetry"
@@ -47,36 +51,18 @@ func main() {
 	}
 }
 
-// jobOptions is the base reverser configuration every job runs under.
-func jobOptions(quick bool) []reverser.Option {
-	cfg := reverser.DefaultConfig()
-	if quick {
-		cfg.GP.PopulationSize = 150
-		cfg.GP.Generations = 10
-	}
-	return []reverser.Option{reverser.WithConfig(cfg)}
-}
-
 func run() error {
+	def := jobserver.DefaultConfig()
 	addr := flag.String("addr", "127.0.0.1:8780", "HTTP listen address")
 	ingest := flag.String("ingest", "", "canbridge ingest listen address (empty disables live streams)")
-	shards := flag.Int("shards", 4, "job queue shards; (tenant, car, stream) keys pin to one shard")
-	workers := flag.Int("workers", 1, "workers per shard (total fleet = shards x workers)")
-	queueDepth := flag.Int("queue-depth", 64, "per-shard backlog limit before 429 backpressure")
-	tenantMax := flag.Int("tenant-max", 8, "per-tenant live job quota")
-	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After hint on rejected submissions")
-	quick := flag.Bool("quick", false, "reduced GP budget per job: 150 programs x 10 generations")
+	shards := flag.Int("shards", def.Shards, "job queue shards; (tenant, car, stream) keys pin to one shard")
+	workers := flag.Int("workers", def.WorkersPerShard, "workers per shard (total fleet = shards x workers)")
+	queueDepth := flag.Int("queue-depth", def.QueueDepth, "per-shard backlog limit before 429 backpressure")
+	tenantMax := flag.Int("tenant-max", def.TenantMaxActive, "per-tenant live job quota")
+	quick := flag.Bool("quick", false, "reduced GP budget per job, the same as dpreverse -quick")
 	drainTimeout := flag.Duration("drain-timeout", time.Minute, "graceful-drain budget on shutdown before jobs are cancelled")
 	logFormat := flag.String("log-format", "text", "structured-log format on stderr (text or json; empty disables)")
 	logLevel := flag.String("log-level", "info", "minimum structured-log level (debug, info, warn or error)")
-	sloQueue := flag.Duration("slo-queue-wait", 5*time.Second, "queue-wait SLO objective per job")
-	sloRun := flag.Duration("slo-run", 2*time.Minute, "run-latency SLO objective per job")
-	sloTarget := flag.Float64("slo-target", 0.99, "SLO good-fraction target (burn rate 1.0 = burning exactly the budget)")
-	flightEvents := flag.Int("flight-events", telemetry.DefaultRingCapacity, "per-job flight-recorder ring capacity (log records kept per job)")
-	ingestIdle := flag.Duration("ingest-idle-timeout", 2*time.Minute, "fail an ingest session whose peer sends nothing for this long (0 disables)")
-	ingestFrames := flag.Int("ingest-max-frames", 2_000_000, "per-session ingest frame budget (0 = unlimited)")
-	ingestBytes := flag.Int64("ingest-max-bytes", 64<<20, "per-session ingest payload-byte budget (0 = unlimited)")
-	ingestScreen := flag.Bool("ingest-screen", true, "reject streamed captures carrying transport-layer attack signatures at admission")
 	flag.Parse()
 
 	cfg := jobserver.Config{
@@ -84,17 +70,7 @@ func run() error {
 		WorkersPerShard: *workers,
 		QueueDepth:      *queueDepth,
 		TenantMaxActive: *tenantMax,
-		RetryAfter:      *retryAfter,
-		QueueWaitSLO:    *sloQueue,
-		RunSLO:          *sloRun,
-		SLOTarget:       *sloTarget,
-		FlightEvents:    *flightEvents,
-		Reverser:        jobOptions(*quick),
-
-		IngestIdleTimeout: *ingestIdle,
-		IngestMaxFrames:   *ingestFrames,
-		IngestMaxBytes:    *ingestBytes,
-		ScreenStreams:     *ingestScreen,
+		Reverser:        []reverser.Option{reverser.WithConfig(experiments.ReverserConfig(*quick))},
 	}
 	return serve(cfg, *addr, *ingest, *drainTimeout, *logFormat, *logLevel)
 }

@@ -30,9 +30,10 @@ import (
 
 // Options tunes experiment scale.
 type Options struct {
-	// Quick shrinks recording durations and the GP budget so the whole
-	// suite runs in seconds (tests/CI); the default reproduces the paper's
-	// settings (30-second reads, 1000×30 GP).
+	// Quick shrinks recording durations and the GP budget (RigConfig,
+	// ReverserConfig) so the whole suite runs in seconds (tests/CI); the
+	// default reproduces the paper's settings (30-second reads, 1000×30
+	// GP).
 	Quick bool
 	// Seed perturbs the OCR error streams and GP seeds.
 	Seed int64
@@ -70,9 +71,25 @@ func (o Options) workers() int {
 
 // rigConfig builds the collection parameters for an options set.
 func (o Options) rigConfig() rig.Config {
-	cfg := rig.DefaultConfig()
+	cfg := RigConfig(o.Quick)
 	cfg.Seed = o.Seed + 1
-	if o.Quick {
+	return cfg
+}
+
+// reverserConfig builds the pipeline parameters for an options set.
+func (o Options) reverserConfig() reverser.Config {
+	cfg := ReverserConfig(o.Quick)
+	cfg.GP.Seed = o.Seed + 2
+	return cfg
+}
+
+// RigConfig is the collection configuration of a run: the paper's
+// 30-second recordings, or for a quick run 10 s reads, 5 s alignment and
+// 1 s actuator tests. Every quick run (Options.Quick and the CLIs' -quick)
+// records with these.
+func RigConfig(quick bool) rig.Config {
+	cfg := rig.DefaultConfig()
+	if quick {
 		cfg.ReadDuration = 10 * time.Second
 		cfg.AlignDuration = 5 * time.Second
 		cfg.TestDuration = time.Second
@@ -80,11 +97,12 @@ func (o Options) rigConfig() rig.Config {
 	return cfg
 }
 
-// reverserConfig builds the pipeline parameters for an options set.
-func (o Options) reverserConfig() reverser.Config {
+// ReverserConfig is the pipeline configuration of a run: the paper's GP
+// budget (1000 programs × 30 generations), or for a quick run 300 × 20.
+// Every quick run (Options.Quick and the CLIs' -quick) infers with it.
+func ReverserConfig(quick bool) reverser.Config {
 	cfg := reverser.DefaultConfig()
-	cfg.GP.Seed = o.Seed + 2
-	if o.Quick {
+	if quick {
 		cfg.GP.PopulationSize = 300
 		cfg.GP.Generations = 20
 	}

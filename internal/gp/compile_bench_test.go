@@ -112,12 +112,14 @@ func BenchmarkGPFitnessCache(b *testing.B) {
 	}
 }
 
-// BenchmarkGPRunConverging runs the engine on a stream it solves before
-// any draw, as most pipeline streams are, at the server's quick budget
-// and the paper's: one scaled variable of the stop ladder meets the stop,
-// so the cost is a run's set-up and one scored program.
+// BenchmarkGPRunConverging runs the engine on a stream the stop ladder
+// cannot fit (5·ln(a) + 3), at the benchmark's quick budget and the
+// paper's, so every run draws and scores at least one chunk of its
+// initial population: the cost is the ladder, the drawn programs'
+// scoring and any breeding until the stop. A run that ends before
+// drawing fails the benchmark, so it cannot decay into timing set-up.
 func BenchmarkGPRunConverging(b *testing.B) {
-	d := udsLikeDataset()
+	d := logDataset()
 	for _, budget := range []struct {
 		name      string
 		pop, gens int
@@ -126,12 +128,20 @@ func BenchmarkGPRunConverging(b *testing.B) {
 			cfg := DefaultConfig()
 			cfg.PopulationSize, cfg.Generations = budget.pop, budget.gens
 			b.ReportAllocs()
+			evals := 0
 			for i := 0; i < b.N; i++ {
 				cfg.Seed = int64(i + 1)
-				if _, err := Run(d, cfg); err != nil {
+				res, err := Run(d, cfg)
+				if err != nil {
 					b.Fatal(err)
 				}
+				if res.Evaluations < initChunk {
+					b.Fatalf("seed %d: the run ended after %d evaluations, before drawing its initial population",
+						cfg.Seed, res.Evaluations)
+				}
+				evals += res.Evaluations
 			}
+			b.ReportMetric(float64(evals)/float64(b.N), "evals/op")
 		})
 	}
 }

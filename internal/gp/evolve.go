@@ -551,9 +551,9 @@ func resize[T any](s []T, n int) []T {
 }
 
 // initChunk is how many programs of its initial population an island
-// draws and scores at a time. It is one quick-budget population, and a
-// multiple of the ramp's six-program cycle (three depths, grown or full),
-// so every chunk ends on a balanced sample.
+// draws and scores at a time. It is one population of the benchmark's
+// quick budget, and a multiple of the ramp's six-program cycle (three
+// depths, grown or full), so every chunk ends on a balanced sample.
 const initChunk = 150
 
 // drawInitial draws and scores the island's initial population,

@@ -60,7 +60,7 @@ func TestIdleStreamExpiredWithoutStarvingTenants(t *testing.T) {
 	cap := carMCapture(t)
 	mc := telemetry.NewManualClock(0)
 	prov := telemetry.New(mc)
-	srv := New(Config{Reverser: quickOpts(), IngestIdleTimeout: 100 * time.Millisecond}, prov)
+	srv := New(Config{Reverser: quickOpts()}, prov)
 	defer srv.Close()
 
 	addr, err := srv.ServeIngest("127.0.0.1:0")
@@ -90,7 +90,7 @@ func TestIdleStreamExpiredWithoutStarvingTenants(t *testing.T) {
 	}
 
 	// Advance the injected clock past the timeout and sweep.
-	mc.Advance(time.Second)
+	mc.Advance(ingestIdleTimeout + time.Second)
 	if n := srv.ExpireIdleStreams(); n != 1 {
 		t.Fatalf("ExpireIdleStreams = %d, want 1", n)
 	}
@@ -109,8 +109,10 @@ func TestIdleStreamExpiredWithoutStarvingTenants(t *testing.T) {
 // TestStreamFrameBudgetFailsJob: a session exceeding its frame budget is
 // refused mid-stream and the job fails with the budget's distinct reason.
 func TestStreamFrameBudgetFailsJob(t *testing.T) {
+	defer func(n int) { ingestMaxFrames = n }(ingestMaxFrames)
+	ingestMaxFrames = 4
 	prov := telemetry.New(telemetry.NewManualClock(0))
-	srv := New(Config{Reverser: quickOpts(), IngestMaxFrames: 4}, prov)
+	srv := New(Config{Reverser: quickOpts()}, prov)
 	defer srv.Close()
 
 	addr, err := srv.ServeIngest("127.0.0.1:0")
@@ -151,7 +153,7 @@ func TestStreamFrameBudgetFailsJob(t *testing.T) {
 // the job fails naming the class and target ID, and no worker runs it.
 func TestAttackedStreamRejectedAtAdmission(t *testing.T) {
 	prov := telemetry.New(telemetry.NewManualClock(0))
-	srv := New(Config{Reverser: quickOpts(), ScreenStreams: true}, prov)
+	srv := New(Config{Reverser: quickOpts()}, prov)
 	defer srv.Close()
 
 	addr, err := srv.ServeIngest("127.0.0.1:0")

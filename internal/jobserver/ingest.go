@@ -53,22 +53,35 @@ func (s *Server) RegisterStream(tenant, car, streamName string) (StreamRegistrat
 	return StreamRegistration{Job: j, Token: token}, nil
 }
 
+// The ingest guardrails every stream session runs under: a session whose
+// peer sends nothing for ingestIdleTimeout, or that streams more than
+// ingestMaxFrames frames or ingestMaxBytes payload bytes, is failed with
+// the limit's distinct reason, so an idle or endless peer cannot hold its
+// tenant-quota slot or the server's memory.
+const (
+	ingestIdleTimeout = 2 * time.Minute
+	ingestMaxBytes    = 64 << 20
+)
+
+// ingestMaxFrames is a variable only so tests can lower it.
+var ingestMaxFrames = 2_000_000
+
 // ServeIngest starts the canbridge ingest listener on addr ("127.0.0.1:0"
 // for an ephemeral port) and returns the bound address. The listener is
-// torn down with the server. Sessions run under the configured ingest
-// guardrails: idle timeout, frame budget, byte budget.
+// torn down with the server. Sessions run under the ingest guardrails:
+// idle timeout, frame budget, byte budget.
 func (s *Server) ServeIngest(addr string) (string, error) {
 	lim := canbridge.IngestLimits{
-		IdleTimeout: s.cfg.IngestIdleTimeout,
-		MaxFrames:   s.cfg.IngestMaxFrames,
-		MaxBytes:    s.cfg.IngestMaxBytes,
+		IdleTimeout: ingestIdleTimeout,
+		MaxFrames:   ingestMaxFrames,
+		MaxBytes:    ingestMaxBytes,
 	}
 	if mc, ok := s.clock.(*telemetry.ManualClock); ok {
 		// Tests drive the server on a manual clock: idle expiry follows
 		// it (via ExpireIdleStreams) instead of real read deadlines.
 		lim.Clock = mc.Now
-	} else if lim.IdleTimeout > 0 {
-		lim.SweepInterval = lim.IdleTimeout / 4
+	} else {
+		lim.SweepInterval = ingestIdleTimeout / 4
 	}
 	ing := canbridge.NewIngestServerLimited(s.openStream, lim)
 	bound, err := ing.Listen(addr)
@@ -220,20 +233,20 @@ func (ss *streamSession) Close(complete bool) {
 		s.finalize(j, Failed, nil, "stream completed during server drain")
 		return
 	}
-	if s.cfg.ScreenStreams {
-		if findings := reverser.ScreenFrames(frames); len(findings) > 0 {
-			classes := make([]string, 0, len(findings))
-			for _, f := range findings {
-				classes = append(classes, fmt.Sprintf("%s on %03X", f.Class, f.ID))
-			}
-			s.met.StreamSessions.With("attack-rejected").Inc()
-			j.log.Warn("stream-session-end", telemetry.String("outcome", "attack-rejected"),
-				telemetry.Int("frames", len(frames)),
-				telemetry.String("signatures", strings.Join(classes, "; ")))
-			s.finalize(j, Failed, nil,
-				"stream rejected at admission: attack signatures: "+strings.Join(classes, "; "))
-			return
+	// Transport-layer attack screening: a capture carrying attack
+	// signatures is rejected before it can occupy a worker.
+	if findings := reverser.ScreenFrames(frames); len(findings) > 0 {
+		classes := make([]string, 0, len(findings))
+		for _, f := range findings {
+			classes = append(classes, fmt.Sprintf("%s on %03X", f.Class, f.ID))
 		}
+		s.met.StreamSessions.With("attack-rejected").Inc()
+		j.log.Warn("stream-session-end", telemetry.String("outcome", "attack-rejected"),
+			telemetry.Int("frames", len(frames)),
+			telemetry.String("signatures", strings.Join(classes, "; ")))
+		s.finalize(j, Failed, nil,
+			"stream rejected at admission: attack signatures: "+strings.Join(classes, "; "))
+		return
 	}
 	s.met.StreamSessions.With("complete").Inc()
 	j.log.Info("stream-session-end", telemetry.String("outcome", "complete"),

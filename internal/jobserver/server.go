@@ -31,36 +31,9 @@ type Config struct {
 	// TenantMaxActive caps one tenant's live jobs (streaming + queued +
 	// running) across all shards.
 	TenantMaxActive int
-	// RetryAfter is the back-off hint returned with rejections.
-	RetryAfter time.Duration
 	// Reverser is the base option set every job's pipeline run starts
 	// from; the server appends its own telemetry and progress wiring.
 	Reverser []reverser.Option
-	// QueueWaitSLO / RunSLO are the latency objectives: a job whose queue
-	// wait (or run time) exceeds the bound counts against the error
-	// budget. See telemetry.SLO for the burn-rate semantics.
-	QueueWaitSLO time.Duration
-	RunSLO       time.Duration
-	// SLOTarget is the promised good fraction for both objectives
-	// (e.g. 0.99).
-	SLOTarget float64
-	// FlightEvents sizes each job's flight-recorder ring (recent log
-	// records retained per job).
-	FlightEvents int
-	// IngestIdleTimeout fails a canbridge ingest session whose peer sends
-	// nothing for this long, so an idle connection cannot hold its
-	// tenant-quota slot forever. 0 disables the timeout.
-	IngestIdleTimeout time.Duration
-	// IngestMaxFrames / IngestMaxBytes are per-session streaming budgets;
-	// a session that exceeds either is failed with a distinct reason.
-	// 0 means unlimited.
-	IngestMaxFrames int
-	IngestMaxBytes  int64
-	// ScreenStreams runs transport-layer attack screening
-	// (reverser.ScreenFrames) over every completed ingest stream at
-	// admission: a capture carrying attack signatures is rejected before
-	// it can occupy a worker.
-	ScreenStreams bool
 }
 
 // DefaultConfig sizes the server for a small deployment.
@@ -70,18 +43,25 @@ func DefaultConfig() Config {
 		WorkersPerShard: 1,
 		QueueDepth:      64,
 		TenantMaxActive: 8,
-		RetryAfter:      time.Second,
-		QueueWaitSLO:    5 * time.Second,
-		RunSLO:          2 * time.Minute,
-		SLOTarget:       0.99,
-		FlightEvents:    telemetry.DefaultRingCapacity,
-
-		IngestIdleTimeout: 2 * time.Minute,
-		IngestMaxFrames:   2_000_000,
-		IngestMaxBytes:    64 << 20,
-		ScreenStreams:     true,
 	}
 }
+
+// The server's fixed policy. Every server runs under these, whatever
+// Config it was built from.
+const (
+	// retryAfter is the back-off hint returned with rejections.
+	retryAfter = time.Second
+	// queueWaitSLO and runSLO are the latency objectives: a job whose
+	// queue wait (or run time) exceeds the bound counts against the error
+	// budget, which sloTarget, the promised good fraction of both, sizes.
+	// See telemetry.SLO for the burn-rate semantics.
+	queueWaitSLO = 5 * time.Second
+	runSLO       = 2 * time.Minute
+	sloTarget    = 0.99
+	// flightEvents sizes each job's flight-recorder ring (recent log
+	// records retained per job).
+	flightEvents = telemetry.DefaultRingCapacity
+)
 
 // RejectionError reports a refused submission: quota, backpressure or a
 // draining server. RetryAfter is the client's back-off hint.
@@ -264,21 +244,6 @@ func New(cfg Config, tel *telemetry.Provider) *Server {
 	if cfg.TenantMaxActive < 1 {
 		cfg.TenantMaxActive = 1
 	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = time.Second
-	}
-	if cfg.QueueWaitSLO <= 0 {
-		cfg.QueueWaitSLO = 5 * time.Second
-	}
-	if cfg.RunSLO <= 0 {
-		cfg.RunSLO = 2 * time.Minute
-	}
-	if cfg.SLOTarget <= 0 || cfg.SLOTarget >= 1 {
-		cfg.SLOTarget = 0.99
-	}
-	if cfg.FlightEvents < 1 {
-		cfg.FlightEvents = telemetry.DefaultRingCapacity
-	}
 	s := &Server{
 		cfg:     cfg,
 		tel:     tel,
@@ -301,8 +266,8 @@ func New(cfg Config, tel *telemetry.Provider) *Server {
 		s.baseLog = telemetry.NewLogger(s.clock)
 	}
 	reg := tel.RegistryOrNil()
-	s.sloQueue = telemetry.NewSLO(reg, s.clock, "queue-wait", cfg.QueueWaitSLO, cfg.SLOTarget)
-	s.sloRun = telemetry.NewSLO(reg, s.clock, "run", cfg.RunSLO, cfg.SLOTarget)
+	s.sloQueue = telemetry.NewSLO(reg, s.clock, "queue-wait", queueWaitSLO, sloTarget)
+	s.sloRun = telemetry.NewSLO(reg, s.clock, "run", runSLO, sloTarget)
 	s.runtime = telemetry.NewRuntimeMetrics(reg)
 	for i := 0; i < cfg.Shards; i++ {
 		s.shards = append(s.shards, newShard())
@@ -411,7 +376,7 @@ func (s *Server) refuseLocked(tenant string, shardIdx int) *RejectionError {
 	s.tstat(tenant).rejected[reason]++
 	return &RejectionError{
 		Reason:      reason,
-		RetryAfter:  s.cfg.RetryAfter,
+		RetryAfter:  retryAfter,
 		Correlation: fmt.Sprintf("r%d", s.rejSeq),
 	}
 }
@@ -444,7 +409,7 @@ func (s *Server) admitLocked(tenant, car, streamName string, initial JobState) (
 	// The job's correlation context binds here and follows every record
 	// the job emits, from ingest through reverser stages; the teed ring is
 	// the job's flight recorder.
-	j.ring = telemetry.NewRingSink(s.cfg.FlightEvents)
+	j.ring = telemetry.NewRingSink(flightEvents)
 	attrs := []telemetry.Attr{
 		telemetry.String("tenant", tenant),
 		telemetry.String("job", j.ID),

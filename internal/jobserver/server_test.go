@@ -505,6 +505,36 @@ func TestUnknownStreamToken(t *testing.T) {
 	}
 }
 
+// Every wall-clock ServeIngest starts the idle sweeper; Close must stop
+// it along with the listener.
+func TestCloseStopsIdleSweeper(t *testing.T) {
+	sweepers := func() int {
+		buf := make([]byte, 1<<20)
+		return strings.Count(string(buf[:runtime.Stack(buf, true)]), "canbridge.(*IngestServer).sweepLoop")
+	}
+	// A goroutine shows in the dump only once it has run, and for a moment
+	// after it has signalled its exit.
+	await := func(step string, want int) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); sweepers() != want; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d idle sweepers after %s, want %d", sweepers(), step, want)
+			}
+		}
+	}
+	before := sweepers()
+	srv := New(Config{Reverser: quickOpts()}, nil)
+	defer srv.Close()
+	if _, err := srv.ServeIngest("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	await("ServeIngest", before+1)
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	await("Close", before)
+}
+
 // Two tenants taking consecutive fleet cars from a shared cursor, as
 // closed-loop clients do, must spread over the shards: no shard may hold
 // most of the keys, and the two jobs in flight at once (one tenant on car

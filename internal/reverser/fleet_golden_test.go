@@ -35,8 +35,8 @@ const fleetGoldenPath = "testdata/fleet_results_sha256.golden"
 var paperGoldenCars = []string{"Car A", "Car M", "Car K"}
 
 // goldenBudget returns the pipeline configuration of a named GP budget:
-// "quick" is dpreversed -quick's (population 150, 10 generations),
-// "paper" the paper's (1000, 30).
+// "quick" is the benchmark's quick budget (population 150, 10
+// generations), "paper" the paper's (1000, 30).
 func goldenBudget(name string) Config {
 	cfg := DefaultConfig()
 	if name == "quick" {

@@ -1,9 +1,9 @@
 // Package rig implements the cyber-physical data-collection system of
 // §3.1: a robotic clicker (stylus on an XY gantry), two cameras, the UI
 // analyzer that decides what to click, the travelling-salesman click
-// planner, the script generator/executor, and the session runner that
-// produces the captures (CAN frames + OCR'd UI video + click log) the
-// reverse-engineering pipeline consumes.
+// planner, and the session runner that produces the captures (CAN frames
+// + OCR'd UI video + click log) the reverse-engineering pipeline
+// consumes.
 package rig
 
 import (

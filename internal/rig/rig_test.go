@@ -118,37 +118,6 @@ func TestExhaustiveOptimalAndBounded(t *testing.T) {
 	}
 }
 
-func TestGenerateAndExecuteScript(t *testing.T) {
-	clock := sim.NewClock(0)
-	c := NewClicker(clock, 1000)
-	targets := []Target{{X: 10, Y: 10, Text: "A"}, {X: 20, Y: 20, Text: "B"}}
-	script := GenerateClickScript(targets, 100*time.Millisecond)
-	if len(script) != 4 {
-		t.Fatalf("script steps = %d", len(script))
-	}
-	var clicked []string
-	waits := 0
-	script.Execute(c,
-		func(x, y int) bool { return true },
-		func(d time.Duration) { waits++; clock.Advance(d) })
-	for _, e := range c.Log() {
-		clicked = append(clicked, e.Text)
-	}
-	if len(clicked) != 2 || clicked[0] != "A" || clicked[1] != "B" || waits != 2 {
-		t.Fatalf("clicked = %v, waits = %d", clicked, waits)
-	}
-}
-
-func TestScriptExecuteNilOnWait(t *testing.T) {
-	clock := sim.NewClock(0)
-	c := NewClicker(clock, 1000)
-	script := Script{{Kind: StepWait, Wait: time.Second}}
-	script.Execute(c, func(int, int) bool { return true }, nil)
-	if clock.Now() != time.Second {
-		t.Fatalf("clock = %v", clock.Now())
-	}
-}
-
 func newRig(t *testing.T, car string, cfg Config) (*Rig, *vehicle.Vehicle) {
 	t.Helper()
 	p, ok := vehicle.ProfileByCar(car)
