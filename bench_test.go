@@ -3,8 +3,10 @@ package dpreverser_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -145,6 +147,46 @@ func TestReadCaptureAllocRatchet(t *testing.T) {
 	if allocs > limit {
 		t.Fatalf("ReadCapture allocs/decode regressed: %.0f > %.0f (baseline %d, +10%% slack)",
 			allocs, limit, readCaptureAllocBaseline)
+	}
+}
+
+// readCaptureFallbackByteLimit bounds the bytes ReadCapture's
+// encoding/json fallback allocates per decode, as a multiple of the body's
+// size. Decoding the 1.3 MB four-space-indented Car M capture in place
+// allocates about 0.5× its size, most of it the decoded capture; copying
+// the body into a json.Decoder first took about 3.8× (linux/amd64).
+const readCaptureFallbackByteLimit = 1.5
+
+// TestReadCaptureFallbackByteRatchet fails when decoding a re-indented
+// full Car M capture, which is not laid out as Save writes it and so
+// decodes through encoding/json, allocates more than
+// readCaptureFallbackByteLimit times the body's size per decode.
+func TestReadCaptureFallbackByteRatchet(t *testing.T) {
+	var saved, body bytes.Buffer
+	if err := collectCapture(t, "Car M", rig.DefaultConfig()).Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Indent(&body, saved.Bytes(), "", "    "); err != nil {
+		t.Fatal(err)
+	}
+	decode := func() {
+		if _, err := rig.ReadCapture(bytes.NewReader(body.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decode() // leaves a grown scratch in ReadCapture's free list
+	const decodes = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range decodes {
+		decode()
+	}
+	runtime.ReadMemStats(&after)
+	ratio := float64(after.TotalAlloc-before.TotalAlloc) / decodes / float64(body.Len())
+	t.Logf("ReadCapture fallback: %.2f bytes allocated per body byte (%d-byte body, limit %.1f)",
+		ratio, body.Len(), readCaptureFallbackByteLimit)
+	if ratio > readCaptureFallbackByteLimit {
+		t.Fatalf("ReadCapture fallback allocates %.2f× its body per decode, over %.1f×", ratio, readCaptureFallbackByteLimit)
 	}
 }
 
@@ -482,7 +524,7 @@ func BenchmarkAblationTable2ScalingOn(b *testing.B) {
 	ablationPrecision(b, func(seed int64) (*gp.Node, error) {
 		cfg := ablationGPConfig(seed)
 		cfg.DisableLinearScaling = true // isolate Table 2's effect
-		res, err := scaling.Infer(d, cfg)
+		res, err := scaling.InferContext(context.Background(), d, cfg)
 		return res.Best, err
 	})
 }

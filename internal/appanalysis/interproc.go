@@ -67,36 +67,6 @@ func newAnalyzer(app *App) *analyzer {
 	return a
 }
 
-// CallGraph returns the app-level call edges caller → callees (framework
-// APIs excluded), with callees in first-call order. Exposed for tests and
-// tooling.
-func CallGraph(app *App) map[string][]string {
-	methods := map[string]bool{}
-	for mi := range app.Methods {
-		methods[app.Methods[mi].Name] = true
-	}
-	out := map[string][]string{}
-	for mi := range app.Methods {
-		m := &app.Methods[mi]
-		for i := range m.Stmts {
-			s := &m.Stmts[i]
-			if s.Kind == StmtInvoke && methods[s.Callee] {
-				out[m.Name] = appendUniqueString(out[m.Name], s.Callee)
-			}
-		}
-	}
-	return out
-}
-
-func appendUniqueString(s []string, v string) []string {
-	for _, x := range s {
-		if x == v {
-			return s
-		}
-	}
-	return append(s, v)
-}
-
 // run analyses every method bottom-up: CFG construction, the worklist
 // dataflow (with interprocedural taint transfer through already-computed
 // summaries), then the method's own summary.

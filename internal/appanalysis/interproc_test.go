@@ -1,7 +1,6 @@
 package appanalysis
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -25,15 +24,6 @@ func helperSplitApp() *App {
 		Stmt{Kind: StmtReturn, Uses: []string{"out"}},
 	)
 	return &App{Name: "helper-split", Methods: []Method{main, helper}}
-}
-
-func TestCallGraph(t *testing.T) {
-	app := helperSplitApp()
-	got := CallGraph(app)
-	want := map[string][]string{"onResponse": {"parseAndScale"}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("call graph = %v, want %v", got, want)
-	}
 }
 
 func TestHelperSummary(t *testing.T) {

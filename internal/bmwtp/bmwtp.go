@@ -32,14 +32,6 @@ const (
 // PCI byte.
 var ErrShortFrame = errors.New("bmwtp: frame shorter than address + PCI")
 
-// Address extracts the target-ECU address byte of a frame.
-func Address(data []byte) (byte, error) {
-	if len(data) < 2 {
-		return 0, ErrShortFrame
-	}
-	return data[0], nil
-}
-
 // Classify reports the ISO-TP frame type of the address-stripped remainder.
 func Classify(data []byte) isotp.FrameType {
 	if len(data) < 2 {

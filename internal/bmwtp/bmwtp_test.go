@@ -10,16 +10,6 @@ import (
 	"dpreverser/internal/isotp"
 )
 
-func TestAddress(t *testing.T) {
-	addr, err := Address([]byte{0x12, 0x03, 0x22, 0xDE, 0x9C})
-	if err != nil || addr != 0x12 {
-		t.Fatalf("Address = %#x, %v", addr, err)
-	}
-	if _, err := Address([]byte{0x12}); !errors.Is(err, ErrShortFrame) {
-		t.Fatalf("short frame err = %v", err)
-	}
-}
-
 func TestClassify(t *testing.T) {
 	if got := Classify([]byte{0x29, 0x03, 0x22, 0xDB, 0xE5}); got != isotp.SingleFrame {
 		t.Fatalf("Classify = %v, want SF", got)

@@ -198,7 +198,7 @@ func TestSnifferClose(t *testing.T) {
 
 func TestSnifferFilter(t *testing.T) {
 	bus := NewBus(nil)
-	s := NewSniffer(bus, IDFilter(0x7E0, 0x7E8))
+	s := NewSniffer(bus, func(f Frame) bool { return f.ID == 0x7E0 || f.ID == 0x7E8 })
 	for _, id := range []uint32{0x7E0, 0x123, 0x7E8, 0x456} {
 		bus.Send(MustFrame(id, nil))
 	}

@@ -1,11 +1,9 @@
 package can
 
 import (
-	"bufio"
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
 	"strconv"
 	"strings"
 	"time"
@@ -14,35 +12,9 @@ import (
 // ErrBadDumpLine reports an unparsable capture line.
 var ErrBadDumpLine = errors.New("can: malformed dump line")
 
-// ParseDump parses a candump-style log (the format Dump emits:
-// "(000012.345678) 7E0#021003"), returning the frames in file order.
-// Blank lines and lines starting with '#' are skipped, so captures can be
-// annotated. Parsing a real candump from hardware works too — this is the
-// bridge for feeding DP-Reverser traffic that was recorded outside the
-// simulation.
-func ParseDump(r io.Reader) ([]Frame, error) {
-	var out []Frame
-	sc := bufio.NewScanner(r)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		f, err := ParseDumpLine(line)
-		if err != nil {
-			return nil, fmt.Errorf("line %d: %w", lineNo, err)
-		}
-		out = append(out, f)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("can: reading dump: %w", err)
-	}
-	return out, nil
-}
-
-// ParseDumpLine parses one "(timestamp) ID#DATA" line.
+// ParseDumpLine parses one candump-style "(timestamp) ID#DATA" line, the
+// format Dump emits ("(000012.345678) 7E0#021003"). Lines from a real
+// candump on hardware, with an interface column, parse too.
 func ParseDumpLine(line string) (Frame, error) {
 	open := strings.IndexByte(line, '(')
 	closeIdx := strings.IndexByte(line, ')')

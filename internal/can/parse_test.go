@@ -62,26 +62,21 @@ func TestParseDumpLineErrors(t *testing.T) {
 	}
 }
 
-func TestParseDumpSkipsCommentsAndBlanks(t *testing.T) {
-	text := "# capture of Car A\n\n(0.1) 7E0#0221F40D\n(0.2) 7E8#0462F40D21\n"
-	frames, err := ParseDump(strings.NewReader(text))
-	if err != nil {
-		t.Fatal(err)
+// parseDump parses Dump's output line by line with ParseDumpLine.
+func parseDump(text string) ([]Frame, error) {
+	var out []Frame
+	for _, line := range strings.Split(strings.TrimSuffix(text, "\n"), "\n") {
+		f, err := ParseDumpLine(line)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, f)
 	}
-	if len(frames) != 2 || frames[1].ID != 0x7E8 {
-		t.Fatalf("frames = %v", frames)
-	}
+	return out, nil
 }
 
-func TestParseDumpReportsLine(t *testing.T) {
-	_, err := ParseDump(strings.NewReader("(0.1) 7E0#01\ngarbage\n"))
-	if err == nil || !strings.Contains(err.Error(), "line 2") {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-// Property: Dump → ParseDump round-trips frames (ID, payload, timestamp to
-// microsecond precision).
+// Property: Dump → ParseDumpLine round-trips frames (ID, payload,
+// timestamp to microsecond precision).
 func TestDumpParseRoundTripProperty(t *testing.T) {
 	f := func(id uint16, data []byte, ts uint32) bool {
 		if len(data) > 8 {
@@ -93,7 +88,7 @@ func TestDumpParseRoundTripProperty(t *testing.T) {
 		}
 		fr.Timestamp = time.Duration(ts) * time.Microsecond
 		text := Dump([]Frame{fr})
-		parsed, err := ParseDump(strings.NewReader(text))
+		parsed, err := parseDump(text)
 		if err != nil || len(parsed) != 1 {
 			return false
 		}
@@ -126,7 +121,7 @@ func TestDumpParseRoundTripLiveCapture(t *testing.T) {
 		clock.Advance(137 * time.Millisecond)
 	}
 	text := Dump(s.Frames())
-	parsed, err := ParseDump(strings.NewReader(text))
+	parsed, err := parseDump(text)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,16 +67,6 @@ func (s *Sniffer) Reset() {
 	s.frames = nil
 }
 
-// IDFilter returns a filter admitting only the given identifiers —
-// convenient for isolating one diagnostic request/response ID pair.
-func IDFilter(ids ...uint32) func(Frame) bool {
-	set := make(map[uint32]bool, len(ids))
-	for _, id := range ids {
-		set[id] = true
-	}
-	return func(f Frame) bool { return set[f.ID] }
-}
-
 // Dump renders a capture as a candump-style log, one frame per line with
 // timestamps, for debugging and example output.
 func Dump(frames []Frame) string {

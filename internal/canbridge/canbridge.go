@@ -8,8 +8,8 @@
 //
 // The bridge is the repository's stand-in for plugging real tooling into
 // the OBD port: an external program (any language) can drive the simulated
-// car, sniff its traffic, and feed the capture to the reverse-engineering
-// pipeline via can.ParseDump.
+// car and sniff its traffic; each traffic line parses back into a frame
+// with can.ParseDumpLine.
 package canbridge
 
 import (

@@ -108,14 +108,9 @@ type ingestSession struct {
 	failReason string
 }
 
-// NewIngestServer builds an ingest listener that resolves stream tokens
-// through open, with no session guardrails.
-func NewIngestServer(open func(token string) (IngestSink, error)) *IngestServer {
-	return NewIngestServerLimited(open, IngestLimits{})
-}
-
-// NewIngestServerLimited builds an ingest listener whose sessions are
-// bounded by limits.
+// NewIngestServerLimited builds an ingest listener that resolves stream
+// tokens through open and whose sessions are bounded by limits (the zero
+// IngestLimits sets no guardrails).
 func NewIngestServerLimited(open func(token string) (IngestSink, error), limits IngestLimits) *IngestServer {
 	return &IngestServer{
 		open:     open,

@@ -46,7 +46,7 @@ func (s *recordingSink) snapshot() []can.Frame {
 
 func startIngest(t *testing.T, open func(string) (IngestSink, error)) (*IngestServer, string) {
 	t.Helper()
-	srv := NewIngestServer(open)
+	srv := NewIngestServerLimited(open, IngestLimits{})
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -66,7 +66,7 @@ func BenchmarkGPCompiledEval(b *testing.B) {
 // BenchmarkGPCompiledEvalWithCompile includes the per-tree Compile cost —
 // the true per-candidate cost paid on a fitness-cache miss. It compiles
 // into sync.Pool-backed scratch the way the engine and the one-shot score
-// helpers do (the evaluator owns a Compiler; scoreCompiled leases one),
+// helpers do (the evaluator owns a Compiler; MAE leases one),
 // so steady state must report 0 allocs/op. The package-level Compile is
 // deliberately not measured here: its Program is immutable and
 // concurrency-safe, which costs owned copies by contract.

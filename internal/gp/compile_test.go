@@ -101,7 +101,7 @@ func TestCompiledParityFuzz(t *testing.T) {
 	}
 }
 
-// referenceMAE/MSE/RobustMAE are the pre-engine interpreter loops, kept
+// referenceMAE/RobustMAE are the pre-engine interpreter loops, kept
 // verbatim as the behavioral reference for the deduplicated helpers.
 func referenceMAE(n *Node, d *Dataset) float64 {
 	if len(d.Y) == 0 {
@@ -118,21 +118,6 @@ func referenceMAE(n *Node, d *Dataset) float64 {
 	return sum / float64(len(d.Y))
 }
 
-func referenceMSE(n *Node, d *Dataset) float64 {
-	if len(d.Y) == 0 {
-		return math.Inf(1)
-	}
-	sum := 0.0
-	for i, row := range d.X {
-		diff := n.Eval(row) - d.Y[i]
-		if math.IsNaN(diff) || math.IsInf(diff, 0) {
-			return math.Inf(1)
-		}
-		sum += diff * diff
-	}
-	return sum / float64(len(d.Y))
-}
-
 func referenceRobustMAE(n *Node, d *Dataset) float64 {
 	resids := make([]float64, 0, len(d.Y))
 	for i, row := range d.X {
@@ -145,7 +130,7 @@ func referenceRobustMAE(n *Node, d *Dataset) float64 {
 	return trimmedMean(resids)
 }
 
-// TestMetricParityFuzz pins MAE/MSE/RobustMAE to their pre-engine
+// TestMetricParityFuzz pins MAE/RobustMAE to their pre-engine
 // interpreter semantics bit for bit, including the Inf short-circuits.
 func TestMetricParityFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
@@ -155,9 +140,6 @@ func TestMetricParityFuzz(t *testing.T) {
 		d := randomEdgeDataset(rng, 1+rng.Intn(30), numVars)
 		if got, want := MAE(tree, d), referenceMAE(tree, d); !sameBits(got, want) {
 			t.Fatalf("trial %d: MAE=%v want %v for %s", trial, got, want, tree)
-		}
-		if got, want := MSE(tree, d), referenceMSE(tree, d); !sameBits(got, want) {
-			t.Fatalf("trial %d: MSE=%v want %v for %s", trial, got, want, tree)
 		}
 		if got, want := RobustMAE(tree, d), referenceRobustMAE(tree, d); !sameBits(got, want) {
 			t.Fatalf("trial %d: RobustMAE=%v want %v for %s", trial, got, want, tree)

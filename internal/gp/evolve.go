@@ -53,11 +53,26 @@ var (
 )
 
 // Fixed evolution settings (gplearn's defaults, which the paper keeps):
-// tournament size, and the range of ephemeral random constants. Every run
-// uses the full 14-entry FunctionSet.
+// tournament size, the range of ephemeral random constants, the depth
+// budget trees are cut to after variation, the parsimony penalty per node
+// (discouraging bloat without distorting the MAE scale much), and the
+// probabilities of the variation operators, whose remainder reproduces a
+// parent unchanged. Every run uses the full 14-entry FunctionSet.
 const (
 	tournamentSize = 20
 	ercMin, ercMax = -10, 10
+	maxDepth       = 8
+	parsimonyCoeff = 0.001
+)
+
+// The operator probabilities are typed so that their running sums, the
+// upper edges of the operators' bands in vary, round like float64
+// additions.
+const (
+	crossoverProb  float64 = 0.65
+	subtreeMutProb float64 = 0.15
+	pointMutProb   float64 = 0.1
+	hoistMutProb   float64 = 0.05
 )
 
 // Config tunes the evolution. The zero value is unusable; call
@@ -70,17 +85,6 @@ type Config struct {
 	// StopFitness halts evolution early once the best program's raw MAE
 	// falls below it — the paper's second stopping criterion.
 	StopFitness float64
-	// MaxDepth bounds trees after crossover/mutation (bloat control).
-	MaxDepth int
-	// ParsimonyCoeff penalises fitness by size*coeff, discouraging bloat
-	// without distorting the MAE scale much.
-	ParsimonyCoeff float64
-	// CrossoverProb, SubtreeMutProb, PointMutProb, HoistMutProb select the
-	// variation operator; remaining probability reproduces unchanged.
-	CrossoverProb  float64
-	SubtreeMutProb float64
-	PointMutProb   float64
-	HoistMutProb   float64
 	// DisableLinearScaling turns off the least-squares fit of candidate
 	// programs. By default every candidate g is evaluated as a*g(x)+b
 	// with (a, b) fitted by trimmed least squares (Keijzer-style linear
@@ -128,12 +132,6 @@ func DefaultConfig() Config {
 		PopulationSize: 1000,
 		Generations:    30,
 		StopFitness:    0.01,
-		MaxDepth:       8,
-		ParsimonyCoeff: 0.001,
-		CrossoverProb:  0.65,
-		SubtreeMutProb: 0.15,
-		PointMutProb:   0.1,
-		HoistMutProb:   0.05,
 		Seed:           1,
 	}
 }
@@ -355,7 +353,7 @@ func (e *evaluator) release() {
 // scored builds the individual for tree t (of the given node count) with
 // raw fitness raw. Only the parsimony term depends on the tree itself.
 func (e *evaluator) scored(t *Node, raw float64, size int) individual {
-	return individual{tree: t, size: size, raw: raw, fit: raw + e.cfg.ParsimonyCoeff*float64(size)}
+	return individual{tree: t, size: size, raw: raw, fit: raw + parsimonyCoeff*float64(size)}
 }
 
 // scoreAll evaluates trees[i] into out[i]. A tree whose structure was
@@ -678,7 +676,7 @@ func (isl *island) drawChunk() {
 		isl.rng.Seed(isl.seed)
 	}
 	isl.gen.arena = isl.arenas[isl.cur]
-	isl.gen.ramp(isl.children[lo:hi], lo, max(isl.cfg.MaxDepth/2, 3))
+	isl.gen.ramp(isl.children[lo:hi], lo, maxDepth/2)
 	isl.ev.scoreAll(isl.children[lo:hi], pop[lo:hi])
 	isl.pop = pop[:hi]
 	for i := lo; i < hi; i++ {
@@ -784,31 +782,39 @@ func (d *intn) draw(rng *rand.Rand) int {
 	return int(hi)
 }
 
-// breed builds one child in the generator's arena: a tournament winner
-// copied once, with the variation operator applied during the copy, then
-// cut to the depth budget. It makes the draws, in order, of cloning the
-// parent and then operating on the clone.
+// breed builds one child in the generator's arena from a tournament
+// winner and an operator draw (see vary).
 //
 //dplint:hotpath gp-breed
 func (isl *island) breed() *Node {
-	cfg, gen, rng, pop := &isl.cfg, isl.gen, isl.rng, isl.pop
-	parent := pop[tournament(isl.fits, tournamentSize, &isl.pick, rng)]
+	parent := isl.pop[tournament(isl.fits, tournamentSize, &isl.pick, isl.rng)]
+	return isl.vary(parent, isl.rng.Float64())
+}
+
+// vary builds parent's child in the generator's arena: parent copied
+// once, with the variation operator whose band holds p applied during the
+// copy, then cut to the depth budget. It makes the draws, in order, of
+// cloning the parent and then operating on the clone.
+//
+//dplint:hotpath gp-breed
+func (isl *island) vary(parent individual, p float64) *Node {
+	gen, rng, pop := isl.gen, isl.rng, isl.pop
 	child, depth := parent.tree, 0
-	switch p := rng.Float64(); {
-	case p < cfg.CrossoverProb:
+	switch {
+	case p < crossoverProb:
 		// The donor's subtree is copied in from the previous arena.
 		donor := pop[tournament(isl.fits, tournamentSize, &isl.pick, rng)]
 		at := rng.Intn(parent.size)
 		graft, gd := copyInto(gen.arena, nodeAt(donor.tree, rng.Intn(donor.size)))
 		child, depth = spliceCopy(gen.arena, parent.tree, at, graft, gd)
-	case p < cfg.CrossoverProb+cfg.SubtreeMutProb:
+	case p < crossoverProb+subtreeMutProb:
 		at := rng.Intn(parent.size)
 		graft := gen.grow(3)
 		child, depth = spliceCopy(gen.arena, parent.tree, at, graft, graft.Depth())
-	case p < cfg.CrossoverProb+cfg.SubtreeMutProb+cfg.PointMutProb:
+	case p < crossoverProb+subtreeMutProb+pointMutProb:
 		child, depth = copyInto(gen.arena, parent.tree)
 		pointMutate(child, parent.size, gen, rng)
-	case p < cfg.CrossoverProb+cfg.SubtreeMutProb+cfg.PointMutProb+cfg.HoistMutProb:
+	case p < crossoverProb+subtreeMutProb+pointMutProb+hoistMutProb:
 		// Hoist mutation lifts a random subtree to the root (gplearn's
 		// anti-bloat operator): only that subtree is copied.
 		child = nodeAt(parent.tree, rng.Intn(parent.size))
@@ -818,7 +824,7 @@ func (isl *island) breed() *Node {
 	}
 	// Over the depth budget, hoist repeatedly. The child is fresh and
 	// owned by no one else, so its subtrees are taken in place.
-	for depth > cfg.MaxDepth {
+	for depth > maxDepth {
 		child = nodeAt(child, rng.Intn(child.Size()))
 		depth = child.Depth()
 	}

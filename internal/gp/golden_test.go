@@ -79,7 +79,6 @@ func runMatrix() []poolCase {
 			cfg  Config
 		}{
 			{"p1", base(seed)},
-			{"parsimony0", with(base(seed), func(c *Config) { c.ParsimonyCoeff = 0 })},
 			{"stop0", with(base(seed), func(c *Config) { c.StopFitness = 0 })},
 			{"gens1", with(base(seed), func(c *Config) { c.Generations = 1 })},
 			{"stopneg", with(base(seed), func(c *Config) { c.StopFitness = -1 })},

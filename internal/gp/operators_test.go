@@ -24,10 +24,11 @@ func validTree(n *Node) bool {
 }
 
 // breedingIsland returns an island whose population is trees (fitness
-// rising with the index), ready to breed children with cfg.
-func breedingIsland(t *testing.T, cfg Config, trees ...*Node) *island {
+// rising with the index), ready to breed children.
+func breedingIsland(t *testing.T, trees ...*Node) *island {
 	t.Helper()
-	cfg.PopulationSize = len(trees)
+	cfg := DefaultConfig()
+	cfg.PopulationSize, cfg.Seed = len(trees), 41
 	isl := acquireIsland(islandTestDataset(), cfg)
 	t.Cleanup(isl.release)
 	// Islands seed their RNG on their first draw, and this one draws
@@ -42,20 +43,26 @@ func breedingIsland(t *testing.T, cfg Config, trees ...*Node) *island {
 	return isl
 }
 
-// operatorConfig selects one variation operator with certainty (all
-// probabilities zero: plain reproduction).
-func operatorConfig(crossover, subtree, point, hoist float64) Config {
-	cfg := DefaultConfig()
-	cfg.CrossoverProb, cfg.SubtreeMutProb, cfg.PointMutProb, cfg.HoistMutProb = crossover, subtree, point, hoist
-	cfg.Seed = 41
-	return cfg
+// Operator draws inside each variation operator's band, so that vary
+// applies that operator with certainty.
+const (
+	pCrossover    = crossoverProb / 2
+	pSubtree      = crossoverProb + subtreeMutProb/2
+	pHoist        = crossoverProb + subtreeMutProb + pointMutProb + hoistMutProb/2
+	pReproduction = 1 - hoistMutProb/10
+)
+
+// varyWinner builds a child, with the operator draw p, from a tournament
+// winner of isl's population, as breed does.
+func varyWinner(isl *island, p float64) *Node {
+	return isl.vary(isl.pop[tournament(isl.fits, tournamentSize, &isl.pick, isl.rng)], p)
 }
 
 func TestCrossoverProducesValidTrees(t *testing.T) {
 	gen := &generator{rng: newTestRNG(41), numVars: 2, funcs: FunctionSet, constMin: -5, constMax: 5}
-	isl := breedingIsland(t, operatorConfig(1, 0, 0, 0), gen.grow(5), gen.grow(5), gen.full(4))
+	isl := breedingIsland(t, gen.grow(5), gen.grow(5), gen.full(4))
 	for i := 0; i < 200; i++ {
-		if child := isl.breed(); !validTree(child) || child.Depth() > isl.cfg.MaxDepth {
+		if child := varyWinner(isl, pCrossover); !validTree(child) || child.Depth() > maxDepth {
 			t.Fatalf("crossover produced invalid tree: %v", child)
 		}
 	}
@@ -63,9 +70,9 @@ func TestCrossoverProducesValidTrees(t *testing.T) {
 
 func TestSubtreeMutateProducesValidTrees(t *testing.T) {
 	gen := &generator{rng: newTestRNG(43), numVars: 2, funcs: FunctionSet, constMin: -5, constMax: 5}
-	isl := breedingIsland(t, operatorConfig(0, 1, 0, 0), gen.grow(5), gen.grow(5))
+	isl := breedingIsland(t, gen.grow(5), gen.grow(5))
 	for i := 0; i < 200; i++ {
-		if child := isl.breed(); !validTree(child) || child.Depth() > isl.cfg.MaxDepth {
+		if child := varyWinner(isl, pSubtree); !validTree(child) || child.Depth() > maxDepth {
 			t.Fatalf("subtree mutation produced invalid tree: %v", child)
 		}
 	}
@@ -91,9 +98,9 @@ func TestPointMutatePreservesShape(t *testing.T) {
 func TestHoistMutateShrinksOrKeeps(t *testing.T) {
 	gen := &generator{rng: newTestRNG(53), numVars: 2, funcs: FunctionSet, constMin: -5, constMax: 5}
 	tree := gen.full(5)
-	isl := breedingIsland(t, operatorConfig(0, 0, 0, 1), tree)
+	isl := breedingIsland(t, tree)
 	for i := 0; i < 200; i++ {
-		hoisted := isl.breed()
+		hoisted := varyWinner(isl, pHoist)
 		if !validTree(hoisted) {
 			t.Fatal("hoist produced invalid tree")
 		}
@@ -105,12 +112,10 @@ func TestHoistMutateShrinksOrKeeps(t *testing.T) {
 
 func TestHoistToDepthTerminates(t *testing.T) {
 	gen := &generator{rng: newTestRNG(59), numVars: 2, funcs: FunctionSet, constMin: -5, constMax: 5}
-	cfg := operatorConfig(0, 0, 0, 0)
-	cfg.MaxDepth = 4
-	isl := breedingIsland(t, cfg, gen.full(9))
+	isl := breedingIsland(t, gen.full(maxDepth+4))
 	for i := 0; i < 50; i++ {
-		if d := isl.breed().Depth(); d > 4 {
-			t.Fatalf("depth %d over a budget of 4", d)
+		if d := varyWinner(isl, pReproduction).Depth(); d > maxDepth {
+			t.Fatalf("depth %d over a budget of %d", d, maxDepth)
 		}
 	}
 }

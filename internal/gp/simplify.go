@@ -145,31 +145,15 @@ func equalTrees(a, b *Node) bool {
 	return equalTrees(a.L, b.L) && equalTrees(a.R, b.R)
 }
 
-// Equivalent reports whether two programs agree (within tol, absolute) on
-// every row of the sample domain. The experiments use this to score an
-// inferred formula against ground truth over the byte ranges actually
-// observed in traffic — the paper's own acceptance criterion ("if the
-// coefficient ... is very close ... we regard the inferred formula as a
-// correct one", and the Engine Coolant Temperature argument in §4.2).
-func Equivalent(a, b *Node, domain [][]float64, tol float64) bool {
-	if len(domain) == 0 {
-		return false
-	}
-	for _, row := range domain {
-		va, vb := a.Eval(row), b.Eval(row)
-		if math.IsNaN(va) || math.IsNaN(vb) {
-			return false
-		}
-		if math.Abs(va-vb) > tol {
-			return false
-		}
-	}
-	return true
-}
-
-// EquivalentRel is Equivalent with a mixed absolute/relative tolerance:
+// EquivalentRel reports whether two programs agree on every row of the
+// sample domain within a mixed absolute/relative tolerance:
 // |a-b| <= absTol + relTol*|b|, which matches how the paper compares
-// formulas whose outputs span different magnitudes.
+// formulas whose outputs span different magnitudes. The experiments use
+// this to score an inferred formula against ground truth over the byte
+// ranges actually observed in traffic — the paper's own acceptance
+// criterion ("if the coefficient ... is very close ... we regard the
+// inferred formula as a correct one", and the Engine Coolant Temperature
+// argument in §4.2).
 func EquivalentRel(a, b *Node, domain [][]float64, absTol, relTol float64) bool {
 	if len(domain) == 0 {
 		return false

@@ -93,14 +93,14 @@ func TestEquivalent(t *testing.T) {
 	a := NewBinary(OpMul, NewVar(0), NewConst(2))
 	b := NewBinary(OpAdd, NewVar(0), NewVar(0))
 	domain := [][]float64{{0}, {1}, {5}, {-3}}
-	if !Equivalent(a, b, domain, 1e-9) {
+	if !EquivalentRel(a, b, domain, 1e-9, 0) {
 		t.Fatal("2*x and x+x not equivalent")
 	}
 	c := NewBinary(OpMul, NewVar(0), NewConst(2.1))
-	if Equivalent(a, c, domain, 1e-9) {
+	if EquivalentRel(a, c, domain, 1e-9, 0) {
 		t.Fatal("2*x and 2.1*x reported equivalent")
 	}
-	if Equivalent(a, b, nil, 1e-9) {
+	if EquivalentRel(a, b, nil, 1e-9, 0) {
 		t.Fatal("empty domain reported equivalent")
 	}
 }

@@ -243,20 +243,6 @@ func LookupFormula(id byte) (FormulaType, bool) {
 	return ft, ok
 }
 
-// FormulaTypeIDs lists the registered formula-type IDs (sorted).
-func FormulaTypeIDs() []byte {
-	ids := make([]byte, 0, len(formulaTable))
-	for id := range formulaTable {
-		ids = append(ids, id)
-	}
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j-1] > ids[j]; j-- {
-			ids[j-1], ids[j] = ids[j], ids[j-1]
-		}
-	}
-	return ids
-}
-
 // --- readDataByLocalIdentifier (0x21) ---
 
 // BuildReadRequest builds "21 {localID}".

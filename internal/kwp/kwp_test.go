@@ -101,18 +101,6 @@ func TestLateralAccelerationX0AlwaysZeroInRange(t *testing.T) {
 	}
 }
 
-func TestFormulaTypeIDsSorted(t *testing.T) {
-	ids := FormulaTypeIDs()
-	if len(ids) < 15 {
-		t.Fatalf("formula table has %d entries, want >= 15", len(ids))
-	}
-	for i := 1; i < len(ids); i++ {
-		if ids[i-1] >= ids[i] {
-			t.Fatalf("ids not strictly sorted: %v", ids)
-		}
-	}
-}
-
 func TestReadRequestRoundTrip(t *testing.T) {
 	req := BuildReadRequest(0x07)
 	if !bytes.Equal(req, []byte{0x21, 0x07}) {

@@ -71,8 +71,8 @@ func LinearFit(d *gp.Dataset) (LinearResult, error) {
 type PolyResult struct {
 	// Tree is the model as an expression tree.
 	Tree *gp.Node
-	// Coeffs lists the fitted coefficients in feature order (see
-	// PolyFeatureNames).
+	// Coeffs lists the fitted coefficients in feature order: 1, X0…,
+	// then Xi·Xj for i ≤ j.
 	Coeffs []float64
 	// MAE is the training mean absolute error.
 	MAE float64
@@ -90,20 +90,6 @@ func polyFeatures(row []float64) []float64 {
 		}
 	}
 	return f
-}
-
-// PolyFeatureNames names the degree-2 feature columns for nv variables.
-func PolyFeatureNames(nv int) []string {
-	names := []string{"1"}
-	for i := 0; i < nv; i++ {
-		names = append(names, fmt.Sprintf("X%d", i))
-	}
-	for i := 0; i < nv; i++ {
-		for j := i; j < nv; j++ {
-			names = append(names, fmt.Sprintf("X%d*X%d", i, j))
-		}
-	}
-	return names
 }
 
 // PolyFit fits a full degree-2 polynomial (with cross terms) by least

@@ -150,19 +150,6 @@ func TestPolyFitDegreeValidation(t *testing.T) {
 	}
 }
 
-func TestPolyFeatureNames(t *testing.T) {
-	names := PolyFeatureNames(2)
-	want := []string{"1", "X0", "X1", "X0*X0", "X0*X1", "X1*X1"}
-	if len(names) != len(want) {
-		t.Fatalf("names = %v", names)
-	}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("names = %v, want %v", names, want)
-		}
-	}
-}
-
 func TestSolveSingular(t *testing.T) {
 	a := [][]float64{{1, 1}, {1, 1}}
 	if _, err := solve(a, []float64{1, 2}); !errors.Is(err, ErrSingular) {

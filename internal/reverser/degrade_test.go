@@ -206,11 +206,7 @@ func TestReverseStrictPolicyFailsOnDegraded(t *testing.T) {
 	cap, _ := collect(t, "Car M")
 	cfg := testConfig()
 	cfg.GP.Observer = panicObserver{}
-	rv := New(WithConfig(cfg), WithFaultPolicy(Strict))
-	if rv.Policy() != Strict {
-		t.Fatal("policy not applied")
-	}
-	res, err := rv.Reverse(context.Background(), cap)
+	res, err := New(WithConfig(cfg), WithFaultPolicy(Strict)).Reverse(context.Background(), cap)
 	if res != nil {
 		t.Fatal("strict run returned a result alongside the error")
 	}

@@ -13,11 +13,10 @@ import (
 // captures through the immutable Reverser.
 func ExampleOption() {
 	cfg := reverser.DefaultConfig()
-	cfg.GP.Seed = 7  // capture seed
-	cfg.MinPairs = 8 // drop under-sampled streams
+	cfg.GP.Seed = 7 // capture seed
 
 	rv := reverser.New(
-		reverser.WithConfig(cfg),                      // engine budget, seed and thresholds
+		reverser.WithConfig(cfg),                      // engine budget and seed
 		reverser.WithParallelism(4),                   // four inference workers
 		reverser.WithFaultPolicy(reverser.BestEffort), // salvage damaged captures
 		reverser.WithProgress(func(ev reverser.ProgressEvent) {

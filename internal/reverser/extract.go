@@ -321,24 +321,14 @@ func (x *Extraction) appendKWP(ftype, x0, x1 byte) []byte {
 	return x.kwpSlab[n-3 : n : n]
 }
 
-// Variables converts an observation's raw bytes into the formula-inference
-// variable vector, following §3.5 Step 1: "each ESV X is an integer value
-// for UDS and each ESV contains two integer values for KWP 2000". UDS
-// fields collapse to one big-endian integer; KWP ESVs expose X0 and X1
-// (the formula-type byte is structural — it selects, not feeds, the
+// appendVariables appends o's formula-inference variables to dst, never
+// more than len(o.Bytes) of them, following §3.5 Step 1: "each ESV X is an
+// integer value for UDS and each ESV contains two integer values for KWP
+// 2000". UDS fields collapse to one big-endian integer; KWP ESVs expose X0
+// and X1 (the formula-type byte is structural — it selects, not feeds, the
 // formula); OBD data keeps one variable per byte, matching Table 5's
-// two-variable ground-truth formulas.
-func (o ESVObservation) Variables() []float64 {
-	vars, ok := o.appendVariables(make([]float64, 0, len(o.Bytes)))
-	if !ok {
-		return nil
-	}
-	return vars
-}
-
-// appendVariables appends o's variables to dst, never more than
-// len(o.Bytes) of them. ok is false, and dst unchanged, when the field is
-// malformed.
+// two-variable ground-truth formulas. ok is false, and dst unchanged, when
+// the field is malformed.
 func (o ESVObservation) appendVariables(dst []float64) (_ []float64, ok bool) {
 	switch o.Key.Proto {
 	case "KWP":

@@ -13,22 +13,12 @@ import (
 type Config struct {
 	// GP configures the symbolic-regression engine.
 	GP gp.Config
-	// PairMaxGap is the largest traffic-to-video timestamp distance that
-	// still pairs an X observation with a Y sample.
-	PairMaxGap time.Duration
-	// MinPairs is the smallest usable (X, Y) dataset; streams with fewer
-	// pairs are reported without a formula.
-	MinPairs int
 }
 
 // DefaultConfig mirrors the paper's settings (1000 programs, 30
-// generations) with pairing windows matched to the rig's poll cadence.
+// generations).
 func DefaultConfig() Config {
-	return Config{
-		GP:         gp.DefaultConfig(),
-		PairMaxGap: time.Second,
-		MinPairs:   8,
-	}
+	return Config{GP: gp.DefaultConfig()}
 }
 
 // ReversedESV is one recovered readable quantity.

@@ -138,7 +138,7 @@ func observedVars(cap rig.Capture, key StreamKey) [][]float64 {
 		if o.Key != key {
 			continue
 		}
-		if vars := o.Variables(); vars != nil {
+		if vars, ok := o.appendVariables(nil); ok {
 			domain = append(domain, vars)
 		}
 	}

@@ -112,7 +112,7 @@ type Reverser struct {
 type Option func(*Reverser)
 
 // WithConfig replaces the whole pipeline configuration at once: the GP
-// engine's budget and seed, PairMaxGap and MinPairs. The GP Seed acts as
+// engine's budget and seed. The GP Seed acts as
 // the capture seed: every stream derives its own RNG from it
 // and the stream key, so results are byte-identical at any parallelism.
 func WithConfig(cfg Config) Option {
@@ -161,9 +161,6 @@ func New(opts ...Option) *Reverser {
 	rv.log = rv.tel.LoggerOrNil()
 	return rv
 }
-
-// Policy reports the degradation policy in effect.
-func (rv *Reverser) Policy() FaultPolicy { return rv.policy }
 
 // Parallelism reports the effective worker count of the streams and infer
 // stages.
@@ -424,7 +421,7 @@ func (rv *Reverser) Reverse(ctx context.Context, cap rig.Capture) (*Result, erro
 	// of each session, their display rows, pairing, screening,
 	// aggregation.
 	r.stage("streams", func() {
-		res.Streams = streamsFromExtraction(ext, cam, res.Offset, rv.cfg, rv.Parallelism())
+		res.Streams = streamsFromExtraction(ext, cam, res.Offset, rv.Parallelism())
 	})
 	cam.release()
 	// The streams copied what they need out of the observations, and the

@@ -179,15 +179,13 @@ func TestReverseProgressEvents(t *testing.T) {
 func TestOptionsApply(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.GP.Seed = 99
-	cfg.PairMaxGap = 250 * time.Millisecond
-	cfg.MinPairs = 17
 	rv := New(
 		WithParallelism(5),
 		WithConfig(cfg),
 		WithParallelism(3), // a later option overrides an earlier one
 	)
 	cfg = rv.Config()
-	if cfg.GP.Seed != 99 || cfg.PairMaxGap != 250*time.Millisecond || cfg.MinPairs != 17 {
+	if cfg.GP.Seed != 99 {
 		t.Fatalf("options not applied: %+v", cfg)
 	}
 	if rv.Parallelism() != 3 {

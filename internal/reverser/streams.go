@@ -47,7 +47,8 @@ type StreamData struct {
 // ExtractStreams runs the pipeline's front half — assembly, extraction,
 // alignment, session splitting, semantics, pairing, filtering, aggregation
 // — and returns one StreamData per observed stream plus the traffic stats
-// and the estimated clock offset.
+// and the estimated clock offset. Pairing uses the fixed pairMaxGap and
+// minPairs, so cfg is not read.
 //
 // (*Reverser).Reverse runs the same two halves, the camera half
 // (newCamera) and the CAN half (streamsFromExtraction), with the camera
@@ -61,7 +62,7 @@ func ExtractStreams(cap rig.Capture, cfg Config) ([]StreamData, TrafficStats, ti
 	cam := newCamera(cap.UIFrames)
 	defer cam.release()
 	offset := cam.clockOffset(fr)
-	return streamsFromExtraction(ext, cam, offset, cfg, 1), stats, offset
+	return streamsFromExtraction(ext, cam, offset, 1), stats, offset
 }
 
 // streamsFromExtraction is the CAN half of stream preparation: it builds
@@ -71,7 +72,7 @@ func ExtractStreams(cap rig.Capture, cfg Config) ([]StreamData, TrafficStats, ti
 // prepare them: each claims sessions from a shared cursor with scratch
 // of its own over the shared index, and the streams are concatenated in
 // session order, so the output is the same at any worker count.
-func streamsFromExtraction(ext *Extraction, cam *camera, off time.Duration, cfg Config, workers int) []StreamData {
+func streamsFromExtraction(ext *Extraction, cam *camera, off time.Duration, workers int) []StreamData {
 	sessions := cam.sessions
 	per := make([][]StreamData, len(sessions))
 	idx := newStreamIndex(ext.ESVs)
@@ -82,7 +83,7 @@ func streamsFromExtraction(ext *Extraction, cam *camera, off time.Duration, cfg 
 	)
 	work := func(wp *streamPrep) {
 		for i := int(cursor.Add(1)) - 1; i < len(sessions); i = int(cursor.Add(1)) - 1 {
-			per[i] = wp.session(cam, sessions[i], off, cfg)
+			per[i] = wp.session(cam, sessions[i], off)
 		}
 	}
 	for w := 1; w < min(workers, len(sessions)); w++ {
@@ -102,7 +103,7 @@ func streamsFromExtraction(ext *Extraction, cam *camera, off time.Duration, cfg 
 
 // session prepares one session's streams in display-row order. A stream
 // whose display row no frame shows gets an empty camera row.
-func (p *streamPrep) session(cam *camera, sess camSession, off time.Duration, cfg Config) []StreamData {
+func (p *streamPrep) session(cam *camera, sess camSession, off time.Duration) []StreamData {
 	keys := p.sessionStreams(sess.screenName, sess.start-off, sess.end-off)
 	rows := cam.rows[sess.row0 : sess.row0+sess.nrows]
 	out := make([]StreamData, 0, len(keys))
@@ -111,7 +112,7 @@ func (p *streamPrep) session(cam *camera, sess camSession, off time.Duration, cf
 		if rowIdx < len(rows) {
 			row = rows[rowIdx]
 		}
-		out = append(out, p.buildStreamData(k, cam, row, off, cfg))
+		out = append(out, p.buildStreamData(k, cam, row, off))
 	}
 	return out
 }
@@ -444,10 +445,19 @@ func (p *streamPrep) voteRowOrder() {
 	})
 }
 
+// Pairing settings, matched to the rig's poll cadence: pairMaxGap is the
+// largest traffic-to-video timestamp distance that still pairs an X
+// observation with a Y sample, and a stream with fewer than minPairs
+// screened pairs is reported without a formula.
+const (
+	pairMaxGap = time.Second
+	minPairs   = 8
+)
+
 // buildStreamData performs §3.3/§3.4 and §3.5 Step 1 for stream k, shown
 // on the session's display row row, whose samples are on the camera clock
 // of cam, off ahead of the traffic clock.
-func (p *streamPrep) buildStreamData(k int32, cam *camera, row camRow, off time.Duration, cfg Config) StreamData {
+func (p *streamPrep) buildStreamData(k int32, cam *camera, row camRow, off time.Duration) StreamData {
 	sd := StreamData{Key: p.keys[k], Label: row.label, Unit: row.unit}
 	if row.enum {
 		sd.Enum = true
@@ -457,10 +467,10 @@ func (p *streamPrep) buildStreamData(k int32, cam *camera, row camRow, off time.
 
 	members := p.members[k]
 	p.groupX(members)
-	p.pairs = p.pair(members, p.samples, cfg.PairMaxGap, p.pairs)
+	p.pairs = p.pair(members, p.samples, pairMaxGap, p.pairs)
 	screened, rejected := p.screenPairs(p.pairs)
 	sd.RawPairs, sd.RejectedPairs = len(screened.ys), rejected
-	if sd.RawPairs < cfg.MinPairs {
+	if sd.RawPairs < minPairs {
 		return sd
 	}
 	// Even a single distinct X is inferable: the constant formula is
@@ -471,7 +481,7 @@ func (p *streamPrep) buildStreamData(k int32, cam *camera, row camRow, off time.
 	// The raw pairs become the stream's RawDataset, so they get fresh
 	// slices, sized for every observation to pair.
 	p.samples = shifted(cam.samplesOf(row.ys), off, p.samples[:0])
-	raw := p.pair(members, p.samples, cfg.PairMaxGap, pairSet{
+	raw := p.pair(members, p.samples, pairMaxGap, pairSet{
 		xs: make([][]float64, 0, len(members)), ys: make([]float64, 0, len(members)), gid: p.rawGid})
 	p.rawGid = raw.gid
 	if len(raw.ys) > 0 {

@@ -59,9 +59,8 @@ func checkStreamsMatchReference(t *testing.T, name string, cap rig.Capture) {
 // reference's streams over the frames moved onto the traffic clock.
 func checkExtractionMatchesReference(t *testing.T, name string, ext *Extraction, uiFrames []ocr.Frame, off time.Duration) {
 	t.Helper()
-	cfg := DefaultConfig()
-	got := prepareStreams(ext, uiFrames, off, cfg, 1)
-	want := refStreamsFromExtraction(ext, align.ApplyOffset(uiFrames, off), cfg)
+	got := prepareStreams(ext, uiFrames, off, 1)
+	want := refStreamsFromExtraction(ext, align.ApplyOffset(uiFrames, off))
 	if len(want) == 0 {
 		t.Fatalf("%s: reference prepared no streams", name)
 	}
@@ -93,10 +92,10 @@ func frontHalf(t *testing.T, cap rig.Capture) (*Extraction, time.Duration) {
 
 // prepareStreams runs both halves of stream preparation, the CAN half on
 // workers goroutines.
-func prepareStreams(ext *Extraction, uiFrames []ocr.Frame, off time.Duration, cfg Config, workers int) []StreamData {
+func prepareStreams(ext *Extraction, uiFrames []ocr.Frame, off time.Duration, workers int) []StreamData {
 	cam := newCamera(uiFrames)
 	defer cam.release()
-	return streamsFromExtraction(ext, cam, off, cfg, workers)
+	return streamsFromExtraction(ext, cam, off, workers)
 }
 
 // checkStreamsSameAtAnyWorkerCount prepares cap's streams on 1, 2 and 8
@@ -104,13 +103,12 @@ func prepareStreams(ext *Extraction, uiFrames []ocr.Frame, off time.Duration, cf
 func checkStreamsSameAtAnyWorkerCount(t *testing.T, name string, cap rig.Capture) {
 	t.Helper()
 	ext, off := frontHalf(t, cap)
-	cfg := DefaultConfig()
-	want := prepareStreams(ext, cap.UIFrames, off, cfg, 1)
+	want := prepareStreams(ext, cap.UIFrames, off, 1)
 	if len(want) == 0 {
 		t.Fatalf("%s: no streams prepared", name)
 	}
 	for _, workers := range []int{2, 8} {
-		if got := prepareStreams(ext, cap.UIFrames, off, cfg, workers); !reflect.DeepEqual(got, want) {
+		if got := prepareStreams(ext, cap.UIFrames, off, workers); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: %d workers prepare %d streams unlike 1 worker's %d", name, workers, len(got), len(want))
 		}
 	}
@@ -293,19 +291,18 @@ func TestPooledStreamPrep(t *testing.T) {
 		want     []StreamData
 	}
 	var caps []prepared
-	cfg := DefaultConfig()
 	for _, c := range []struct {
 		name string
 		cap  rig.Capture
 	}{{"Car K", collectSeeded(t, "Car K", 1)}, {"Car M", collectSeeded(t, "Car M", 1)}, {"Car A heavy", faulted}} {
 		ext, off := frontHalf(t, c.cap)
-		want := refStreamsFromExtraction(ext, align.ApplyOffset(c.cap.UIFrames, off), cfg)
+		want := refStreamsFromExtraction(ext, align.ApplyOffset(c.cap.UIFrames, off))
 		caps = append(caps, prepared{c.name, ext, c.cap.UIFrames, off, want})
 	}
 	for round := 0; round < 2; round++ {
 		for _, workers := range []int{1, 2, 8} {
 			for _, c := range caps {
-				if got := prepareStreams(c.ext, c.uiFrames, c.off, cfg, workers); !reflect.DeepEqual(got, c.want) {
+				if got := prepareStreams(c.ext, c.uiFrames, c.off, workers); !reflect.DeepEqual(got, c.want) {
 					t.Fatalf("%s at %d workers, round %d: streams unlike the reference's", c.name, workers, round)
 				}
 			}
@@ -318,7 +315,7 @@ func TestPooledStreamPrep(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if got := prepareStreams(c.ext, c.uiFrames, c.off, cfg, workers); !reflect.DeepEqual(got, c.want) {
+				if got := prepareStreams(c.ext, c.uiFrames, c.off, workers); !reflect.DeepEqual(got, c.want) {
 					t.Errorf("%s at %d workers, concurrently: streams unlike the reference's", c.name, workers)
 				}
 			}()
@@ -332,9 +329,9 @@ func TestPooledStreamPrep(t *testing.T) {
 	p, f := newStreamPrep(idx), newStreamPrep(idx)
 	for i, sess := range cam.sessions {
 		if i%2 == 0 {
-			p.session(cam, sess, c.off, cfg)
+			p.session(cam, sess, c.off)
 		} else {
-			f.session(cam, sess, c.off, cfg)
+			f.session(cam, sess, c.off)
 		}
 	}
 	if len(cam.laid) == 0 || len(cam.live) == 0 || len(p.vars) == 0 || len(f.pairs.xs) == 0 {

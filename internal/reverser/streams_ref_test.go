@@ -16,12 +16,12 @@ import (
 	"dpreverser/internal/ocr"
 )
 
-func refStreamsFromExtraction(ext *Extraction, uiFrames []ocr.Frame, cfg Config) []StreamData {
+func refStreamsFromExtraction(ext *Extraction, uiFrames []ocr.Frame) []StreamData {
 	var out []StreamData
 	for _, sess := range splitSessions(uiFrames) {
 		keys, inSession := refSessionStreams(ext.ESVs, sess)
 		for rowIdx, key := range keys {
-			out = append(out, refBuildStreamData(key, rowIdx, inSession[key], sess, cfg))
+			out = append(out, refBuildStreamData(key, rowIdx, inSession[key], sess))
 		}
 	}
 	return out
@@ -118,7 +118,7 @@ func refVoteRowOrder(keys []StreamKey, sessObs []ESVObservation, inSession map[S
 	return ordered
 }
 
-func refBuildStreamData(key StreamKey, rowIdx int, obs []ESVObservation, sess session, cfg Config) StreamData {
+func refBuildStreamData(key StreamKey, rowIdx int, obs []ESVObservation, sess session) StreamData {
 	sd := StreamData{Key: key}
 
 	labelVotes := map[string]int{}
@@ -157,15 +157,15 @@ func refBuildStreamData(key StreamKey, rowIdx int, obs []ESVObservation, sess se
 	ySamples = refFilterOutliers(ocr.FilterRange(ySamples, min, max, nil))
 
 	pair := func(samples []ocr.Sample) ([][]float64, []float64) {
-		maxGap := cfg.PairMaxGap
+		maxGap := pairMaxGap
 		if spacing := refTypicalSpacing(samples); spacing > 0 && spacing*3/5 < maxGap {
 			maxGap = spacing * 3 / 5
 		}
 		var xs [][]float64
 		var ys []float64
 		for _, o := range obs {
-			vars := o.Variables()
-			if vars == nil {
+			vars, ok := o.appendVariables(nil)
+			if !ok {
 				continue
 			}
 			y, ok := refNearestSample(samples, o.At, maxGap)
@@ -181,7 +181,7 @@ func refBuildStreamData(key StreamKey, rowIdx int, obs []ESVObservation, sess se
 	pairsX, pairsY := pair(ySamples)
 	pairsX, pairsY, sd.RejectedPairs = refScreenPairs(pairsX, pairsY)
 	sd.RawPairs = len(pairsY)
-	if sd.RawPairs < cfg.MinPairs {
+	if sd.RawPairs < minPairs {
 		return sd
 	}
 	sd.Dataset = refAggregateByX(pairsX, pairsY)

@@ -3,6 +3,7 @@ package rig
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -52,9 +53,9 @@ const maxPooledBody = 16 << 20
 
 // ReadCapture deserialises a capture written by Save. The body is read
 // whole, then decoded in one pass when it is laid out as Save writes it
-// (capture_decode.go), else by encoding/json. Bytes after the envelope
-// are read and ignored, and a read error after a complete envelope does
-// not fail the decode.
+// (capture_decode.go), else by json.Unmarshal, in place. Bytes after the
+// envelope are read and ignored, and a read error after a complete
+// envelope does not fail the decode.
 func ReadCapture(r io.Reader) (Capture, error) {
 	sc := acquireScratch()
 	defer sc.release()
@@ -66,7 +67,15 @@ func ReadCapture(r io.Reader) (Capture, error) {
 	if !ok {
 		// A fresh envelope, so that only this path moves one to the heap.
 		var fresh captureEnvelope
-		err = json.NewDecoder(bytes.NewReader(sc.body.Bytes())).Decode(&fresh)
+		err = json.Unmarshal(sc.body.Bytes(), &fresh)
+		// Unmarshal rejects bytes after the envelope, which json.Decoder
+		// would ignore: when the bytes before the offending one (Offset
+		// counts it) are a whole value, decode those alone. Unmarshal
+		// checks its input before decoding, so fresh is still empty.
+		var syn *json.SyntaxError
+		if errors.As(err, &syn) && syn.Offset > 0 && json.Valid(sc.body.Bytes()[:syn.Offset-1]) {
+			err = json.Unmarshal(sc.body.Bytes()[:syn.Offset-1], &fresh)
+		}
 		env = fresh
 	}
 	switch {

@@ -52,32 +52,3 @@ func RandomOrder(points []Point, rng *rand.Rand) []Point {
 	rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
 	return out
 }
-
-// Exhaustive finds the optimal order by brute force. It refuses more than
-// 9 points (9! ≈ 363k permutations) — the NP-hardness that justifies the
-// heuristic.
-func Exhaustive(start Point, points []Point) ([]Point, bool) {
-	if len(points) > 9 {
-		return nil, false
-	}
-	best := append([]Point(nil), points...)
-	bestLen := TourLength(start, best)
-	cur := append([]Point(nil), points...)
-	var permute func(k int)
-	permute = func(k int) {
-		if k == len(cur) {
-			if l := TourLength(start, cur); l < bestLen {
-				bestLen = l
-				copy(best, cur)
-			}
-			return
-		}
-		for i := k; i < len(cur); i++ {
-			cur[k], cur[i] = cur[i], cur[k]
-			permute(k + 1)
-			cur[k], cur[i] = cur[i], cur[k]
-		}
-	}
-	permute(0)
-	return best, true
-}

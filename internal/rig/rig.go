@@ -11,10 +11,15 @@ import (
 	"dpreverser/internal/vehicle"
 )
 
+// Fixed session cadence: pollInterval is the live-data refresh period,
+// settleTime the pause after each menu click.
+const (
+	pollInterval = 500 * time.Millisecond
+	settleTime   = 300 * time.Millisecond
+)
+
 // Config tunes a collection session.
 type Config struct {
-	// PollInterval is the live-data refresh cadence.
-	PollInterval time.Duration
 	// ReadDuration is how long each data-stream screen is recorded (the
 	// paper waits ~30 seconds per reading to gather enough samples).
 	ReadDuration time.Duration
@@ -23,8 +28,6 @@ type Config struct {
 	AlignDuration time.Duration
 	// TestDuration is how long each active test runs.
 	TestDuration time.Duration
-	// SettleTime is the pause after menu clicks.
-	SettleTime time.Duration
 	// CameraOffset is the constant skew between the video clock and the
 	// CAN-capture clock, before NTP/OBD alignment corrects it.
 	CameraOffset time.Duration
@@ -38,11 +41,9 @@ type Config struct {
 // DefaultConfig returns the session parameters used by the experiments.
 func DefaultConfig() Config {
 	return Config{
-		PollInterval:  500 * time.Millisecond,
 		ReadDuration:  30 * time.Second,
 		AlignDuration: 8 * time.Second,
 		TestDuration:  3 * time.Second,
-		SettleTime:    300 * time.Millisecond,
 		CameraOffset:  120 * time.Millisecond,
 		ValueErrProb:  -1,
 		Seed:          1,
@@ -144,7 +145,7 @@ func (r *Rig) recordB() {
 // click resolves and taps one target.
 func (r *Rig) click(t Target) bool {
 	hit := r.clicker.Click(t.X, t.Y, t.Text, r.tool.Click)
-	r.clock.Advance(r.cfg.SettleTime)
+	r.clock.Advance(settleTime)
 	return hit
 }
 
@@ -184,9 +185,9 @@ func (r *Rig) recordLiveData(d time.Duration) {
 		r.tool.Poll()
 		// The camera films mid-interval: displayed values lag the traffic
 		// by half a poll period, like a real screen refresh.
-		r.clock.Advance(r.cfg.PollInterval / 2)
+		r.clock.Advance(pollInterval / 2)
 		r.recordB()
-		r.clock.Advance(r.cfg.PollInterval / 2)
+		r.clock.Advance(pollInterval / 2)
 	}
 }
 
@@ -327,7 +328,7 @@ func (r *Rig) CollectActiveTests() error {
 			deadline := r.clock.Now() + r.cfg.TestDuration
 			for r.clock.Now() < deadline {
 				r.recordB()
-				r.clock.Advance(r.cfg.PollInterval)
+				r.clock.Advance(pollInterval)
 			}
 			if err := r.clickText("Stop"); err != nil {
 				return err

@@ -101,23 +101,6 @@ func TestNearestNeighborBeatsRandomOn14Targets(t *testing.T) {
 	}
 }
 
-func TestExhaustiveOptimalAndBounded(t *testing.T) {
-	points := []Point{{10, 0}, {0, 10}, {10, 10}, {5, 5}}
-	start := Point{0, 0}
-	best, ok := Exhaustive(start, points)
-	if !ok {
-		t.Fatal("exhaustive refused 4 points")
-	}
-	bestLen := TourLength(start, best)
-	nnLen := TourLength(start, NearestNeighbor(start, points))
-	if bestLen > nnLen {
-		t.Fatalf("exhaustive (%v) worse than NN (%v)", bestLen, nnLen)
-	}
-	if _, ok := Exhaustive(start, make([]Point, 10)); ok {
-		t.Fatal("exhaustive accepted 10 points")
-	}
-}
-
 func newRig(t *testing.T, car string, cfg Config) (*Rig, *vehicle.Vehicle) {
 	t.Helper()
 	p, ok := vehicle.ProfileByCar(car)

@@ -140,19 +140,6 @@ func (p Plan) Apply(d *gp.Dataset) *gp.Dataset {
 	return out
 }
 
-// Identity reports whether the plan changes nothing.
-func (p Plan) Identity() bool {
-	if p.YFactor != 1 {
-		return false
-	}
-	for _, f := range p.XFactors {
-		if f != 1 {
-			return false
-		}
-	}
-	return true
-}
-
 // Restore rewrites a formula inferred on the scaled dataset into one over
 // the original variables predicting the original target — Table 2's
 // post-processing. If g satisfies Y*yf = g(X0*f0, X1*f1, ...), then
@@ -185,19 +172,18 @@ func substituteVars(n *gp.Node, factors []float64) *gp.Node {
 	return out
 }
 
-// Infer is the pipeline entry point: plan, scale, run GP on the scaled
-// data, and restore the formula to original units.
-func Infer(d *gp.Dataset, cfg gp.Config) (gp.Result, error) {
-	return InferContext(context.Background(), d, cfg)
-}
-
-// InferContext is Infer with cancellation: ctx is handed to the GP engine,
-// which checks it between generations.
+// InferContext is the pipeline entry point: plan, scale, run GP on the
+// scaled data, and restore the formula to original units. ctx is handed to
+// the GP engine, which checks it between generations.
 //
-// Unless cfg.StopFitness is negative (never stop), the run also stops once
-// its best trimmed MAE is within a quarter of the target's display
-// quantum: the tool showed no finer detail, and a formula that matches
-// the data to rounding leaves residuals of about a fifth of a quantum.
+// Unless cfg.StopFitness is negative (never stop), the run stops once its
+// best trimmed MAE, in the scaled units the run sees, is at most
+// max(cfg.StopFitness, quantum·YFactor/4), quantum being the target's
+// display quantum: the tool showed no finer detail, and a formula that
+// matches the data to rounding leaves residuals of about a fifth of a
+// quantum. The StopFitness floor is not a corner case: at the default
+// 0.01 it is the larger term on 281 of the fleet's 416 formula streams
+// (rig seed 1), so on those the bound is coarser than the display.
 func InferContext(ctx context.Context, d *gp.Dataset, cfg gp.Config) (gp.Result, error) {
 	plan := PlanFor(d)
 	scaled := plan.Apply(d)

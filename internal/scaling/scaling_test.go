@@ -1,6 +1,7 @@
 package scaling
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -63,18 +64,6 @@ func TestPlanForAndApply(t *testing.T) {
 	// Input untouched.
 	if d.X[0][0] != 200 || d.Y[0] != 2000 {
 		t.Fatal("Apply mutated its input")
-	}
-}
-
-func TestIdentity(t *testing.T) {
-	if !(Plan{YFactor: 1, XFactors: []float64{1, 1}}).Identity() {
-		t.Fatal("identity plan not recognised")
-	}
-	if (Plan{YFactor: 0.1, XFactors: []float64{1}}).Identity() {
-		t.Fatal("scaling plan claimed identity")
-	}
-	if (Plan{YFactor: 1, XFactors: []float64{0.1}}).Identity() {
-		t.Fatal("x-scaling plan claimed identity")
 	}
 }
 
@@ -159,7 +148,7 @@ func TestInferEndToEndWithLargeMagnitudes(t *testing.T) {
 	cfg.PopulationSize = 200
 	cfg.Generations = 15
 	cfg.Seed = 5
-	res, err := Infer(d, cfg)
+	res, err := InferContext(context.Background(), d, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +159,7 @@ func TestInferEndToEndWithLargeMagnitudes(t *testing.T) {
 }
 
 func TestInferPropagatesErrors(t *testing.T) {
-	if _, err := Infer(&gp.Dataset{}, gp.DefaultConfig()); err == nil {
+	if _, err := InferContext(context.Background(), &gp.Dataset{}, gp.DefaultConfig()); err == nil {
 		t.Fatal("empty dataset accepted")
 	}
 }
@@ -248,7 +237,7 @@ func TestInferRecoversOnInitialPopulation(t *testing.T) {
 		for seed := int64(1); seed <= 10; seed++ {
 			cfg := gp.DefaultConfig()
 			cfg.Seed = seed
-			res, err := Infer(d, cfg)
+			res, err := InferContext(context.Background(), d, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -269,7 +258,7 @@ func TestInferNegativeStopFitnessRunsEveryGeneration(t *testing.T) {
 	d := displayed(func(a, b float64) float64 { return (256*a + b) / 4 }, rows)
 	cfg := gp.DefaultConfig()
 	cfg.PopulationSize, cfg.Generations, cfg.StopFitness = 100, 6, -1
-	res, err := Infer(d, cfg)
+	res, err := InferContext(context.Background(), d, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,14 +55,6 @@ func BatteryVoltage(seed int64) Signal {
 	}
 }
 
-// SteeringAngle models steering wheel angle in degrees (±540).
-func SteeringAngle(seed int64) Signal {
-	return Sum{
-		Sine{Amplitude: 120, Period: 11 * time.Second},
-		NewRandomWalk(seed, 0, 8, -380, 380, 200*time.Millisecond),
-	}
-}
-
 // LateralAcceleration models lateral g-force in m/s².
 func LateralAcceleration(seed int64) Signal {
 	return Sum{

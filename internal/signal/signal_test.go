@@ -172,7 +172,6 @@ func TestLibrarySignalEnvelopes(t *testing.T) {
 		{"FuelLevel", FuelLevel(5), 3, 102},
 		{"ManifoldPressure", ManifoldPressure(6), 15, 105},
 		{"BatteryVoltage", BatteryVoltage(7), 12.5, 15},
-		{"SteeringAngle", SteeringAngle(8), -540, 540},
 		{"LateralAcceleration", LateralAcceleration(9), -4, 4},
 		{"TorqueAssistance", TorqueAssistance(10), -0.255, 0.255},
 		{"BrakePressure", BrakePressure(11), 0, 120},
@@ -207,7 +206,6 @@ func TestLibrarySignalsVary(t *testing.T) {
 		{"VehicleSpeed", VehicleSpeed(22)},
 		{"CoolantTemp", CoolantTemp(23)},
 		{"ThrottlePosition", ThrottlePosition(24)},
-		{"SteeringAngle", SteeringAngle(25)},
 	}
 	for _, c := range varying {
 		t.Run(c.name, func(t *testing.T) {

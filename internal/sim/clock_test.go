@@ -144,19 +144,3 @@ func TestNewRandDeterminism(t *testing.T) {
 		}
 	}
 }
-
-func TestSplitRandIndependence(t *testing.T) {
-	parent := NewRand(1)
-	c1 := SplitRand(parent)
-	c2 := SplitRand(parent)
-	same := true
-	for i := 0; i < 32; i++ {
-		if c1.Int63() != c2.Int63() {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("split streams are identical; expected independent streams")
-	}
-}

@@ -9,11 +9,3 @@ import "math/rand"
 func NewRand(seed int64) *rand.Rand {
 	return rand.New(rand.NewSource(seed))
 }
-
-// SplitRand derives an independent deterministic stream from a parent
-// stream. Components that fork work (for example one RNG per simulated
-// vehicle) use SplitRand so adding a consumer does not perturb the draws
-// seen by its siblings.
-func SplitRand(parent *rand.Rand) *rand.Rand {
-	return rand.New(rand.NewSource(parent.Int63()))
-}

@@ -83,48 +83,3 @@ func ParseReadDTCResponse(msg []byte) (availabilityMask byte, dtcs []DTC, err er
 func BuildClearDTCRequest(group uint32) []byte {
 	return []byte{SIDClearDiagnosticInfo, byte(group >> 16), byte(group >> 8), byte(group)}
 }
-
-// --- RoutineControl (0x31) ---
-
-// Routine-control sub-functions.
-const (
-	RoutineStart          byte = 0x01
-	RoutineStop           byte = 0x02
-	RoutineRequestResults byte = 0x03
-)
-
-// RoutineRequest is a decoded 0x31 request. BMW tools drive several
-// actuators through routines (the paper's Table 13 BMW rows are
-// "31 01 ..." messages).
-type RoutineRequest struct {
-	Sub    byte
-	ID     uint16
-	Option []byte
-}
-
-// BuildRoutineRequest encodes "31 {sub} {routine id} {option}*".
-func BuildRoutineRequest(req RoutineRequest) []byte {
-	out := []byte{SIDRoutineControl, req.Sub, byte(req.ID >> 8), byte(req.ID)}
-	return append(out, req.Option...)
-}
-
-// ParseRoutineRequest decodes a 0x31 request.
-func ParseRoutineRequest(msg []byte) (RoutineRequest, error) {
-	if len(msg) < 4 {
-		return RoutineRequest{}, ErrTooShort
-	}
-	if msg[0] != SIDRoutineControl {
-		return RoutineRequest{}, fmt.Errorf("%w: sid %#02x", ErrNotService, msg[0])
-	}
-	req := RoutineRequest{Sub: msg[1], ID: uint16(msg[2])<<8 | uint16(msg[3])}
-	if len(msg) > 4 {
-		req.Option = append([]byte(nil), msg[4:]...)
-	}
-	return req, nil
-}
-
-// BuildRoutineResponse builds the positive 0x71 response.
-func BuildRoutineResponse(req RoutineRequest, status []byte) []byte {
-	out := []byte{PositiveResponseSID(SIDRoutineControl), req.Sub, byte(req.ID >> 8), byte(req.ID)}
-	return append(out, status...)
-}

@@ -1,7 +1,6 @@
 package uds
 
 import (
-	"bytes"
 	"errors"
 	"testing"
 )
@@ -104,56 +103,5 @@ func TestServerReadDTCWithoutStore(t *testing.T) {
 	_, dtcs, err := ParseReadDTCResponse(resp)
 	if err != nil || len(dtcs) != 0 {
 		t.Fatalf("resp = % X (%v)", resp, err)
-	}
-}
-
-func TestRoutineRoundTrip(t *testing.T) {
-	req := RoutineRequest{Sub: RoutineStart, ID: 0x0103, Option: []byte{0x01}}
-	raw := BuildRoutineRequest(req)
-	if !bytes.Equal(raw, []byte{0x31, 0x01, 0x01, 0x03, 0x01}) {
-		t.Fatalf("raw = % X", raw)
-	}
-	got, err := ParseRoutineRequest(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Sub != RoutineStart || got.ID != 0x0103 || !bytes.Equal(got.Option, []byte{0x01}) {
-		t.Fatalf("parsed = %+v", got)
-	}
-	resp := BuildRoutineResponse(got, []byte{0x00})
-	if !bytes.Equal(resp, []byte{0x71, 0x01, 0x01, 0x03, 0x00}) {
-		t.Fatalf("resp = % X", resp)
-	}
-}
-
-func TestServerRoutineControl(t *testing.T) {
-	s := NewServer()
-	var started []uint16
-	s.Routine = func(req RoutineRequest) ([]byte, byte) {
-		if req.Sub == RoutineStart {
-			started = append(started, req.ID)
-			return []byte{0x00}, 0
-		}
-		return nil, NRCSubFunctionNotSupported
-	}
-	// Routines need an extended session.
-	resp := s.Handle(BuildRoutineRequest(RoutineRequest{Sub: RoutineStart, ID: 0x0203}))
-	if _, nrc, ok := ParseNegativeResponse(resp); !ok || nrc != NRCServiceNotInActiveSession {
-		t.Fatalf("default-session routine resp = % X", resp)
-	}
-	s.Handle([]byte{0x10, 0x03})
-	resp = s.Handle(BuildRoutineRequest(RoutineRequest{Sub: RoutineStart, ID: 0x0203}))
-	if !IsPositiveResponse(resp, SIDRoutineControl) {
-		t.Fatalf("routine resp = % X", resp)
-	}
-	if len(started) != 1 || started[0] != 0x0203 {
-		t.Fatalf("started = %v", started)
-	}
-	// No handler → serviceNotSupported.
-	s2 := NewServer()
-	s2.Handle([]byte{0x10, 0x03})
-	resp = s2.Handle(BuildRoutineRequest(RoutineRequest{Sub: RoutineStart, ID: 1}))
-	if _, nrc, ok := ParseNegativeResponse(resp); !ok || nrc != NRCServiceNotSupported {
-		t.Fatalf("resp = % X", resp)
 	}
 }

@@ -21,9 +21,6 @@ type Server struct {
 	// ClearDTCs erases stored codes for a group (0xFFFFFF = all); return
 	// false to reject.
 	ClearDTCs func(group uint32) bool
-	// Routine executes a RoutineControl request; return nrc != 0 to
-	// reject.
-	Routine func(req RoutineRequest) (status []byte, nrc byte)
 	// SecuredServices lists services requiring an unlocked security state.
 	SecuredServices map[byte]bool
 	// SeedToKey computes the expected key for a seed; nil enables a
@@ -81,8 +78,6 @@ func (s *Server) Handle(req []byte) []byte {
 		return s.handleReadDTC(req)
 	case SIDClearDiagnosticInfo:
 		return s.handleClearDTC(req)
-	case SIDRoutineControl:
-		return s.handleRoutine(req)
 	default:
 		return BuildNegativeResponse(sid, NRCServiceNotSupported)
 	}
@@ -236,24 +231,6 @@ func (s *Server) handleClearDTC(req []byte) []byte {
 		return BuildNegativeResponse(SIDClearDiagnosticInfo, NRCConditionsNotCorrect)
 	}
 	return []byte{PositiveResponseSID(SIDClearDiagnosticInfo)}
-}
-
-func (s *Server) handleRoutine(req []byte) []byte {
-	parsed, err := ParseRoutineRequest(req)
-	if err != nil {
-		return BuildNegativeResponse(SIDRoutineControl, NRCIncorrectMessageLength)
-	}
-	if s.session == SessionDefault {
-		return BuildNegativeResponse(SIDRoutineControl, NRCServiceNotInActiveSession)
-	}
-	if s.Routine == nil {
-		return BuildNegativeResponse(SIDRoutineControl, NRCServiceNotSupported)
-	}
-	status, nrc := s.Routine(parsed)
-	if nrc != 0 {
-		return BuildNegativeResponse(SIDRoutineControl, nrc)
-	}
-	return BuildRoutineResponse(parsed, status)
 }
 
 // RequestName renders a request's service mnemonically, for logs and the

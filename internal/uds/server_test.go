@@ -184,6 +184,19 @@ func TestServerUnsupportedService(t *testing.T) {
 	}
 }
 
+// RequestName names RoutineControl (0x31), but no ECU serves it: the
+// server refuses it in every session.
+func TestServerRoutineControl(t *testing.T) {
+	s := newTestServer()
+	for _, session := range []byte{SessionDefault, SessionExtended} {
+		s.Handle([]byte{SIDDiagnosticSessionControl, session})
+		resp := s.Handle([]byte{SIDRoutineControl, 0x01, 0x02, 0x03})
+		if _, nrc, ok := ParseNegativeResponse(resp); !ok || nrc != NRCServiceNotSupported {
+			t.Fatalf("session %#02x: resp = % X", session, resp)
+		}
+	}
+}
+
 func TestServerEmptyAndMalformed(t *testing.T) {
 	s := newTestServer()
 	if _, nrc, ok := ParseNegativeResponse(s.Handle(nil)); !ok || nrc != NRCIncorrectMessageLength {
@@ -225,20 +238,6 @@ func TestRequestNameAllServices(t *testing.T) {
 	for sid, want := range cases {
 		if got := RequestName([]byte{sid}); got != want {
 			t.Errorf("RequestName(%#02x) = %q, want %q", sid, got, want)
-		}
-	}
-}
-
-func TestIOParamNameAll(t *testing.T) {
-	cases := map[byte]string{
-		IOReturnControlToECU:  "returnControlToECU",
-		IOResetToDefault:      "resetToDefault",
-		IOFreezeCurrentState:  "freezeCurrentState",
-		IOShortTermAdjustment: "shortTermAdjustment",
-	}
-	for p, want := range cases {
-		if got := IOParamName(p); got != want {
-			t.Errorf("IOParamName(%#02x) = %q, want %q", p, got, want)
 		}
 	}
 }

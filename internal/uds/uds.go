@@ -49,28 +49,6 @@ const (
 	NRCServiceNotInActiveSession byte = 0x7F
 )
 
-// nrcNames maps NRCs to the standard's short names for diagnostics output.
-var nrcNames = map[byte]string{
-	NRCGeneralReject:             "generalReject",
-	NRCServiceNotSupported:       "serviceNotSupported",
-	NRCSubFunctionNotSupported:   "subFunctionNotSupported",
-	NRCIncorrectMessageLength:    "incorrectMessageLengthOrInvalidFormat",
-	NRCConditionsNotCorrect:      "conditionsNotCorrect",
-	NRCRequestSequenceError:      "requestSequenceError",
-	NRCRequestOutOfRange:         "requestOutOfRange",
-	NRCSecurityAccessDenied:      "securityAccessDenied",
-	NRCInvalidKey:                "invalidKey",
-	NRCServiceNotInActiveSession: "serviceNotSupportedInActiveSession",
-}
-
-// NRCName renders an NRC as its ISO short name.
-func NRCName(nrc byte) string {
-	if n, ok := nrcNames[nrc]; ok {
-		return n
-	}
-	return fmt.Sprintf("nrc(%#02x)", nrc)
-}
-
 // Session types for DiagnosticSessionControl.
 const (
 	SessionDefault     byte = 0x01
@@ -86,22 +64,6 @@ const (
 	IOFreezeCurrentState  byte = 0x02
 	IOShortTermAdjustment byte = 0x03
 )
-
-// IOParamName names an IO control parameter for reports.
-func IOParamName(p byte) string {
-	switch p {
-	case IOReturnControlToECU:
-		return "returnControlToECU"
-	case IOResetToDefault:
-		return "resetToDefault"
-	case IOFreezeCurrentState:
-		return "freezeCurrentState"
-	case IOShortTermAdjustment:
-		return "shortTermAdjustment"
-	default:
-		return fmt.Sprintf("ioParam(%#02x)", p)
-	}
-}
 
 // Codec errors.
 var (

@@ -142,21 +142,6 @@ func TestIsPositiveResponse(t *testing.T) {
 	}
 }
 
-func TestNRCAndIONames(t *testing.T) {
-	if NRCName(NRCSecurityAccessDenied) != "securityAccessDenied" {
-		t.Fatal("NRCName mismatch")
-	}
-	if NRCName(0xEE) != "nrc(0xee)" {
-		t.Fatalf("unknown NRC = %q", NRCName(0xEE))
-	}
-	if IOParamName(IOShortTermAdjustment) != "shortTermAdjustment" {
-		t.Fatal("IOParamName mismatch")
-	}
-	if IOParamName(0x77) != "ioParam(0x77)" {
-		t.Fatalf("unknown IO param = %q", IOParamName(0x77))
-	}
-}
-
 // Property: RDBI build/parse round-trips for arbitrary DID lists with
 // distinct widths 1-4 derived from the DID (so boundaries are non-trivial).
 func TestRDBIRoundTripProperty(t *testing.T) {

@@ -119,8 +119,8 @@ func (v *Vehicle) Dashboard() map[string]float64 {
 	}
 }
 
-// OBDSignal exposes one standard-PID signal (the alignment step and the
-// Table 5 experiment read these).
+// OBDSignal exposes one standard-PID signal: the ground truth the car's
+// OBD responses for pid encode.
 func (v *Vehicle) OBDSignal(pid byte) (signal.Signal, bool) {
 	s, ok := v.obdSignals[pid]
 	return s, ok
