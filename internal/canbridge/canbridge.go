@@ -10,6 +10,10 @@
 // the OBD port: an external program (any language) can drive the simulated
 // car and sniff its traffic; each traffic line parses back into a frame
 // with can.ParseDumpLine.
+//
+// The package holds the wire and nothing above it: the grammar (codec.go),
+// this bus Server (cmd/carsim), and StreamConn, the client that streams a
+// capture into the job server's ingest listener (internal/jobserver).
 package canbridge
 
 import (

@@ -2,6 +2,7 @@ package canbridge
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -9,21 +10,27 @@ import (
 	"dpreverser/internal/can"
 )
 
-// This file is the single home of the canbridge wire grammar. Both ends of
-// the line protocol — the Server that exposes a simulated bus, the
-// IngestServer that accepts live streams into reverse-engineering jobs,
-// and StreamConn, the client side of an ingest session — parse and format
-// messages through Parse and Format, so the two sides cannot drift apart.
+// This file is the single home of the canbridge wire grammar. Every end
+// of the line protocol — the Server that exposes a simulated bus,
+// StreamConn, the client side of an ingest session, and the job server's
+// ingest listener (internal/jobserver) that accepts live streams into
+// reverse-engineering jobs — parses and formats messages through Parse
+// and Format, so the sides cannot drift apart.
 //
 // One message is one line. The grammar:
 //
 //	HELLO canbridge 1          greeting (server → client)
 //	HELLO <token>              ingest-session handshake (client → server)
 //	SEND 7E0#021003            inject / stream one frame (no timestamp)
-//	ADVANCE 500                advance the virtual clock by 500 ms
+//	ADVANCE 500                advance the virtual clock by 500 ms (at most
+//	                           math.MaxInt64 ns, in whole milliseconds)
 //	OK                         command accepted
 //	ERR <message>              command refused
 //	(000001.500000) 7E8#0650   bus traffic, candump notation
+
+// maxTrafficTime bounds a traffic line's timestamp: 2^31 s, about 68
+// years, so candump's Unix-epoch stamps fit until 2038.
+const maxTrafficTime = 1 << 31 * time.Second
 
 // Greeting is the HELLO every canbridge listener sends on accept.
 var Greeting = MsgHello{Subject: "canbridge", Version: 1}
@@ -103,6 +110,13 @@ func Parse(line string) (Message, error) {
 		if err != nil {
 			return nil, err
 		}
+		// The line carries whole microseconds, which the float seconds
+		// it is parsed through resolve below maxTrafficTime; inside that
+		// range Format and Parse round-trip a frame exactly.
+		f.Timestamp = f.Timestamp.Round(time.Microsecond)
+		if f.Timestamp < 0 || f.Timestamp >= maxTrafficTime {
+			return nil, fmt.Errorf("canbridge: traffic timestamp out of range in %q", line)
+		}
 		return MsgFrame{Frame: f}, nil
 	}
 	verb, rest, _ := strings.Cut(line, " ")
@@ -132,8 +146,9 @@ func Parse(line string) (Message, error) {
 		f.Timestamp = 0
 		return MsgSend{Frame: f}, nil
 	case "ADVANCE":
+		// The bound keeps ms·1e6 from wrapping into a negative Duration.
 		ms, err := strconv.ParseInt(rest, 10, 64)
-		if err != nil || ms < 0 {
+		if err != nil || ms < 0 || ms > math.MaxInt64/int64(time.Millisecond) {
 			return nil, fmt.Errorf("canbridge: bad ADVANCE argument %q", rest)
 		}
 		return MsgAdvance{D: time.Duration(ms) * time.Millisecond}, nil

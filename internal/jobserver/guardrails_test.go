@@ -1,8 +1,12 @@
 package jobserver
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
+	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -91,13 +95,13 @@ func TestIdleStreamExpiredWithoutStarvingTenants(t *testing.T) {
 
 	// Advance the injected clock past the timeout and sweep.
 	mc.Advance(ingestIdleTimeout + time.Second)
-	if n := srv.ExpireIdleStreams(); n != 1 {
-		t.Fatalf("ExpireIdleStreams = %d, want 1", n)
+	if n := srv.expireIdleStreams(); n != 1 {
+		t.Fatalf("expireIdleStreams = %d, want 1", n)
 	}
 	if st := waitState(t, reg.Job, JobState.Terminal); st != Failed {
 		t.Fatalf("idle stream's job finished %s, want failed", st)
 	}
-	if msg := reg.Job.Snapshot().Error; !strings.Contains(msg, canbridge.ReasonIdleTimeout) {
+	if msg := reg.Job.Snapshot().Error; !strings.Contains(msg, reasonIdleTimeout) {
 		t.Fatalf("job error = %q, want the idle-timeout reason", msg)
 	}
 	if dump := promDump(t, prov); !strings.Contains(dump,
@@ -139,12 +143,227 @@ func TestStreamFrameBudgetFailsJob(t *testing.T) {
 	if st := waitState(t, reg.Job, JobState.Terminal); st != Failed {
 		t.Fatalf("over-budget stream's job finished %s, want failed", st)
 	}
-	if msg := reg.Job.Snapshot().Error; !strings.Contains(msg, canbridge.ReasonFrameBudget) {
+	if msg := reg.Job.Snapshot().Error; !strings.Contains(msg, reasonFrameBudget) {
 		t.Fatalf("job error = %q, want the frame-budget reason", msg)
 	}
 	if dump := promDump(t, prov); !strings.Contains(dump,
 		telemetry.MetricStreamSessions+`{outcome="frame-budget"} 1`) {
 		t.Error("frame-budget session outcome not counted")
+	}
+}
+
+// TestIngestByteBudget: a stream past ingestMaxBytes of payload is
+// refused mid-stream and its job fails with the byte-budget reason. The
+// test starts the stream 8 bytes short of the budget rather than sending
+// 64 MiB.
+func TestIngestByteBudget(t *testing.T) {
+	prov := telemetry.New(telemetry.NewManualClock(0))
+	srv := New(Config{Reverser: quickOpts()}, prov)
+	defer srv.Close()
+
+	addr, err := srv.ServeIngest("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := srv.RegisterStream("acme", "Car M", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.mu.Lock()
+	srv.streams[reg.Token].bytes = ingestMaxBytes - 8
+	srv.mu.Unlock()
+	conn, err := canbridge.DialStream(addr, reg.Token)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	full := can.MustFrame(0x7E0, []byte{0, 1, 2, 3, 4, 5, 6, 7})
+	if err := conn.Send(full); err != nil {
+		t.Fatalf("send up to the byte budget: %v", err)
+	}
+	var se *canbridge.ServerError
+	if err := conn.Send(full); !errors.As(err, &se) {
+		t.Fatalf("over-budget send err = %v, want *canbridge.ServerError", err)
+	}
+	if st := waitState(t, reg.Job, JobState.Terminal); st != Failed {
+		t.Fatalf("over-budget stream's job finished %s, want failed", st)
+	}
+	if msg := reg.Job.Snapshot().Error; !strings.Contains(msg, reasonByteBudget) {
+		t.Fatalf("job error = %q, want the byte-budget reason", msg)
+	}
+	if dump := promDump(t, prov); !strings.Contains(dump,
+		telemetry.MetricStreamSessions+`{outcome="byte-budget"} 1`) {
+		t.Error("byte-budget session outcome not counted")
+	}
+}
+
+// TestIngestRejectsStreamCommandsBeforeHello: a SEND before any HELLO is
+// refused, and it binds nothing: the stream's token still works after.
+func TestIngestRejectsStreamCommandsBeforeHello(t *testing.T) {
+	srv := New(Config{Reverser: quickOpts()}, telemetry.New(telemetry.NewManualClock(0)))
+	defer srv.Close()
+	addr, err := srv.ServeIngest("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := srv.RegisterStream("acme", "Car M", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	raw, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+	rd := bufio.NewReader(raw)
+	if greeting, err := rd.ReadString('\n'); err != nil || !strings.HasPrefix(greeting, "HELLO") {
+		t.Fatalf("greeting = %q, %v", greeting, err)
+	}
+	if _, err := raw.Write([]byte("SEND 123#00\n")); err != nil {
+		t.Fatal(err)
+	}
+	line, err := rd.ReadString('\n')
+	if err != nil {
+		t.Fatal(err)
+	}
+	if msg, _ := canbridge.Parse(line); msg == nil {
+		t.Fatalf("unparsable reply %q", line)
+	} else if _, isErr := msg.(canbridge.MsgErr); !isErr {
+		t.Fatalf("reply to early SEND = %q, want ERR", line)
+	}
+
+	conn, err := canbridge.DialStream(addr, reg.Token)
+	if err != nil {
+		t.Fatalf("token refused after an early SEND on another connection: %v", err)
+	}
+	conn.Close()
+}
+
+// TestUnpresentedStreamTokenExpires: a registered stream whose token is
+// never presented is idle from registration, so the sweep fails it and
+// frees its tenant's quota slot. No ingest listener is needed for that.
+func TestUnpresentedStreamTokenExpires(t *testing.T) {
+	mc := telemetry.NewManualClock(0)
+	srv := New(Config{TenantMaxActive: 1, Reverser: quickOpts()}, telemetry.New(mc))
+	defer srv.Close()
+
+	reg, err := srv.RegisterStream("acme", "Car M", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc.Advance(ingestIdleTimeout - time.Second)
+	if n := srv.expireIdleStreams(); n != 0 {
+		t.Fatalf("expireIdleStreams = %d before the timeout, want 0", n)
+	}
+	mc.Advance(time.Second)
+	if n := srv.expireIdleStreams(); n != 1 {
+		t.Fatalf("expireIdleStreams = %d, want 1", n)
+	}
+	if st := reg.Job.State(); st != Failed {
+		t.Fatalf("never-dialled stream's job is %s, want failed", st)
+	}
+	if msg := reg.Job.Snapshot().Error; !strings.Contains(msg, reasonIdleTimeout) {
+		t.Fatalf("job error = %q, want the idle-timeout reason", msg)
+	}
+	if _, err := srv.RegisterStream("acme", "Car M", ""); err != nil {
+		t.Fatalf("tenant slot still held after the idle expiry: %v", err)
+	}
+}
+
+// TestStreamAdvancePastLargestTimeRefused: an ADVANCE that would carry
+// stream time past the largest Duration is refused, and the stream goes
+// on at the time it had.
+func TestStreamAdvancePastLargestTimeRefused(t *testing.T) {
+	srv := New(Config{Reverser: quickOpts()}, telemetry.New(telemetry.NewManualClock(0)))
+	defer srv.Close()
+	addr, err := srv.ServeIngest("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := srv.RegisterStream("acme", "Car M", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := canbridge.DialStream(addr, reg.Token)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	largest := math.MaxInt64 / time.Millisecond * time.Millisecond
+	if err := conn.Advance(largest); err != nil {
+		t.Fatalf("ADVANCE to the largest stream time: %v", err)
+	}
+	var se *canbridge.ServerError
+	if err := conn.Advance(time.Millisecond); !errors.As(err, &se) {
+		t.Fatalf("ADVANCE past the largest stream time: err = %v, want *canbridge.ServerError", err)
+	}
+	if err := conn.Send(can.MustFrame(0x7E0, []byte{0x01})); err != nil {
+		t.Fatal(err)
+	}
+	srv.mu.Lock()
+	ss := srv.streams[reg.Token]
+	srv.mu.Unlock()
+	ss.mu.Lock()
+	at := ss.frames[0].Timestamp
+	ss.mu.Unlock()
+	if at != largest {
+		t.Fatalf("frame stamped at %v, want %v", at, largest)
+	}
+}
+
+// TestCancelClosesBoundStream: cancelling a streaming job over HTTP
+// closes its ingest connection, rather than leaving it open to answer
+// every later SEND with ERR, and the session is counted once.
+func TestCancelClosesBoundStream(t *testing.T) {
+	prov := telemetry.New(telemetry.NewManualClock(0))
+	srv := New(Config{Reverser: quickOpts()}, prov)
+	defer srv.Close()
+	addr, err := srv.ServeIngest("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := srv.RegisterStream("acme", "Car M", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := canbridge.DialStream(addr, reg.Token)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := conn.Send(can.MustFrame(0x7E0, []byte{0x01})); err != nil {
+		t.Fatal(err)
+	}
+
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodDelete, "/api/v1/jobs/"+reg.Job.ID, nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("DELETE = %d: %s", rec.Code, rec.Body)
+	}
+	sent := make(chan error, 1)
+	go func() { sent <- conn.Send(can.MustFrame(0x7E0, []byte{0x02})) }()
+	select {
+	case err := <-sent:
+		var se *canbridge.ServerError
+		if err == nil || errors.As(err, &se) {
+			t.Fatalf("send after cancel: err = %v, want the connection closed", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("send after cancel still pending after 5s")
+	}
+
+	if err := srv.Close(); err != nil { // joins the session's goroutine
+		t.Fatal(err)
+	}
+	if st := reg.Job.State(); st != Cancelled {
+		t.Fatalf("cancelled streaming job is %s", st)
+	}
+	dump := promDump(t, prov)
+	if !strings.Contains(dump, telemetry.MetricStreamSessions+`{outcome="truncated"} 1`) ||
+		strings.Count(dump, telemetry.MetricStreamSessions+"{") != 1 {
+		t.Errorf("stream sessions not counted exactly once:\n%s", dump)
 	}
 }
 

@@ -1,10 +1,11 @@
 // Package jobserver turns the batch reverse-engineering pipeline into a
 // long-running, multi-tenant service: captures arrive over HTTP (upload)
-// or the canbridge line protocol (live streams), land in a sharded
-// in-memory job queue partitioned by (tenant, car, stream key), and a
-// bounded worker fleet runs each job through reverser.New with per-job
-// cancellation, progress history, quotas, backpressure and graceful
-// drain. cmd/dpreversed is the daemon wrapping this package.
+// or the canbridge line protocol (live streams, through the server's own
+// ingest listener in ingest.go), land in a sharded in-memory job queue
+// partitioned by (tenant, car, stream key), and a bounded worker fleet
+// runs each job through reverser.New with per-job cancellation, progress
+// history, quotas, backpressure and graceful drain. cmd/dpreversed is the
+// daemon wrapping this package.
 package jobserver
 
 import (

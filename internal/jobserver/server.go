@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"net"
 	"sort"
 	"strconv"
 	"sync"
@@ -142,7 +143,7 @@ func (sh *shard) drain() {
 
 // Server is the multi-tenant reverse-engineering job server core:
 // admission, the sharded queue, the worker fleet and the job/result
-// store. The HTTP layer (http.go) and the canbridge ingest layer
+// store. The HTTP layer (http.go) and the canbridge ingest listener
 // (ingest.go) sit on top.
 type Server struct {
 	cfg   Config
@@ -172,11 +173,15 @@ type Server struct {
 	order    []string       // job IDs in submission order
 	tenants  map[string]int // live (streaming+queued+running) jobs per tenant
 	tstats   map[string]*tenantStat
-	streams  map[string]*streamSession
+	streams  map[string]*streamSession  // registered live streams, by token
+	conns    map[net.Conn]time.Duration // ingest connections awaiting HELLO, by accept time
+	ingest   net.Listener               // nil until ServeIngest
 	draining bool
 
-	// ingest is the optional canbridge listener; see ingest.go.
-	ingest ingestListener
+	// quit closes when draining begins and stops the idle sweeper;
+	// ingestWG joins the sweeper and every ingest goroutine (ingest.go).
+	quit     chan struct{}
+	ingestWG sync.WaitGroup
 }
 
 // tenantStat is the per-tenant admission ledger behind the status
@@ -252,6 +257,8 @@ func New(cfg Config, tel *telemetry.Provider) *Server {
 		tenants: map[string]int{},
 		tstats:  map[string]*tenantStat{},
 		streams: map[string]*streamSession{},
+		conns:   map[net.Conn]time.Duration{},
+		quit:    make(chan struct{}),
 	}
 	if tel != nil && tel.Clock != nil {
 		s.clock = tel.Clock
@@ -277,6 +284,11 @@ func New(cfg Config, tel *telemetry.Provider) *Server {
 			s.wg.Add(1)
 			go s.worker(i)
 		}
+	}
+	// Tests on a manual clock drive expireIdleStreams themselves.
+	if _, manual := s.clock.(*telemetry.ManualClock); !manual {
+		s.ingestWG.Add(1)
+		go s.sweepIdle()
 	}
 	return s
 }
@@ -633,10 +645,15 @@ func (s *Server) Cancel(id string) error {
 		return nil
 	default:
 		// Streaming or queued: mark it so the worker (or the ingest
-		// finaliser) skips it, and settle the books now.
+		// finaliser) skips it, and settle the books now. A live stream's
+		// connection is closed with it.
 		j.cancelled = true
+		streaming := j.state == Streaming
 		j.mu.Unlock()
 		s.finalize(j, Cancelled, nil, "")
+		if streaming {
+			s.stopStreamOf(j)
+		}
 		return nil
 	}
 }
@@ -736,23 +753,11 @@ func (s *Server) beginDrain() {
 	s.mu.Lock()
 	already := s.draining
 	s.draining = true
-	sessions := make([]*streamSession, 0, len(s.streams))
-	for _, ss := range s.streams {
-		sessions = append(sessions, ss)
-	}
-	ing := s.ingest
 	s.mu.Unlock()
 	if already {
 		return
 	}
-	// Registered-but-never-bound streams are settled here; bound sessions
-	// live inside the ingest listener and are truncated by its Close.
-	for _, ss := range sessions {
-		ss.abort()
-	}
-	if ing != nil {
-		ing.Close() //nolint:errcheck // Close never fails after Listen
-	}
+	s.stopIngest()
 	for _, sh := range s.shards {
 		sh.drain()
 	}

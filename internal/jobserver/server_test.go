@@ -505,12 +505,12 @@ func TestUnknownStreamToken(t *testing.T) {
 	}
 }
 
-// Every wall-clock ServeIngest starts the idle sweeper; Close must stop
-// it along with the listener.
+// Every wall-clock server runs the idle sweeper; Close must stop it
+// along with the listener.
 func TestCloseStopsIdleSweeper(t *testing.T) {
 	sweepers := func() int {
 		buf := make([]byte, 1<<20)
-		return strings.Count(string(buf[:runtime.Stack(buf, true)]), "canbridge.(*IngestServer).sweepLoop")
+		return strings.Count(string(buf[:runtime.Stack(buf, true)]), "jobserver.(*Server).sweepIdle")
 	}
 	// A goroutine shows in the dump only once it has run, and for a moment
 	// after it has signalled its exit.
