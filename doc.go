@@ -13,9 +13,15 @@
 // Entry points:
 //
 //   - cmd/dpreverse — reverse engineer one simulated car end to end
+//   - cmd/dpreversed — the multi-tenant job server (HTTP API, live ingest)
+//   - cmd/dptop — a terminal dashboard over the job server's metrics
 //   - cmd/experiments — regenerate every table of the paper's evaluation
-//   - cmd/appscan — the §4.6 telematics-app formula analysis
-//   - examples/ — runnable walkthroughs of the public API
+//   - cmd/dplint — the repository's static-analysis suite
+//   - cmd/carsim — serve a simulated car's OBD port over TCP
+//
+// The walkthroughs of the public API are go-test-checked Example
+// functions: ExampleReverser_Reverse (internal/reverser), ExampleBuild
+// (internal/vehicle) and ExampleAnalyze (internal/appanalysis).
 //
 // The library entry point is reverser.New(opts...) and
 // (*Reverser).Reverse(ctx, capture): a context-aware pipeline that fans

@@ -4,6 +4,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -12,9 +13,16 @@ import (
 // ErrBadDumpLine reports an unparsable capture line.
 var ErrBadDumpLine = errors.New("can: malformed dump line")
 
+// maxDumpMicros bounds a dump line's timestamp: 2^31 s, about 68 years,
+// so candump's Unix-epoch stamps fit until 2038.
+const maxDumpMicros = 1 << 31 * 1e6
+
 // ParseDumpLine parses one candump-style "(timestamp) ID#DATA" line, the
 // format Dump emits ("(000012.345678) 7E0#021003"). Lines from a real
-// candump on hardware, with an interface column, parse too.
+// candump on hardware, with an interface column, parse too. The stamp is
+// rounded to whole microseconds, the resolution the format carries, so
+// Dump and ParseDumpLine round-trip a frame exactly; a negative,
+// non-finite or ≥ 2^31 s stamp is refused.
 func ParseDumpLine(line string) (Frame, error) {
 	open := strings.IndexByte(line, '(')
 	closeIdx := strings.IndexByte(line, ')')
@@ -23,7 +31,8 @@ func ParseDumpLine(line string) (Frame, error) {
 	}
 	tsText := strings.TrimSpace(line[1:closeIdx])
 	seconds, err := strconv.ParseFloat(tsText, 64)
-	if err != nil {
+	micros := math.Round(seconds * 1e6)
+	if err != nil || !(seconds >= 0 && micros < maxDumpMicros) {
 		return Frame{}, fmt.Errorf("%w: timestamp %q", ErrBadDumpLine, tsText)
 	}
 	rest := strings.TrimSpace(line[closeIdx+1:])
@@ -54,6 +63,6 @@ func ParseDumpLine(line string) (Frame, error) {
 	if err != nil {
 		return Frame{}, err
 	}
-	f.Timestamp = time.Duration(seconds * float64(time.Second))
+	f.Timestamp = time.Duration(micros) * time.Microsecond
 	return f, nil
 }

@@ -11,15 +11,25 @@ import (
 )
 
 func TestParseDumpLine(t *testing.T) {
-	f, err := ParseDumpLine("(000001.500000) 7E0#021003")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.ID != 0x7E0 || f.Timestamp != 1500*time.Millisecond {
-		t.Fatalf("frame = %+v", f)
-	}
-	if f.Len != 3 || f.Data[1] != 0x10 {
-		t.Fatalf("payload = % X", f.Payload())
+	for _, tc := range []struct {
+		stamp string
+		want  time.Duration
+	}{
+		{"000001.500000", 1500 * time.Millisecond},
+		// 2.000002 has no exact float64; the stamp still lands on whole
+		// microseconds rather than truncating to 2.000001999 s.
+		{"00002.000002", 2*time.Second + 2*time.Microsecond},
+	} {
+		f, err := ParseDumpLine("(" + tc.stamp + ") 7E0#021003")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.ID != 0x7E0 || f.Timestamp != tc.want {
+			t.Fatalf("(%s): frame = %+v, want timestamp %v", tc.stamp, f, tc.want)
+		}
+		if f.Len != 3 || f.Data[1] != 0x10 {
+			t.Fatalf("payload = % X", f.Payload())
+		}
 	}
 }
 
@@ -52,6 +62,9 @@ func TestParseDumpLineErrors(t *testing.T) {
 		"(0.1) ZZZ#01",                         // bad id
 		"(0.1) 7E0#0",                          // odd hex
 		"(0.1) 7E0#" + strings.Repeat("00", 9), // too long
+		"(-1) 7E0#01",                          // negative timestamp
+		"(NaN) 7E0#01",                         // non-finite timestamp
+		"(1e300) 7E0#01",                       // timestamp past 2^31 s
 	} {
 		if _, err := ParseDumpLine(line); err == nil {
 			t.Errorf("line %q parsed", line)

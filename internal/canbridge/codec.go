@@ -28,10 +28,6 @@ import (
 //	ERR <message>              command refused
 //	(000001.500000) 7E8#0650   bus traffic, candump notation
 
-// maxTrafficTime bounds a traffic line's timestamp: 2^31 s, about 68
-// years, so candump's Unix-epoch stamps fit until 2038.
-const maxTrafficTime = 1 << 31 * time.Second
-
 // Greeting is the HELLO every canbridge listener sends on accept.
 var Greeting = MsgHello{Subject: "canbridge", Version: 1}
 
@@ -110,13 +106,6 @@ func Parse(line string) (Message, error) {
 		if err != nil {
 			return nil, err
 		}
-		// The line carries whole microseconds, which the float seconds
-		// it is parsed through resolve below maxTrafficTime; inside that
-		// range Format and Parse round-trip a frame exactly.
-		f.Timestamp = f.Timestamp.Round(time.Microsecond)
-		if f.Timestamp < 0 || f.Timestamp >= maxTrafficTime {
-			return nil, fmt.Errorf("canbridge: traffic timestamp out of range in %q", line)
-		}
 		return MsgFrame{Frame: f}, nil
 	}
 	verb, rest, _ := strings.Cut(line, " ")
@@ -143,7 +132,6 @@ func Parse(line string) (Message, error) {
 		if err != nil {
 			return nil, err
 		}
-		f.Timestamp = 0
 		return MsgSend{Frame: f}, nil
 	case "ADVANCE":
 		// The bound keeps ms·1e6 from wrapping into a negative Duration.

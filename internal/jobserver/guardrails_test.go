@@ -152,51 +152,6 @@ func TestStreamFrameBudgetFailsJob(t *testing.T) {
 	}
 }
 
-// TestIngestByteBudget: a stream past ingestMaxBytes of payload is
-// refused mid-stream and its job fails with the byte-budget reason. The
-// test starts the stream 8 bytes short of the budget rather than sending
-// 64 MiB.
-func TestIngestByteBudget(t *testing.T) {
-	prov := telemetry.New(telemetry.NewManualClock(0))
-	srv := New(Config{Reverser: quickOpts()}, prov)
-	defer srv.Close()
-
-	addr, err := srv.ServeIngest("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg, err := srv.RegisterStream("acme", "Car M", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.mu.Lock()
-	srv.streams[reg.Token].bytes = ingestMaxBytes - 8
-	srv.mu.Unlock()
-	conn, err := canbridge.DialStream(addr, reg.Token)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	full := can.MustFrame(0x7E0, []byte{0, 1, 2, 3, 4, 5, 6, 7})
-	if err := conn.Send(full); err != nil {
-		t.Fatalf("send up to the byte budget: %v", err)
-	}
-	var se *canbridge.ServerError
-	if err := conn.Send(full); !errors.As(err, &se) {
-		t.Fatalf("over-budget send err = %v, want *canbridge.ServerError", err)
-	}
-	if st := waitState(t, reg.Job, JobState.Terminal); st != Failed {
-		t.Fatalf("over-budget stream's job finished %s, want failed", st)
-	}
-	if msg := reg.Job.Snapshot().Error; !strings.Contains(msg, reasonByteBudget) {
-		t.Fatalf("job error = %q, want the byte-budget reason", msg)
-	}
-	if dump := promDump(t, prov); !strings.Contains(dump,
-		telemetry.MetricStreamSessions+`{outcome="byte-budget"} 1`) {
-		t.Error("byte-budget session outcome not counted")
-	}
-}
-
 // TestIngestRejectsStreamCommandsBeforeHello: a SEND before any HELLO is
 // refused, and it binds nothing: the stream's token still works after.
 func TestIngestRejectsStreamCommandsBeforeHello(t *testing.T) {

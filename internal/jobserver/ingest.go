@@ -21,13 +21,11 @@ import (
 // The ingest guardrails every stream runs under: a stream whose peer sends
 // nothing for ingestIdleTimeout (counted from registration, so a token
 // that is never presented expires too), or that streams more than
-// ingestMaxFrames frames or ingestMaxBytes payload bytes, is failed with
-// the limit's reason, so an idle or endless peer cannot hold its
-// tenant-quota slot or the server's memory.
-const (
-	ingestIdleTimeout = 2 * time.Minute
-	ingestMaxBytes    = 64 << 20
-)
+// ingestMaxFrames frames, is failed with the limit's reason, so an idle or
+// endless peer cannot hold its tenant-quota slot or the server's memory.
+// A frame carries at most can.MaxDataLen payload bytes, so the frame
+// budget also bounds a stream's payload at 16 MiB.
+const ingestIdleTimeout = 2 * time.Minute
 
 // ingestMaxFrames is a variable only so tests can lower it.
 var ingestMaxFrames = 2_000_000
@@ -37,7 +35,6 @@ var ingestMaxFrames = 2_000_000
 const (
 	reasonIdleTimeout = "idle-timeout"
 	reasonFrameBudget = "frame-budget"
-	reasonByteBudget  = "byte-budget"
 )
 
 // StreamRegistration is what a tenant gets back from registering a live
@@ -63,7 +60,6 @@ type streamSession struct {
 	lastActive time.Duration // server clock at registration or the last line read
 	at         time.Duration // stream time: ADVANCE moves it, SEND stamps it
 	frames     []can.Frame
-	bytes      int64
 	failReason string
 	ended      bool
 }
@@ -226,19 +222,14 @@ func (ss *streamSession) command(line string) (reply canbridge.Message, stop boo
 	ss.lastActive = ss.srv.clock.Now()
 	switch m := msg.(type) {
 	case canbridge.MsgSend:
-		ss.bytes += int64(m.Frame.Len)
-		switch {
-		case len(ss.frames) >= ingestMaxFrames:
+		if len(ss.frames) >= ingestMaxFrames {
 			ss.failReason = reasonFrameBudget
-		case ss.bytes > ingestMaxBytes:
-			ss.failReason = reasonByteBudget
-		default:
-			f := m.Frame
-			f.Timestamp = ss.at
-			ss.frames = append(ss.frames, f)
-			return canbridge.MsgOK{}, false
+			return canbridge.MsgErr{Msg: "jobserver: stream " + reasonFrameBudget + " exceeded"}, true
 		}
-		return canbridge.MsgErr{Msg: "jobserver: stream " + ss.failReason + " exceeded"}, true
+		f := m.Frame
+		f.Timestamp = ss.at
+		ss.frames = append(ss.frames, f)
+		return canbridge.MsgOK{}, false
 	case canbridge.MsgAdvance:
 		if m.D > math.MaxInt64-ss.at {
 			err = fmt.Errorf("jobserver: ADVANCE %v would carry stream time past its largest value", m.D)

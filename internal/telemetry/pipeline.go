@@ -78,11 +78,6 @@ const (
 	// (internal/faults), not by the pipeline, but the name lives here with
 	// the rest of the schema.
 	MetricFaultsInjected = "dpreverser_faults_injected_total"
-	// MetricAppsScanned and MetricAppFormulas are registered by the
-	// telematics-app scanner (cmd/appscan); the names live here with the
-	// rest of the schema.
-	MetricAppsScanned = "dpreverser_apps_scanned_total"
-	MetricAppFormulas = "dpreverser_app_formulas_total"
 )
 
 // NewPipelineMetrics registers the pipeline metric set on reg. A nil
