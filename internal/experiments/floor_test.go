@@ -24,7 +24,7 @@ var formulaFloors = map[string]struct{ quick, paper, quickDomain, paperDomain in
 	"Car A": {35, 35, 33, 33}, "Car B": {15, 15, 14, 14}, "Car C": {12, 12, 12, 12},
 	"Car D": {19, 19, 17, 17}, "Car E": {12, 12, 11, 11}, "Car F": {15, 15, 14, 14},
 	"Car G": {12, 12, 12, 12}, "Car H": {12, 12, 11, 11}, "Car I": {18, 18, 17, 17},
-	"Car J": {27, 27, 24, 24}, "Car K": {47, 48, 42, 43}, "Car L": {36, 36, 33, 33},
+	"Car J": {27, 27, 24, 24}, "Car K": {48, 48, 45, 45}, "Car L": {36, 36, 33, 33},
 	"Car M": {11, 11, 10, 10}, "Car N": {33, 33, 30, 30}, "Car O": {25, 25, 23, 23},
 	"Car P": {14, 14, 12, 12}, "Car Q": {25, 25, 23, 23}, "Car R": {47, 47, 43, 43},
 }
@@ -33,7 +33,7 @@ var formulaFloors = map[string]struct{ quick, paper, quickDomain, paperDomain in
 // (Result.Evaluations) one pass over the fleet may spend at the quick and
 // the paper budget, under TestFormulaRecoveryFloors' settings. Ceilings
 // may only fall.
-var gpWorkCeilings = struct{ quick, paper int }{quick: 3448, paper: 3763}
+var gpWorkCeilings = struct{ quick, paper int }{quick: 763, paper: 763}
 
 // TestFormulaRecoveryFloors reverses every fleet car at both budgets and
 // checks each car's counts of correct formulas against its floors, and

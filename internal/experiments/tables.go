@@ -7,6 +7,7 @@ import (
 	"dpreverser/internal/diagtool"
 	"dpreverser/internal/gp"
 	"dpreverser/internal/ocr"
+	"dpreverser/internal/oracle"
 	"dpreverser/internal/regress"
 	"dpreverser/internal/reverser"
 	"dpreverser/internal/sim"
@@ -148,10 +149,13 @@ type PrecisionRow struct {
 	// FormulaESVs is the number of formula-bearing streams recovered.
 	FormulaESVs int
 	// CorrectGP / CorrectLinear / CorrectPoly count formulas equivalent to
-	// ground truth per algorithm.
+	// ground truth per algorithm on the observed rows.
 	CorrectGP     int
 	CorrectLinear int
 	CorrectPoly   int
+	// DomainGP counts GP formulas that also decode like the ground truth
+	// over the stream's whole raw domain (oracle.DomainCorrect).
+	DomainGP int
 	// EnumESVs is the number of no-formula streams (Table 6 last column).
 	EnumESVs int
 }
@@ -185,6 +189,9 @@ func Precision(runs []*CarRun) []PrecisionRow {
 			if FormulaCorrect(esv.Formula, truth, sd.Dataset.X) {
 				row.CorrectGP++
 			}
+			if oracle.DomainCorrect(esv.Formula, truth.Decode, sd.Dataset.X) {
+				row.DomainGP++
+			}
 			// Baselines fit the raw pairs — the two-stage filtering and
 			// median aggregation are DP-Reverser's own machinery (§3.3),
 			// not the LibreCAN-style comparison points (§4.4 attributes
@@ -213,6 +220,7 @@ func PrecisionTotals(rows []PrecisionRow) PrecisionRow {
 	for _, r := range rows {
 		total.FormulaESVs += r.FormulaESVs
 		total.CorrectGP += r.CorrectGP
+		total.DomainGP += r.DomainGP
 		total.CorrectLinear += r.CorrectLinear
 		total.CorrectPoly += r.CorrectPoly
 		total.EnumESVs += r.EnumESVs
@@ -226,10 +234,10 @@ func Table6Markdown(rows []PrecisionRow) string {
 	for _, r := range append(rows, PrecisionTotals(rows)) {
 		out = append(out, []string{
 			r.Car, fmt.Sprint(r.FormulaESVs), fmt.Sprint(r.CorrectGP),
-			pct(r.CorrectGP, r.FormulaESVs), fmt.Sprint(r.EnumESVs),
+			pct(r.CorrectGP, r.FormulaESVs), fmt.Sprint(r.DomainGP), fmt.Sprint(r.EnumESVs),
 		})
 	}
-	return markdownTable([]string{"Car", "#ESV (formula)", "#Correct ESV", "Precision", "#ESV (Enum)"}, out)
+	return markdownTable([]string{"Car", "#ESV (formula)", "#Correct ESV", "Precision", "#Correct on domain", "#ESV (Enum)"}, out)
 }
 
 // Table10Markdown renders the baseline-precision table (Table 10).

@@ -19,6 +19,11 @@ type Dataset struct {
 	X [][]float64
 	// Y holds the target value per sample.
 	Y []float64
+	// HalfStep is half the step Y was displayed with, in Y's units, or 0
+	// when the step is unknown. The stop test refits a champion for the
+	// least maximum residual only against a known step (see
+	// evaluator.stops).
+	HalfStep float64
 }
 
 // NumVars reports the variable count (0 for an empty dataset).
@@ -310,6 +315,9 @@ type evaluator struct {
 	// scratch that counts them.
 	distinct int
 	rows     []int32
+	// minimax is set while the champion stops on its minimax refit, so
+	// that materialise writes the refitted coefficients.
+	minimax bool
 }
 
 // reset readies e to score on d, keeping its buffers, machine and map
@@ -331,6 +339,7 @@ func (e *evaluator) reset(d *Dataset, cfg Config) {
 		e.cache = make(map[string]float64)
 	}
 	e.evals, e.hits, e.misses = 0, 0, 0
+	e.minimax = false
 	e.distinct = e.countDistinct()
 }
 
@@ -424,6 +433,9 @@ func RunContext(ctx context.Context, d *Dataset, cfg Config) (Result, error) {
 		observe(cfg.Observer, gens, best, ev)
 	}
 	final := ev.materialise(best.tree)
+	if ev.minimax {
+		best.raw = ev.robustMAE(final)
+	}
 	simplified := Simplify(final)
 	// Simplification must never change semantics; keep the simplified form
 	// unless its error regressed (guards protected-op edge cases). A NaN
@@ -578,12 +590,15 @@ func (isl *island) drawInitial() individual {
 //   - tier 1, the basis: Xi·Xi and sqrt(Xi) for every i, Xi+Xj for every
 //     pair i < j, and Xi·Xj+Xi and Xi·Xj·Xj+Xi·Xj for every i ≠ j.
 //
-// The least-squares fit of the whole tree or its root terms supplies
-// every constant, so the basis needs none: it holds a scaled square or
-// root, a two-byte field, and the product formulas of KWP's formula
-// types with an offset on either byte. This is FFX's deterministic basis
-// regression (McConaghy, GPTP 2011) ahead of the paper's GP. A stopping
-// program is heap-cloned out of the arena, and stopped is true.
+// The least-squares fit of the whole tree or its root terms, or the
+// minimax refit of the same columns where the stop test needs it,
+// supplies every constant, so the basis needs none: it holds a scaled
+// square or root, a two-byte field, and the product formulas of KWP's
+// formula types with an offset on either byte. This is FFX's
+// deterministic basis regression (McConaghy, GPTP 2011) ahead of the
+// paper's GP. At rig seed 1 every clean fleet stream stops on a tier of
+// the ladder, Car K's three torque streams only through the refit. A
+// stopping program is heap-cloned out of the arena, and stopped is true.
 // Otherwise the run draws as usual and meets the ladder's programs again
 // as cache hits. A run that never stops early (StopFitness < 0) skips
 // the ladder, so it runs the paper's algorithm alone.

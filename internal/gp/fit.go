@@ -90,6 +90,14 @@ func (e *evaluator) materialise(t *Node) *Node {
 	m := e.m
 	e.rawScore(e.comp.Compile(t), t, m)
 	f := &m.fit
+	if e.minimax {
+		if f.k == 1 {
+			// A root-term fit that was tried and lost has overwritten the
+			// whole tree's column with its terms'.
+			f.cols[0] = e.comp.Compile(t).Eval(e.batch, m)
+		}
+		f.refit(e.batch.y, e.halfStep())
+	}
 	if rest := f.significantTerms(e.batch.y); rest != nil {
 		return e.materialise(rest)
 	}
@@ -194,9 +202,35 @@ func (e *evaluator) robustMAE(t *Node) float64 {
 // it meets the stop, and its materialised program predicts the rows
 // within 2·StopFitness (fitsRows: every row, or all but one of at least
 // oneMissRows), since a trimmed MAE alone can pass a formula that is
-// wrong on the trimmed rows.
+// wrong on the trimmed rows. When only that row check fails and the
+// dataset's display step is known, the same columns are refitted for the
+// least maximum residual (fitScratch.refit), and the champion stops if
+// that program predicts the rows within half a display step: the check
+// a trimmed least-squares fit of nearly collinear columns can fail while
+// the columns span the truth. The refit is judged against the display
+// step alone, never against the StopFitness floor, and a run that stops
+// on it reports the refitted program (evaluator.minimax).
 func (e *evaluator) stops(best individual) bool {
-	return best.raw <= e.cfg.StopFitness && e.fitsRows(e.materialise(best.tree), 2*e.cfg.StopFitness)
+	e.minimax = false
+	if best.raw > e.cfg.StopFitness {
+		return false
+	}
+	if e.fitsRows(e.materialise(best.tree), 2*e.cfg.StopFitness) {
+		return true
+	}
+	if !(e.d.HalfStep > 0) || e.cfg.DisableLinearScaling {
+		return false
+	}
+	e.minimax = true
+	e.minimax = e.fitsRows(e.materialise(best.tree), e.halfStep())
+	return e.minimax
+}
+
+// halfStep is the row bound of the minimax refit: half the dataset's
+// display step, with a relative slack of 1e-9 for targets that sit
+// exactly half a step from the truth after rounding.
+func (e *evaluator) halfStep() float64 {
+	return e.d.HalfStep * (1 + 1e-9)
 }
 
 // splitTerms collects the non-constant terms of t's root +/− chain and

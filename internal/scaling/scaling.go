@@ -183,12 +183,18 @@ func substituteVars(n *gp.Node, factors []float64) *gp.Node {
 // matches the data to rounding leaves residuals of about a fifth of a
 // quantum. The StopFitness floor is not a corner case: at the default
 // 0.01 it is the larger term on 281 of the fleet's 416 formula streams
-// (rig seed 1), so on those the bound is coarser than the display.
+// (rig seed 1), so on those the bound is coarser than the display. Half
+// the display step in scaled units, quantum·YFactor/2, goes to the run as
+// the dataset's HalfStep (0 when no decimal step fits the target): the
+// one bound the stop test's minimax refit is judged against, so that
+// refit never stops a stream on the coarser floor.
 func InferContext(ctx context.Context, d *gp.Dataset, cfg gp.Config) (gp.Result, error) {
 	plan := PlanFor(d)
 	scaled := plan.Apply(d)
+	step := displayQuantum(d.Y) * plan.YFactor
+	scaled.HalfStep = step / 2
 	if cfg.StopFitness >= 0 {
-		cfg.StopFitness = math.Max(cfg.StopFitness, displayQuantum(d.Y)*plan.YFactor/4)
+		cfg.StopFitness = math.Max(cfg.StopFitness, step/4)
 	}
 	res, err := gp.RunContext(ctx, scaled, cfg)
 	if err != nil {

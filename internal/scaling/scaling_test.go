@@ -285,3 +285,41 @@ func TestDisplayQuantum(t *testing.T) {
 		}
 	}
 }
+
+// Car K's torque shape, 0.001·X0·(X1−128) with X1 only 127 or 129, stops
+// on the stop ladder's basis program X0·X1 + X0 only through the minimax
+// refit, which InferContext enables by passing half the display step. The
+// same rows with Y off every decimal grid have no known step, so the
+// refit never runs and the run draws.
+func TestInferTorqueStopsOnMinimaxRefit(t *testing.T) {
+	var rows [][2]byte
+	for i := 0; i < 57; i++ {
+		x1 := byte(127)
+		if (i/5)%2 == 1 {
+			x1 = 129
+		}
+		rows = append(rows, [2]byte{byte(10 + (13*i)%220), x1})
+	}
+	torque := func(x0, x1 float64) float64 { return 0.001 * x0 * (x1 - 128) }
+	d := displayed(torque, rows)
+	cfg := gp.DefaultConfig()
+	cfg.PopulationSize, cfg.Generations = 150, 2
+	res, err := InferContext(context.Background(), d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decode := func(v []float64) float64 { return torque(v[0], v[1]) }
+	if res.Evaluations != 11 || !oracle.DomainCorrect(res.Best, decode, d.X) {
+		t.Errorf("display step known: %d evaluations, formula %s; want a domain-correct basis stop (11)", res.Evaluations, res.Best)
+	}
+	off := &gp.Dataset{X: d.X}
+	for _, y := range d.Y {
+		off.Y = append(off.Y, y+math.Pi*1e-8)
+	}
+	if displayQuantum(off.Y) != 0 {
+		t.Fatal("shifted rows still sit on a decimal grid")
+	}
+	if res, err := InferContext(context.Background(), off, cfg); err != nil || res.Evaluations <= 11 {
+		t.Errorf("display step unknown: %d evaluations (err %v); want the run to draw", res.Evaluations, err)
+	}
+}
