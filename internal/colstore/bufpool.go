@@ -3,7 +3,7 @@ package colstore
 import "sync"
 
 // This file is the transport layer's scratch allocator: size-classed
-// sync.Pool buffers the isotp/vwtp/bmwtp reassemblers use for in-flight
+// sync.Pool buffers the isotp and vwtp reassemblers use for in-flight
 // payload assembly. A capture holds one reassembler per active CAN ID
 // (and per BMW address), most of which assemble only occasionally; with
 // pooled scratch an idle reassembler pins no buffer at all, and the

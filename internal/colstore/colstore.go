@@ -8,7 +8,7 @@
 // bytes of columns, where the array-of-structs capture layout spent 40.
 //
 // The package also owns the size-classed buffer pool the transport
-// reassemblers (isotp, vwtp, bmwtp) draw their per-stream scratch from;
+// reassemblers (isotp, vwtp) draw their per-stream scratch from;
 // see bufpool.go.
 package colstore
 

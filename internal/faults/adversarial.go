@@ -3,7 +3,6 @@ package faults
 import (
 	"sort"
 
-	"dpreverser/internal/bmwtp"
 	"dpreverser/internal/can"
 	"dpreverser/internal/isotp"
 	"dpreverser/internal/vwtp"
@@ -82,9 +81,7 @@ func (in *Injector) learnVWTP(id uint32, data []byte) {
 	if id < vwtp.BroadcastID || id >= vwtp.BroadcastID+0x100 {
 		return
 	}
-	if len(data) >= 7 && data[1] == 0xD0 {
-		ecuRx := uint32(data[2]) | uint32(data[3])<<8
-		ecuTx := uint32(data[4]) | uint32(data[5])<<8
+	if ecuRx, ecuTx, ok := vwtp.SetupIDs(data); ok {
 		in.adv.vwtpIDs[ecuRx] = true
 		in.adv.vwtpIDs[ecuTx] = true
 	}
@@ -97,7 +94,7 @@ func (in *Injector) suppressDripped(id uint32, data []byte) bool {
 	if !in.adv.drip[id] {
 		return false
 	}
-	if !continuesTransfer(data) {
+	if !continuesTransfer(id, data) {
 		delete(in.adv.drip, id)
 		return false
 	}
@@ -115,45 +112,34 @@ func (in *Injector) injectAdversarial(f can.Frame, data []byte, emit func(can.Fr
 		in.adversarialVWTP(f, data, emit)
 		return
 	}
-	// Mirror the assembler's transport dispatch (reverser.isBMWID): IDs in
-	// the BMW extended-addressing range carry an address byte before the
-	// ISO-TP PCI, everything else is plain ISO-TP. Sniffing the frame
-	// shape instead would misread consecutive frames whose first payload
-	// byte falls in 0x10..0x1F as first frames.
-	prefixed, addr, isFF := false, byte(0), false
-	if f.ID == 0x6F1 || (f.ID >= 0x600 && f.ID <= 0x6EF) {
-		if len(data) >= 3 && isotp.Classify(data[1:]) == isotp.FirstFrame {
-			isFF, prefixed, addr = true, true, data[0]
-		}
-	} else {
-		isFF = isotp.Classify(data) == isotp.FirstFrame
+	if !startsTransfer(f.ID, data) {
+		return
 	}
-	if isFF {
-		if p := in.spec.FCStarve; p > 0 && in.rng.Float64() < p {
-			in.emitFCStarve(f, prefixed, addr, emit)
-		}
-		if p := in.spec.FFFlood; p > 0 && in.rng.Float64() < p {
-			in.emitFFFlood(f, prefixed, addr, emit)
-		}
-		if p := in.spec.Interleave; p > 0 && in.rng.Float64() < p {
-			in.emitInterleave(f, prefixed, addr, emit)
-		}
-		if p := in.spec.SessionReplay; p > 0 && in.rng.Float64() < p {
-			// Twice back to back: the first lands mid-transfer and restarts
-			// the session, the second restarts the restart — back-to-back
-			// identical first frames before any data flowed, a shape no
-			// benign re-poll produces.
-			in.stats.FramesOut += 2
-			emit(f)
-			emit(f)
-			in.stats.ReplayedFFs += 2
-			in.mark(f.ID, ClassSessionStarvation)
-		}
-		if p := in.spec.SlowDrip; p > 0 && in.rng.Float64() < p {
-			in.adv.drip[f.ID] = true
-			in.stats.DrippedTransfers++
-			in.mark(f.ID, ClassSlowDrip)
-		}
+	prefixed, addr := isotp.ExtendedID(f.ID), data[0]
+	if p := in.spec.FCStarve; p > 0 && in.rng.Float64() < p {
+		in.emitFCStarve(f, prefixed, addr, emit)
+	}
+	if p := in.spec.FFFlood; p > 0 && in.rng.Float64() < p {
+		in.emitFFFlood(f, prefixed, addr, emit)
+	}
+	if p := in.spec.Interleave; p > 0 && in.rng.Float64() < p {
+		in.emitInterleave(f, prefixed, addr, emit)
+	}
+	if p := in.spec.SessionReplay; p > 0 && in.rng.Float64() < p {
+		// Twice back to back: the first lands mid-transfer and restarts
+		// the session, the second restarts the restart — back-to-back
+		// identical first frames before any data flowed, a shape no
+		// benign re-poll produces.
+		in.stats.FramesOut += 2
+		emit(f)
+		emit(f)
+		in.stats.ReplayedFFs += 2
+		in.mark(f.ID, ClassSessionStarvation)
+	}
+	if p := in.spec.SlowDrip; p > 0 && in.rng.Float64() < p {
+		in.adv.drip[f.ID] = true
+		in.stats.DrippedTransfers++
+		in.mark(f.ID, ClassSlowDrip)
 	}
 }
 
@@ -183,10 +169,7 @@ func (in *Injector) adversarialVWTP(f can.Frame, data []byte, emit func(can.Fram
 // states, one zero-block-size maximum-STmin lockup, one overflow abort.
 func (in *Injector) emitFCStarve(f can.Frame, prefixed bool, addr byte, emit func(can.Frame)) {
 	fc := func(status isotp.FlowStatus, bs, stMin byte) []byte {
-		if prefixed {
-			return bmwtp.EncodeFlowControl(addr, status, bs, stMin)
-		}
-		return isotp.EncodeFlowControl(status, bs, stMin)
+		return extend(prefixed, addr, isotp.EncodeFlowControl(status, bs, stMin))
 	}
 	for i := 0; i < 3; i++ {
 		in.emitForged(f, fc(isotp.Wait, 0, 0), emit)
@@ -205,10 +188,7 @@ func (in *Injector) emitFCStarve(f can.Frame, prefixed bool, addr byte, emit fun
 func (in *Injector) emitInterleave(f can.Frame, prefixed bool, addr byte, emit func(can.Frame)) {
 	in.emitForged(f, forgeFF(prefixed, addr, 0x20+in.adv.seq%0x20, byte(in.adv.seq)), emit)
 	cf := []byte{0x23, 0xAD, byte(in.adv.seq), 0xAD, byte(in.adv.seq), 0xAD, 0xAD, 0xAD}
-	if prefixed {
-		cf = append([]byte{addr}, cf[:7]...)
-	}
-	in.emitForged(f, cf, emit)
+	in.emitForged(f, extend(prefixed, addr, cf), emit)
 	in.adv.seq++
 	in.stats.InterleavedFFs++
 	in.mark(f.ID, ClassInterleave)
@@ -242,8 +222,15 @@ func (in *Injector) emitForged(f can.Frame, data []byte, emit func(can.Frame)) {
 // byte BMW IDs carry.
 func forgeFF(prefixed bool, addr byte, length int, filler byte) []byte {
 	ff := []byte{0x10 | byte(length>>8)&0x0F, byte(length), 0xAD, filler, 0xAD, filler, 0xAD, filler}
-	if prefixed {
-		return append([]byte{addr}, ff[:7]...)
+	return extend(prefixed, addr, ff)
+}
+
+// extend puts the extended-addressing byte addr in front of an 8-byte
+// ISO-TP frame when prefixed, dropping the frame's last byte so it still
+// fits one CAN frame.
+func extend(prefixed bool, addr byte, frame []byte) []byte {
+	if !prefixed {
+		return frame
 	}
-	return ff
+	return append([]byte{addr}, frame[:7]...)
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"dpreverser/internal/bmwtp"
 	"dpreverser/internal/can"
 	"dpreverser/internal/isotp"
 	"dpreverser/internal/vwtp"
@@ -228,7 +227,7 @@ func TestSlowDripSuppressesConsecutiveFrames(t *testing.T) {
 
 func TestAdversarialBMWPrefixed(t *testing.T) {
 	payload := make([]byte, 40)
-	chunks, err := bmwtp.Segment(0x12, payload, 0xFF)
+	chunks, err := isotp.SegmentExtended(0x12, payload, 0xFF)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -187,6 +187,55 @@ func TestAbortReinjectsFirstFrame(t *testing.T) {
 	}
 }
 
+// TestTransferBoundariesFollowAddressing: truncate and abort key off
+// first frames and suppress consecutive frames, read at the PCI the CAN
+// ID's addressing puts it. Under normal addressing a consecutive frame
+// whose first payload byte is 0x10-0x1F is no transfer start; under
+// extended addressing (0x600-0x6EF, 0x6F1) the leading byte is an ECU
+// address, so a frame to ECU 0x10 is not a first frame and one to ECU
+// 0x20 not a consecutive frame.
+func TestTransferBoundariesFollowAddressing(t *testing.T) {
+	ff := []byte{0x10, 0x14, 1, 2, 3, 4, 5, 6}
+	cases := []struct {
+		name    string
+		id      uint32
+		spec    Spec
+		frames  [][]byte
+		aborted int
+		cut     int
+	}{
+		{"normal first frame starts a transfer", 0x7E8, Spec{Abort: 1},
+			[][]byte{ff}, 1, 0},
+		{"normal consecutive frame carrying 0x10 does not", 0x7E8, Spec{Abort: 1},
+			[][]byte{{0x21, 0x10, 0x14, 1, 2, 3, 4, 5}}, 0, 0},
+		{"extended first frame to ECU 0x10 starts a transfer", 0x610, Spec{Abort: 1},
+			[][]byte{{0x10, 0x10, 0x14, 1, 2, 3, 4, 5}}, 1, 0},
+		{"extended consecutive frame to ECU 0x10 does not", 0x610, Spec{Abort: 1},
+			[][]byte{{0x10, 0x21, 1, 2, 3, 4, 5, 6}}, 0, 0},
+		{"extended consecutive frame continues a truncated transfer", 0x620, Spec{Truncate: 1},
+			[][]byte{{0x20, 0x10, 0x14, 1, 2, 3, 4, 5}, {0x20, 0x21, 1, 2, 3, 4, 5, 6}}, 0, 1},
+		{"extended single frame to ECU 0x20 ends it", 0x620, Spec{Truncate: 1},
+			[][]byte{{0x20, 0x10, 0x14, 1, 2, 3, 4, 5}, {0x20, 0x03, 0x62, 0xF4, 0x0D, 0, 0, 0}}, 0, 0},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var in []can.Frame
+			for _, data := range c.frames {
+				in = append(in, can.MustFrame(c.id, data))
+			}
+			inj := New(c.spec, 3)
+			out := inj.Frames(in)
+			st := inj.Stats()
+			if st.AbortedTransfers != c.aborted || st.TruncatedFrames != c.cut {
+				t.Fatalf("aborted %d, truncated frames %d; want %d, %d", st.AbortedTransfers, st.TruncatedFrames, c.aborted, c.cut)
+			}
+			if len(out) != len(in)+c.aborted-c.cut {
+				t.Fatalf("out %d frames, want %d", len(out), len(in)+c.aborted-c.cut)
+			}
+		})
+	}
+}
+
 func TestReorderStaysWithinWindowAndFlushes(t *testing.T) {
 	in := burst(500)
 	inj := New(Spec{Reorder: 0.2, ReorderWindow: 4}, 11)

@@ -166,7 +166,7 @@ func (in *Injector) stream(f can.Frame, emit func(can.Frame)) {
 	var reinject *can.Frame
 	reorderAfter := 0
 	if emitted {
-		if startsTransfer(data) {
+		if startsTransfer(f.ID, data) {
 			// Transfer-level faults key off the first frame.
 			in.truncate[f.ID] = 0
 			if in.spec.Truncate > 0 && in.rng.Float64() < in.spec.Truncate {
@@ -241,7 +241,7 @@ func (in *Injector) suppressTruncated(id uint32, data []byte) bool {
 	if left <= 0 {
 		return false
 	}
-	if !continuesTransfer(data) {
+	if !continuesTransfer(id, data) {
 		in.truncate[id] = 0
 		return false
 	}
@@ -250,23 +250,27 @@ func (in *Injector) suppressTruncated(id uint32, data []byte) bool {
 	return true
 }
 
-// startsTransfer recognises a multi-frame transfer's opening frame under
-// normal or extended (BMW) addressing. The injector sees raw frames with
-// no per-ID transport knowledge, so this is a heuristic — which is fine:
-// a misclassified frame just receives a different flavour of noise.
-func startsTransfer(data []byte) bool {
-	if isotp.Classify(data) == isotp.FirstFrame {
-		return true
-	}
-	return len(data) >= 3 && isotp.Classify(data[1:]) == isotp.FirstFrame
+// startsTransfer recognises a multi-frame transfer's opening (first)
+// frame on CAN ID id. Extended-addressing IDs (isotp.ExtendedID) carry an
+// address byte before the PCI; reading every ID both ways would take
+// frames addressed to ECU 0x10 for first frames, and ordinary consecutive
+// frames whose first payload byte is 0x10-0x1F for transfer starts.
+func startsTransfer(id uint32, data []byte) bool {
+	return isotp.Classify(pciAt(id, data)) == isotp.FirstFrame
 }
 
 // continuesTransfer recognises consecutive frames the same way.
-func continuesTransfer(data []byte) bool {
-	if isotp.Classify(data) == isotp.ConsecutiveFrame {
-		return true
+func continuesTransfer(id uint32, data []byte) bool {
+	return isotp.Classify(pciAt(id, data)) == isotp.ConsecutiveFrame
+}
+
+// pciAt returns data from its ISO-TP PCI on: past the address byte on
+// extended-addressing IDs.
+func pciAt(id uint32, data []byte) []byte {
+	if isotp.ExtendedID(id) && len(data) > 0 {
+		return data[1:]
 	}
-	return len(data) >= 2 && isotp.Classify(data[1:]) == isotp.ConsecutiveFrame
+	return data
 }
 
 // UIFrames perturbs OCR'd video frames: each numeric displayed value

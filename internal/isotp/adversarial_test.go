@@ -1,6 +1,7 @@
 package isotp_test
 
 import (
+	"bytes"
 	"testing"
 
 	"dpreverser/internal/can"
@@ -8,29 +9,69 @@ import (
 	"dpreverser/internal/isotp"
 )
 
-// attacked runs one clean 40-byte transfer on 0x7E8 through the injector
-// with a single attack class saturated.
-func attacked(t *testing.T, spec faults.Spec) []can.Frame {
+// wireMode is one addressing mode as the fault injector sees it: normal
+// addressing on 0x7E8, or extended addressing to ECU 0x12 on 0x612, an ID
+// in the extended range, so the injector address-prefixes its forgeries.
+type wireMode struct {
+	name     string
+	id       uint32
+	extended bool
+}
+
+var wireModes = []wireMode{{"normal", 0x7E8, false}, {"extended", 0x612, true}}
+
+// segment splits payload into this mode's wire frames.
+func (m wireMode) segment(t testing.TB, payload []byte) [][]byte {
+	t.Helper()
+	chunks, err := isotp.Segment(payload, 0xAA)
+	if m.extended {
+		chunks, err = isotp.SegmentExtended(0x12, payload, 0xAA)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return chunks
+}
+
+// feeder returns a reassembler for this mode and a function feeding it
+// one wire frame, address byte stripped under extended addressing.
+func (m wireMode) feeder() (*isotp.Reassembler, func([]byte) (isotp.Result, error)) {
+	r := &isotp.Reassembler{}
+	if m.extended {
+		r.MinMultiFrameLen = 7
+	}
+	return r, func(data []byte) (isotp.Result, error) {
+		if m.extended && len(data) > 0 {
+			data = data[1:]
+		}
+		return r.Feed(data)
+	}
+}
+
+// mangle runs chunks through a fault injector with spec and seed.
+func (m wireMode) mangle(chunks [][]byte, spec faults.Spec, seed int64) []can.Frame {
+	var in []can.Frame
+	for _, d := range chunks {
+		in = append(in, can.MustFrame(m.id, d))
+	}
+	return faults.New(spec, seed).Frames(in)
+}
+
+// attacked runs one clean 40-byte transfer through the injector with a
+// single attack class saturated.
+func (m wireMode) attacked(t *testing.T, spec faults.Spec) []can.Frame {
 	t.Helper()
 	payload := make([]byte, 40)
 	for i := range payload {
 		payload[i] = byte(i)
 	}
-	chunks, err := isotp.Segment(payload, 0xAA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var in []can.Frame
-	for _, d := range chunks {
-		in = append(in, can.MustFrame(0x7E8, d))
-	}
-	return faults.New(spec, 7).Frames(in)
+	return m.mangle(m.segment(t, payload), spec, 7)
 }
 
 // TestAdversarialResync feeds each attack class's output followed by a
-// clean transfer: the reassembler must never stall — whatever the attack
-// left in flight, the next genuine transfer assembles, and every error
-// along the way carries a stable Reason.
+// clean transfer, in both addressing modes: the reassembler must never
+// stall — whatever the attack left in flight, the next genuine transfer
+// assembles, and every error along the way carries a stable Reason.
 func TestAdversarialResync(t *testing.T) {
 	cases := []struct {
 		name string
@@ -46,38 +87,34 @@ func TestAdversarialResync(t *testing.T) {
 	for i := range probe {
 		probe[i] = byte(0x80 + i)
 	}
-	cleanChunks, err := isotp.Segment(probe, 0xAA)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var r isotp.Reassembler
-			feed := func(data []byte) []byte {
-				res, err := r.Feed(data)
-				if err != nil && isotp.Reason(err) == "" {
-					t.Fatalf("unclassified error: %v", err)
-				}
-				return res.Message
-			}
-			for _, f := range attacked(t, tc.spec) {
-				if msg := feed(f.Payload()); len(msg) > 0xFFF {
-					t.Fatalf("message longer than announceable: %d", len(msg))
-				}
-			}
-			var got []byte
-			for _, d := range cleanChunks {
-				if msg := feed(d); msg != nil {
-					got = append([]byte(nil), msg...)
-				}
-			}
-			if len(got) != len(probe) {
-				t.Fatalf("clean transfer after %s: assembled %d bytes, want %d", tc.name, len(got), len(probe))
-			}
-			for i, b := range probe {
-				if got[i] != b {
-					t.Fatalf("clean transfer after %s: byte %d = %#x, want %#x", tc.name, i, got[i], b)
-				}
+			for _, m := range wireModes {
+				t.Run(m.name, func(t *testing.T) {
+					cleanChunks := m.segment(t, probe)
+					_, feed := m.feeder()
+					deliver := func(data []byte) []byte {
+						res, err := feed(data)
+						if err != nil && isotp.Reason(err) == "" {
+							t.Fatalf("unclassified error: %v", err)
+						}
+						return res.Message
+					}
+					for _, f := range m.attacked(t, tc.spec) {
+						if msg := deliver(f.Payload()); len(msg) > 0xFFF {
+							t.Fatalf("message longer than announceable: %d", len(msg))
+						}
+					}
+					var got []byte
+					for _, d := range cleanChunks {
+						if msg := deliver(d); msg != nil {
+							got = append([]byte(nil), msg...)
+						}
+					}
+					if !bytes.Equal(got, probe) {
+						t.Fatalf("clean transfer after %s assembled % X, want % X", tc.name, got, probe)
+					}
+				})
 			}
 		})
 	}
@@ -87,19 +124,23 @@ func TestAdversarialResync(t *testing.T) {
 // traffic, so the reassembler (which models the receiver) ignores it and
 // the attacked transfer itself still assembles.
 func TestFCStarveVictimSurvives(t *testing.T) {
-	var r isotp.Reassembler
-	var got []byte
-	for _, f := range attacked(t, faults.Spec{FCStarve: 1}) {
-		res, err := r.Feed(f.Payload())
-		if err != nil {
-			t.Fatalf("hostile flow control caused a reassembly error: %v", err)
-		}
-		if res.Message != nil {
-			got = res.Message
-		}
-	}
-	if len(got) != 40 {
-		t.Fatalf("victim transfer assembled %d bytes, want 40", len(got))
+	for _, m := range wireModes {
+		t.Run(m.name, func(t *testing.T) {
+			_, feed := m.feeder()
+			var got []byte
+			for _, f := range m.attacked(t, faults.Spec{FCStarve: 1}) {
+				res, err := feed(f.Payload())
+				if err != nil {
+					t.Fatalf("hostile flow control caused a reassembly error: %v", err)
+				}
+				if res.Message != nil {
+					got = res.Message
+				}
+			}
+			if len(got) != 40 {
+				t.Fatalf("victim transfer assembled %d bytes, want 40", len(got))
+			}
+		})
 	}
 }
 
@@ -107,35 +148,36 @@ func TestFCStarveVictimSurvives(t *testing.T) {
 // without touching counters, and the next transfer assembles from idle.
 func TestResetEvictsPendingState(t *testing.T) {
 	payload := make([]byte, 40)
-	chunks, err := isotp.Segment(payload, 0xAA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var r isotp.Reassembler
-	if _, err := r.Feed(chunks[0]); err != nil {
-		t.Fatal(err)
-	}
-	if !r.InFlight() {
-		t.Fatal("first frame did not open a transfer")
-	}
-	errsBefore, doneBefore := r.Errors(), r.Completed()
-	r.Reset()
-	if r.InFlight() {
-		t.Fatal("Reset left a transfer in flight")
-	}
-	if r.Errors() != errsBefore || r.Completed() != doneBefore {
-		t.Fatal("Reset disturbed the counters")
-	}
-	for _, d := range chunks {
-		res, err := r.Feed(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Message != nil && len(res.Message) != 40 {
-			t.Fatalf("post-Reset transfer assembled %d bytes", len(res.Message))
-		}
-	}
-	if r.Completed() != doneBefore+1 {
-		t.Fatal("transfer after Reset did not complete")
+	for _, m := range wireModes {
+		t.Run(m.name, func(t *testing.T) {
+			chunks := m.segment(t, payload)
+			r, feed := m.feeder()
+			if _, err := feed(chunks[0]); err != nil {
+				t.Fatal(err)
+			}
+			if !r.InFlight() {
+				t.Fatal("first frame did not open a transfer")
+			}
+			errsBefore, doneBefore := r.Errors(), r.Completed()
+			r.Reset()
+			if r.InFlight() {
+				t.Fatal("Reset left a transfer in flight")
+			}
+			if r.Errors() != errsBefore || r.Completed() != doneBefore {
+				t.Fatal("Reset disturbed the counters")
+			}
+			for _, d := range chunks {
+				res, err := feed(d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Message != nil && len(res.Message) != 40 {
+					t.Fatalf("post-Reset transfer assembled %d bytes", len(res.Message))
+				}
+			}
+			if r.Completed() != doneBefore+1 {
+				t.Fatal("transfer after Reset did not complete")
+			}
+		})
 	}
 }

@@ -11,6 +11,7 @@ import (
 // address pair: diagnostic tools use (requestID, responseID), ECUs use the
 // mirror image. It transmits with the flow-control state machine and
 // reassembles inbound traffic, delivering complete messages to OnMessage.
+// Under extended addressing it also stamps and filters the address byte.
 //
 // The simulated bus delivers frames synchronously, so an entire multi-frame
 // exchange — first frame, flow control, consecutive frames — completes
@@ -21,6 +22,10 @@ type Endpoint struct {
 	txID uint32
 	rxID uint32
 	pad  byte
+	// prefix leads every outbound frame: TxAddr under extended
+	// addressing, where inbound frames must start with rxAddr; else nil.
+	prefix []byte
+	rxAddr byte
 
 	// OnMessage receives each fully reassembled inbound payload. It may
 	// call Send (ECUs respond from their handler).
@@ -53,6 +58,11 @@ type EndpointConfig struct {
 	BlockSize byte
 	// STminRaw is the raw STmin byte announced in our flow-control frames.
 	STminRaw byte
+	// Extended selects extended addressing: every outbound frame starts
+	// with TxAddr, and inbound frames are consumed only when they start
+	// with RxAddr, which is stripped before the PCI is read.
+	Extended       bool
+	TxAddr, RxAddr byte
 }
 
 // NewEndpoint attaches an endpoint to the bus. Callers must set OnMessage
@@ -65,6 +75,12 @@ func NewEndpoint(bus *can.Bus, cfg EndpointConfig) *Endpoint {
 		pad:         cfg.Pad,
 		rxBlockSize: cfg.BlockSize,
 		rxSTmin:     cfg.STminRaw,
+		rxAddr:      cfg.RxAddr,
+	}
+	if cfg.Extended {
+		e.prefix = []byte{cfg.TxAddr}
+		// Single frames hold one byte fewer, so 7-byte first frames are legal.
+		e.rx.MinMultiFrameLen = MaxSingleFrame
 	}
 	e.unsubscribe = bus.Subscribe(e.handleFrame)
 	return e
@@ -82,7 +98,7 @@ func (e *Endpoint) Close() {
 // out immediately; longer payloads send the first frame and then proceed
 // under flow control as FC frames arrive.
 func (e *Endpoint) Send(payload []byte) error {
-	frames, err := Segment(payload, e.pad)
+	frames, err := segment(e.prefix, payload, e.pad)
 	if err != nil {
 		return fmt.Errorf("isotp endpoint send: %w", err)
 	}
@@ -113,6 +129,12 @@ func (e *Endpoint) handleFrame(f can.Frame) {
 		return
 	}
 	data := f.Payload()
+	if e.prefix != nil {
+		if len(data) == 0 || data[0] != e.rxAddr {
+			return
+		}
+		data = data[1:]
+	}
 	if Classify(data) == FlowControlFrame {
 		e.handleFlowControl(data)
 		return
@@ -137,7 +159,11 @@ func (e *Endpoint) handleFrame(f can.Frame) {
 		return // malformed inbound traffic is dropped, like real stacks
 	}
 	if res.NeedFlowControl || sendBlockFC {
-		e.transmit(EncodeFlowControl(ContinueToSend, e.rxBlockSize, e.rxSTmin))
+		fc := EncodeFlowControl(ContinueToSend, e.rxBlockSize, e.rxSTmin)
+		if e.prefix != nil {
+			fc = append(e.prefix[:1:1], fc[:7]...)
+		}
+		e.transmit(fc)
 	}
 	if res.Message != nil && e.OnMessage != nil {
 		e.OnMessage(res.Message)

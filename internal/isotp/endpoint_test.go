@@ -157,3 +157,87 @@ func TestEndpointBidirectionalInterleaved(t *testing.T) {
 		t.Fatal("first long response corrupted")
 	}
 }
+
+// TestEndpointExtendedExchange runs the BMW convention end to end: the
+// tool transmits on 0x6F1 stamping the target ECU's address 0x29, and the
+// ECU answers on 0x629 stamping the tool's address 0xF1. Every frame on
+// the bus, flow control included, carries its sender's address byte. The
+// 7-byte request needs a first frame announcing 7 bytes, legal only
+// under extended addressing.
+func TestEndpointExtendedExchange(t *testing.T) {
+	bus := can.NewBus(nil)
+	tool := NewEndpoint(bus, EndpointConfig{TxID: 0x6F1, RxID: 0x629, Extended: true, TxAddr: 0x29, RxAddr: 0xF1})
+	ecu := NewEndpoint(bus, EndpointConfig{TxID: 0x629, RxID: 0x6F1, Extended: true, TxAddr: 0xF1, RxAddr: 0x29})
+	t.Cleanup(func() { tool.Close(); ecu.Close() })
+	snif := can.NewSniffer(bus, nil)
+
+	request := []byte{0x22, 0xDB, 0xE5, 0xDB, 0xE6, 0xDB, 0xE7}
+	long := make([]byte, 60)
+	for i := range long {
+		long[i] = byte(i + 1)
+	}
+	ecu.OnMessage = func(p []byte) {
+		if bytes.Equal(p, request) {
+			if err := ecu.Send(long); err != nil {
+				t.Errorf("ecu send: %v", err)
+			}
+		}
+	}
+	var got []byte
+	tool.OnMessage = func(p []byte) { got = append([]byte(nil), p...) }
+	if err := tool.Send(request); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, long) {
+		t.Fatalf("tool got %d bytes, want %d", len(got), len(long))
+	}
+	// Request: FF(5) + CF(2) and the ECU's FC. Response: FF(5) + 10 CFs
+	// (6 each, the last 5) and the tool's FC.
+	want := map[uint32]byte{0x6F1: 0x29, 0x629: 0xF1}
+	fcs := map[uint32][]byte{}
+	for _, f := range snif.Frames() {
+		d := f.Payload()
+		if d[0] != want[f.ID] {
+			t.Fatalf("frame on %#x starts % X, want address %#x", f.ID, d, want[f.ID])
+		}
+		if Classify(d[1:]) == FlowControlFrame {
+			fcs[f.ID] = d
+		}
+	}
+	if n := len(snif.Frames()); n != 3+12 {
+		t.Fatalf("saw %d frames, want 15", n)
+	}
+	for id, addr := range want {
+		if fc := fcs[id]; !bytes.Equal(fc, []byte{addr, 0x30, 0, 0, 0, 0, 0, 0}) {
+			t.Fatalf("flow control on %#x = % X, want %02X 30 00 00 00 00 00 00", id, fc, addr)
+		}
+	}
+}
+
+// TestEndpointExtendedAddressFilter: an extended endpoint consumes only
+// frames on its RxID led by its RxAddr, and strips that byte.
+func TestEndpointExtendedAddressFilter(t *testing.T) {
+	cases := []struct {
+		name string
+		data []byte
+		want []byte
+	}{
+		{"own address", []byte{0x29, 0x02, 0x10, 0x03, 0, 0, 0, 0}, []byte{0x10, 0x03}},
+		{"foreign address", []byte{0x60, 0x02, 0x10, 0x03, 0, 0, 0, 0}, nil},
+		{"address byte only", []byte{0x29}, nil},
+		{"normal addressing", []byte{0x02, 0x10, 0x03, 0, 0, 0, 0, 0}, nil},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			bus := can.NewBus(nil)
+			ecu := NewEndpoint(bus, EndpointConfig{TxID: 0x629, RxID: 0x6F1, Extended: true, TxAddr: 0xF1, RxAddr: 0x29})
+			defer ecu.Close()
+			var got []byte
+			ecu.OnMessage = func(p []byte) { got = append([]byte(nil), p...) }
+			bus.Send(can.MustFrame(0x6F1, c.data))
+			if !bytes.Equal(got, c.want) {
+				t.Fatalf("delivered % X, want % X", got, c.want)
+			}
+		})
+	}
+}

@@ -8,60 +8,45 @@ import (
 	"dpreverser/internal/isotp"
 )
 
-// FuzzAssemble feeds arbitrary 8-byte frame sequences to the reassembler.
-// The contract under fuzzing: never panic, classify every error with a
-// stable Reason, and never hand back a message longer than a first frame
-// can announce (12-bit length).
+// FuzzAssemble feeds arbitrary 8-byte frame sequences to the reassembler,
+// under normal addressing when sel is even and under extended addressing
+// (address byte stripped from every frame) when it is odd. The contract under fuzzing: never panic, classify every error with
+// a stable Reason, and never hand back a message longer than a first
+// frame can announce (12-bit length).
 func FuzzAssemble(f *testing.F) {
 	payload := make([]byte, 40)
 	for i := range payload {
 		payload[i] = byte(i)
 	}
-	clean, err := isotp.Segment(payload, 0xCC)
-	if err != nil {
-		f.Fatal(err)
+	// Per mode: the clean transfer, then mangled seeds (the fault
+	// injector's output is exactly the damage class the resynchronization
+	// logic exists for), then adversarial seeds (each attack class's
+	// forged-frame shapes: hostile flow control, oversize first-frame
+	// floods, interleaved restarts, byte-identical replays, dripped
+	// transfers; address-prefixed on the extended ID), then hand-made
+	// edge frames.
+	edges := [][][]byte{
+		{{0x10}, {0x21, 0x01, 0x02}}, // truncated first frame, orphan consecutive frame
+		{{0x12}, {0x12, 0x10}},       // address byte only, truncated first frame after it
 	}
-	f.Add(flatten(clean))
-	// Mangled seeds: the fault injector's output is exactly the damage
-	// class the resynchronization logic exists for.
-	for seed := int64(1); seed <= 3; seed++ {
-		var frames []can.Frame
-		for _, d := range clean {
-			frames = append(frames, can.MustFrame(0x7E8, d))
-		}
-		inj := faults.New(faults.HeavySpec(), seed)
-		var mangled [][]byte
-		for _, fr := range inj.Frames(frames) {
-			mangled = append(mangled, fr.Payload())
-		}
-		f.Add(flatten(mangled))
-	}
-	// Adversarial seeds: each attack class's forged-frame shapes (hostile
-	// flow control, oversize first-frame floods, interleaved restarts,
-	// byte-identical replays, dripped transfers) seed the corpus directly.
-	for seed := int64(1); seed <= 3; seed++ {
-		var frames []can.Frame
-		for _, d := range clean {
-			frames = append(frames, can.MustFrame(0x7E8, d))
-		}
-		inj := faults.New(faults.AdversarialSpec(), seed)
-		var mangled [][]byte
-		for _, fr := range inj.Frames(frames) {
-			mangled = append(mangled, fr.Payload())
-		}
-		f.Add(flatten(mangled))
-	}
-	f.Add([]byte{0x10})             // truncated first frame
-	f.Add([]byte{0x21, 0x01, 0x02}) // orphan consecutive frame
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var r isotp.Reassembler
-		for off := 0; off < len(data); off += 8 {
-			end := off + 8
-			if end > len(data) {
-				end = len(data)
+	for sel, m := range wireModes {
+		clean := m.segment(f, payload)
+		f.Add(byte(sel), flatten(clean))
+		for _, spec := range []faults.Spec{faults.HeavySpec(), faults.AdversarialSpec()} {
+			for seed := int64(1); seed <= 3; seed++ {
+				f.Add(byte(sel), flatten(payloads(m.mangle(clean, spec, seed))))
 			}
-			res, err := r.Feed(data[off:end])
+		}
+		for _, edge := range edges[sel] {
+			f.Add(byte(sel), edge)
+		}
+	}
+
+	f.Fuzz(func(t *testing.T, sel byte, data []byte) {
+		_, feed := wireModes[sel&1].feeder()
+		for off := 0; off < len(data); off += 8 {
+			end := min(off+8, len(data))
+			res, err := feed(data[off:end])
 			if err != nil {
 				if isotp.Reason(err) == "" {
 					t.Fatalf("unclassified error: %v", err)
@@ -73,6 +58,14 @@ func FuzzAssemble(f *testing.F) {
 			}
 		}
 	})
+}
+
+func payloads(frames []can.Frame) [][]byte {
+	out := make([][]byte, len(frames))
+	for i, fr := range frames {
+		out[i] = fr.Payload()
+	}
+	return out
 }
 
 func flatten(frames [][]byte) []byte {

@@ -11,6 +11,13 @@
 //   - Endpoint, a full-duplex binding of the codec to a CAN bus with the
 //     flow-control state machine, used by both the simulated diagnostic
 //     tools and the simulated ECUs.
+//
+// Each layer also speaks extended addressing, the BMW/Mini framing of
+// §3.2 Step 2 ("the first byte of each CAN frame stores the ID of the
+// target ECU"): SegmentExtended prefixes the address byte, a Reassembler
+// fed the address-stripped remainder with MinMultiFrameLen 7 rebuilds
+// the payload, and EndpointConfig.Extended does both on a bus. ExtendedID
+// says which CAN IDs carry the address byte.
 package isotp
 
 import (
@@ -80,6 +87,20 @@ const (
 	consecFrameData = 7
 )
 
+// Extended addressing on the fleet's BMW and Mini cars: the tester
+// transmits on ExtendedTesterID and the ECU at address a answers on
+// ExtendedECUBase+a.
+const (
+	ExtendedTesterID uint32 = 0x6F1
+	ExtendedECUBase  uint32 = 0x600
+)
+
+// ExtendedID reports whether frames on CAN ID id start with an address
+// byte: the tester's ID, or an ECU response ID in 0x600-0x6EF.
+func ExtendedID(id uint32) bool {
+	return id == ExtendedTesterID || (id >= ExtendedECUBase && id <= ExtendedECUBase+0xEF)
+}
+
 // Errors reported by the codec and reassembler.
 var (
 	ErrPayloadTooLong  = errors.New("isotp: payload exceeds 4095 bytes")
@@ -126,43 +147,48 @@ func Classify(data []byte) FrameType {
 // (real tools pad with 0x00, 0x55 or 0xAA; the value is visible on the wire
 // but carries no payload).
 func Segment(payload []byte, pad byte) ([][]byte, error) {
+	return segment(nil, payload, pad)
+}
+
+// SegmentExtended is Segment under extended addressing: every frame
+// starts with the target address byte, so each carries one payload byte
+// fewer (single frames at most 6).
+func SegmentExtended(addr byte, payload []byte, pad byte) ([][]byte, error) {
+	return segment([]byte{addr}, payload, pad)
+}
+
+// segment is the body of Segment and SegmentExtended: prefix (empty, or
+// the address byte) leads every frame and the PCI follows it.
+func segment(prefix, payload []byte, pad byte) ([][]byte, error) {
 	if len(payload) == 0 {
 		return nil, ErrEmptyPayload
 	}
 	if len(payload) > MaxPayload {
 		return nil, fmt.Errorf("%w: %d", ErrPayloadTooLong, len(payload))
 	}
-	if len(payload) <= MaxSingleFrame {
-		frame := make([]byte, 8)
-		frame[0] = byte(pciSingle<<4) | byte(len(payload))
-		copy(frame[1:], payload)
-		for i := 1 + len(payload); i < 8; i++ {
-			frame[i] = pad
+	// frame builds one padded 8-byte frame: prefix, PCI bytes, data.
+	frame := func(pci []byte, data []byte) []byte {
+		f := make([]byte, 8)
+		n := copy(f, prefix)
+		n += copy(f[n:], pci)
+		n += copy(f[n:], data)
+		for i := n; i < 8; i++ {
+			f[i] = pad
 		}
-		return [][]byte{frame}, nil
+		return f
+	}
+	p := len(prefix)
+	if len(payload) <= MaxSingleFrame-p {
+		return [][]byte{frame([]byte{byte(pciSingle<<4) | byte(len(payload))}, payload)}, nil
 	}
 
-	var frames [][]byte
-	ff := make([]byte, 8)
-	ff[0] = byte(pciFirst<<4) | byte(len(payload)>>8)
-	ff[1] = byte(len(payload))
-	copy(ff[2:], payload[:firstFrameData])
-	frames = append(frames, ff)
-
-	rest := payload[firstFrameData:]
+	first := firstFrameData - p
+	frames := [][]byte{frame([]byte{byte(pciFirst<<4) | byte(len(payload)>>8), byte(len(payload))}, payload[:first])}
+	rest := payload[first:]
 	seq := byte(1)
 	for len(rest) > 0 {
-		n := len(rest)
-		if n > consecFrameData {
-			n = consecFrameData
-		}
-		cf := make([]byte, 8)
-		cf[0] = byte(pciConsec<<4) | seq
-		copy(cf[1:], rest[:n])
-		for i := 1 + n; i < 8; i++ {
-			cf[i] = pad
-		}
-		frames = append(frames, cf)
+		n := min(len(rest), consecFrameData-p)
+		frames = append(frames, frame([]byte{byte(pciConsec<<4) | seq}, rest[:n]))
 		rest = rest[n:]
 		seq = (seq + 1) & 0x0F
 	}
@@ -212,9 +238,8 @@ func DecodeFlowControl(data []byte) (FlowControl, error) {
 // identifier before assembling).
 type Reassembler struct {
 	// MinMultiFrameLen is the smallest legal first-frame length. Zero means
-	// the normal-addressing default (MaxSingleFrame+1); extended-addressing
-	// users (package bmwtp) lower it to 7 because their single frames carry
-	// only 6 bytes.
+	// the normal-addressing default (MaxSingleFrame+1); extended addressing
+	// lowers it to 7 because its single frames carry only 6 bytes.
 	MinMultiFrameLen int
 
 	// buf is in-flight assembly scratch, leased from the colstore buffer

@@ -11,7 +11,7 @@ import (
 // ReasonExhaustive keeps two enumerations closed that the compiler cannot
 // check:
 //
-// Error-reason coverage. Each transport package (isotp, vwtp, bmwtp)
+// Error-reason coverage. Each transport package (isotp, vwtp)
 // exports error sentinels and a Reason(err) classifier that folds them
 // into the stable reason labels the telemetry error counters use. A
 // sentinel the classifier does not mention silently lands in the

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"dpreverser/internal/bmwtp"
 	"dpreverser/internal/can"
 	"dpreverser/internal/faults"
 	"dpreverser/internal/isotp"
@@ -74,7 +73,7 @@ func TestScreenFramesPerClass(t *testing.T) {
 // addressing — address-prefixed forgeries classify the same way.
 func TestScreenFramesBMWFlood(t *testing.T) {
 	payload := make([]byte, 40)
-	chunks, err := bmwtp.Segment(0x12, payload, 0xFF)
+	chunks, err := isotp.SegmentExtended(0x12, payload, 0xFF)
 	if err != nil {
 		t.Fatal(err)
 	}

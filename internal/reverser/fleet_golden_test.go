@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"dpreverser/internal/rig"
 	"dpreverser/internal/vehicle"
 )
 
@@ -23,6 +24,11 @@ import (
 // finds, so an engine change that claims identical output has to prove
 // it.
 const fleetGoldenPath = "testdata/fleet_results_sha256.golden"
+
+// captureGoldenPath records the SHA-256 of each fleet car's capture at
+// rig seed 1, as rig.Capture.Save writes it. Results do not see pad or
+// address bytes, so this pins the wire the transports put on the bus.
+const captureGoldenPath = "testdata/fleet_captures_sha256.golden"
 
 // paperGoldenCars are the cars also pinned at the paper budget; the test
 // stays within a few seconds. At rig seed 1 every stream of theirs stops
@@ -53,9 +59,9 @@ var counterFields = []string{"evaluations", "cache_hits", "cache_misses", "gener
 // two digests: of the whole document, and of the document with every
 // counterFields entry removed, so a change to how much work the GP does
 // shows in review whether the formulas stayed the same.
-func resultSHA(t *testing.T, cfg Config, car string, seed int64) (full, noCounters string) {
+func resultSHA(t *testing.T, cfg Config, car string, cap rig.Capture) (full, noCounters string) {
 	t.Helper()
-	res, err := New(WithConfig(cfg), WithParallelism(2)).Reverse(context.Background(), collectSeeded(t, car, seed))
+	res, err := New(WithConfig(cfg), WithParallelism(2)).Reverse(context.Background(), cap)
 	if err != nil {
 		t.Fatalf("%s: %v", car, err)
 	}
@@ -108,34 +114,48 @@ func TestFleetResultsGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("20 full captures and pipeline runs")
 	}
-	var got strings.Builder
-	line := func(budget, car string) {
-		full, noCounters := resultSHA(t, goldenBudget(budget), car, 1)
-		fmt.Fprintf(&got, "%s\t%s\t%s\t%s\n", budget, car, full, noCounters)
+	var results, captures strings.Builder
+	line := func(budget, car string, cap rig.Capture) {
+		full, noCounters := resultSHA(t, goldenBudget(budget), car, cap)
+		fmt.Fprintf(&results, "%s\t%s\t%s\t%s\n", budget, car, full, noCounters)
 	}
 	for _, p := range vehicle.Fleet() {
-		line("quick", p.Car)
+		cap := collectSeeded(t, p.Car, 1)
+		var saved bytes.Buffer
+		if err := cap.Save(&saved); err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&captures, "%s\t%s\n", p.Car, sha256Hex(saved.Bytes()))
+		line("quick", p.Car, cap)
 	}
 	for _, car := range paperGoldenCars {
-		line("paper", car)
+		line("paper", car, collectSeeded(t, car, 1))
 	}
+	checkGoldenLines(t, fleetGoldenPath, results.String(), "result")
+	checkGoldenLines(t, captureGoldenPath, captures.String(), "capture")
+}
+
+// checkGoldenLines compares got line by line against the golden file at
+// path, rewriting the file first under -update-golden.
+func checkGoldenLines(t *testing.T, path, got, what string) {
+	t.Helper()
 	if *updateGolden {
-		if err := os.WriteFile(fleetGoldenPath, []byte(got.String()), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	raw, err := os.ReadFile(fleetGoldenPath)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("%v (run with -update-golden to regenerate)", err)
 	}
-	gotLines := strings.Split(got.String(), "\n")
+	gotLines := strings.Split(got, "\n")
 	wantLines := strings.Split(string(raw), "\n")
 	if len(gotLines) != len(wantLines) {
-		t.Fatalf("%d results, %s has %d lines", len(gotLines)-1, fleetGoldenPath, len(wantLines)-1)
+		t.Fatalf("%d %ss, %s has %d lines", len(gotLines)-1, what, path, len(wantLines)-1)
 	}
 	for i := range gotLines {
 		if gotLines[i] != wantLines[i] {
-			t.Errorf("result drifted:\n got %s\nwant %s", gotLines[i], wantLines[i])
+			t.Errorf("%s drifted:\n got %s\nwant %s", what, gotLines[i], wantLines[i])
 		}
 	}
 }

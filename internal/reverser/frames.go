@@ -12,7 +12,6 @@ import (
 	"context"
 	"time"
 
-	"dpreverser/internal/bmwtp"
 	"dpreverser/internal/can"
 	"dpreverser/internal/colstore"
 	"dpreverser/internal/isotp"
@@ -82,9 +81,10 @@ func (s *TrafficStats) bumpID(id uint32) {
 func (s TrafficStats) ISOTPMulti() int { return s.ISOTPFirst + s.ISOTPConsecutive }
 
 // AssemblyObserver receives one call per reassembly failure with the
-// transport name ("isotp", "vwtp", "bmwtp") and the stable reason label
-// from that transport's Reason classifier. The telemetry wiring feeds
-// these into the dpreverser_transport_errors_total counter.
+// transport label ("isotp", "vwtp", or "bmwtp" for ISO-TP under BMW
+// extended addressing) and the stable reason label from isotp.Reason or
+// vwtp.Reason. The telemetry wiring feeds these into the
+// dpreverser_transport_errors_total counter.
 type AssemblyObserver func(transport, reason string)
 
 // assembler reconstructs application messages from a raw capture. It
@@ -145,12 +145,6 @@ func (a *assembler) prof(id uint32) *AttackProfile {
 	return p
 }
 
-// isBMWID recognises the BMW extended-addressing convention: the tool
-// transmits on 0x6F1 and ECUs answer on 0x600+address.
-func isBMWID(id uint32) bool {
-	return id == 0x6F1 || (id >= 0x600 && id <= 0x6EF)
-}
-
 // FramesColumnar transposes a raw capture into a columnar frame store —
 // the one array-of-structs → column-major copy the pipeline performs,
 // after which every stage reads slab views.
@@ -205,9 +199,7 @@ func (a *assembler) feed(at time.Duration, id uint32, data []byte) {
 	// negotiated data IDs (§3.2: screening removes these control frames).
 	if id >= vwtp.BroadcastID && id < vwtp.BroadcastID+0x100 {
 		a.stats.VWTPControl++
-		if len(data) >= 7 && data[1] == 0xD0 {
-			ecuRx := uint32(data[2]) | uint32(data[3])<<8
-			ecuTx := uint32(data[4]) | uint32(data[5])<<8
+		if ecuRx, ecuTx, ok := vwtp.SetupIDs(data); ok {
 			a.vwtpIDs[ecuRx] = true
 			a.vwtpIDs[ecuTx] = true
 		}
@@ -216,7 +208,7 @@ func (a *assembler) feed(at time.Duration, id uint32, data []byte) {
 	switch {
 	case a.vwtpIDs[id]:
 		a.feedVWTP(at, id, data)
-	case isBMWID(id):
+	case isotp.ExtendedID(id):
 		a.feedBMW(at, id, data)
 	default:
 		a.feedISOTP(at, id, data)
@@ -225,7 +217,26 @@ func (a *assembler) feed(at time.Duration, id uint32, data []byte) {
 
 //dplint:hotpath assemble-feed
 func (a *assembler) feedISOTP(at time.Duration, id uint32, data []byte) {
-	kind := isotp.Classify(data)
+	kind, ok := a.screenISOTP(id, data)
+	if !ok {
+		return
+	}
+	r := a.isotp[id]
+	if r == nil {
+		r = &isotp.Reassembler{}
+		a.isotp[id] = r
+	}
+	a.feedISOTPInner(at, id, 0, uint8(TransportISOTP), kind, r, data)
+}
+
+// screenISOTP classifies one ISO-TP frame (address-stripped under BMW
+// extended addressing) and counts it in the frame mix. Flow control is
+// screened for attack shapes and, like invalid frames, reports ok false:
+// neither carries payload.
+//
+//dplint:hotpath assemble-feed
+func (a *assembler) screenISOTP(id uint32, data []byte) (kind isotp.FrameType, ok bool) {
+	kind = isotp.Classify(data)
 	switch kind {
 	case isotp.SingleFrame:
 		a.stats.ISOTPSingle++
@@ -235,17 +246,12 @@ func (a *assembler) feedISOTP(at time.Duration, id uint32, data []byte) {
 		a.stats.ISOTPConsecutive++
 	case isotp.FlowControlFrame:
 		a.stats.ISOTPFlowControl++
-		a.observeFC(id, data) // screened out: carries no payload
-		return
+		a.observeFC(id, data)
+		return kind, false
 	default:
-		return
+		return kind, false
 	}
-	r := a.isotp[id]
-	if r == nil {
-		r = &isotp.Reassembler{}
-		a.isotp[id] = r
-	}
-	a.feedISOTPInner(at, id, 0, uint8(TransportISOTP), kind, r, data)
+	return kind, true
 }
 
 // feedISOTPInner drives one ISO-TP state machine (plain or under a BMW
@@ -269,7 +275,7 @@ func (a *assembler) feedISOTPInner(at time.Duration, id uint32, addr byte, trans
 		a.stats.bumpID(id)
 		if transport == uint8(TransportBMW) {
 			a.stats.BMWErrors++
-			a.reportError("bmwtp", bmwtp.Reason(err))
+			a.reportError("bmwtp", isotp.Reason(err))
 		} else {
 			a.stats.ISOTPErrors++
 			a.reportError("isotp", isotp.Reason(err))
@@ -381,23 +387,10 @@ func (a *assembler) feedVWTP(at time.Duration, id uint32, data []byte) {
 
 //dplint:hotpath assemble-feed
 func (a *assembler) feedBMW(at time.Duration, id uint32, data []byte) {
-	if len(data) < 2 {
-		return
-	}
+	// feed drops empty frames; an address byte alone screens as invalid.
 	addr := data[0]
-	kind := isotp.Classify(data[1:])
-	switch kind {
-	case isotp.SingleFrame:
-		a.stats.ISOTPSingle++
-	case isotp.FirstFrame:
-		a.stats.ISOTPFirst++
-	case isotp.ConsecutiveFrame:
-		a.stats.ISOTPConsecutive++
-	case isotp.FlowControlFrame:
-		a.stats.ISOTPFlowControl++
-		a.observeFC(id, data[1:])
-		return
-	default:
+	kind, ok := a.screenISOTP(id, data[1:])
+	if !ok {
 		return
 	}
 	byAddr := a.bmw[id]

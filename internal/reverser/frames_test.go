@@ -5,7 +5,6 @@ import (
 	"context"
 	"testing"
 
-	"dpreverser/internal/bmwtp"
 	"dpreverser/internal/can"
 	"dpreverser/internal/colstore"
 	"dpreverser/internal/isotp"
@@ -97,7 +96,7 @@ func TestAssembleVWTPLearnsChannelFromSetup(t *testing.T) {
 
 func TestAssembleBMWExtendedAddressing(t *testing.T) {
 	payload := []byte{0x62, 0xDB, 0xE5, 0x21, 0x07, 0x99, 0x01, 0x02}
-	fields, err := bmwtp.Segment(0xF1, payload, 0)
+	fields, err := isotp.SegmentExtended(0xF1, payload, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,9 +14,10 @@ type PipelineMetrics struct {
 	// MessagesAssembled counts application messages reassembled across all
 	// transports.
 	MessagesAssembled *Counter
-	// TransportErrors counts reassembly failures by transport
-	// (isotp|vwtp|bmwtp) and reason (the transport packages' Reason
-	// classification: bad-sequence, unexpected-frame, ...).
+	// TransportErrors counts reassembly failures by transport (isotp,
+	// vwtp, or bmwtp for ISO-TP under BMW extended addressing) and reason
+	// (the transport packages' Reason classification: bad-sequence,
+	// unexpected-frame, ...).
 	TransportErrors *CounterVec
 	// ESVObservations and ECRObservations count extracted field
 	// observations (read-data responses paired to requests, IO-control

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"dpreverser/internal/bmwtp"
 	"dpreverser/internal/isotp"
 	"dpreverser/internal/obd"
 	"dpreverser/internal/vwtp"
@@ -28,19 +27,13 @@ var ErrNoResponse = errors.New("vehicle: no response from ECU")
 // Connect opens a tool-side client to the ECU behind binding b.
 func Connect(v *Vehicle, b ECUBinding) (Client, error) {
 	switch v.Profile.Transport {
-	case ISOTP:
+	case ISOTP, BMWExt:
+		cfg := isotp.EndpointConfig{TxID: b.ReqID, RxID: b.RespID, Pad: 0xCC}
+		if v.Profile.Transport == BMWExt {
+			cfg = isotp.EndpointConfig{TxID: b.ReqID, RxID: b.RespID, Extended: true, TxAddr: b.Addr, RxAddr: testerAddr}
+		}
 		return newEndpointClient(func(onMsg func([]byte)) (sender, func()) {
-			ep := isotp.NewEndpoint(v.Bus, isotp.EndpointConfig{
-				TxID: b.ReqID, RxID: b.RespID, Pad: 0xCC,
-			})
-			ep.OnMessage = onMsg
-			return ep, ep.Close
-		}), nil
-	case BMWExt:
-		return newEndpointClient(func(onMsg func([]byte)) (sender, func()) {
-			ep := bmwtp.NewEndpoint(v.Bus, bmwtp.EndpointConfig{
-				TxID: 0x6F1, RxID: b.RespID, TxAddr: b.Addr, RxAddr: 0xF1,
-			})
+			ep := isotp.NewEndpoint(v.Bus, cfg)
 			ep.OnMessage = onMsg
 			return ep, ep.Close
 		}), nil

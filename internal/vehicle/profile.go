@@ -31,6 +31,10 @@ const (
 	BMWExt
 )
 
+// testerAddr is the address byte of the tool's side under BMW extended
+// addressing: ECUs stamp it on their responses.
+const testerAddr = 0xF1
+
 // String implements fmt.Stringer.
 func (t Transport) String() string {
 	switch t {

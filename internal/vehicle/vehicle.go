@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"dpreverser/internal/bmwtp"
 	"dpreverser/internal/can"
 	"dpreverser/internal/ecu"
 	"dpreverser/internal/isotp"
@@ -20,7 +19,7 @@ import (
 // reverse-engineering pipeline does not use it).
 type ECUBinding struct {
 	ECU *ecu.ECU
-	// ReqID / RespID are the CAN IDs for ISO-TP cars.
+	// ReqID / RespID are the CAN IDs for ISO-TP and BMW cars.
 	ReqID, RespID uint32
 	// Addr is the ECU address for VW TP 2.0 and BMW extended addressing.
 	Addr byte
@@ -252,30 +251,17 @@ func (v *Vehicle) wireTransports(cfgs []ecu.Config, rng *rand.Rand) {
 		unit := ecu.New(cfg)
 		binding := ECUBinding{ECU: unit}
 		switch v.Profile.Transport {
-		case ISOTP:
-			binding.ReqID = uint32(0x700 + 2*i)
-			binding.RespID = uint32(0x701 + 2*i)
-			ep := isotp.NewEndpoint(v.Bus, isotp.EndpointConfig{
-				TxID: binding.RespID, RxID: binding.ReqID, Pad: 0xAA,
-			})
-			ep.OnMessage = func(req []byte) {
-				resp := v.dispatch(unit, req)
-				if resp != nil {
-					if err := ep.Send(resp); err != nil {
-						panic(fmt.Sprintf("vehicle: ecu response send failed: %v", err))
-					}
+		case ISOTP, BMWExt:
+			cfg := isotp.EndpointConfig{TxID: uint32(0x701 + 2*i), RxID: uint32(0x700 + 2*i), Pad: 0xAA}
+			if v.Profile.Transport == BMWExt {
+				binding.Addr = byte(0x10 + 0x10*i)
+				cfg = isotp.EndpointConfig{
+					TxID: isotp.ExtendedECUBase + uint32(binding.Addr), RxID: isotp.ExtendedTesterID,
+					Extended: true, TxAddr: testerAddr, RxAddr: binding.Addr,
 				}
 			}
-			v.closers = append(v.closers, ep.Close)
-
-		case BMWExt:
-			binding.Addr = byte(0x10 + 0x10*i)
-			binding.ReqID = 0x6F1
-			binding.RespID = uint32(0x600) + uint32(binding.Addr)
-			ep := bmwtp.NewEndpoint(v.Bus, bmwtp.EndpointConfig{
-				TxID: binding.RespID, RxID: 0x6F1,
-				TxAddr: 0xF1, RxAddr: binding.Addr, Pad: 0x00,
-			})
+			binding.ReqID, binding.RespID = cfg.RxID, cfg.TxID
+			ep := isotp.NewEndpoint(v.Bus, cfg)
 			ep.OnMessage = func(req []byte) {
 				resp := v.dispatch(unit, req)
 				if resp != nil {

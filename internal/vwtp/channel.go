@@ -165,19 +165,12 @@ func Dial(bus *can.Bus, addr byte) (*Channel, error) {
 		gotParams bool
 	)
 	unsub := bus.Subscribe(func(f can.Frame) {
-		if f.ID != respID || f.Len < 7 {
+		if f.ID != respID {
 			return
 		}
-		d := f.Payload()
-		if d[1] != opSetupPosResp {
-			return
+		if ecuRx, ecuTx, ok := SetupIDs(f.Payload()); ok {
+			toolTxID, toolRxID, granted = ecuRx, ecuTx, true
 		}
-		// Response layout: [0x00, 0xD0, rxLo, rxHi, txLo, txHi, app].
-		// rx/tx are from the ECU's perspective.
-		ecuRx := uint32(d[2]) | uint32(d[3])<<8
-		ecuTx := uint32(d[4]) | uint32(d[5])<<8
-		toolTxID, toolRxID = ecuRx, ecuTx
-		granted = true
 	})
 	setup, err := can.NewFrame(BroadcastID, []byte{addr, opSetupReq, 0x00, 0x10, 0x00, 0x03, 0x01})
 	if err != nil {

@@ -123,6 +123,16 @@ func IsNotReady(data []byte) bool {
 	return len(data) > 0 && data[0]>>4 == opACKNotReady
 }
 
+// SetupIDs decodes a positive channel-setup response, laid out
+// [0x00, 0xD0, rxLo, rxHi, txLo, txHi, app]: the CAN IDs the ECU receives
+// and transmits the channel's data on. ok is false for any other frame.
+func SetupIDs(data []byte) (ecuRx, ecuTx uint32, ok bool) {
+	if len(data) < 7 || data[1] != opSetupPosResp {
+		return 0, 0, false
+	}
+	return uint32(data[2]) | uint32(data[3])<<8, uint32(data[4]) | uint32(data[5])<<8, true
+}
+
 // IsLastData reports whether a data frame's opcode marks the final packet
 // of a message — the check the paper's assembly step performs.
 func IsLastData(data []byte) bool {
