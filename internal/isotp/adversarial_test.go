@@ -69,10 +69,16 @@ func (m wireMode) attacked(t *testing.T, spec faults.Spec) []can.Frame {
 }
 
 // TestAdversarialResync feeds each attack class's output followed by a
-// clean transfer, in both addressing modes: the reassembler must never
+// clean transfer under normal addressing: the reassembler must never
 // stall — whatever the attack left in flight, the next genuine transfer
 // assembles, and every error along the way carries a stable Reason.
-func TestAdversarialResync(t *testing.T) {
+func TestAdversarialResync(t *testing.T) { adversarialResync(t, wireModes[0]) }
+
+// TestAdversarialResyncExtended runs the same attacks under extended
+// addressing, where the injector address-prefixes its forgeries.
+func TestAdversarialResyncExtended(t *testing.T) { adversarialResync(t, wireModes[1]) }
+
+func adversarialResync(t *testing.T, m wireMode) {
 	cases := []struct {
 		name string
 		spec faults.Spec
@@ -89,32 +95,28 @@ func TestAdversarialResync(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, m := range wireModes {
-				t.Run(m.name, func(t *testing.T) {
-					cleanChunks := m.segment(t, probe)
-					_, feed := m.feeder()
-					deliver := func(data []byte) []byte {
-						res, err := feed(data)
-						if err != nil && isotp.Reason(err) == "" {
-							t.Fatalf("unclassified error: %v", err)
-						}
-						return res.Message
-					}
-					for _, f := range m.attacked(t, tc.spec) {
-						if msg := deliver(f.Payload()); len(msg) > 0xFFF {
-							t.Fatalf("message longer than announceable: %d", len(msg))
-						}
-					}
-					var got []byte
-					for _, d := range cleanChunks {
-						if msg := deliver(d); msg != nil {
-							got = append([]byte(nil), msg...)
-						}
-					}
-					if !bytes.Equal(got, probe) {
-						t.Fatalf("clean transfer after %s assembled % X, want % X", tc.name, got, probe)
-					}
-				})
+			cleanChunks := m.segment(t, probe)
+			_, feed := m.feeder()
+			deliver := func(data []byte) []byte {
+				res, err := feed(data)
+				if err != nil && isotp.Reason(err) == "" {
+					t.Fatalf("unclassified error: %v", err)
+				}
+				return res.Message
+			}
+			for _, f := range m.attacked(t, tc.spec) {
+				if msg := deliver(f.Payload()); len(msg) > 0xFFF {
+					t.Fatalf("message longer than announceable: %d", len(msg))
+				}
+			}
+			var got []byte
+			for _, d := range cleanChunks {
+				if msg := deliver(d); msg != nil {
+					got = append([]byte(nil), msg...)
+				}
+			}
+			if !bytes.Equal(got, probe) {
+				t.Fatalf("clean transfer after %s assembled % X, want % X", tc.name, got, probe)
 			}
 		})
 	}

@@ -38,17 +38,23 @@ func (m addressing) wire(data ...byte) []byte {
 // TestReassemblerResync is the fault-model table: each case is a damaged
 // frame sequence on one arbitration ID; the reassembler must salvage what
 // it can, discard what it cannot, resynchronize on the next first frame,
-// and classify every error through the telemetry Reason taxonomy. Every
-// case runs in both addressing modes, the extended one with the address
-// byte stripped before the reassembler sees a frame; 17-byte payloads
-// are a first frame and two consecutive frames in either.
-func TestReassemblerResync(t *testing.T) {
+// and classify every error through the telemetry Reason taxonomy. 17-byte
+// payloads are a first frame and two consecutive frames in either
+// addressing mode.
+func TestReassemblerResync(t *testing.T) { reassemblerResync(t, modes[0]) }
+
+// TestReassemblerResyncExtended runs the same table under extended
+// addressing, the address byte stripped before the reassembler sees a
+// frame.
+func TestReassemblerResyncExtended(t *testing.T) { reassemblerResync(t, modes[1]) }
+
+func reassemblerResync(t *testing.T, m addressing) {
 	payloadA := fill(17, 0x0A)
 	payloadB := fill(17, 0x0B)
 
 	cases := []struct {
 		name   string
-		frames func(t *testing.T, m addressing) [][]byte
+		frames func(t *testing.T) [][]byte
 		// want are the payloads expected to survive, in order.
 		want [][]byte
 		// reasons are the expected telemetry Reason counts.
@@ -56,7 +62,7 @@ func TestReassemblerResync(t *testing.T) {
 	}{
 		{
 			name: "duplicate consecutive frame is skipped and the transfer salvaged",
-			frames: func(t *testing.T, m addressing) [][]byte {
+			frames: func(t *testing.T) [][]byte {
 				fs := transfer(t, m, payloadA) // FF, CF1, CF2
 				return [][]byte{fs[0], fs[1], fs[1], fs[2]}
 			},
@@ -65,7 +71,7 @@ func TestReassemblerResync(t *testing.T) {
 		},
 		{
 			name: "truncated first frame is rejected; next transfer resyncs",
-			frames: func(t *testing.T, m addressing) [][]byte {
+			frames: func(t *testing.T) [][]byte {
 				fs := transfer(t, m, payloadB)
 				return append([][]byte{m.wire(0x10)}, fs...)
 			},
@@ -74,7 +80,7 @@ func TestReassemblerResync(t *testing.T) {
 		},
 		{
 			name: "frame with no PCI (an address byte alone) is rejected as truncated",
-			frames: func(t *testing.T, m addressing) [][]byte {
+			frames: func(t *testing.T) [][]byte {
 				return append([][]byte{m.wire()}, transfer(t, m, payloadA)...)
 			},
 			want:    [][]byte{payloadA},
@@ -82,7 +88,7 @@ func TestReassemblerResync(t *testing.T) {
 		},
 		{
 			name: "out-of-order consecutive frame discards the transfer; resync on next first frame",
-			frames: func(t *testing.T, m addressing) [][]byte {
+			frames: func(t *testing.T) [][]byte {
 				a := transfer(t, m, payloadA)
 				b := transfer(t, m, payloadB)
 				// CF1 of A is lost: CF2 arrives out of order (discard),
@@ -94,7 +100,7 @@ func TestReassemblerResync(t *testing.T) {
 		},
 		{
 			name: "interleaved sessions on one arbitration ID: new first frame wins",
-			frames: func(t *testing.T, m addressing) [][]byte {
+			frames: func(t *testing.T) [][]byte {
 				a := transfer(t, m, payloadA)
 				b := transfer(t, m, payloadB)
 				// A's transfer is cut off by B's first frame; A's stray
@@ -106,7 +112,7 @@ func TestReassemblerResync(t *testing.T) {
 		},
 		{
 			name: "duplicated first frame restarts the transfer in place",
-			frames: func(t *testing.T, m addressing) [][]byte {
+			frames: func(t *testing.T) [][]byte {
 				fs := transfer(t, m, payloadA)
 				return [][]byte{fs[0], fs[0], fs[1], fs[2]}
 			},
@@ -117,40 +123,36 @@ func TestReassemblerResync(t *testing.T) {
 
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			for _, m := range modes {
-				t.Run(m.name, func(t *testing.T) {
-					reg := telemetry.NewRegistry()
-					errs := reg.CounterVec(telemetry.MetricTransportErrors, "", "transport", "reason")
-					r := m.reassembler()
-					var got [][]byte
-					for _, f := range c.frames(t, m) {
-						res, err := r.Feed(m.strip(f))
-						if err != nil {
-							errs.With("isotp", Reason(err)).Inc()
-						}
-						if res.Message != nil {
-							got = append(got, res.Message)
-						}
-					}
-					if len(got) != len(c.want) {
-						t.Fatalf("assembled %d messages, want %d", len(got), len(c.want))
-					}
-					for i := range got {
-						if !bytes.Equal(got[i], c.want[i]) {
-							t.Fatalf("message %d = % X, want % X", i, got[i], c.want[i])
-						}
-					}
-					total := 0
-					for reason, n := range c.reasons {
-						if v := errs.With("isotp", reason).Value(); v != float64(n) {
-							t.Errorf("reason %q counter = %v, want %d", reason, v, n)
-						}
-						total += n
-					}
-					if r.Errors() < total {
-						t.Errorf("Errors() = %d, want at least %d", r.Errors(), total)
-					}
-				})
+			reg := telemetry.NewRegistry()
+			errs := reg.CounterVec(telemetry.MetricTransportErrors, "", "transport", "reason")
+			r := m.reassembler()
+			var got [][]byte
+			for _, f := range c.frames(t) {
+				res, err := r.Feed(m.strip(f))
+				if err != nil {
+					errs.With("isotp", Reason(err)).Inc()
+				}
+				if res.Message != nil {
+					got = append(got, res.Message)
+				}
+			}
+			if len(got) != len(c.want) {
+				t.Fatalf("assembled %d messages, want %d", len(got), len(c.want))
+			}
+			for i := range got {
+				if !bytes.Equal(got[i], c.want[i]) {
+					t.Fatalf("message %d = % X, want % X", i, got[i], c.want[i])
+				}
+			}
+			total := 0
+			for reason, n := range c.reasons {
+				if v := errs.With("isotp", reason).Value(); v != float64(n) {
+					t.Errorf("reason %q counter = %v, want %d", reason, v, n)
+				}
+				total += n
+			}
+			if r.Errors() < total {
+				t.Errorf("Errors() = %d, want at least %d", r.Errors(), total)
 			}
 		})
 	}

@@ -116,6 +116,31 @@ func TestAssembleBMWExtendedAddressing(t *testing.T) {
 	}
 }
 
+// TestAssembleBMWAnyAddress: the assembler filters no address byte on an
+// extended ID; single frames to two ECUs both assemble, each message
+// carrying its own address.
+func TestAssembleBMWAnyAddress(t *testing.T) {
+	frames := []can.Frame{
+		can.MustFrame(0x629, []byte{0xAB, 0x01, 0x3E}),
+		can.MustFrame(0x629, []byte{0x12, 0x02, 0x3E, 0x00}),
+	}
+	msgs, stats := assemble(t, frames)
+	if msgs.Len() != 2 {
+		t.Fatalf("messages = %d (stats %+v)", msgs.Len(), stats)
+	}
+	for i, want := range []struct {
+		addr    byte
+		payload []byte
+	}{{0xAB, []byte{0x3E}}, {0x12, []byte{0x3E, 0x00}}} {
+		if TransportKind(msgs.Transport(i)) != TransportBMW || msgs.Addr(i) != want.addr {
+			t.Fatalf("message %d transport = %v, addr = %#x", i, TransportKind(msgs.Transport(i)), msgs.Addr(i))
+		}
+		if !bytes.Equal(msgs.Payload(i), want.payload) {
+			t.Fatalf("message %d payload = % X", i, msgs.Payload(i))
+		}
+	}
+}
+
 func TestAssembleInterleavedIDs(t *testing.T) {
 	// Two multi-frame responses interleaved on different IDs must both
 	// reassemble (per-ID state).
